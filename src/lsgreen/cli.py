@@ -13,16 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .dihedral import (
-    CharLabel,
-    format_label,
-    irreps,
-    parse_label,
-)
+from .dihedral import CharLabel, format_label, irreps
 from .errors import BadSubgroup, InvalidM, LsgreenError
 from .exactalg import IntPoly, PolyMatrix, RatFunc
 from .fakedegree import check_symmetry, fake_degree, omega
@@ -62,10 +57,8 @@ __all__ = [
     "run_command",
     "CliConfig",
     "poly_to_jsonable",
-    "poly_from_jsonable",
     "ratfunc_to_jsonable",
     "matrix_to_jsonable",
-    "matrix_from_jsonable",
     "system_to_jsonable",
     "closure_to_jsonable",
     "render_json",
@@ -73,16 +66,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (round-trippable)
+# JSON serialization
 # ---------------------------------------------------------------------------
 
 def poly_to_jsonable(p: IntPoly) -> dict:
     """Sparse polynomial as {exponent-string: coefficient}."""
     return {str(e): c for e, c in sorted(p.c.items())}
-
-
-def poly_from_jsonable(obj: dict) -> IntPoly:
-    return IntPoly({int(e): int(c) for e, c in obj.items()})
 
 
 def ratfunc_to_jsonable(v: RatFunc) -> dict:
@@ -91,27 +80,12 @@ def ratfunc_to_jsonable(v: RatFunc) -> dict:
     return {"num": poly_to_jsonable(v.num), "den": poly_to_jsonable(v.den)}
 
 
-def ratfunc_from_jsonable(obj: dict) -> RatFunc:
-    if "den" in obj:
-        return RatFunc(poly_from_jsonable(obj["num"]), poly_from_jsonable(obj["den"]))
-    return RatFunc(poly_from_jsonable(obj))
-
-
 def matrix_to_jsonable(mat: PolyMatrix) -> dict:
     return {
         "rows": [format_label(l) for l in mat.rows],
         "cols": [format_label(l) for l in mat.cols],
         "entries": [[ratfunc_to_jsonable(x) for x in row] for row in mat.data],
     }
-
-
-def matrix_from_jsonable(obj: dict, m: int) -> PolyMatrix:
-    rows = [parse_label(s, m) for s in obj["rows"]]
-    cols = [parse_label(s, m) for s in obj["cols"]]
-    return PolyMatrix(
-        rows, cols,
-        [[ratfunc_from_jsonable(x) for x in row] for row in obj["entries"]],
-    )
 
 
 def closure_to_jsonable(order: ClosureOrder) -> dict:
@@ -359,20 +333,16 @@ def parse_config_file(path: str | Path) -> CliConfig:
 
 
 def _resolve_bounds(args, cfg: CliConfig) -> SearchConfig:
-    """default < config file < environment < command line."""
-    base = SearchConfig()
-    if cfg.max_candidates is not None:
-        base = SearchConfig(cfg.max_candidates, base.max_m_solve, base.max_m_search)
-    if cfg.max_m is not None:
-        base = SearchConfig(base.max_candidates, cfg.max_m, cfg.max_m)
-    base = SearchConfig.from_env(base)
-    mc = getattr(args, "max_candidates", None)
-    mm = getattr(args, "max_m", None)
-    if mc is not None:
-        base = SearchConfig(mc, base.max_m_solve, base.max_m_search)
-    if mm is not None:
-        base = SearchConfig(base.max_candidates, mm, mm)
-    return base
+    """default < config file < command line; negative bounds are bad input."""
+    bounds = SearchConfig()
+    for layer in (cfg, args):
+        mc = getattr(layer, "max_candidates", None)
+        mm = getattr(layer, "max_m", None)
+        if mc is not None:
+            bounds = replace(bounds, max_candidates=mc)
+        if mm is not None:
+            bounds = replace(bounds, max_m_solve=mm, max_m_search=mm)
+    return bounds
 
 
 def _need_m(args, cfg: CliConfig) -> int:
@@ -451,7 +421,7 @@ def _cmd_omega(args, cfg, fmt) -> int:
 def _load_datum_file(path: str) -> LSDatum:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "datum" in obj and isinstance(obj["datum"], dict):
+    if isinstance(obj, dict) and isinstance(obj.get("datum"), dict):
         obj = obj["datum"]
     return datum_from_jsonable(obj)
 
@@ -474,10 +444,6 @@ def _cmd_solve(args, cfg, fmt) -> int:
     else:
         sys.stdout.write(_latex_system(system))
     return 0
-
-
-def _hit_jsonable(hit, springer, certificate: bool) -> dict:
-    return system_to_jsonable(hit.system, springer, certificate=certificate)
 
 
 def _cmd_search(args, cfg, fmt) -> int:
@@ -507,7 +473,8 @@ def _cmd_search(args, cfg, fmt) -> int:
         )
     if fmt == "json":
         payload = [
-            _hit_jsonable(h, outcome.springer, certificates) for h in outcome.hits
+            system_to_jsonable(h.system, outcome.springer, certificate=certificates)
+            for h in outcome.hits
         ]
         sys.stdout.write(render_json(payload))
     elif fmt == "tsv":

@@ -122,9 +122,6 @@ class IntPoly:
             g = int_gcd(g, v)
         return g
 
-    def is_monomial(self) -> bool:
-        return len(self.c) == 1
-
     def coeff(self, e: int) -> int:
         return self.c.get(e, 0)
 
@@ -276,12 +273,6 @@ class IntPoly:
         r.c = {top - e: v for e, v in self.c.items()}
         r._hash = None
         return r
-
-    def evaluate(self, x: Fraction | int) -> Fraction | int:
-        total: Fraction | int = 0
-        for e, v in self.c.items():
-            total += v * x**e
-        return total
 
     # -- comparisons, formatting ------------------------------------------
 
@@ -528,7 +519,6 @@ def _as_ratfunc(x):
 
 
 RF_ZERO = RatFunc(0)
-RF_ONE = RatFunc(1)
 
 
 # ---------------------------------------------------------------------------
@@ -830,23 +820,10 @@ class PolyMatrix:
     def zeros(rows: Sequence, cols: Sequence) -> "PolyMatrix":
         return PolyMatrix(rows, cols, [[RF_ZERO] * len(cols) for _ in rows])
 
-    @staticmethod
-    def identity(labels: Sequence) -> "PolyMatrix":
-        return PolyMatrix.from_function(
-            labels, labels, lambda r, c: RF_ONE if r == c else RF_ZERO
-        )
-
     # -- access ------------------------------------------------------------
 
     def get(self, row, col) -> RatFunc:
         return self.data[self._ri[row]][self._ci[col]]
-
-    def entry(self, i: int, j: int) -> RatFunc:
-        return self.data[i][j]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
 
     def submatrix(self, rows: Sequence, cols: Sequence) -> "PolyMatrix":
         return PolyMatrix(
@@ -882,19 +859,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.rows, other.cols, out)
 
-    def __matmul__(self, other):
-        return self.mul(other)
-
-    def map(self, fn) -> "PolyMatrix":
-        return PolyMatrix(
-            self.rows, self.cols,
-            [[fn(x) for x in row] for row in self.data],
-        )
-
-    def scale(self, s: RatFunc | IntPoly | int) -> "PolyMatrix":
-        s = _as_ratfunc(s)
-        return self.map(lambda x: x * s)
-
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -917,15 +881,6 @@ class PolyMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.data))
-
-    def pretty(self, label=str) -> str:
-        heads = [""] + [label(c) for c in self.cols]
-        body = [[label(r)] + [str(x) for x in row] for r, row in zip(self.rows, self.data)]
-        widths = [max(len(r[i]) for r in [heads] + body) for i in range(len(heads))]
-        lines = []
-        for r in [heads] + body:
-            lines.append("  ".join(s.rjust(w) for s, w in zip(r, widths)))
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"PolyMatrix(rows={self.rows!r}, cols={self.cols!r})"

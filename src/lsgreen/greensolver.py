@@ -19,14 +19,14 @@ from which
     Lambda_C   = q^(-2 a_C) M_{C,C},
     P-rows     : X . Y^C_{C,C} = q^(a_C) Y^C_{chi,C}.
 
-The alternative expression of the P-rows through Lambda_C^{-1} is retained
-as a cross-check path, and the full product P Lambda P^t is re-multiplied
-and compared with omega before any system is returned.
+The Y rows of a class are kept only while that class is solved, and the
+full product P Lambda P^t is re-multiplied and compared with omega before
+any system is returned.
 
 Nothing here assumes the datum has the shape predicted by the
 classification of correspondences; wild candidates are either solved or
 rejected with SingularBlock, and judged later by the condition checker.
-Y blocks that fail to be polynomial are recorded on the system, not fatal.
+Y entries that fail to be polynomial are recorded on the system, not fatal.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
-from .errors import NotPolynomial
 from .exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "GreenSystem",
     "ClosureOrder",
     "solve",
-    "y_block",
-    "lambda_block",
     "closure_order",
     "verify_system",
     "datum_to_jsonable",
@@ -136,16 +133,33 @@ def datum_to_jsonable(datum: LSDatum) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    if type(x) is not int:  # bools and floats are not coerced
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def datum_from_jsonable(data: dict) -> LSDatum:
     """Parse a datum from its JSON form.  ``class_order`` may be
     "bottom_first" (default; the storage order) or "top_first" (the order
-    printed tables use)."""
-    m = data["m"]
+    printed tables use).  Types are checked, not coerced: ``m`` and the
+    a-values must be integers, ``classes`` a list of lists of label
+    strings and ``a`` a list; anything else raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a datum must be a JSON object, got {type(data).__name__}")
+    m = _json_int(data["m"], "m")
     order = data.get("class_order", "bottom_first")
     if order not in ("bottom_first", "top_first"):
         raise ValueError(f"unknown class_order {order!r}")
+    if not isinstance(data["classes"], list) or not all(
+        isinstance(cls, list) and all(isinstance(s, str) for s in cls)
+        for cls in data["classes"]
+    ):
+        raise ValueError(f"classes must be a list of label lists, got {data['classes']!r}")
+    if not isinstance(data["a"], list):
+        raise ValueError(f"a must be a list of integers, got {data['a']!r}")
     classes = [frozenset(parse_label(s, m) for s in cls) for cls in data["classes"]]
-    avals = [int(x) for x in data["a"]]
+    avals = [_json_int(x, "a-value") for x in data["a"]]
     if order == "top_first":
         classes.reverse()
         avals.reverse()
@@ -154,19 +168,18 @@ def datum_from_jsonable(data: dict) -> LSDatum:
 
 @dataclass(frozen=True)
 class GreenSystem:
-    """A solved system: the datum, the matrices P and Lambda over the full
-    canonical label set, and the per-class Y blocks in solving order
-    (``Y[i]`` has rows = the characters still unsolved when class i was
-    reached, columns = the members of class i).
+    """A solved system: the datum and the matrices P and Lambda over the
+    full canonical label set.
 
     ``nonpolynomial_y`` records (class index, row label, column label)
-    triples where a Y block above the bottom class failed to be polynomial;
-    it is empty for every datum of the predicted shape."""
+    triples where an entry of Y^C (rows = the characters still unsolved when
+    class C was reached, columns = the members of C) above the bottom class
+    failed to be polynomial; it is empty for every datum of the predicted
+    shape."""
 
     datum: LSDatum
     P: PolyMatrix
     Lambda: PolyMatrix
-    Y: tuple[PolyMatrix, ...]
     nonpolynomial_y: tuple[tuple[int, CharLabel, CharLabel], ...] = ()
 
 
@@ -189,13 +202,12 @@ def _div_by_poly(x: RatFunc, d: IntPoly) -> RatFunc:
     return x / RatFunc(d)
 
 
-def solve(omega: PolyMatrix, datum: LSDatum, *, cross_check: bool = False) -> GreenSystem:
+def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
     """Solve P Lambda P^t = omega for the given datum.
 
     Raises SingularBlock when some diagonal Y block is not invertible (the
-    datum then admits no system).  With ``cross_check=True`` the P-rows are
-    recomputed through Lambda_C^{-1} and compared, and every cached Y block
-    is recomputed through the public :func:`y_block` formula."""
+    datum then admits no system).  The returned system has been multiplied
+    back against omega."""
     m = datum.m
     labels = list(all_labels(m))
     if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):
@@ -211,7 +223,6 @@ def solve(omega: PolyMatrix, datum: LSDatum, *, cross_check: bool = False) -> Gr
     L: list[list[RatFunc]] = [[rf_zero] * n for _ in range(n)]
 
     unsolved: list[int] = list(range(n))
-    y_blocks: list[PolyMatrix] = []
     nonpoly: list[tuple[int, CharLabel, CharLabel]] = []
 
     for ci in range(len(datum.classes)):
@@ -219,19 +230,14 @@ def solve(omega: PolyMatrix, datum: LSDatum, *, cross_check: bool = False) -> Gr
         midx = [pos[l] for l in members]
         midx_set = set(midx)
         a_c = datum.a[ci]
-        row_labels = [labels[i] for i in unsolved]
 
-        # Y block = residual / (q^m - 1), rows = all unsolved characters
-        yblk = PolyMatrix(
-            row_labels, members,
-            [[_div_by_poly(M[i][j], gamma) for j in midx] for i in unsolved],
-        )
-        y_blocks.append(yblk)
+        # Y rows = residual / (q^m - 1), one per unsolved character
+        y = {i: [_div_by_poly(M[i][j], gamma) for j in midx] for i in unsolved}
         if ci > 0:
-            for rl in row_labels:
-                for cl in members:
-                    if not yblk.get(rl, cl).is_polynomial():
-                        nonpoly.append((ci, rl, cl))
+            for i in unsolved:
+                for cl, v in zip(members, y[i]):
+                    if not v.is_polynomial():
+                        nonpoly.append((ci, labels[i], cl))
 
         # Lambda block: q^(-2 a_C) (q^m - 1) Y_{C,C} = q^(-2 a_C) M_{C,C}
         q2a = IntPoly.q(2 * a_c)
@@ -247,33 +253,15 @@ def solve(omega: PolyMatrix, datum: LSDatum, *, cross_check: bool = False) -> Gr
         above = [i for i in unsolved if i not in midx_set]
         if above:
             # P-rows over C: X . Y_{C,C} = q^(a_C) Y_{chi,C}
-            acc = yblk.submatrix(members, members)
+            acc = PolyMatrix(members, members, [y[i] for i in midx])
             above_labels = [labels[i] for i in above]
             rhs = PolyMatrix(
-                above_labels, members,
-                [[yblk.get(l, c) * qa for c in members] for l in above_labels],
+                above_labels, members, [[v * qa for v in y[i]] for i in above]
             )
             sol = matrix_solve(acc, rhs)
             for i, l in zip(above, above_labels):
                 for c in members:
                     P[i][pos[c]] = sol.get(l, c)
-
-            if cross_check:
-                # alternative route: X . Lambda_C = q^(-a_C) (q^m - 1) Y_{chi,C}
-                lam_c = PolyMatrix(
-                    members, members, [[L[i][j] for j in midx] for i in midx]
-                )
-                qa_poly = IntPoly.q(a_c)
-                rhs2 = PolyMatrix(
-                    above_labels, members,
-                    [[_div_by_poly(yblk.get(l, c) * gamma, qa_poly) for c in members]
-                     for l in above_labels],
-                )
-                sol2 = matrix_solve(lam_c, rhs2)
-                if sol2 != sol:
-                    raise AssertionError(
-                        f"the two P-row routes disagree on class {ci} ({members})"
-                    )
 
             # residual update among the still-unsolved characters:
             # M -= P_{.,C} Lambda_C P_{.,C}^t
@@ -307,91 +295,10 @@ def solve(omega: PolyMatrix, datum: LSDatum, *, cross_check: bool = False) -> Gr
 
     pm = PolyMatrix(labels, labels, P)
     lm = PolyMatrix(labels, labels, L)
-    system = GreenSystem(datum, pm, lm, tuple(y_blocks), tuple(nonpoly))
+    system = GreenSystem(datum, pm, lm, tuple(nonpoly))
     if not verify_system(system, omega):
         raise AssertionError("multiplication-back failed: P Lambda P^t != omega")
-    if cross_check:
-        for ci in range(len(datum.classes)):
-            recomputed = y_block(omega, system, ci, require_polynomial=False)
-            if recomputed != system.Y[ci]:
-                raise AssertionError(f"cached Y block {ci} differs from direct formula")
     return system
-
-
-def y_block(
-    omega: PolyMatrix,
-    partial: GreenSystem,
-    class_index: int,
-    rows=None,
-    *,
-    require_polynomial: bool = True,
-) -> PolyMatrix:
-    """The Y block of a class, from the defining subtraction formula:
-
-        Y^C = ( omega - sum_{C' < C} P_{.,C'} Lambda_{C'} P_{.,C'}^t ) / (q^m - 1)
-
-    restricted to the given rows (default: every character whose class is
-    not below C) and the members of C as columns.  Only the P/Lambda columns
-    of classes strictly below C are read from ``partial``, so a fully solved
-    system works, as does one solved exactly up to C.
-
-    For classes above the bottom one the entries are polynomials whenever
-    the datum has the predicted shape; ``require_polynomial`` enforces that
-    (NotPolynomial, with the offending (row, column, class) in the message).
-    """
-    datum = partial.datum
-    m = datum.m
-    gamma = _gamma(m)
-    members = sorted(datum.classes[class_index], key=label_sort_key)
-    if rows is None:
-        rows = [
-            l for ci in range(class_index, len(datum.classes))
-            for l in sorted(datum.classes[ci], key=label_sort_key)
-        ]
-        rows.sort(key=label_sort_key)
-    below = [
-        sorted(datum.classes[ci], key=label_sort_key)
-        for ci in range(class_index)
-    ]
-    data = []
-    for r in rows:
-        row = []
-        for c in members:
-            acc = omega.get(r, c)
-            for cls in below:
-                for x in cls:
-                    px = partial.P.get(r, x)
-                    if not px.num.c:
-                        continue
-                    for y in cls:
-                        lxy = partial.Lambda.get(x, y)
-                        if lxy.num.c:
-                            pcy = partial.P.get(c, y)
-                            if pcy.num.c:
-                                acc = acc - px * lxy * pcy
-            row.append(_div_by_poly(acc, gamma))
-        data.append(row)
-    blk = PolyMatrix(rows, members, data)
-    if require_polynomial and class_index > 0:
-        for r in rows:
-            for c in members:
-                if not blk.get(r, c).is_polynomial():
-                    raise NotPolynomial(
-                        f"Y entry ({format_label(r)}, {format_label(c)}) of class "
-                        f"{class_index} is {blk.get(r, c)}, not a polynomial"
-                    )
-    return blk
-
-
-def lambda_block(omega: PolyMatrix, partial: GreenSystem, class_index: int) -> PolyMatrix:
-    """Lambda_C = q^(-2 a_C) (q^m - 1) Y^C_{C,C}, from the same subtraction
-    formula as :func:`y_block`."""
-    datum = partial.datum
-    members = sorted(datum.classes[class_index], key=label_sort_key)
-    blk = y_block(omega, partial, class_index, rows=members, require_polynomial=False)
-    gamma = _gamma(datum.m)
-    q2a = IntPoly.q(2 * datum.a[class_index])
-    return blk.map(lambda x: _div_by_poly(x * gamma, q2a))
 
 
 def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:

@@ -42,7 +42,7 @@ from .dihedral import (
     specials,
 )
 from .errors import BadSubgroup, InvalidM, NotUnique
-from .exactalg import CycloNum
+from .exactalg import CycloNum, _factorize
 from .fakedegree import omega
 from .greensolver import closure_order, solve
 from .springer import SpringerSet, d_sequence, maximal, search
@@ -69,22 +69,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # arithmetic helpers
 # ---------------------------------------------------------------------------
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
 
 def _is_prime_power(n: int) -> bool:
     return n >= 2 and len(_factorize(n)) == 1
@@ -174,7 +158,7 @@ def d_sequence_formula_report(m: int) -> DSequenceFormulaReport:
     actual = d_sequence(s_pref(m))
     n_value = len(actual) - 1
     d_n = actual[-1]
-    fac = _factorize(m)
+    fac = list(_factorize(m).items())
     single = len(fac) == 1
     if single and fac[0][0] == 2:
         n = fac[0][1]

@@ -29,7 +29,6 @@ the solver, so the two routes can be compared in anger.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from . import fakedegree
@@ -521,16 +520,6 @@ def closed_form_system(springer: SpringerSet, f=None) -> GreenSystem:
 
     p_mat = PolyMatrix.from_function(labels, labels, p_entry)
 
-    y_blocks: list[PolyMatrix] = []
-    remaining = [l for cls in datum.classes for l in cls]
-    for stage in range(ncls):
-        members = sorted(datum.classes[stage], key=label_sort_key)
-        rows = sorted(remaining, key=label_sort_key)
-        y_blocks.append(PolyMatrix.from_function(
-            rows, members, lambda r, c: y_entry(stage, r, c)
-        ))
-        remaining = [l for l in remaining if l not in datum.classes[stage]]
-
     # ---- Lambda: q^(-2a) (q^m - 1) Y_{C,C} per class ----
     lam = PolyMatrix.zeros(labels, labels)
     lam_data = [list(row) for row in lam.data]
@@ -541,11 +530,11 @@ def closed_form_system(springer: SpringerSet, f=None) -> GreenSystem:
         q2a = IntPoly.q(2 * a_c)
         for rr in members:
             for cc in members:
-                v = y_blocks[stage].get(rr, cc) * RatFunc(gamma)
+                v = y_entry(stage, rr, cc) * RatFunc(gamma)
                 lam_data[pos[rr]][pos[cc]] = v / RatFunc(q2a)
     lam_mat = PolyMatrix(labels, labels, lam_data)
 
-    return GreenSystem(datum, p_mat, lam_mat, tuple(y_blocks), ())
+    return GreenSystem(datum, p_mat, lam_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -701,23 +690,17 @@ def check_conditions(system: GreenSystem, springer: SpringerSet,
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Resource bounds for the enumeration-and-solve pipeline."""
+    """Resource bounds for the enumeration-and-solve pipeline.  The command
+    line sets them from --max-candidates / --max-m or the config file."""
 
     max_candidates: int = 10 ** 6
     max_m_solve: int = 30
     max_m_search: int = 16
 
-    @staticmethod
-    def from_env(base: "SearchConfig | None" = None) -> "SearchConfig":
-        """Apply LSGREEN_MAX_CANDIDATES / LSGREEN_MAX_M on top of base."""
-        cfg = base if base is not None else SearchConfig()
-        mc = os.environ.get("LSGREEN_MAX_CANDIDATES")
-        mm = os.environ.get("LSGREEN_MAX_M")
-        if mc is not None:
-            cfg = SearchConfig(int(mc), cfg.max_m_solve, cfg.max_m_search)
-        if mm is not None:
-            cfg = SearchConfig(cfg.max_candidates, int(mm), int(mm))
-        return cfg
+    def __post_init__(self):
+        for name in ("max_candidates", "max_m_solve", "max_m_search"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,
@@ -730,7 +713,7 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
     class hosting each non-Springer character, ranging over those with
     d_k < b.  With family_filter the trivial class is off-limits (it could
     only ever fail the family-support condition)."""
-    bounds = bounds if bounds is not None else SearchConfig.from_env()
+    bounds = bounds if bounds is not None else SearchConfig()
     s, _ = springer.normalized()
     m = s.m
     if m > bounds.max_m_search:
@@ -811,8 +794,8 @@ class SearchOutcome:
 
 
 def search(springer: SpringerSet, *, family_filter: bool = True,
-           bounds: SearchConfig | None = None, omega: PolyMatrix | None = None,
-           cross_check: bool = False) -> SearchOutcome:
+           bounds: SearchConfig | None = None,
+           omega: PolyMatrix | None = None) -> SearchOutcome:
     """Enumerate candidates, solve each, keep those passing all five
     conditions and matching the two-run partition read off their supports.
 
@@ -826,8 +809,11 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     orderings of the same candidate, both are solved and their P and Lambda
     are required to agree; the canonical ordering (ChiRPrime below ChiR) is
     the one reported.  Candidates whose system is singular are rejected and
-    counted, not raised."""
-    bounds = bounds if bounds is not None else SearchConfig.from_env()
+    counted, not raised.
+
+    Each candidate is solved by :func:`greensolver.solve` alone; ``bounds``
+    defaults to ``SearchConfig()``."""
+    bounds = bounds if bounds is not None else SearchConfig()
     s, swapped = springer.normalized()
     m = s.m
     om = omega if omega is not None else fakedegree.omega(m, method="closed")
@@ -843,7 +829,7 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
         failed = False
         for datum in variants:
             try:
-                systems.append(solve(om, datum, cross_check=cross_check))
+                systems.append(solve(om, datum))
             except SingularBlock:
                 failed = True
                 break

@@ -239,3 +239,40 @@ def test_atlas_unknown_fixture(capsys):
     rc, _, err = run(capsys, "atlas", "E8")
     assert rc == 2
     assert "error" in err
+
+
+_GOOD_DATUM = {"m": 3, "classes": [["eps"], ["1"], ["0"]], "a": [3, 1, 0]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({**_GOOD_DATUM, "a": [3, 1.7, 0]}, "a-value must be an integer"),
+    ({**_GOOD_DATUM, "a": [3, True, 0]}, "a-value must be an integer"),
+    ({**_GOOD_DATUM, "m": 3.0}, "m must be an integer"),
+    ({**_GOOD_DATUM, "m": True}, "m must be an integer"),
+    ({**_GOOD_DATUM, "classes": "eps,1,0"}, "classes must be a list"),
+    ([_GOOD_DATUM], "must be a JSON object"),
+], ids=["float-a", "bool-a", "float-m", "bool-m", "classes-not-list", "top-level-list"])
+def test_solve_rejects_mistyped_datum(capsys, tmp_path, payload, message):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "solve", "3", "--datum", str(path))
+    assert rc == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("--max-candidates", "-1"), None),
+    (("--max-m", "-1"), None),
+    ((), "max_candidates = -1\n"),
+    ((), "max_m = -1\n"),
+], ids=["flag-max-candidates", "flag-max-m", "key-max_candidates", "key-max_m"])
+def test_negative_bound_is_bad_input(capsys, tmp_path, argv, config):
+    extra = list(argv)
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        extra += ["--config", str(cfg)]
+    rc, _, err = run(capsys, "search", "6", "--springer", "all", *extra)
+    assert rc == 2
+    assert "must be nonnegative" in err and "check failed" not in err

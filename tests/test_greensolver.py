@@ -181,11 +181,3 @@ def test_verify_system_detects_doctored_entry(sys3):
     doctored = dataclasses.replace(sys3, P=bad_p)
     assert not verify_system(doctored, omega(3, method="closed"))
 
-
-def test_cross_check_route_agrees():
-    datum = LSDatum(6, ({Eps}, {ChiRPrime}, {Chi(2)}, {Chi(1), ChiR}, {Chi(0)}),
-                    (6, 3, 2, 1, 0))
-    om = omega(6, method="closed")
-    plain = solve(om, datum)
-    checked = solve(om, datum, cross_check=True)
-    assert plain.P == checked.P and plain.Lambda == checked.Lambda
