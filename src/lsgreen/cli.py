@@ -4,8 +4,10 @@ verification sweep.
 
 Machine output goes to stdout; anything diagnostic goes to stderr.  JSON
 output is canonical (sorted keys, compact separators), so identical
-invocations are byte-identical.  Exit codes: 0 success, 1 a mathematical
-check failed, 2 usage error.
+invocations are byte-identical.  Each command returns its exit code and
+its stdout text; TSV and LaTeX tables go through one renderer.  Exit codes:
+0 success, 1 a mathematical check failed, 2 usage error, 3 a work bound
+was hit.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .dihedral import CharLabel, format_label, irreps
-from .errors import BadSubgroup, InvalidM, LsgreenError
+from .errors import BadSubgroup, InvalidM, LsgreenError, SearchBoundExceeded
 from .exactalg import IntPoly, PolyMatrix, RatFunc
 from .fakedegree import check_symmetry, fake_degree, omega
 from .greensolver import (
@@ -55,7 +56,6 @@ from .sprefatlas import (
 __all__ = [
     "main",
     "run_command",
-    "CliConfig",
     "poly_to_jsonable",
     "ratfunc_to_jsonable",
     "matrix_to_jsonable",
@@ -201,18 +201,6 @@ def latex_poly(v: RatFunc | IntPoly) -> str:
     return text
 
 
-def _latex_matrix(mat: PolyMatrix, caption: str) -> str:
-    lines = [r"% " + caption,
-             r"\begin{tabular}{l|" + "c" * len(mat.cols) + "}"]
-    head = " & ".join("$" + latex_label(c) + "$" for c in mat.cols)
-    lines.append(" & " + head + r" \\ \hline")
-    for i, r in enumerate(mat.rows):
-        cells = " & ".join("$" + latex_poly(x) + "$" for x in mat.data[i])
-        lines.append("$" + latex_label(r) + "$ & " + cells + r" \\")
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines) + "\n"
-
-
 def latex_closure(order: ClosureOrder, datum: LSDatum) -> str:
     """A small Hasse diagram: one node per class, ranked by longest chain
     from the bottom class, drawn bottom-up."""
@@ -243,179 +231,178 @@ def latex_closure(order: ClosureOrder, datum: LSDatum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _latex_system(system: GreenSystem) -> str:
+def _cell(fmt: str, x) -> str:
+    """One table cell: a label or a polynomial in the format's notation
+    (``$...$`` in LaTeX), a list of labels comma-separated, anything else
+    as ``str``."""
+    latex = fmt == "latex"
+    if isinstance(x, CharLabel):
+        return f"${latex_label(x)}$" if latex else format_label(x)
+    if isinstance(x, (IntPoly, RatFunc)):
+        return f"${latex_poly(x)}$" if latex else str(x)
+    if isinstance(x, list):
+        return (", " if latex else ",").join(_cell(fmt, y) for y in x)
+    return str(x)
+
+
+def _table(fmt: str, rows, head: dict | None = None, spec: str = "") -> str:
+    """Rows of cells as TSV lines, or as a LaTeX tabular with column spec
+    ``spec``.  ``head`` maps a format to its header cells; a format it
+    lacks gets no header row."""
+    tsv = fmt == "tsv"
+
+    def line(cells) -> str:
+        return (("\t" if tsv else " & ").join(_cell(fmt, x) for x in cells)
+                + ("" if tsv else r" \\"))
+
+    top = (head or {}).get(fmt)
+    lines = [line(top) + ("" if tsv else r" \hline")] if top else []
+    lines += [line(row) for row in rows]
+    if not tsv:
+        lines = [rf"\begin{{tabular}}{{{spec}}}", *lines, r"\end{tabular}"]
+    return "\n".join(lines) + "\n"
+
+
+def _matrix_table(fmt: str, mat: PolyMatrix) -> str:
+    return _table(fmt, [[r, *row] for r, row in zip(mat.rows, mat.data)],
+                  {fmt: ["." if fmt == "tsv" else "", *mat.cols]},
+                  "l|" + "c" * len(mat.cols))
+
+
+def _system_table(fmt: str, system: GreenSystem) -> str:
+    """The datum, one row per class from the top; TSV goes on with P and
+    Lambda, LaTeX with the Hasse diagram of the closure order."""
     datum = system.datum
-    lines = [r"\begin{tabular}{ccl}",
-             r"class & $a$ & characters \\ \hline"]
-    for i, cls in enumerate(datum.display_classes()):
-        ai = datum.a[len(datum.classes) - 1 - i]
-        members = ", ".join(
-            "$" + latex_label(l) + "$"
-            for l in sorted(cls, key=lambda l: format_label(l))
-        )
-        lines.append(f"{i} & {ai} & {members} " + r"\\")
-    lines.append(r"\end{tabular}")
-    return ("\n".join(lines) + "\n" + latex_closure(closure_order(system), datum))
+    rows = [[i, a, sorted(cls, key=format_label)] for i, (cls, a)
+            in enumerate(zip(datum.display_classes(), reversed(datum.a)))]
+    text = _table(fmt, rows, {"tsv": ["# datum", f"m={datum.m}"],
+                              "latex": ["class", "$a$", "characters"]}, "ccl")
+    if fmt == "tsv":
+        return (text + "# P\n" + _matrix_table(fmt, system.P)
+                + "# Lambda\n" + _matrix_table(fmt, system.Lambda))
+    return text + latex_closure(closure_order(system), datum)
 
 
-def _tsv_matrix(mat: PolyMatrix) -> str:
-    out = [".\t" + "\t".join(format_label(c) for c in mat.cols)]
-    for i, r in enumerate(mat.rows):
-        out.append(
-            format_label(r) + "\t" + "\t".join(str(x) for x in mat.data[i])
-        )
-    return "\n".join(out) + "\n"
-
-
-def _tsv_system(system: GreenSystem) -> str:
-    datum = system.datum
-    parts = ["# datum\tm=" + str(datum.m)]
-    ncls = len(datum.classes)
-    for i in range(ncls - 1, -1, -1):
-        members = ",".join(
-            format_label(l)
-            for l in sorted(datum.classes[i], key=lambda l: format_label(l))
-        )
-        parts.append(f"{ncls - 1 - i}\t{datum.a[i]}\t{members}")
-    parts.append("# P")
-    parts.append(_tsv_matrix(system.P).rstrip("\n"))
-    parts.append("# Lambda")
-    parts.append(_tsv_matrix(system.Lambda).rstrip("\n"))
-    return "\n".join(parts) + "\n"
+def _checks_table(fmt: str, what: str, rows, latex_name=str) -> str:
+    """(name, passed, details) rows: TSV with the details, LaTeX as a
+    two-column ``what`` / outcome tabular."""
+    if fmt == "tsv":
+        cells = [[n, "pass" if ok else "FAIL", "; ".join(d)] for n, ok, d in rows]
+    else:
+        cells = [[latex_name(n), "pass" if ok else "fail"] for n, ok, _ in rows]
+    return _table(fmt, cells, {"latex": [what, "outcome"]}, "ll")
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration and bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CliConfig:
-    m: int | None = None
-    springer_set: list[str] | None = None
-    output_format: str | None = None
-    max_candidates: int | None = None
-    max_m: int | None = None
-    no_family_filter: bool = False
-    emit_certificates: bool = False
+SOLVE_M_BOUND = 30  # the m bound of solve and maximal; --max-m replaces it
+_FORMATS = ("json", "tsv", "latex")
 
 
-def parse_config_file(path: str | Path) -> CliConfig:
-    """key = value lines; '#' starts a comment.  Keys mirror the config
-    dataclass; springer_set is a comma-separated label list."""
-    cfg = CliConfig()
+def _boolean(value: str) -> bool:
+    word = value.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {value!r}")
+    return word in ("1", "true", "yes")
+
+
+def _output_format(value: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError(f"unknown output_format {value!r}")
+    return value
+
+
+# config key -> (argparse dest, value parser)
+_CONFIG_KEYS = {
+    "m": ("m", int),
+    "springer_set": ("springer", lambda v: ",".join(
+        s.strip() for s in v.split(",") if s.strip()) or None),
+    "output_format": ("format", _output_format),
+    "max_candidates": ("max_candidates", int),
+    "max_m": ("max_m", int),
+    "no_family_filter": ("no_family_filter", _boolean),
+    "emit_certificates": ("emit_certificates", _boolean),
+}
+
+
+def parse_config_file(path: str | Path) -> dict:
+    """``key = value`` lines, '#' starting a comment, read into
+    {argparse dest: value}.  springer_set is a comma-separated label list;
+    booleans are 1/0, true/false or yes/no in any case."""
+    values = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line (expected key = value): {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "m":
-            cfg.m = int(value)
-        elif key == "springer_set":
-            cfg.springer_set = [s.strip() for s in value.split(",") if s.strip()]
-        elif key == "output_format":
-            if value not in ("json", "tsv", "latex"):
-                raise ValueError(f"unknown output_format {value!r}")
-            cfg.output_format = value
-        elif key == "max_candidates":
-            cfg.max_candidates = int(value)
-        elif key == "max_m":
-            cfg.max_m = int(value)
-        elif key == "no_family_filter":
-            cfg.no_family_filter = value.lower() in ("1", "true", "yes")
-        elif key == "emit_certificates":
-            cfg.emit_certificates = value.lower() in ("1", "true", "yes")
-        else:
+        key, _, value = (s.strip() for s in line.partition("="))
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    return cfg
+        dest, parse = _CONFIG_KEYS[key]
+        values[dest] = parse(value)
+    # a negative bound is bad input even where a flag overrides it
+    SearchConfig(**{k: values[k] for k in ("max_candidates", "max_m") if k in values})
+    return values
 
 
-def _resolve_bounds(args, cfg: CliConfig) -> SearchConfig:
-    """default < config file < command line; negative bounds are bad input."""
-    bounds = SearchConfig()
-    for layer in (cfg, args):
-        mc = getattr(layer, "max_candidates", None)
-        mm = getattr(layer, "max_m", None)
-        if mc is not None:
-            bounds = replace(bounds, max_candidates=mc)
-        if mm is not None:
-            bounds = replace(bounds, max_m_solve=mm, max_m_search=mm)
-    return bounds
+def _bounds(args, max_m: int = SearchConfig.max_m) -> SearchConfig:
+    """--max-candidates and --max-m over the defaults; a negative bound is
+    bad input."""
+    given = {k: getattr(args, k) for k in ("max_candidates", "max_m")
+             if getattr(args, k) is not None}
+    return SearchConfig(**{"max_m": max_m, **given})
 
 
-def _need_m(args, cfg: CliConfig) -> int:
-    m = args.m if args.m is not None else cfg.m
-    if m is None:
+def _check_solve_bound(args, m: int) -> None:
+    bound = _bounds(args, SOLVE_M_BOUND).max_m
+    if m > bound:
+        raise SearchBoundExceeded(f"m={m} exceeds the solve bound {bound}")
+
+
+def _need_m(args) -> int:
+    if args.m is None:
         raise ValueError("no m given (positional argument or config file)")
-    return m
+    return args.m
 
 
-def _springer_arg(args, cfg: CliConfig, m: int) -> SpringerSet:
-    text = args.springer if args.springer is not None else (
-        ",".join(cfg.springer_set) if cfg.springer_set else None
-    )
-    if text is None:
+def _springer_arg(args) -> SpringerSet:
+    if args.springer is None:
         raise ValueError("no Springer set given (--springer or config file)")
-    return SpringerSet.from_strings(m, text)
+    return SpringerSet.from_strings(args.m, args.springer)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, stdout text)
 # ---------------------------------------------------------------------------
 
-def _cmd_irr(args, cfg, fmt) -> int:
-    m = _need_m(args, cfg)
+def _cmd_irr(args):
+    m = _need_m(args)
     chars = irreps(m)
-    if fmt == "json":
-        payload = {
-            "m": m,
-            "characters": [
-                {
-                    "label": format_label(c.label),
-                    "degree": c.degree,
-                    "b": c.b,
-                    "fake_degree": poly_to_jsonable(fake_degree(m, c.label)),
-                }
-                for c in chars
-            ],
-        }
-        sys.stdout.write(render_json(payload))
-    elif fmt == "tsv":
-        rows = ["label\tdegree\tb\tfake_degree"]
-        rows += [
-            f"{format_label(c.label)}\t{c.degree}\t{c.b}\t{fake_degree(m, c.label)}"
+    if args.format == "json":
+        return 0, render_json({"m": m, "characters": [
+            {"label": format_label(c.label), "degree": c.degree, "b": c.b,
+             "fake_degree": poly_to_jsonable(fake_degree(m, c.label))}
             for c in chars
-        ]
-        sys.stdout.write("\n".join(rows) + "\n")
-    else:
-        lines = [r"\begin{tabular}{cccl}",
-                 r"$\chi$ & $\dim$ & $b$ & $R(q)$ \\ \hline"]
-        for c in chars:
-            lines.append(
-                f"${latex_label(c.label)}$ & {c.degree} & {c.b} & "
-                f"${latex_poly(fake_degree(m, c.label))}$ " + r"\\"
-            )
-        lines.append(r"\end{tabular}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+        ]})
+    rows = [[c.label, c.degree, c.b, fake_degree(m, c.label)] for c in chars]
+    return 0, _table(args.format, rows, {
+        "tsv": ["label", "degree", "b", "fake_degree"],
+        "latex": [r"$\chi$", r"$\dim$", "$b$", "$R(q)$"],
+    }, "cccl")
 
 
-def _cmd_omega(args, cfg, fmt) -> int:
-    m = _need_m(args, cfg)
+def _cmd_omega(args):
+    m = _need_m(args)
     om = omega(m, method=args.method)
     if args.method == "both":
         print(f"omega({m}): sum and closed derivations agree", file=sys.stderr)
-    if fmt == "json":
-        payload = {"m": m, "method": args.method}
-        payload.update(matrix_to_jsonable(om))
-        sys.stdout.write(render_json(payload))
-    elif fmt == "tsv":
-        sys.stdout.write(_tsv_matrix(om))
-    else:
-        sys.stdout.write(_latex_matrix(om, f"pairing matrix, m={m}"))
-    return 0
+    if args.format == "json":
+        return 0, render_json({"m": m, "method": args.method, **matrix_to_jsonable(om)})
+    caption = f"% pairing matrix, m={m}\n" if args.format == "latex" else ""
+    return 0, caption + _matrix_table(args.format, om)
 
 
 def _load_datum_file(path: str) -> LSDatum:
@@ -426,38 +413,27 @@ def _load_datum_file(path: str) -> LSDatum:
     return datum_from_jsonable(obj)
 
 
-def _cmd_solve(args, cfg, fmt) -> int:
-    m = _need_m(args, cfg)
-    bounds = _resolve_bounds(args, cfg)
-    if m > bounds.max_m_solve:
-        raise LsgreenError(
-            f"m={m} exceeds the solve bound {bounds.max_m_solve}"
-        )
+def _cmd_solve(args):
+    m = _need_m(args)
+    _check_solve_bound(args, m)
     datum = _load_datum_file(args.datum)
     if datum.m != m:
         raise ValueError(f"datum file is for m={datum.m}, command line says m={m}")
     system = solve(omega(m, method="both"), datum)
-    if fmt == "json":
-        sys.stdout.write(render_json(system_to_jsonable(system)))
-    elif fmt == "tsv":
-        sys.stdout.write(_tsv_system(system))
-    else:
-        sys.stdout.write(_latex_system(system))
-    return 0
+    if args.format == "json":
+        return 0, render_json(system_to_jsonable(system))
+    return 0, _system_table(args.format, system)
 
 
-def _cmd_search(args, cfg, fmt) -> int:
-    m = _need_m(args, cfg)
-    bounds = _resolve_bounds(args, cfg)
-    springer = _springer_arg(args, cfg, m)
-    family_filter = not (args.no_family_filter or cfg.no_family_filter)
-    certificates = args.emit_certificates or cfg.emit_certificates
+def _cmd_search(args):
+    m = _need_m(args)
+    bounds = _bounds(args)
+    springer = _springer_arg(args)
+    family_filter = not args.no_family_filter
     outcome = search(springer, family_filter=family_filter, bounds=bounds)
     if outcome.swapped:
-        print(
-            "note: Springer set normalised to " + outcome.springer.describe(),
-            file=sys.stderr,
-        )
+        print("note: Springer set normalised to " + outcome.springer.describe(),
+              file=sys.stderr)
     print(
         f"search m={m} {outcome.springer.describe()}: "
         f"{len(outcome.hits)} accepted of {outcome.tried} candidates "
@@ -471,52 +447,36 @@ def _cmd_search(args, cfg, fmt) -> int:
             "reported separately: " + h.datum.describe(),
             file=sys.stderr,
         )
-    if fmt == "json":
-        payload = [
-            system_to_jsonable(h.system, outcome.springer, certificate=certificates)
+    if args.format == "json":
+        return 0, render_json([
+            system_to_jsonable(h.system, outcome.springer,
+                               certificate=args.emit_certificates)
             for h in outcome.hits
-        ]
-        sys.stdout.write(render_json(payload))
-    elif fmt == "tsv":
-        parts = [_tsv_system(h.system) for h in outcome.hits]
-        sys.stdout.write("\n".join(parts))
-    else:
-        sys.stdout.write("\n".join(_latex_system(h.system) for h in outcome.hits))
-    return 0
+        ])
+    return 0, "\n".join(_system_table(args.format, h.system) for h in outcome.hits)
 
 
-def _cmd_maximal(args, cfg, fmt) -> int:
-    m = _need_m(args, cfg)
-    bounds = _resolve_bounds(args, cfg)
-    if m > bounds.max_m_solve:
-        raise LsgreenError(f"m={m} exceeds the solve bound {bounds.max_m_solve}")
-    springer = _springer_arg(args, cfg, m)
-    norm, swapped = springer.normalized()
+def _cmd_maximal(args):
+    m = _need_m(args)
+    _check_solve_bound(args, m)
+    norm, swapped = _springer_arg(args).normalized()
     if swapped:
         print("note: Springer set normalised to " + norm.describe(), file=sys.stderr)
-    datum = maximal(norm)
-    system = solve(omega(m, method="closed"), datum)
-    certificates = getattr(args, "emit_certificates", False) or cfg.emit_certificates
-    if fmt == "json":
-        sys.stdout.write(
-            render_json(system_to_jsonable(system, norm, certificate=certificates))
+    system = solve(omega(m, method="closed"), maximal(norm))
+    if args.format == "json":
+        return 0, render_json(
+            system_to_jsonable(system, norm, certificate=args.emit_certificates)
         )
-    elif fmt == "tsv":
-        sys.stdout.write(_tsv_system(system))
-    else:
-        sys.stdout.write(_latex_system(system))
-    return 0
+    return 0, _system_table(args.format, system)
 
 
-def _cmd_spref(args, cfg, fmt) -> int:
-    m = _need_m(args, cfg)
+def _cmd_spref(args):
+    m = _need_m(args)
     rep = s_pref_report(m)
+    labels = sorted(rep.springer.labels, key=format_label)
     payload = {
         "m": m,
-        "labels": [
-            format_label(l)
-            for l in sorted(rep.springer.labels, key=lambda l: format_label(l))
-        ],
+        "labels": [format_label(l) for l in labels],
         "dropped_divisors": list(rep.dropped_divisors),
         "notes": list(rep.notes),
     }
@@ -528,56 +488,41 @@ def _cmd_spref(args, cfg, fmt) -> int:
         payload["formula_discrepancies"] = list(frep.discrepancies)
         payload["induction_check"] = verify_spref_via_induction(m)
         ok = frep.passed and payload["induction_check"]
-    if fmt == "json":
-        sys.stdout.write(render_json(payload))
-    elif fmt == "tsv":
-        lines = [f"{k}\t{json.dumps(payload[k], sort_keys=True)}"
-                 for k in sorted(payload)]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        labels = ", ".join("$" + latex_label(l) + "$" for l in sorted(
-            rep.springer.labels, key=lambda l: format_label(l)
-        ))
-        sys.stdout.write(f"preferred set for $m={m}$: $\\{{$ {labels} $\\}}$\n")
-    return 0 if ok else 1
+    code = 0 if ok else 1
+    if args.format == "json":
+        return code, render_json(payload)
+    if args.format == "tsv":
+        return code, _table("tsv", [[k, json.dumps(payload[k], sort_keys=True)]
+                                    for k in sorted(payload)])
+    return code, f"preferred set for $m={m}$: $\\{{$ {_cell('latex', labels)} $\\}}$\n"
 
 
-def _cmd_atlas(args, cfg, fmt) -> int:
-    if args.name is not None:
-        fixtures = [get_fixture(args.name)]
-    else:
-        fixtures = list(load_fixtures())
+def _cmd_atlas(args):
+    fixtures = [get_fixture(args.name)] if args.name is not None else load_fixtures()
     results = [atlas_check(fx) for fx in fixtures]
-    payload = [
-        {"name": r.name, "passed": r.passed, "diff": list(r.diff)}
-        for r in results
-    ]
-    if fmt == "json":
-        sys.stdout.write(render_json(payload))
-    elif fmt == "tsv":
-        lines = [f"{r.name}\t{'pass' if r.passed else 'FAIL'}\t"
-                 + "; ".join(r.diff) for r in results]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        lines = [r"\begin{tabular}{ll}", r"fixture & outcome \\ \hline"]
-        lines += [f"{r.name} & " + ("pass" if r.passed else "fail") + r" \\"
-                  for r in results]
-        lines.append(r"\end{tabular}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if all(r.passed for r in results) else 1
+    code = 0 if all(r.passed for r in results) else 1
+    if args.format == "json":
+        return code, render_json([
+            {"name": r.name, "passed": r.passed, "diff": list(r.diff)}
+            for r in results
+        ])
+    return code, _checks_table(args.format, "fixture",
+                               [(r.name, r.passed, r.diff) for r in results])
 
 
-def _cmd_verify(args, cfg, fmt) -> int:
-    m = _need_m(args, cfg)
-    bounds = _resolve_bounds(args, cfg)
+def _cmd_verify(args):
+    m = _need_m(args)
+    bounds = _bounds(args)
+    if m > bounds.max_m:
+        raise SearchBoundExceeded(f"m={m} exceeds the search bound {bounds.max_m}")
     checks: list[dict] = []
 
     def record(name: str, fn):
         try:
             ok, details = fn()
-        except LsgreenError as exc:
-            ok, details = False, [str(exc)]
-        except AssertionError as exc:
+        except SearchBoundExceeded:
+            raise
+        except (LsgreenError, AssertionError) as exc:
             ok, details = False, [str(exc)]
         checks.append({"name": name, "passed": ok, "details": details})
 
@@ -594,11 +539,8 @@ def _cmd_verify(args, cfg, fmt) -> int:
     record("fake-degree-symmetry", _symmetry)
 
     def _b_matches():
-        bad = [
-            format_label(c.label)
-            for c in irreps(m)
-            if fake_degree(m, c.label).order() != c.b
-        ]
+        bad = [format_label(c.label) for c in irreps(m)
+               if fake_degree(m, c.label).order() != c.b]
         return (not bad, bad)
 
     record("b-invariant-is-fake-degree-valuation", _b_matches)
@@ -631,9 +573,7 @@ def _cmd_verify(args, cfg, fmt) -> int:
             details.append("dominant result is not the maximal correspondence")
         cf = closed_form_system(sp)
         solved = next((h.system for h in outcome.hits if h.datum == top), None)
-        if solved is not None and (
-            cf.P != solved.P or cf.Lambda != solved.Lambda
-        ):
+        if solved is not None and (cf.P != solved.P or cf.Lambda != solved.Lambda):
             details.append("closed-form system disagrees with the solver")
         for h in outcome.hits:
             smooth = rational_smoothness(h.system)
@@ -645,38 +585,21 @@ def _cmd_verify(args, cfg, fmt) -> int:
     record("preferred-set-search", _search_spref)
 
     def _atlas_m():
-        bad = []
-        for fx in load_fixtures():
-            if fx.m != m:
-                continue
-            res = atlas_check(fx)
-            if not res.passed:
-                bad.append(fx.name)
+        bad = [fx.name for fx in load_fixtures()
+               if fx.m == m and not atlas_check(fx).passed]
         return (not bad, bad)
 
     record("atlas-fixtures", _atlas_m)
 
     passed = all(c["passed"] for c in checks)
-    payload = {"m": m, "passed": passed, "checks": checks}
-    if fmt == "json":
-        sys.stdout.write(render_json(payload))
-    elif fmt == "tsv":
-        lines = [
-            f"{c['name']}\t{'pass' if c['passed'] else 'FAIL'}\t"
-            + "; ".join(c["details"])
-            for c in checks
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        lines = [r"\begin{tabular}{ll}", r"check & outcome \\ \hline"]
-        lines += [
-            c["name"].replace("-", " ") + " & "
-            + ("pass" if c["passed"] else "fail") + r" \\"
-            for c in checks
-        ]
-        lines.append(r"\end{tabular}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if passed else 1
+    code = 0 if passed else 1
+    if args.format == "json":
+        return code, render_json({"m": m, "passed": passed, "checks": checks})
+    return code, _checks_table(
+        args.format, "check",
+        [(c["name"], c["passed"], c["details"]) for c in checks],
+        latex_name=lambda name: name.replace("-", " "),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +611,7 @@ def _add_common(sp, *, with_m=True, with_springer=False, with_bounds=False,
     if with_m:
         sp.add_argument("m", nargs="?", type=int, default=None,
                         help="dihedral parameter (the group has order 2m)")
-    sp.add_argument("--format", choices=("json", "tsv", "latex"), default=None,
+    sp.add_argument("--format", choices=_FORMATS, default=None,
                     help="output format (default json)")
     sp.add_argument("--config", default=None, metavar="FILE",
                     help="key = value configuration file")
@@ -734,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="check the fixture atlas")
     p.add_argument("name", nargs="?", default=None,
                    help="fixture name (default: all)")
-    p.add_argument("--format", choices=("json", "tsv", "latex"), default=None)
+    p.add_argument("--format", choices=_FORMATS, default=None)
     p.add_argument("--config", default=None, metavar="FILE")
     _add_common(sub.add_parser("verify", help="per-m invariant suite"),
                 with_bounds=True)
@@ -754,15 +677,26 @@ _COMMANDS = {
 
 
 def run_command(argv=None) -> int:
+    """Parse, fill from the config file what the command line left unset
+    (None, or False for a switch), run the command and write its text."""
     args = build_parser().parse_args(argv)
-    cfg = parse_config_file(args.config) if args.config else CliConfig()
-    fmt = args.format or cfg.output_format or "json"
-    return _COMMANDS[args.command](args, cfg, fmt)
+    if args.config:
+        for dest, value in parse_config_file(args.config).items():
+            current = getattr(args, dest, None)
+            if current is None or current is False:
+                setattr(args, dest, value)
+    args.format = args.format or "json"
+    code, text = _COMMANDS[args.command](args)
+    sys.stdout.write(text)
+    return code
 
 
 def main(argv=None) -> int:
     try:
         return run_command(argv)
+    except SearchBoundExceeded as exc:
+        print(f"bound exceeded: {exc}", file=sys.stderr)
+        return 3
     except (InvalidM, BadSubgroup, ValueError, KeyError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -338,7 +338,8 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
         if e < db:
             break
         f = rem[e] // lead  # exact by construction of the pseudo-remainder
-        assert rem[e] == f * lead
+        if rem[e] != f * lead:
+            raise NotDivisible(f"pseudo-remainder step: {rem[e]} by {lead}")
         for eo, vo in bitems:
             ee = e - db + eo
             w = rem.get(ee, 0) - f * vo

@@ -144,9 +144,13 @@ def datum_from_jsonable(data: dict) -> LSDatum:
     "bottom_first" (default; the storage order) or "top_first" (the order
     printed tables use).  Types are checked, not coerced: ``m`` and the
     a-values must be integers, ``classes`` a list of lists of label
-    strings and ``a`` a list; anything else raises ValueError."""
+    strings and ``a`` a list; anything else, or a missing key, raises
+    ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a datum must be a JSON object, got {type(data).__name__}")
+    for key in ("m", "classes", "a"):
+        if key not in data:
+            raise ValueError(f"datum is missing key {key!r}")
     m = _json_int(data["m"], "m")
     order = data.get("class_order", "bottom_first")
     if order not in ("bottom_first", "top_first"):

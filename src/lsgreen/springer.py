@@ -690,15 +690,16 @@ def check_conditions(system: GreenSystem, springer: SpringerSet,
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Resource bounds for the enumeration-and-solve pipeline.  The command
-    line sets them from --max-candidates / --max-m or the config file."""
+    """Work bounds of the search: the number of candidates enumerated and
+    the largest m searched.  The command line sets them from
+    --max-candidates / --max-m or the config file; the bound on m of a
+    single solve is the command line's own."""
 
     max_candidates: int = 10 ** 6
-    max_m_solve: int = 30
-    max_m_search: int = 16
+    max_m: int = 16
 
     def __post_init__(self):
-        for name in ("max_candidates", "max_m_solve", "max_m_search"):
+        for name in ("max_candidates", "max_m"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
@@ -716,10 +717,8 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
     bounds = bounds if bounds is not None else SearchConfig()
     s, _ = springer.normalized()
     m = s.m
-    if m > bounds.max_m_search:
-        raise SearchBoundExceeded(
-            f"m={m} exceeds the search bound {bounds.max_m_search}"
-        )
+    if m > bounds.max_m:
+        raise SearchBoundExceeded(f"m={m} exceeds the search bound {bounds.max_m}")
     d = d_sequence(s)
     n = len(d) - 1
     io = iota(s)

@@ -193,6 +193,43 @@ def test_cli_args_override_config(capsys, tmp_path):
     assert json.loads(out)["m"] == 4
 
 
+_G2 = "0,1,2,r',eps"
+_SEARCH_ALL = ("search", "6", "--springer", "all")
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (("irr",), "m = 5\n", ("5",)),
+    (("search", "6"), f"springer_set = {_G2}\n", ("--springer", _G2)),
+    (("irr", "5"), "output_format = tsv\n", ("--format", "tsv")),
+    (_SEARCH_ALL, "max_candidates = 1\n", ("--max-candidates", "1")),
+    (_SEARCH_ALL, "max_m = 5\n", ("--max-m", "5")),
+    (_SEARCH_ALL, "no_family_filter = TRUE\n", ("--no-family-filter",)),
+    (_SEARCH_ALL, "no_family_filter = No\n", ()),
+    (("maximal", "6", "--springer", _G2), "emit_certificates = yes\n",
+     ("--emit-certificates",)),
+    (_SEARCH_ALL + ("--max-m", "0"), "max_m = 5\n", ()),
+], ids=["m", "springer_set", "output_format", "max_candidates", "max_m",
+        "no_family_filter", "no_family_filter-false", "emit_certificates",
+        "flag-beats-key"])
+def test_config_key_equals_flag(capsys, tmp_path, argv, config, flags):
+    """A config key gives the same run as its flag; a flag given on the
+    command line wins over the key, even when it is 0."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    from_config = run(capsys, *argv, "--config", str(cfg))
+    assert from_config == run(capsys, *argv, *flags)
+
+
+@pytest.mark.parametrize("key", ["no_family_filter", "emit_certificates"])
+def test_config_boolean_is_strict(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = maybe\n")
+    rc, out, err = run(capsys, *_SEARCH_ALL, "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert "'maybe'" in err and "Traceback" not in err
+
+
 def test_config_bad_key(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mm = 6\n")
@@ -219,7 +256,7 @@ def test_search_needs_springer_set(capsys):
 
 def test_search_bound(capsys):
     rc, _, err = run(capsys, "search", "99", "--springer", "all")
-    assert rc == 1
+    assert rc == 3
     assert "exceeds the search bound" in err
 
 
@@ -251,7 +288,10 @@ _GOOD_DATUM = {"m": 3, "classes": [["eps"], ["1"], ["0"]], "a": [3, 1, 0]}
     ({**_GOOD_DATUM, "m": True}, "m must be an integer"),
     ({**_GOOD_DATUM, "classes": "eps,1,0"}, "classes must be a list"),
     ([_GOOD_DATUM], "must be a JSON object"),
-], ids=["float-a", "bool-a", "float-m", "bool-m", "classes-not-list", "top-level-list"])
+    ({k: v for k, v in _GOOD_DATUM.items() if k != "m"}, "datum is missing key 'm'"),
+    ({k: v for k, v in _GOOD_DATUM.items() if k != "a"}, "datum is missing key 'a'"),
+], ids=["float-a", "bool-a", "float-m", "bool-m", "classes-not-list", "top-level-list",
+        "missing-m", "missing-a"])
 def test_solve_rejects_mistyped_datum(capsys, tmp_path, payload, message):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(payload))
@@ -276,3 +316,18 @@ def test_negative_bound_is_bad_input(capsys, tmp_path, argv, config):
     rc, _, err = run(capsys, "search", "6", "--springer", "all", *extra)
     assert rc == 2
     assert "must be nonnegative" in err and "check failed" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SEARCH_ALL + ("--max-m", "0"), "m=6 exceeds the search bound 0"),
+    (("solve", "5", "--max-m", "4", "--datum", "DATUM"), "m=5 exceeds the solve bound 4"),
+    (("verify", "17"), "m=17 exceeds the search bound 16"),
+    (("verify", "6", "--max-candidates", "1"), "2 candidates exceed the bound 1"),
+], ids=["search-max-m", "solve-max-m", "verify-search-bound", "verify-max-candidates"])
+def test_hit_bound_is_reported_as_bound(capsys, tmp_path, argv, message):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_to_jsonable(maximal(s_pref(5)))))
+    rc, out, err = run(capsys, *(str(path) if a == "DATUM" else a for a in argv))
+    assert rc == 3
+    assert out == ""
+    assert err == f"bound exceeded: {message}\n"

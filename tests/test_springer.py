@@ -161,7 +161,7 @@ def test_candidate_counts():
 
 def test_candidate_bound_enforced():
     with pytest.raises(SearchBoundExceeded):
-        list(enumerate_candidate_data(G2, bounds=SearchConfig(1, 30, 16)))
+        list(enumerate_candidate_data(G2, bounds=SearchConfig(max_candidates=1)))
 
 
 def test_search_m_bound_enforced():
