@@ -699,7 +699,9 @@ def main(argv=None) -> int:
         return 3
     except (InvalidM, BadSubgroup, ValueError, KeyError, FileNotFoundError,
             json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except (LsgreenError, AssertionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -211,7 +211,8 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
 
     Raises SingularBlock when some diagonal Y block is not invertible (the
     datum then admits no system).  The returned system has been multiplied
-    back against omega."""
+    back against omega; this is the one check, :func:`matrix_solve` makes
+    none of its own."""
     m = datum.m
     labels = list(all_labels(m))
     if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):

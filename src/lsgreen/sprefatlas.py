@@ -74,8 +74,9 @@ def _is_prime_power(n: int) -> bool:
     return n >= 2 and len(_factorize(n)) == 1
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _prime_power_divisors(n: int) -> list[int]:
+    """The divisors of n that are prime powers, ascending."""
+    return sorted(p ** k for p, e in _factorize(n).items() for k in range(1, e + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +104,7 @@ def s_pref_report(m: int) -> SprefReport:
     labels = {Chi(0), Chi(1), Eps}
     dropped = []
     r = m // 2 if m % 2 == 0 else None
-    for d in _divisors(m):
-        if not _is_prime_power(d):
-            continue
+    for d in _prime_power_divisors(m):
         if r is not None and d == r:
             continue  # contributes the primed character instead, below
         if 2 * d < m:
@@ -174,9 +173,7 @@ def d_sequence_formula_report(m: int) -> DSequenceFormulaReport:
         formula_seq = None
 
     # structural self-consistency of the divisor-set definition
-    kept = sorted(
-        d for d in _divisors(m) if _is_prime_power(d) and 2 * d < m
-    )
+    kept = [d for d in _prime_power_divisors(m) if 2 * d < m]
     consistent = actual == (0, 1) + tuple(kept)
 
     discrepancies = []

@@ -581,16 +581,13 @@ def _class_minimizers(datum: LSDatum) -> tuple[CharLabel | None, ...]:
     return tuple(out)
 
 
-def check_conditions(system: GreenSystem, springer: SpringerSet,
-                     families=None) -> ConditionReport:
+def check_conditions(system: GreenSystem, springer: SpringerSet) -> ConditionReport:
     """Run the five acceptance conditions against a solved system.
 
     The Springer set is compared as given (callers normalise first when
     they mean to)."""
     datum = system.datum
     m = datum.m
-    if families is None:
-        families = dihedral_families(m)
     minimizers = _class_minimizers(datum)
 
     # (1) unique minimal b-invariant at the class a-value, realising S
@@ -630,7 +627,7 @@ def check_conditions(system: GreenSystem, springer: SpringerSet,
     # (3) within a family, nonspecial characters sit weakly below the special
     det3: list[str] = []
     spc = set(specials(m))
-    for fam in families:
+    for fam in dihedral_families(m):
         for s in fam & spc:
             hi = datum.class_of(s)
             for psi in fam - spc:
@@ -706,14 +703,20 @@ class SearchConfig:
 
 def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,
                              bounds: SearchConfig | None = None):
-    """Yield candidate data for a Springer set, as tuples of tie-order
-    variants (two when both extra linear characters are Springer, else one).
+    """Yield one candidate datum per assignment of the free characters.
 
     The skeleton -- determinant class, extra-linear singletons, one numeric
     class per d_k, trivial class -- is fixed; what varies is the numeric
     class hosting each non-Springer character, ranging over those with
     d_k < b.  With family_filter the trivial class is off-limits (it could
-    only ever fail the family-support condition)."""
+    only ever fail the family-support condition).
+
+    When both extra linear characters are Springer their singleton classes
+    tie (both have a = m/2); the datum puts ChiRPrime below ChiR.  The other
+    order gives the same system: once the determinant class is peeled off,
+    the residual entry Omega(r, r') - Omega(r, eps) Omega(r', eps) /
+    Omega(eps, eps) is q^m - q^(3m/2) q^(3m/2) / q^(2m) = 0, so the two
+    singletons do not interact."""
     bounds = bounds if bounds is not None else SearchConfig()
     s, _ = springer.normalized()
     m = s.m
@@ -738,12 +741,12 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
             f"{total} candidates exceed the bound {bounds.max_candidates}"
         )
 
-    half = (m - 1) // 2
+    singletons = {-1: (ChiRPrime, ChiR), 0: (ChiRPrime,), 1: ()}[io]
 
-    def build(assign: dict[CharLabel, int], r_order: tuple[CharLabel, ...]) -> LSDatum:
+    def build(assign: dict[CharLabel, int]) -> LSDatum:
         classes: list[frozenset[CharLabel]] = [frozenset({Eps})]
         avals: list[int] = [m]
-        for rc in r_order:
+        for rc in singletons:
             classes.append(frozenset({rc}))
             avals.append(m // 2)
         for k in range(n, 0, -1):
@@ -756,16 +759,7 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
         return LSDatum(m, tuple(classes), tuple(avals))
 
     for combo in itertools.product(*choices):
-        assign = dict(zip(free, combo))
-        if io == -1:
-            yield (
-                build(assign, (ChiRPrime, ChiR)),
-                build(assign, (ChiR, ChiRPrime)),
-            )
-        elif io == 0:
-            yield (build(assign, (ChiRPrime,)),)
-        else:
-            yield (build(assign, ()),)
+        yield build(dict(zip(free, combo)))
 
 
 @dataclass(frozen=True)
@@ -793,8 +787,7 @@ class SearchOutcome:
 
 
 def search(springer: SpringerSet, *, family_filter: bool = True,
-           bounds: SearchConfig | None = None,
-           omega: PolyMatrix | None = None) -> SearchOutcome:
+           bounds: SearchConfig | None = None) -> SearchOutcome:
     """Enumerate candidates, solve each, keep those passing all five
     conditions and matching the two-run partition read off their supports.
 
@@ -804,47 +797,31 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     they land in ``nonconforming``, never in ``hits``, so the main count
     stays the classified family.
 
-    When the tie between the two extra-linear singleton classes makes two
-    orderings of the same candidate, both are solved and their P and Lambda
-    are required to agree; the canonical ordering (ChiRPrime below ChiR) is
-    the one reported.  Candidates whose system is singular are rejected and
-    counted, not raised.
-
-    Each candidate is solved by :func:`greensolver.solve` alone; ``bounds``
-    defaults to ``SearchConfig()``."""
+    Each candidate is solved once, by :func:`greensolver.solve`, in the
+    tie order :func:`enumerate_candidate_data` gives it (ChiRPrime below
+    ChiR); ``solve`` multiplies every system back against Omega.
+    Candidates whose system is singular are rejected and counted, not
+    raised.  ``bounds`` defaults to ``SearchConfig()``."""
     bounds = bounds if bounds is not None else SearchConfig()
     s, swapped = springer.normalized()
     m = s.m
-    om = omega if omega is not None else fakedegree.omega(m, method="closed")
+    om = fakedegree.omega(m, method="closed")
     hits: list[SearchHit] = []
     stray: list[SearchHit] = []
     tried = 0
     singular = 0
-    for variants in enumerate_candidate_data(
+    for datum in enumerate_candidate_data(
         s, family_filter=family_filter, bounds=bounds
     ):
         tried += 1
-        systems = []
-        failed = False
-        for datum in variants:
-            try:
-                systems.append(solve(om, datum))
-            except SingularBlock:
-                failed = True
-                break
-        if failed:
+        try:
+            system = solve(om, datum)
+        except SingularBlock:
             singular += 1
             continue
-        if len(systems) == 2:
-            if systems[0].P != systems[1].P or systems[0].Lambda != systems[1].Lambda:
-                raise AssertionError(
-                    "tie-order variants disagree for "
-                    + variants[0].describe()
-                )
-        system = systems[0]
         report = check_conditions(system, s)
         if report.accepted:
-            hit = SearchHit(variants[0], system, report)
+            hit = SearchHit(datum, system, report)
             if matches_predicted_partition(hit.datum, s):
                 hits.append(hit)
             else:

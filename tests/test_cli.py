@@ -275,7 +275,7 @@ def test_bad_springer_label(capsys):
 def test_atlas_unknown_fixture(capsys):
     rc, _, err = run(capsys, "atlas", "E8")
     assert rc == 2
-    assert "error" in err
+    assert err == "error: no atlas fixture named 'E8'\n"
 
 
 _GOOD_DATUM = {"m": 3, "classes": [["eps"], ["1"], ["0"]], "a": [3, 1, 0]}

@@ -12,10 +12,12 @@ from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps
 from lsgreen.errors import SingularBlock
 from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
 from lsgreen.fakedegree import fake_degree, omega
+from lsgreen import greensolver
 from lsgreen.greensolver import (
     LSDatum, closure_order, datum_from_jsonable, datum_to_jsonable, solve,
     verify_system,
 )
+from lsgreen.springer import SpringerSet, search
 
 
 def P(system, a, b):
@@ -181,3 +183,22 @@ def test_verify_system_detects_doctored_entry(sys3):
     doctored = dataclasses.replace(sys3, P=bad_p)
     assert not verify_system(doctored, omega(3, method="closed"))
 
+
+def test_multiply_back_catches_a_wrong_block(monkeypatch):
+    # matrix_solve makes no check of its own; solve's multiply-back must
+    # catch a wrong block solution, and search must let it through rather
+    # than count the candidate as singular
+    real = greensolver.matrix_solve
+
+    def off_by_one(a, b):
+        x = real(a, b)
+        data = [list(row) for row in x.data]
+        data[0][0] = data[0][0] + RatFunc(1)
+        return PolyMatrix(x.rows, x.cols, data)
+
+    monkeypatch.setattr(greensolver, "matrix_solve", off_by_one)
+    datum = LSDatum(3, ({Eps}, {Chi(1)}, {Chi(0)}), (3, 1, 0))
+    with pytest.raises(AssertionError, match="multiplication-back failed"):
+        solve(omega(3, method="closed"), datum)
+    with pytest.raises(AssertionError, match="multiplication-back failed"):
+        search(SpringerSet.from_strings(6, "0,1,2,r',eps"))

@@ -14,7 +14,7 @@ import pytest
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps
 from lsgreen.errors import InvalidFSequence, SearchBoundExceeded
 from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
-from lsgreen.fakedegree import omega
+from lsgreen.fakedegree import omega, omega_closed, omega_sum
 from lsgreen.greensolver import LSDatum, solve, verify_system
 from lsgreen.springer import (
     SearchConfig, SpringerSet, check_conditions, closed_form_system,
@@ -159,6 +159,18 @@ def test_candidate_counts():
     assert sum(1 for _ in enumerate_candidate_data(GG5)) == 1
 
 
+@pytest.mark.parametrize("build, top", [(omega_closed, 40), (omega_sum, 16)])
+def test_tied_singletons_do_not_interact(build, top):
+    # Omega(r,r') Omega(eps,eps) = Omega(r,eps) Omega(r',eps): once the
+    # determinant class is peeled off, the residual entry linking {r} and
+    # {r'} is zero, so enumerate_candidate_data may fix one order of the two
+    # singleton classes
+    for m in range(4, top + 1, 2):
+        om = build(m)
+        assert (om.get(ChiR, ChiRPrime) * om.get(Eps, Eps)
+                == om.get(ChiR, Eps) * om.get(ChiRPrime, Eps)), m
+
+
 def test_candidate_bound_enforced():
     with pytest.raises(SearchBoundExceeded):
         list(enumerate_candidate_data(G2, bounds=SearchConfig(max_candidates=1)))
@@ -171,8 +183,8 @@ def test_search_m_bound_enforced():
 
 def test_conditions_pass_on_both_g2_candidates():
     om = omega(6, method="closed")
-    for variants in enumerate_candidate_data(G2):
-        system = solve(om, variants[0])
+    for datum in enumerate_candidate_data(G2):
+        system = solve(om, datum)
         report = check_conditions(system, G2)
         assert report.accepted, report.summary()
 
