@@ -297,7 +297,7 @@ def _checks_table(fmt: str, what: str, rows, latex_name=str) -> str:
 # configuration and bounds
 # ---------------------------------------------------------------------------
 
-SOLVE_M_BOUND = 30  # the m bound of solve and maximal; --max-m replaces it
+SOLVE_M_BOUND = 30  # m bound of irr, omega, solve, maximal, spref; --max-m replaces it
 _FORMATS = ("json", "tsv", "latex")
 
 
@@ -351,15 +351,16 @@ def parse_config_file(path: str | Path) -> dict:
 def _bounds(args, max_m: int = SearchConfig.max_m) -> SearchConfig:
     """--max-candidates and --max-m over the defaults; a negative bound is
     bad input."""
-    given = {k: getattr(args, k) for k in ("max_candidates", "max_m")
-             if getattr(args, k) is not None}
+    given = {k: v for k in ("max_candidates", "max_m")
+             if (v := getattr(args, k, None)) is not None}
     return SearchConfig(**{"max_m": max_m, **given})
 
 
-def _check_solve_bound(args, m: int) -> None:
+def _check_m_bound(args, m: int, what: str) -> None:
+    """Stop before any work when m is over --max-m (default SOLVE_M_BOUND)."""
     bound = _bounds(args, SOLVE_M_BOUND).max_m
     if m > bound:
-        raise SearchBoundExceeded(f"m={m} exceeds the solve bound {bound}")
+        raise SearchBoundExceeded(f"m={m} exceeds the {what} bound {bound}")
 
 
 def _need_m(args) -> int:
@@ -380,6 +381,7 @@ def _springer_arg(args) -> SpringerSet:
 
 def _cmd_irr(args):
     m = _need_m(args)
+    _check_m_bound(args, m, "irr")
     chars = irreps(m)
     if args.format == "json":
         return 0, render_json({"m": m, "characters": [
@@ -396,6 +398,7 @@ def _cmd_irr(args):
 
 def _cmd_omega(args):
     m = _need_m(args)
+    _check_m_bound(args, m, "omega")
     om = omega(m, method=args.method)
     if args.method == "both":
         print(f"omega({m}): sum and closed derivations agree", file=sys.stderr)
@@ -415,7 +418,7 @@ def _load_datum_file(path: str) -> LSDatum:
 
 def _cmd_solve(args):
     m = _need_m(args)
-    _check_solve_bound(args, m)
+    _check_m_bound(args, m, "solve")
     datum = _load_datum_file(args.datum)
     if datum.m != m:
         raise ValueError(f"datum file is for m={datum.m}, command line says m={m}")
@@ -458,7 +461,7 @@ def _cmd_search(args):
 
 def _cmd_maximal(args):
     m = _need_m(args)
-    _check_solve_bound(args, m)
+    _check_m_bound(args, m, "solve")
     norm, swapped = _springer_arg(args).normalized()
     if swapped:
         print("note: Springer set normalised to " + norm.describe(), file=sys.stderr)
@@ -472,6 +475,7 @@ def _cmd_maximal(args):
 
 def _cmd_spref(args):
     m = _need_m(args)
+    _check_m_bound(args, m, "spref")
     rep = s_pref_report(m)
     labels = sorted(rep.springer.labels, key=format_label)
     payload = {
@@ -607,7 +611,7 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(sp, *, with_m=True, with_springer=False, with_bounds=False,
-                with_search_flags=False):
+                with_max_m=False, with_search_flags=False):
     if with_m:
         sp.add_argument("m", nargs="?", type=int, default=None,
                         help="dihedral parameter (the group has order 2m)")
@@ -621,8 +625,9 @@ def _add_common(sp, *, with_m=True, with_springer=False, with_bounds=False,
     if with_bounds:
         sp.add_argument("--max-candidates", type=int, default=None,
                         help="cap on enumerated candidates")
+    if with_bounds or with_max_m:
         sp.add_argument("--max-m", type=int, default=None,
-                        help="cap on m for solves and searches")
+                        help="cap on m")
     if with_search_flags:
         sp.add_argument("--no-family-filter", action="store_true",
                         help="also enumerate data that ignore the family "
@@ -640,9 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("irr", help="characters, b-invariants, fake degrees"))
+    _add_common(sub.add_parser("irr", help="characters, b-invariants, fake degrees"),
+                with_max_m=True)
     p = sub.add_parser("omega", help="the pairing matrix of fake-degree data")
-    _add_common(p)
+    _add_common(p, with_max_m=True)
     p.add_argument("--method", choices=("sum", "closed", "both"), default="both")
     p = sub.add_parser("solve", help="solve one datum file")
     _add_common(p, with_bounds=True)
@@ -653,7 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maximal", help="the dominant correspondence for a set")
     _add_common(p, with_springer=True, with_bounds=True)
     p.add_argument("--emit-certificates", action="store_true")
-    _add_common(sub.add_parser("spref", help="the preferred Springer set"))
+    _add_common(sub.add_parser("spref", help="the preferred Springer set"),
+                with_max_m=True)
     p = sub.add_parser("atlas", help="check the fixture atlas")
     p.add_argument("name", nargs="?", default=None,
                    help="fixture name (default: all)")

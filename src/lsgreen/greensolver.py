@@ -19,9 +19,12 @@ from which
     Lambda_C   = q^(-2 a_C) M_{C,C},
     P-rows     : X . Y^C_{C,C} = q^(a_C) Y^C_{chi,C}.
 
-The Y rows of a class are kept only while that class is solved, and the
-full product P Lambda P^t is re-multiplied and compared with omega before
-any system is returned.
+One peel is one step of :class:`SolveState`, which is never changed in
+place: a state depends only on the classes peeled so far, so the search
+extends one state by every class that may come next.  The Y rows of a
+class are kept only while that class is solved, and the full product
+P Lambda P^t is re-multiplied and compared with omega before any system is
+returned.
 
 Nothing here assumes the datum has the shape predicted by the
 classification of correspondences; wild candidates are either solved or
@@ -31,15 +34,16 @@ Y entries that fail to be polynomial are recorded on the system, not fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
-from .exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve
+from .exactalg import RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve
 
 __all__ = [
     "LSDatum",
     "GreenSystem",
     "ClosureOrder",
+    "SolveState",
     "solve",
     "closure_order",
     "verify_system",
@@ -206,56 +210,83 @@ def _div_by_poly(x: RatFunc, d: IntPoly) -> RatFunc:
     return x / RatFunc(d)
 
 
-def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
-    """Solve P Lambda P^t = omega for the given datum.
+@dataclass(frozen=True, eq=False)
+class SolveState:
+    """Where the class-by-class solve stands: the classes peeled so far
+    (bottom-up, with their a-values), the P columns and Lambda blocks they
+    fixed, the residual M over the characters still unsolved, and the Y
+    entries found non-polynomial.  Matrices are dense over the canonical
+    label positions (``pos``); rows of M outside ``unsolved`` are stale.
 
-    Raises SingularBlock when some diagonal Y block is not invertible (the
-    datum then admits no system).  The returned system has been multiplied
-    back against omega; this is the one check, :func:`matrix_solve` makes
-    none of its own."""
-    m = datum.m
-    labels = list(all_labels(m))
-    if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):
-        raise ValueError("omega labels do not match the character labels for this m")
-    n = len(labels)
-    pos = {l: i for i, l in enumerate(labels)}
-    gamma = _gamma(m)
-    rf_zero = RatFunc(0)
+    :meth:`peel` returns a new state and leaves this one as it was, so one
+    state can be extended by several next classes: the search solves each
+    class-list prefix once this way, and :func:`solve` peels one datum."""
 
-    # residual matrix, dense over canonical label positions
-    M: list[list[RatFunc]] = [[omega.get(r, c) for c in labels] for r in labels]
-    P: list[list[RatFunc]] = [[rf_zero] * n for _ in range(n)]
-    L: list[list[RatFunc]] = [[rf_zero] * n for _ in range(n)]
+    omega: PolyMatrix
+    m: int
+    labels: tuple[CharLabel, ...]
+    pos: dict[CharLabel, int]
+    classes: tuple[frozenset[CharLabel], ...]
+    a: tuple[int, ...]
+    M: tuple[tuple[RatFunc, ...], ...]
+    P: tuple[tuple[RatFunc, ...], ...]
+    L: tuple[tuple[RatFunc, ...], ...]
+    unsolved: tuple[int, ...]
+    nonpolynomial_y: tuple[tuple[int, CharLabel, CharLabel], ...] = ()
 
-    unsolved: list[int] = list(range(n))
-    nonpoly: list[tuple[int, CharLabel, CharLabel]] = []
+    @staticmethod
+    def start(omega: PolyMatrix, m: int) -> "SolveState":
+        """The state before any class is peeled: M = omega."""
+        labels = tuple(all_labels(m))
+        if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):
+            raise ValueError("omega labels do not match the character labels for this m")
+        n = len(labels)
+        zero_row = (RF_ZERO,) * n
+        return SolveState(
+            omega, m, labels, {l: i for i, l in enumerate(labels)}, (), (),
+            tuple(tuple(omega.get(r, c) for c in labels) for r in labels),
+            (zero_row,) * n, (zero_row,) * n, tuple(range(n)),
+        )
 
-    for ci in range(len(datum.classes)):
-        members = sorted(datum.classes[ci], key=label_sort_key)
+    def peel(self, cls: frozenset[CharLabel], a_c: int) -> "SolveState":
+        """Solve the next class up: its Lambda block, the P entries of the
+        unsolved rows over it, and the residual among the rows above it.
+        Raises SingularBlock when its diagonal Y block is not invertible."""
+        ci = len(self.classes)
+        labels, pos, M = self.labels, self.pos, self.M
+        members = sorted(cls, key=label_sort_key)
         midx = [pos[l] for l in members]
         midx_set = set(midx)
-        a_c = datum.a[ci]
+        gamma = _gamma(self.m)
 
         # Y rows = residual / (q^m - 1), one per unsolved character
-        y = {i: [_div_by_poly(M[i][j], gamma) for j in midx] for i in unsolved}
+        y = {i: [_div_by_poly(M[i][j], gamma) for j in midx] for i in self.unsolved}
+        nonpoly = list(self.nonpolynomial_y)
         if ci > 0:
-            for i in unsolved:
+            for i in self.unsolved:
                 for cl, v in zip(members, y[i]):
                     if not v.is_polynomial():
                         nonpoly.append((ci, labels[i], cl))
 
         # Lambda block: q^(-2 a_C) (q^m - 1) Y_{C,C} = q^(-2 a_C) M_{C,C}
         q2a = IntPoly.q(2 * a_c)
+        L = list(self.L)
         for i in midx:
+            row = list(L[i])
             for j in midx:
-                L[i][j] = _div_by_poly(M[i][j], q2a)
+                row[j] = _div_by_poly(M[i][j], q2a)
+            L[i] = tuple(row)
 
         # diagonal P block
         qa = RatFunc(IntPoly.q(a_c))
+        P = list(self.P)
         for i in midx:
-            P[i][i] = qa
+            row = list(P[i])
+            row[i] = qa
+            P[i] = tuple(row)
 
-        above = [i for i in unsolved if i not in midx_set]
+        above = [i for i in self.unsolved if i not in midx_set]
+        M2 = list(M)
         if above:
             # P-rows over C: X . Y_{C,C} = q^(a_C) Y_{chi,C}
             acc = PolyMatrix(members, members, [y[i] for i in midx])
@@ -264,46 +295,120 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
                 above_labels, members, [[v * qa for v in y[i]] for i in above]
             )
             sol = matrix_solve(acc, rhs)
+            prows = {}
             for i, l in zip(above, above_labels):
-                for c in members:
-                    P[i][pos[c]] = sol.get(l, c)
+                prows[i] = [sol.get(l, c) for c in members]
+                row = list(P[i])
+                for j, v in zip(midx, prows[i]):
+                    row[j] = v
+                P[i] = tuple(row)
 
             # residual update among the still-unsolved characters:
             # M -= P_{.,C} Lambda_C P_{.,C}^t
             lam_blk = [[L[i][j] for j in midx] for i in midx]
             k = len(midx)
-            prows = {i: [P[i][pos[c]] for c in members] for i in above}
             half: dict[int, list[RatFunc]] = {}
             for i in above:
                 pi = prows[i]
                 row = []
                 for s in range(k):
-                    acc2 = rf_zero
+                    acc2 = RF_ZERO
                     for t in range(k):
                         if pi[t].num.c and lam_blk[t][s].num.c:
                             acc2 = acc2 + pi[t] * lam_blk[t][s]
                     row.append(acc2)
                 half[i] = row
+            rows = {i: list(M[i]) for i in above}
             for ii, i in enumerate(above):
                 hi = half[i]
                 for j in above[ii:]:
                     pj = prows[j]
-                    acc2 = rf_zero
+                    acc2 = RF_ZERO
                     for s in range(k):
                         if hi[s].num.c and pj[s].num.c:
                             acc2 = acc2 + hi[s] * pj[s]
                     if acc2.num.c:
-                        M[i][j] = M[i][j] - acc2
+                        rows[i][j] = rows[i][j] - acc2
                         if j != i:
-                            M[j][i] = M[j][i] - acc2
-        unsolved = above
+                            rows[j][i] = rows[j][i] - acc2
+            for i in above:
+                M2[i] = tuple(rows[i])
 
-    pm = PolyMatrix(labels, labels, P)
-    lm = PolyMatrix(labels, labels, L)
-    system = GreenSystem(datum, pm, lm, tuple(nonpoly))
-    if not verify_system(system, omega):
-        raise AssertionError("multiplication-back failed: P Lambda P^t != omega")
-    return system
+        return replace(
+            self, classes=self.classes + (frozenset(cls),), a=self.a + (a_c,),
+            M=tuple(M2), P=tuple(P), L=tuple(L), unsolved=tuple(above),
+            nonpolynomial_y=tuple(nonpoly),
+        )
+
+    def last_block(self) -> tuple[list[RatFunc], list[RatFunc]]:
+        """The entries the last peel made final: the Lambda block of the
+        class, and the P entries of every unsolved row over it."""
+        idx = [self.pos[l] for l in self.classes[-1]]
+        return ([self.L[i][j] for i in idx for j in idx],
+                [self.P[r][j] for r in self.unsolved for j in idx])
+
+    def check_columns(self) -> None:
+        """Multiply P Lambda P^t back in the columns of the solved
+        characters and compare with omega; a difference raises
+        AssertionError.  P is block lower-triangular and Lambda
+        block-diagonal, so those columns involve only the P columns and
+        Lambda blocks already solved, which no later class changes."""
+        unsolved = set(self.unsolved)
+        solved = [i for i in range(len(self.labels)) if i not in unsolved]
+        block = {}
+        for cls in self.classes:
+            idx = [self.pos[l] for l in cls]
+            for i in idx:
+                block[i] = idx
+        P, L = self.P, self.L
+        for r, label in enumerate(self.labels):
+            # (P Lambda)[r, t] over the solved t
+            pl = {}
+            for t in solved:
+                acc = RF_ZERO
+                for s in block[t]:
+                    if P[r][s].num.c and L[s][t].num.c:
+                        acc = acc + P[r][s] * L[s][t]
+                pl[t] = acc
+            for c in solved:
+                acc = RF_ZERO
+                for t in solved:
+                    if pl[t].num.c and P[c][t].num.c:
+                        acc = acc + pl[t] * P[c][t]
+                if acc != self.omega.get(label, self.labels[c]):
+                    raise AssertionError(
+                        "multiplication-back failed: P Lambda P^t != omega "
+                        "in the solved columns"
+                    )
+
+    def system(self) -> GreenSystem:
+        """The solved system, once the classes partition the labels (else
+        ValueError), multiplied back against omega: a product that differs
+        raises AssertionError."""
+        labels = self.labels
+        system = GreenSystem(
+            LSDatum(self.m, self.classes, self.a),
+            PolyMatrix(labels, labels, self.P),
+            PolyMatrix(labels, labels, self.L),
+            self.nonpolynomial_y,
+        )
+        if not verify_system(system, self.omega):
+            raise AssertionError("multiplication-back failed: P Lambda P^t != omega")
+        return system
+
+
+def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
+    """Solve P Lambda P^t = omega for the given datum: one
+    :meth:`SolveState.peel` per class, bottom-up, then one multiply-back.
+
+    Raises SingularBlock when some diagonal Y block is not invertible (the
+    datum then admits no system).  The returned system has been multiplied
+    back against omega; this is the one check, :func:`matrix_solve` makes
+    none of its own."""
+    state = SolveState.start(omega, datum.m)
+    for cls, a_c in zip(datum.classes, datum.a):
+        state = state.peel(cls, a_c)
+    return state.system()
 
 
 def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:

@@ -29,6 +29,7 @@ the solver, so the two routes can be compared in anger.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import fakedegree
@@ -48,7 +49,8 @@ from .dihedral import (
 )
 from .errors import InvalidFSequence, InvalidM, SearchBoundExceeded, SingularBlock
 from .exactalg import IntPoly, PolyMatrix, RatFunc
-from .greensolver import GreenSystem, LSDatum, solve
+# search peels SolveState itself; solve stays importable as springer.solve
+from .greensolver import GreenSystem, LSDatum, SolveState, solve  # noqa: F401
 
 __all__ = [
     "SpringerSet",
@@ -701,38 +703,59 @@ class SearchConfig:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
-def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,
-                             bounds: SearchConfig | None = None):
-    """Yield one candidate datum per assignment of the free characters.
+@dataclass(frozen=True)
+class _CandidateSpace:
+    """The candidates for one normalised Springer set.
 
-    The skeleton -- determinant class, extra-linear singletons, one numeric
-    class per d_k, trivial class -- is fixed; what varies is the numeric
-    class hosting each non-Springer character, ranging over those with
-    d_k < b.  With family_filter the trivial class is off-limits (it could
+    ``skeleton`` lists the classes bottom-up as (core, a-value, slot): the
+    determinant class and the extra-linear singletons (slot None, no free
+    character joins them), one numeric class C_k per d_k (slot k, core
+    Chi(d_k)), and the trivial class (slot 0, core Chi(0)).  ``choices[i]``
+    holds the slots the free character ``free[i]`` may join; a candidate
+    is one slot per free character, so there are ``total`` of them."""
+
+    m: int
+    skeleton: tuple[tuple[frozenset[CharLabel], int, int | None], ...]
+    free: tuple[CharLabel, ...]
+    choices: tuple[tuple[int, ...], ...]
+    total: int
+
+    def datum(self, assign: dict[CharLabel, int]) -> LSDatum:
+        classes = tuple(
+            core | {chi for chi, k in assign.items() if k == slot}
+            for core, _, slot in self.skeleton
+        )
+        return LSDatum(self.m, classes, tuple(a for _, a, _ in self.skeleton))
+
+
+def _candidate_space(s: SpringerSet, family_filter: bool,
+                     bounds: SearchConfig) -> _CandidateSpace:
+    """The candidate space of a normalised Springer set; raises
+    SearchBoundExceeded when m or the candidate count is over its bound.
+
+    A free (non-Springer) character of b-invariant b may join C_k when
+    d_k < b; with family_filter the trivial class is off-limits (it could
     only ever fail the family-support condition).
 
     When both extra linear characters are Springer their singleton classes
-    tie (both have a = m/2); the datum puts ChiRPrime below ChiR.  The other
-    order gives the same system: once the determinant class is peeled off,
-    the residual entry Omega(r, r') - Omega(r, eps) Omega(r', eps) /
+    tie (both have a = m/2); the skeleton puts ChiRPrime below ChiR.  The
+    other order gives the same system: once the determinant class is peeled
+    off, the residual entry Omega(r, r') - Omega(r, eps) Omega(r', eps) /
     Omega(eps, eps) is q^m - q^(3m/2) q^(3m/2) / q^(2m) = 0, so the two
     singletons do not interact."""
-    bounds = bounds if bounds is not None else SearchConfig()
-    s, _ = springer.normalized()
     m = s.m
     if m > bounds.max_m:
         raise SearchBoundExceeded(f"m={m} exceeds the search bound {bounds.max_m}")
     d = d_sequence(s)
     n = len(d) - 1
-    io = iota(s)
     free = s.non_springer()
-    choices: list[list[int]] = []
+    choices = []
     for chi in free:
         b = b_invariant(m, chi)
         ks = [k for k in range(1, n + 1) if d[k] < b]
         if not family_filter:
             ks.append(0)
-        choices.append(ks)
+        choices.append(tuple(ks))
     total = 1
     for ks in choices:
         total *= len(ks)
@@ -740,26 +763,34 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
         raise SearchBoundExceeded(
             f"{total} candidates exceed the bound {bounds.max_candidates}"
         )
+    singletons = {-1: (ChiRPrime, ChiR), 0: (ChiRPrime,), 1: ()}[iota(s)]
+    skeleton = (
+        [(frozenset({Eps}), m, None)]
+        + [(frozenset({rc}), m // 2, None) for rc in singletons]
+        + [(frozenset({Chi(d[k])}), d[k], k) for k in range(n, 0, -1)]
+        + [(frozenset({Chi(0)}), 0, 0)]
+    )
+    return _CandidateSpace(m, tuple(skeleton), free, tuple(choices), total)
 
-    singletons = {-1: (ChiRPrime, ChiR), 0: (ChiRPrime,), 1: ()}[io]
 
-    def build(assign: dict[CharLabel, int]) -> LSDatum:
-        classes: list[frozenset[CharLabel]] = [frozenset({Eps})]
-        avals: list[int] = [m]
-        for rc in singletons:
-            classes.append(frozenset({rc}))
-            avals.append(m // 2)
-        for k in range(n, 0, -1):
-            members = {Chi(d[k])} | {chi for chi, kk in assign.items() if kk == k}
-            classes.append(frozenset(members))
-            avals.append(d[k])
-        c0 = {Chi(0)} | {chi for chi, kk in assign.items() if kk == 0}
-        classes.append(frozenset(c0))
-        avals.append(0)
-        return LSDatum(m, tuple(classes), tuple(avals))
+def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,
+                             bounds: SearchConfig | None = None):
+    """Yield one candidate datum per assignment of the free characters, in
+    the candidate space :func:`search` walks.
 
-    for combo in itertools.product(*choices):
-        yield build(dict(zip(free, combo)))
+    The skeleton -- determinant class, extra-linear singletons (ChiRPrime
+    below ChiR when both are Springer), one numeric class per d_k, trivial
+    class -- is fixed; what varies is the numeric class hosting each
+    non-Springer character, ranging over those with d_k < b (and the
+    trivial class when family_filter is off).  :func:`search` does not
+    call this; the tests solve every datum it yields as the reference the
+    pruned search must match."""
+    s, _ = springer.normalized()
+    space = _candidate_space(
+        s, family_filter, bounds if bounds is not None else SearchConfig()
+    )
+    for combo in itertools.product(*space.choices):
+        yield space.datum(dict(zip(space.free, combo)))
 
 
 @dataclass(frozen=True)
@@ -771,6 +802,17 @@ class SearchHit:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """What one search found, with its counts.
+
+    ``tried`` is the number of candidates covered, which is every candidate
+    of the space: ``tried = pruned + rejected_singular + full data solved``.
+    ``pruned`` counts the candidates under a class-list prefix cut on
+    condition (4); ``rejected_singular`` those under a prefix (or a full
+    datum) whose next class has a singular Y block.  A candidate under a
+    cut is never solved further, so a singular block above the cut is never
+    reached and such a candidate counts as pruned; no block is singular for
+    any m <= 16."""
+
     m: int
     springer: SpringerSet          # normalised form actually searched
     swapped: bool                  # whether normalisation mirrored the input
@@ -781,15 +823,43 @@ class SearchOutcome:
     # condition-passing data whose classes are not a two-run partition for
     # any admissible f-sequence; kept out of `hits` and reported separately
     nonconforming: tuple[SearchHit, ...] = ()
+    pruned: int = 0
 
     def data(self) -> tuple[LSDatum, ...]:
         return tuple(h.datum for h in self.hits)
 
 
+def _placements(rest: dict[CharLabel, tuple[int, ...]], slot: int | None):
+    """Each set of free characters that may join the class of ``slot``,
+    with the options left to the others: (joined, rest).  A character whose
+    only option left is ``slot`` must join."""
+    if slot is None:
+        yield frozenset(), rest
+        return
+    forced = [chi for chi, ks in rest.items() if ks == (slot,)]
+    optional = [chi for chi, ks in rest.items() if slot in ks and len(ks) > 1]
+    for size in range(len(optional) + 1):
+        for combo in itertools.combinations(optional, size):
+            joined = frozenset(forced).union(combo)
+            yield joined, {chi: tuple(k for k in ks if k != slot)
+                           for chi, ks in rest.items() if chi not in joined}
+
+
+def _integral(state: SolveState) -> bool:
+    """Condition (4) on the entries the last peel made final: the class's
+    Lambda block polynomial, and the P entries above it polynomial with
+    nonnegative coefficients."""
+    lam, p = state.last_block()
+    return (all(v.is_polynomial() for v in lam)
+            and all(v.is_polynomial() and all(c >= 0 for c in v.num.c.values())
+                    for v in p))
+
+
 def search(springer: SpringerSet, *, family_filter: bool = True,
            bounds: SearchConfig | None = None) -> SearchOutcome:
-    """Enumerate candidates, solve each, keep those passing all five
-    conditions and matching the two-run partition read off their supports.
+    """Solve every candidate of the Springer set, keep those passing all
+    five conditions and matching the two-run partition read off their
+    supports.
 
     Condition-passing candidates outside that shape do exist for a handful
     of Springer sets (both floating characters pushed into the a=1 class
@@ -797,39 +867,63 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     they land in ``nonconforming``, never in ``hits``, so the main count
     stays the classified family.
 
-    Each candidate is solved once, by :func:`greensolver.solve`, in the
-    tie order :func:`enumerate_candidate_data` gives it (ChiRPrime below
-    ChiR); ``solve`` multiplies every system back against Omega.
-    Candidates whose system is singular are rejected and counted, not
-    raised.  ``bounds`` defaults to ``SearchConfig()``."""
+    The candidates of :func:`enumerate_candidate_data` are walked
+    depth-first over their class lists, bottom-up: the determinant class
+    and the extra-linear singletons are solved once, then for k = N..1
+    every admissible set of free characters joining C_k, then the trivial
+    class.  Each prefix is solved once, by :meth:`SolveState.peel`.  A
+    class fixes its Lambda block and the P entries above it, so a prefix
+    whose last class fails condition (4) is cut: its candidates count as
+    ``pruned``, after the columns of omega it fixes have been multiplied
+    back.  A singular Y block counts every candidate of its prefix in
+    ``rejected_singular``.  A full datum runs as :func:`greensolver.solve`
+    would: one multiply-back of the whole system, then all five conditions.
+    ``bounds`` defaults to ``SearchConfig()``."""
     bounds = bounds if bounds is not None else SearchConfig()
     s, swapped = springer.normalized()
-    m = s.m
-    om = fakedegree.omega(m, method="closed")
+    space = _candidate_space(s, family_filter, bounds)
+    om = fakedegree.omega(space.m, method="closed")
+    top = len(space.skeleton) - 1
     hits: list[SearchHit] = []
     stray: list[SearchHit] = []
-    tried = 0
-    singular = 0
-    for datum in enumerate_candidate_data(
-        s, family_filter=family_filter, bounds=bounds
-    ):
-        tried += 1
-        try:
-            system = solve(om, datum)
-        except SingularBlock:
-            singular += 1
-            continue
-        report = check_conditions(system, s)
-        if report.accepted:
-            hit = SearchHit(datum, system, report)
-            if matches_predicted_partition(hit.datum, s):
-                hits.append(hit)
-            else:
-                stray.append(hit)
+    solved = pruned = singular = 0
+
+    def walk(level: int, state: SolveState, rest: dict) -> None:
+        nonlocal solved, pruned, singular
+        core, a_c, slot = space.skeleton[level]
+        for joined, left in _placements(rest, slot):
+            covered = math.prod(len(ks) for ks in left.values())
+            try:
+                nxt = state.peel(core | joined, a_c)
+            except SingularBlock:
+                state.check_columns()
+                singular += covered
+                continue
+            if level < top:
+                if _integral(nxt):
+                    walk(level + 1, nxt, left)
+                else:
+                    nxt.check_columns()
+                    pruned += covered
+                continue
+            solved += 1
+            system = nxt.system()
+            report = check_conditions(system, s)
+            if report.accepted:
+                hit = SearchHit(system.datum, system, report)
+                if matches_predicted_partition(hit.datum, s):
+                    hits.append(hit)
+                else:
+                    stray.append(hit)
+
+    walk(0, SolveState.start(om, space.m), dict(zip(space.free, space.choices)))
     hits.sort(key=lambda h: support_vector(h.datum))
     stray.sort(key=lambda h: support_vector(h.datum))
-    return SearchOutcome(m, s, swapped, family_filter, tuple(hits), tried,
-                         singular, tuple(stray))
+    return SearchOutcome(m=space.m, springer=s, swapped=swapped,
+                         family_filter=family_filter, hits=tuple(hits),
+                         tried=pruned + singular + solved,
+                         rejected_singular=singular, nonconforming=tuple(stray),
+                         pruned=pruned)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The expensive piece is the exhaustive search sweep: every Springer set for
-every m in SWEEP_MS, solved and condition-checked.  Several acceptance
-tests consume it, so it runs once per session.
+The expensive piece is the search sweep: `search` over every Springer set
+for every m in SWEEP_MS, each covering all its candidates (prefixes that
+fail integrality are cut, full data condition-checked).  Several
+acceptance tests consume it, so it runs once per session.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ SWEEP_MS = range(3, 15)
 
 @pytest.fixture(scope="session")
 def sweep() -> dict[int, list[SearchOutcome]]:
-    """Exhaustive search over every admissible Springer set, m = 3..14."""
+    """`search` over every admissible Springer set, m = 3..14."""
     out: dict[int, list[SearchOutcome]] = {}
     for m in SWEEP_MS:
         out[m] = [search(s) for s in all_springer_sets(m)]

@@ -323,7 +323,12 @@ def test_negative_bound_is_bad_input(capsys, tmp_path, argv, config):
     (("solve", "5", "--max-m", "4", "--datum", "DATUM"), "m=5 exceeds the solve bound 4"),
     (("verify", "17"), "m=17 exceeds the search bound 16"),
     (("verify", "6", "--max-candidates", "1"), "2 candidates exceed the bound 1"),
-], ids=["search-max-m", "solve-max-m", "verify-search-bound", "verify-max-candidates"])
+    (("irr", "31"), "m=31 exceeds the irr bound 30"),
+    (("omega", "31"), "m=31 exceeds the omega bound 30"),
+    (("spref", "31"), "m=31 exceeds the spref bound 30"),
+    (("irr", "5", "--max-m", "4"), "m=5 exceeds the irr bound 4"),
+], ids=["search-max-m", "solve-max-m", "verify-search-bound", "verify-max-candidates",
+        "irr-bound", "omega-bound", "spref-bound", "irr-max-m"])
 def test_hit_bound_is_reported_as_bound(capsys, tmp_path, argv, message):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum_to_jsonable(maximal(s_pref(5)))))

@@ -202,3 +202,20 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch):
         solve(omega(3, method="closed"), datum)
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
+
+
+def test_cut_prefix_is_multiplied_back(monkeypatch):
+    # a wrong, non-polynomial P entry makes search cut the prefix on
+    # integrality; the columns that prefix fixed must be multiplied back
+    # first, so the wrong block raises instead of dropping candidates
+    real = greensolver.matrix_solve
+
+    def off_by_a_fraction(a, b):
+        x = real(a, b)
+        data = [list(row) for row in x.data]
+        data[0][0] = data[0][0] + RatFunc(1, IntPoly({1: 1, 0: 2}))
+        return PolyMatrix(x.rows, x.cols, data)
+
+    monkeypatch.setattr(greensolver, "matrix_solve", off_by_a_fraction)
+    with pytest.raises(AssertionError, match="multiplication-back failed"):
+        search(SpringerSet.from_strings(6, "0,1,2,r',eps"))

@@ -11,14 +11,15 @@ import dataclasses
 
 import pytest
 
+from lsgreen import springer as springer_module
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps
-from lsgreen.errors import InvalidFSequence, SearchBoundExceeded
+from lsgreen.errors import InvalidFSequence, SearchBoundExceeded, SingularBlock
 from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
 from lsgreen.fakedegree import omega, omega_closed, omega_sum
 from lsgreen.greensolver import LSDatum, solve, verify_system
 from lsgreen.springer import (
-    SearchConfig, SpringerSet, check_conditions, closed_form_system,
-    d_sequence, dominates, enumerate_candidate_data, enumerate_f_sequences,
+    SearchConfig, SpringerSet, all_springer_sets, check_conditions,
+    closed_form_system, d_sequence, dominates, enumerate_candidate_data, enumerate_f_sequences,
     iota, matches_predicted_partition, maximal, maximal_f,
     predicted_partition, rational_smoothness, search, special_pieces,
     support_f_sequence, support_vector, validate_f_sequence,
@@ -179,6 +180,46 @@ def test_candidate_bound_enforced():
 def test_search_m_bound_enforced():
     with pytest.raises(SearchBoundExceeded):
         search(SpringerSet.from_strings(20, "0,1,eps"))
+
+
+def _exhaustive(springer, family_filter):
+    """The reference the pruned search must match: every datum
+    enumerate_candidate_data yields, solved and judged on its own."""
+    s, _ = springer.normalized()
+    om = omega(s.m, method="closed")
+    hits, stray, tried, singular = [], [], 0, 0
+    for datum in enumerate_candidate_data(s, family_filter=family_filter):
+        tried += 1
+        try:
+            system = solve(om, datum)
+        except SingularBlock:
+            singular += 1
+            continue
+        if check_conditions(system, s).accepted:
+            (hits if matches_predicted_partition(datum, s) else stray).append(system)
+    hits.sort(key=lambda sy: support_vector(sy.datum))
+    stray.sort(key=lambda sy: support_vector(sy.datum))
+    return hits, stray, tried, singular
+
+
+def _entries(systems):
+    return [(sy.datum, sy.P, sy.Lambda, sy.nonpolynomial_y) for sy in systems]
+
+
+@pytest.mark.parametrize("m, family_filter", [
+    (m, ff) for m in range(3, 12) for ff in (True, False)] + [(12, True)])
+def test_pruned_search_equals_exhaustive(monkeypatch, m, family_filter):
+    for springer in all_springer_sets(m):
+        with monkeypatch.context() as mp:
+            # search peels prefixes itself and never calls solve
+            mp.setattr(springer_module, "solve", None)
+            out = search(springer, family_filter=family_filter)
+        hits, stray, tried, singular = _exhaustive(springer, family_filter)
+        label = (m, springer.describe(), family_filter)
+        assert _entries(h.system for h in out.hits) == _entries(hits), label
+        assert _entries(h.system for h in out.nonconforming) == _entries(stray), label
+        assert (out.tried, out.rejected_singular) == (tried, singular), label
+        assert out.pruned + out.rejected_singular <= out.tried, label
 
 
 def test_conditions_pass_on_both_g2_candidates():
