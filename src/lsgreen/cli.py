@@ -297,7 +297,17 @@ def _checks_table(fmt: str, what: str, rows, latex_name=str) -> str:
 # configuration and bounds
 # ---------------------------------------------------------------------------
 
-SOLVE_M_BOUND = 30  # m bound of irr, omega, solve, maximal, spref; --max-m replaces it
+SOLVE_M_BOUND = 30  # m bound of solve and maximal
+# The m bounds of irr, omega and spref, each where the command takes a few
+# seconds (wall time, 2-core VM, Python 3.11): irr 30 takes 5.7 s (40:
+# 12.7 s); omega's Molien sum (--method sum or both) at 20 takes 5.9 s
+# (24: 10.4 s, 30: 51 s) and its closed table at 100 takes 2.0 s (200:
+# 15.5 s); spref 300 takes 2.7 s (500: 10.3 s, 1000: 45 s).  --max-m
+# replaces every one of them.
+IRR_M_BOUND = 30
+OMEGA_SUM_M_BOUND = 20
+OMEGA_CLOSED_M_BOUND = 100
+SPREF_M_BOUND = 300
 _FORMATS = ("json", "tsv", "latex")
 
 
@@ -356,9 +366,9 @@ def _bounds(args, max_m: int = SearchConfig.max_m) -> SearchConfig:
     return SearchConfig(**{"max_m": max_m, **given})
 
 
-def _check_m_bound(args, m: int, what: str) -> None:
-    """Stop before any work when m is over --max-m (default SOLVE_M_BOUND)."""
-    bound = _bounds(args, SOLVE_M_BOUND).max_m
+def _check_m_bound(args, m: int, what: str, default: int) -> None:
+    """Stop before any work when m is over --max-m, or ``default`` without it."""
+    bound = _bounds(args, default).max_m
     if m > bound:
         raise SearchBoundExceeded(f"m={m} exceeds the {what} bound {bound}")
 
@@ -381,7 +391,7 @@ def _springer_arg(args) -> SpringerSet:
 
 def _cmd_irr(args):
     m = _need_m(args)
-    _check_m_bound(args, m, "irr")
+    _check_m_bound(args, m, "irr", IRR_M_BOUND)
     chars = irreps(m)
     if args.format == "json":
         return 0, render_json({"m": m, "characters": [
@@ -398,7 +408,8 @@ def _cmd_irr(args):
 
 def _cmd_omega(args):
     m = _need_m(args)
-    _check_m_bound(args, m, "omega")
+    _check_m_bound(args, m, "omega", OMEGA_CLOSED_M_BOUND
+                   if args.method == "closed" else OMEGA_SUM_M_BOUND)
     om = omega(m, method=args.method)
     if args.method == "both":
         print(f"omega({m}): sum and closed derivations agree", file=sys.stderr)
@@ -418,7 +429,7 @@ def _load_datum_file(path: str) -> LSDatum:
 
 def _cmd_solve(args):
     m = _need_m(args)
-    _check_m_bound(args, m, "solve")
+    _check_m_bound(args, m, "solve", SOLVE_M_BOUND)
     datum = _load_datum_file(args.datum)
     if datum.m != m:
         raise ValueError(f"datum file is for m={datum.m}, command line says m={m}")
@@ -461,7 +472,7 @@ def _cmd_search(args):
 
 def _cmd_maximal(args):
     m = _need_m(args)
-    _check_m_bound(args, m, "solve")
+    _check_m_bound(args, m, "solve", SOLVE_M_BOUND)
     norm, swapped = _springer_arg(args).normalized()
     if swapped:
         print("note: Springer set normalised to " + norm.describe(), file=sys.stderr)
@@ -475,7 +486,7 @@ def _cmd_maximal(args):
 
 def _cmd_spref(args):
     m = _need_m(args)
-    _check_m_bound(args, m, "spref")
+    _check_m_bound(args, m, "spref", SPREF_M_BOUND)
     rep = s_pref_report(m)
     labels = sorted(rep.springer.labels, key=format_label)
     payload = {

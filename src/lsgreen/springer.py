@@ -29,7 +29,6 @@ the solver, so the two routes can be compared in anger.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import fakedegree
@@ -49,7 +48,8 @@ from .dihedral import (
 )
 from .errors import InvalidFSequence, InvalidM, SearchBoundExceeded, SingularBlock
 from .exactalg import IntPoly, PolyMatrix, RatFunc
-# search peels SolveState itself; solve stays importable as springer.solve
+# search peels SolveState itself and never calls solve; perfbench/selftest.py
+# reads springer.solve
 from .greensolver import GreenSystem, LSDatum, SolveState, solve  # noqa: F401
 
 __all__ = [
@@ -703,6 +703,22 @@ class SearchConfig:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
+def _placements(rest: dict[CharLabel, tuple[int, ...]], slot: int | None):
+    """Each set of free characters that may join the class of ``slot``,
+    with the options left to the others: (joined, rest).  A character whose
+    only option left is ``slot`` must join."""
+    if slot is None:
+        yield frozenset(), rest
+        return
+    forced = [chi for chi, ks in rest.items() if ks == (slot,)]
+    optional = [chi for chi, ks in rest.items() if slot in ks and len(ks) > 1]
+    for size in range(len(optional) + 1):
+        for combo in itertools.combinations(optional, size):
+            joined = frozenset(forced).union(combo)
+            yield joined, {chi: tuple(k for k in ks if k != slot)
+                           for chi, ks in rest.items() if chi not in joined}
+
+
 @dataclass(frozen=True)
 class _CandidateSpace:
     """The candidates for one normalised Springer set.
@@ -712,20 +728,29 @@ class _CandidateSpace:
     character joins them), one numeric class C_k per d_k (slot k, core
     Chi(d_k)), and the trivial class (slot 0, core Chi(0)).  ``choices[i]``
     holds the slots the free character ``free[i]`` may join; a candidate
-    is one slot per free character, so there are ``total`` of them."""
+    is one slot per free character."""
 
     m: int
     skeleton: tuple[tuple[frozenset[CharLabel], int, int | None], ...]
     free: tuple[CharLabel, ...]
     choices: tuple[tuple[int, ...], ...]
-    total: int
 
-    def datum(self, assign: dict[CharLabel, int]) -> LSDatum:
-        classes = tuple(
-            core | {chi for chi, k in assign.items() if k == slot}
-            for core, _, slot in self.skeleton
-        )
-        return LSDatum(self.m, classes, tuple(a for _, a, _ in self.skeleton))
+    def data(self):
+        """Every candidate datum, depth-first over the class lists
+        bottom-up: for k = N..1 each admissible set of free characters
+        joining C_k, then the trivial class.  Candidates sharing their
+        lowest classes are consecutive."""
+        a = tuple(a_c for _, a_c, _ in self.skeleton)
+
+        def walk(level: int, classes: tuple, rest: dict):
+            if level == len(self.skeleton):
+                yield LSDatum(self.m, classes, a)
+                return
+            core, _, slot = self.skeleton[level]
+            for joined, left in _placements(rest, slot):
+                yield from walk(level + 1, classes + (core | joined,), left)
+
+        return walk(0, (), dict(zip(self.free, self.choices)))
 
 
 def _candidate_space(s: SpringerSet, family_filter: bool,
@@ -770,27 +795,27 @@ def _candidate_space(s: SpringerSet, family_filter: bool,
         + [(frozenset({Chi(d[k])}), d[k], k) for k in range(n, 0, -1)]
         + [(frozenset({Chi(0)}), 0, 0)]
     )
-    return _CandidateSpace(m, tuple(skeleton), free, tuple(choices), total)
+    return _CandidateSpace(m, tuple(skeleton), free, tuple(choices))
 
 
 def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,
                              bounds: SearchConfig | None = None):
-    """Yield one candidate datum per assignment of the free characters, in
-    the candidate space :func:`search` walks.
+    """An iterator over the candidate data, one per assignment of the free
+    characters, in the order :func:`search` solves them.
 
     The skeleton -- determinant class, extra-linear singletons (ChiRPrime
     below ChiR when both are Springer), one numeric class per d_k, trivial
     class -- is fixed; what varies is the numeric class hosting each
     non-Springer character, ranging over those with d_k < b (and the
-    trivial class when family_filter is off).  :func:`search` does not
-    call this; the tests solve every datum it yields as the reference the
-    pruned search must match."""
+    trivial class when family_filter is off).  The data come depth-first
+    over the class lists, so candidates sharing a prefix are consecutive.
+    The bounds are checked when this is called, before any datum is built;
+    ``bounds`` defaults to ``SearchConfig()``."""
     s, _ = springer.normalized()
     space = _candidate_space(
         s, family_filter, bounds if bounds is not None else SearchConfig()
     )
-    for combo in itertools.product(*space.choices):
-        yield space.datum(dict(zip(space.free, combo)))
+    return space.data()
 
 
 @dataclass(frozen=True)
@@ -804,14 +829,15 @@ class SearchHit:
 class SearchOutcome:
     """What one search found, with its counts.
 
-    ``tried`` is the number of candidates covered, which is every candidate
-    of the space: ``tried = pruned + rejected_singular + full data solved``.
-    ``pruned`` counts the candidates under a class-list prefix cut on
-    condition (4); ``rejected_singular`` those under a prefix (or a full
-    datum) whose next class has a singular Y block.  A candidate under a
-    cut is never solved further, so a singular block above the cut is never
-    reached and such a candidate counts as pruned; no block is singular for
-    any m <= 16."""
+    ``tried`` is the number of candidates, every datum of the space:
+    ``tried = pruned + rejected_singular + full data solved``.  ``pruned``
+    counts the candidates under a class-list prefix cut on condition (4);
+    ``rejected_singular`` those under a prefix (or a full datum) whose next
+    class has a singular Y block.  A candidate under a cut is not solved
+    further, so a singular block above the cut is not reached and such a
+    candidate counts as pruned: ``rejected_singular`` is a lower bound of
+    the number of candidates with a singular block.  For every m <= 14 the
+    two are equal, both 0."""
 
     m: int
     springer: SpringerSet          # normalised form actually searched
@@ -827,22 +853,6 @@ class SearchOutcome:
 
     def data(self) -> tuple[LSDatum, ...]:
         return tuple(h.datum for h in self.hits)
-
-
-def _placements(rest: dict[CharLabel, tuple[int, ...]], slot: int | None):
-    """Each set of free characters that may join the class of ``slot``,
-    with the options left to the others: (joined, rest).  A character whose
-    only option left is ``slot`` must join."""
-    if slot is None:
-        yield frozenset(), rest
-        return
-    forced = [chi for chi, ks in rest.items() if ks == (slot,)]
-    optional = [chi for chi, ks in rest.items() if slot in ks and len(ks) > 1]
-    for size in range(len(optional) + 1):
-        for combo in itertools.combinations(optional, size):
-            joined = frozenset(forced).union(combo)
-            yield joined, {chi: tuple(k for k in ks if k != slot)
-                           for chi, ks in rest.items() if chi not in joined}
 
 
 def _integral(state: SolveState) -> bool:
@@ -867,63 +877,65 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     they land in ``nonconforming``, never in ``hits``, so the main count
     stays the classified family.
 
-    The candidates of :func:`enumerate_candidate_data` are walked
-    depth-first over their class lists, bottom-up: the determinant class
-    and the extra-linear singletons are solved once, then for k = N..1
-    every admissible set of free characters joining C_k, then the trivial
-    class.  Each prefix is solved once, by :meth:`SolveState.peel`.  A
-    class fixes its Lambda block and the P entries above it, so a prefix
-    whose last class fails condition (4) is cut: its candidates count as
-    ``pruned``, after the columns of omega it fixes have been multiplied
-    back.  A singular Y block counts every candidate of its prefix in
+    The data of :func:`enumerate_candidate_data` come depth-first over
+    their class lists, and each is solved from the longest prefix it
+    shares with the one before: ``path`` holds the states of that prefix,
+    one :meth:`SolveState.peel` per class, so each prefix is solved once.
+    A class fixes its Lambda block and the P entries above it, so a prefix
+    whose last class fails condition (4) is cut, after the columns of omega
+    it fixes have been multiplied back; the candidates under it count as
+    ``pruned``.  A singular Y block counts the candidates of its prefix in
     ``rejected_singular``.  A full datum runs as :func:`greensolver.solve`
     would: one multiply-back of the whole system, then all five conditions.
     ``bounds`` defaults to ``SearchConfig()``."""
-    bounds = bounds if bounds is not None else SearchConfig()
     s, swapped = springer.normalized()
-    space = _candidate_space(s, family_filter, bounds)
-    om = fakedegree.omega(space.m, method="closed")
-    top = len(space.skeleton) - 1
+    data = enumerate_candidate_data(s, family_filter=family_filter, bounds=bounds)
+    om = fakedegree.omega(s.m, method="closed")
     hits: list[SearchHit] = []
     stray: list[SearchHit] = []
-    solved = pruned = singular = 0
-
-    def walk(level: int, state: SolveState, rest: dict) -> None:
-        nonlocal solved, pruned, singular
-        core, a_c, slot = space.skeleton[level]
-        for joined, left in _placements(rest, slot):
-            covered = math.prod(len(ks) for ks in left.values())
+    counts = {"solved": 0, "pruned": 0, "singular": 0}
+    prefix: list[frozenset[CharLabel]] = []
+    path = [SolveState.start(om, s.m)]  # path[i]: prefix[:i] peeled
+    cut = None  # while prefix ends in a cut class: "pruned" or "singular"
+    for datum in data:
+        classes, top = datum.classes, len(datum.classes) - 1
+        keep = 0
+        while keep < len(prefix) and prefix[keep] == classes[keep]:
+            keep += 1
+        if cut is not None and keep == len(prefix):
+            counts[cut] += 1
+            continue
+        del prefix[keep:], path[keep + 1:]
+        cut = None
+        for level in range(keep, top + 1):
+            prefix.append(classes[level])
             try:
-                nxt = state.peel(core | joined, a_c)
+                state = path[-1].peel(classes[level], datum.a[level])
             except SingularBlock:
+                path[-1].check_columns()
+                cut = "singular"
+                break
+            if level < top and not _integral(state):
                 state.check_columns()
-                singular += covered
-                continue
-            if level < top:
-                if _integral(nxt):
-                    walk(level + 1, nxt, left)
-                else:
-                    nxt.check_columns()
-                    pruned += covered
-                continue
-            solved += 1
-            system = nxt.system()
-            report = check_conditions(system, s)
-            if report.accepted:
-                hit = SearchHit(system.datum, system, report)
-                if matches_predicted_partition(hit.datum, s):
-                    hits.append(hit)
-                else:
-                    stray.append(hit)
-
-    walk(0, SolveState.start(om, space.m), dict(zip(space.free, space.choices)))
+                cut = "pruned"
+                break
+            path.append(state)
+        if cut is not None:
+            counts[cut] += 1
+            continue
+        counts["solved"] += 1
+        system = path[-1].system()
+        report = check_conditions(system, s)
+        if report.accepted:
+            hit = SearchHit(datum, system, report)
+            (hits if matches_predicted_partition(datum, s) else stray).append(hit)
     hits.sort(key=lambda h: support_vector(h.datum))
     stray.sort(key=lambda h: support_vector(h.datum))
-    return SearchOutcome(m=space.m, springer=s, swapped=swapped,
+    return SearchOutcome(m=s.m, springer=s, swapped=swapped,
                          family_filter=family_filter, hits=tuple(hits),
-                         tried=pruned + singular + solved,
-                         rejected_singular=singular, nonconforming=tuple(stray),
-                         pruned=pruned)
+                         tried=sum(counts.values()),
+                         rejected_singular=counts["singular"],
+                         nonconforming=tuple(stray), pruned=counts["pruned"])
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,13 @@ def test_omega_both_routes(capsys):
     assert data["entries"][i1][i2] == {"11": 1, "9": 2, "7": 1}
 
 
+def test_omega_closed_runs_above_the_sum_bound(capsys):
+    # the bound of the Molien sum does not hold back the closed table
+    rc, out, _ = run(capsys, "omega", "21", "--method", "closed")
+    assert rc == 0
+    assert len(json.loads(out)["rows"]) == 12  # two linear characters, ten of degree 2
+
+
 def test_omega_latex(capsys):
     rc, out, _ = run(capsys, "omega", "4", "--format", "latex")
     assert rc == 0
@@ -324,11 +331,14 @@ def test_negative_bound_is_bad_input(capsys, tmp_path, argv, config):
     (("verify", "17"), "m=17 exceeds the search bound 16"),
     (("verify", "6", "--max-candidates", "1"), "2 candidates exceed the bound 1"),
     (("irr", "31"), "m=31 exceeds the irr bound 30"),
-    (("omega", "31"), "m=31 exceeds the omega bound 30"),
-    (("spref", "31"), "m=31 exceeds the spref bound 30"),
+    (("omega", "21"), "m=21 exceeds the omega bound 20"),
+    (("omega", "21", "--method", "sum"), "m=21 exceeds the omega bound 20"),
+    (("omega", "101", "--method", "closed"), "m=101 exceeds the omega bound 100"),
+    (("spref", "301"), "m=301 exceeds the spref bound 300"),
     (("irr", "5", "--max-m", "4"), "m=5 exceeds the irr bound 4"),
 ], ids=["search-max-m", "solve-max-m", "verify-search-bound", "verify-max-candidates",
-        "irr-bound", "omega-bound", "spref-bound", "irr-max-m"])
+        "irr-bound", "omega-bound", "omega-sum-bound", "omega-closed-bound", "spref-bound",
+        "irr-max-m"])
 def test_hit_bound_is_reported_as_bound(capsys, tmp_path, argv, message):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum_to_jsonable(maximal(s_pref(5)))))

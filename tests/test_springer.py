@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from lsgreen import springer as springer_module
+from lsgreen import greensolver, springer as springer_module
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps
 from lsgreen.errors import InvalidFSequence, SearchBoundExceeded, SingularBlock
 from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
@@ -209,16 +209,31 @@ def _entries(systems):
 @pytest.mark.parametrize("m, family_filter", [
     (m, ff) for m in range(3, 12) for ff in (True, False)] + [(12, True)])
 def test_pruned_search_equals_exhaustive(monkeypatch, m, family_filter):
+    def no_solve(*args):
+        raise AssertionError("search called solve")
+
+    yielded = []
+
+    def counted(*args, **kwargs):
+        for datum in enumerate_candidate_data(*args, **kwargs):
+            yielded.append(datum)
+            yield datum
+
     for springer in all_springer_sets(m):
+        yielded.clear()
         with monkeypatch.context() as mp:
             # search peels prefixes itself and never calls solve
-            mp.setattr(springer_module, "solve", None)
+            mp.setattr(greensolver, "solve", no_solve)
+            mp.setattr(springer_module, "solve", no_solve)
+            mp.setattr(springer_module, "enumerate_candidate_data", counted)
             out = search(springer, family_filter=family_filter)
         hits, stray, tried, singular = _exhaustive(springer, family_filter)
         label = (m, springer.describe(), family_filter)
         assert _entries(h.system for h in out.hits) == _entries(hits), label
         assert _entries(h.system for h in out.nonconforming) == _entries(stray), label
         assert (out.tried, out.rejected_singular) == (tried, singular), label
+        # search reads every candidate off enumerate_candidate_data once
+        assert len(yielded) == len(set(yielded)) == out.tried, label
         assert out.pruned + out.rejected_singular <= out.tried, label
 
 
