@@ -299,15 +299,15 @@ def _checks_table(fmt: str, what: str, rows, latex_name=str) -> str:
 
 SOLVE_M_BOUND = 30  # m bound of solve and maximal
 # The m bounds of irr, omega and spref, each where the command takes a few
-# seconds (wall time, 2-core VM, Python 3.11): irr 30 takes 5.7 s (40:
-# 12.7 s); omega's Molien sum (--method sum or both) at 20 takes 5.9 s
-# (24: 10.4 s, 30: 51 s) and its closed table at 100 takes 2.0 s (200:
-# 15.5 s); spref 300 takes 2.7 s (500: 10.3 s, 1000: 45 s).  --max-m
-# replaces every one of them.
-IRR_M_BOUND = 30
-OMEGA_SUM_M_BOUND = 20
-OMEGA_CLOSED_M_BOUND = 100
-SPREF_M_BOUND = 300
+# seconds (wall time, 2-core VM, Python 3.11): irr 60 takes 2.1 s (80:
+# 6.5 s); omega's Molien sum (--method sum or both) at 30 takes 2.7 s
+# (40: 6.6 s) and its closed table at 300 takes 1.6 s (400: 4.3 s);
+# spref 1000 takes 1.2 s (2000: 4.6 s, 3000: 7.8 s).  --max-m replaces
+# every one of them.
+IRR_M_BOUND = 60
+OMEGA_SUM_M_BOUND = 30
+OMEGA_CLOSED_M_BOUND = 300
+SPREF_M_BOUND = 1000
 _FORMATS = ("json", "tsv", "latex")
 
 

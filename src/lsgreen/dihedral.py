@@ -202,7 +202,7 @@ def num_irreducibles(m: int) -> int:
 
 def char_value(m: int, label: CharLabel, g: GroupElement) -> CycloNum:
     """The value of the irreducible character with the given label at g,
-    as an element of Q(zeta_m).
+    as an element of Z[zeta_m].
 
     Accepts m >= 2: the degenerate m = 2 table (four linear characters) is
     needed internally for induction from the smallest reflection subgroups,
@@ -264,7 +264,7 @@ def char_table(m: int) -> tuple[IrrChar, ...]:
     out = []
     for label in all_labels(m):
         vals = tuple(char_value(m, label, g) for g in elements(m))
-        degree = int(vals[0].rational_part())
+        degree = vals[0].rational_part()
         out.append(IrrChar(m, label, degree, b_invariant(m, label), vals))
     return tuple(out)
 

@@ -6,8 +6,10 @@ Four layers, all exact (no floating point anywhere):
   coefficient domain for everything q-graded.
 * :class:`RatFunc` -- reduced fractions of integer polynomials, normalised so
   the denominator has positive leading coefficient.
-* :class:`CycloNum` -- elements of the cyclotomic field Q(zeta_m), stored in
-  coordinates with respect to the power basis of Q[x]/(Phi_m).
+* :class:`CycloNum` -- elements of Z[zeta_m], the integers of the cyclotomic
+  field Q(zeta_m), stored as integer coordinates with respect to the power
+  basis of Z[x]/(Phi_m).  Character sums stay in this ring; the Molien sum
+  of :mod:`fakedegree` makes one exact division, by |W| = 2m, at the end.
 * :class:`PolyMatrix` -- matrices of rational functions with *labelled* rows
   and columns, plus an exact left-division solver (:func:`matrix_solve`).
 
@@ -22,7 +24,7 @@ The polynomial variable is called ``q`` in printed output.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from functools import lru_cache
 from math import gcd as int_gcd
 from typing import Iterable, Mapping, Sequence
@@ -539,6 +541,7 @@ def _factorize(n: int) -> dict[int, int]:
     return f
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
@@ -566,6 +569,13 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
+def _cyclo_tail(m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero lower terms (i, c) of Phi_m = x^phi + sum c x^i."""
+    cyc = cyclotomic_polynomial(m)
+    return tuple((i, c) for i, c in cyc.c.items() if i < euler_phi(m))
+
+
+@lru_cache(maxsize=None)
 def _power_reductions(m: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of x^j mod Phi_m for j = 0 .. 2m, as integer vectors of
     length phi(m)."""
@@ -590,42 +600,59 @@ def _power_reductions(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 class CycloNum:
-    """An element of Q(zeta_m), in coordinates over the power basis
-    1, zeta, ..., zeta^(phi(m)-1) of Q[x]/(Phi_m)."""
+    """An element of the ring of integers Z[zeta_m] of Q(zeta_m), in
+    integer coordinates over the power basis 1, zeta, ..., zeta^(phi(m)-1)
+    of Z[x]/(Phi_m).
+
+    Character values of I2(m) lie in Z[zeta_m] and the ring is closed under
+    +, - and *, so sums of products of character values never need a
+    fraction: the Molien sum divides the integer :meth:`rational_part` of
+    each coefficient by 2m exactly, once, at the end.  The constructor
+    takes only ``int`` coordinates; results of arithmetic skip that check.
+    """
 
     __slots__ = ("m", "co")
 
-    def __init__(self, m: int, coords: Sequence[Fraction | int]):
+    def __init__(self, m: int, coords: Sequence[int]):
         phi = euler_phi(m)
-        if len(coords) != phi:
-            raise ValueError(f"expected {phi} coordinates for m={m}, got {len(coords)}")
+        co = tuple(coords)
+        if len(co) != phi:
+            raise ValueError(f"expected {phi} coordinates for m={m}, got {len(co)}")
+        for x in co:
+            if type(x) is not int:
+                raise TypeError(f"cyclotomic coordinates must be int, got {x!r}")
         self.m = m
-        self.co = tuple(Fraction(x) for x in coords)
+        self.co = co
+
+    @classmethod
+    def _new(cls, m: int, co: tuple[int, ...]) -> "CycloNum":
+        """A result of arithmetic, whose coordinates are ints by construction."""
+        self = object.__new__(cls)
+        self.m = m
+        self.co = co
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def rational(m: int, value: Fraction | int) -> "CycloNum":
-        co = [Fraction(0)] * euler_phi(m)
-        co[0] = Fraction(value)
-        return CycloNum(m, co)
+    def rational(m: int, value: int) -> "CycloNum":
+        return CycloNum(m, (value,) + (0,) * (euler_phi(m) - 1))
 
     @staticmethod
     def root_power(m: int, k: int) -> "CycloNum":
         """zeta_m ** k."""
-        red = _power_reductions(m)
-        return CycloNum(m, red[k % m])
+        return CycloNum._new(m, _power_reductions(m)[k % m])
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.co)
+        return not any(self.co)
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.co[1:])
+        return not any(self.co[1:])
 
-    def rational_part(self) -> Fraction:
-        """The value as a rational number; raises NotRational otherwise."""
+    def rational_part(self) -> int:
+        """The value as an integer; raises NotRational if it is irrational."""
         if not self.is_rational():
             raise NotRational(f"{self} is not rational")
         return self.co[0]
@@ -637,130 +664,72 @@ class CycloNum:
             raise ValueError(f"mixed cyclotomic fields Q(zeta_{self.m}), Q(zeta_{other.m})")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = CycloNum.rational(self.m, other)
         if not isinstance(other, CycloNum):
             return NotImplemented
         self._check(other)
-        return CycloNum(self.m, [a + b for a, b in zip(self.co, other.co)])
+        return CycloNum._new(self.m, tuple(map(operator.add, self.co, other.co)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = CycloNum.rational(self.m, other)
         if not isinstance(other, CycloNum):
             return NotImplemented
         self._check(other)
-        return CycloNum(self.m, [a - b for a, b in zip(self.co, other.co)])
+        return CycloNum._new(self.m, tuple(map(operator.sub, self.co, other.co)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return CycloNum(self.m, [-a for a in self.co])
+        return CycloNum._new(self.m, tuple(-a for a in self.co))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloNum(self.m, [a * other for a in self.co])
+        if isinstance(other, int):
+            return CycloNum._new(self.m, tuple(a * other for a in self.co))
         if not isinstance(other, CycloNum):
             return NotImplemented
         self._check(other)
         phi = len(self.co)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
+        bs = [(j, b) for j, b in enumerate(other.co) if b]
         for i, a in enumerate(self.co):
             if a:
-                for j, b in enumerate(other.co):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:phi])
-        red = _power_reductions(self.m)
-        for j in range(phi, 2 * phi - 1):
+                for j, b in bs:
+                    conv[i + j] += a * b
+        # x^j = -x^(j-phi) * sum c x^i, highest j first
+        tail = _cyclo_tail(self.m)
+        for j in range(2 * phi - 2, phi - 1, -1):
             cj = conv[j]
             if cj:
-                row = red[j]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += cj * row[i]
-        return CycloNum(self.m, out)
+                base = j - phi
+                for i, c in tail:
+                    conv[base + i] -= cj * c
+        return CycloNum._new(self.m, tuple(conv[:phi]))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm in
-        Q[x] against Phi_m."""
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero cyclotomic number")
-        phi = len(self.co)
-        cyc = cyclotomic_polynomial(self.m)
-        mod = [Fraction(cyc.coeff(i)) for i in range(phi + 1)]
-        a = list(self.co)
-        # trim
-        while a and a[-1] == 0:
-            a.pop()
-        # extended euclid: find u with a*u = 1 mod Phi
-        r0, r1 = mod, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def _deg(p):
-            return len(p) - 1
-
-        def _subshift(p, r, c, k):
-            # p - c * x^k * r
-            out = list(p) + [Fraction(0)] * max(0, len(r) + k - len(p))
-            for i, x in enumerate(r):
-                out[i + k] -= c * x
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
-        while _deg(r1) > 0:
-            # divide r0 by r1, updating the Bezout coefficient alongside
-            rem = list(r0)
-            news = list(s0)
-            while rem and _deg(rem) >= _deg(r1):
-                c = rem[-1] / r1[-1]
-                k = _deg(rem) - _deg(r1)
-                rem = _subshift(rem, r1, c, k)
-                news = _subshift(news, s1, c, k)
-            r0, r1 = r1, rem
-            s0, s1 = s1, news
-            if not r1:
-                raise DivisionByZero("zero divisor in cyclotomic field (non-invertible)")
-        # r1 is a nonzero constant: a * s1 = r1 (mod Phi)
-        cinv = 1 / r1[0]
-        inv = [x * cinv for x in s1]
-        inv += [Fraction(0)] * (phi - len(inv))
-        return CycloNum(self.m, inv[:phi])
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise DivisionByZero("division by zero")
-            return CycloNum(self.m, [a / other for a in self.co])
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        self._check(other)
-        return self * other.inverse()
 
     def conj(self) -> "CycloNum":
         """The image under zeta -> zeta^(-1) (complex conjugation on
         character values)."""
         red = _power_reductions(self.m)
         phi = len(self.co)
-        out = [Fraction(0)] * phi
+        out = [0] * phi
         for i, a in enumerate(self.co):
             if a:
                 row = red[(self.m - i) % self.m]
                 for j in range(phi):
                     if row[j]:
                         out[j] += a * row[j]
-        return CycloNum(self.m, out)
+        return CycloNum._new(self.m, tuple(out))
 
     # -- comparisons, formatting ------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.is_rational() and self.co[0] == other
         if not isinstance(other, CycloNum):
             return NotImplemented

@@ -8,7 +8,10 @@ coinvariant algebra,
 with P the Poincare polynomial of the invariant ring and the sum over all
 2m group elements, det taken in the two-dimensional reflection
 representation.  :func:`fake_degree_sum` evaluates this element-by-element
-over Q(zeta_m) and certifies the result is an integer polynomial.
+in Z[zeta_m][q]: character values are cyclotomic integers and both divisors
+are monic, so every step has integer coordinates, and the only division
+that can leave Z[zeta_m] is one exact division by |W| = 2m at the end.  The
+result is certified to be an integer polynomial.
 
 The omega matrix omega(chi, chi') = q^m * R(chi . chi' . eps) is computed by
 two genuinely independent routes -- the character sum above and a closed
@@ -56,27 +59,21 @@ def poincare_polynomial(m: int) -> IntPoly:
 # Represented as lists of CycloNum, index = exponent, no trailing-zero
 # normalisation requirements.  Only what the Molien sum needs.
 
+@lru_cache(maxsize=None)
 def _czero(m: int) -> CycloNum:
     return CycloNum.rational(m, 0)
 
 
-def _cpoly_mul(m: int, a: list[CycloNum], b: list[CycloNum]) -> list[CycloNum]:
-    out = [_czero(m) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            for j, y in enumerate(b):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-    return out
-
-
 def _cpoly_divexact(m: int, num: list[CycloNum], den: list[CycloNum]) -> list[CycloNum]:
-    """Long division in Q(zeta_m)[q]; raises NotPolynomial on a remainder."""
+    """Long division in Z[zeta_m][q] by a monic divisor, which keeps every
+    coordinate an integer; raises ValueError on a divisor that is not
+    monic and NotPolynomial on a remainder."""
     num = list(num)
     dd = len(den) - 1
     while den[dd].is_zero():
         dd -= 1
-    lead_inv = den[dd].inverse()
+    if den[dd] != 1:
+        raise ValueError(f"divisor with leading coefficient {den[dd]} is not monic")
     nd = len(num) - 1
     while nd >= 0 and num[nd].is_zero():
         nd -= 1
@@ -84,14 +81,14 @@ def _cpoly_divexact(m: int, num: list[CycloNum], den: list[CycloNum]) -> list[Cy
         if any(not x.is_zero() for x in num):
             raise NotPolynomial("exact division left a remainder")
         return [_czero(m)]
-    quot = [_czero(m) for _ in range(nd - dd + 1)]
+    quot = [_czero(m)] * (nd - dd + 1)
     for e in range(nd - dd, -1, -1):
-        c = num[e + dd]
-        if c.is_zero():
+        f = num[e + dd]
+        if f.is_zero():
             continue
-        f = c * lead_inv
         quot[e] = f
-        for i in range(dd + 1):
+        num[e + dd] = _czero(m)
+        for i in range(dd):
             if not den[i].is_zero():
                 num[e + i] = num[e + i] - f * den[i]
     if any(not x.is_zero() for x in num):
@@ -106,7 +103,7 @@ def _rotation_cofactors(m: int) -> tuple[tuple[CycloNum, ...], ...]:
     zeta^-k) q + 1.  Includes k = 0, whose divisor is (q-1)^2."""
     one = CycloNum.rational(m, 1)
     # (q^m - 1)^2 = q^2m - 2 q^m + 1
-    sq = [_czero(m) for _ in range(2 * m + 1)]
+    sq = [_czero(m)] * (2 * m + 1)
     sq[2 * m] = one
     sq[m] = CycloNum.rational(m, -2)
     sq[0] = one
@@ -144,7 +141,7 @@ def fake_degree_sum(m: int, f) -> IntPoly:
     cof = _rotation_cofactors(m)
 
     # rotation part: N = sum_k f(rho^k) * (q^m-1)^2 / det(q - rho^k)
-    nrot = [_czero(m) for _ in range(2 * m - 1)]
+    nrot = [_czero(m)] * (2 * m - 1)
     for k in range(m):
         fv = vals[k]
         if fv.is_zero():
@@ -160,16 +157,15 @@ def fake_degree_sum(m: int, f) -> IntPoly:
         srefl = srefl + vals[m + k]
 
     # R = [ (q^2-1) N - (q^m-1)^2 S ] / (2m (q^m-1))
-    one = CycloNum.rational(m, 1)
-    q2m1 = [-one, _czero(m), one]  # q^2 - 1
-    u = _cpoly_mul(m, q2m1, nrot)
+    u = [_czero(m)] * 2 + nrot  # q^2 N, of degree 2m
+    for e, c in enumerate(nrot):
+        u[e] = u[e] - c
     if not srefl.is_zero():
         # subtract (q^m - 1)^2 * S = (q^2m - 2 q^m + 1) * S
-        while len(u) < 2 * m + 1:
-            u.append(_czero(m))
         u[0] = u[0] - srefl
         u[m] = u[m] + 2 * srefl
         u[2 * m] = u[2 * m] - srefl
+    one = CycloNum.rational(m, 1)
     qm1 = [-one] + [_czero(m)] * (m - 1) + [one]  # q^m - 1
     quot = _cpoly_divexact(m, u, qm1)
 
@@ -177,7 +173,7 @@ def fake_degree_sum(m: int, f) -> IntPoly:
     for e, c in enumerate(quot):
         if c.is_zero():
             continue
-        r = c.rational_part() / (2 * m)  # NotRational propagates
+        r = Fraction(c.rational_part(), 2 * m)  # NotRational propagates
         if r.denominator != 1:
             raise NotPolynomial(
                 f"coefficient of q^{e} is {r}, not an integer (m={m})"

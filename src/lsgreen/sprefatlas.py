@@ -260,22 +260,23 @@ def _embed_cyclo(v: CycloNum, m: int) -> CycloNum:
     out = CycloNum.rational(m, 0)
     for j, a in enumerate(v.co):
         if a:
-            out = out + CycloNum.root_power(m, step * j) * CycloNum.rational(m, a)
+            out = out + CycloNum.root_power(m, step * j) * a
     return out
 
 
 def restriction_multiplicity(sub: ReflSubgroup, sub_label: CharLabel,
                              ambient_label: CharLabel) -> int:
     """<phi, Res chi> over the subgroup, by the plain averaged inner
-    product in Q(zeta_m); the result is checked to be a genuine
-    nonnegative integer."""
+    product: the sum over the 2d elements in Z[zeta_m], then one exact
+    division by 2d; the result is checked to be a genuine nonnegative
+    integer."""
     m, d = sub.m, sub.d
     total = CycloNum.rational(m, 0)
     for h in sub.elements():
         phi_v = _embed_cyclo(char_value(d, sub_label, h), m)
         chi_v = char_value(m, ambient_label, sub.embed(h))
         total = total + phi_v * chi_v.conj()
-    val = total.rational_part() / Fraction(2 * d)
+    val = Fraction(total.rational_part(), 2 * d)
     if val.denominator != 1 or val < 0:
         raise AssertionError(
             f"inner product <{format_label(sub_label)}, Res {format_label(ambient_label)}> "

@@ -64,9 +64,9 @@ def test_omega_both_routes(capsys):
 
 def test_omega_closed_runs_above_the_sum_bound(capsys):
     # the bound of the Molien sum does not hold back the closed table
-    rc, out, _ = run(capsys, "omega", "21", "--method", "closed")
+    rc, out, _ = run(capsys, "omega", "31", "--method", "closed")
     assert rc == 0
-    assert len(json.loads(out)["rows"]) == 12  # two linear characters, ten of degree 2
+    assert len(json.loads(out)["rows"]) == 17  # two linear characters, 15 of degree 2
 
 
 def test_omega_latex(capsys):
@@ -330,11 +330,11 @@ def test_negative_bound_is_bad_input(capsys, tmp_path, argv, config):
     (("solve", "5", "--max-m", "4", "--datum", "DATUM"), "m=5 exceeds the solve bound 4"),
     (("verify", "17"), "m=17 exceeds the search bound 16"),
     (("verify", "6", "--max-candidates", "1"), "2 candidates exceed the bound 1"),
-    (("irr", "31"), "m=31 exceeds the irr bound 30"),
-    (("omega", "21"), "m=21 exceeds the omega bound 20"),
-    (("omega", "21", "--method", "sum"), "m=21 exceeds the omega bound 20"),
-    (("omega", "101", "--method", "closed"), "m=101 exceeds the omega bound 100"),
-    (("spref", "301"), "m=301 exceeds the spref bound 300"),
+    (("irr", "61"), "m=61 exceeds the irr bound 60"),
+    (("omega", "31"), "m=31 exceeds the omega bound 30"),
+    (("omega", "31", "--method", "sum"), "m=31 exceeds the omega bound 30"),
+    (("omega", "301", "--method", "closed"), "m=301 exceeds the omega bound 300"),
+    (("spref", "1001"), "m=1001 exceeds the spref bound 1000"),
     (("irr", "5", "--max-m", "4"), "m=5 exceeds the irr bound 4"),
 ], ids=["search-max-m", "solve-max-m", "verify-search-bound", "verify-max-candidates",
         "irr-bound", "omega-bound", "omega-sum-bound", "omega-closed-bound", "spref-bound",

@@ -1,8 +1,9 @@
 """Exact arithmetic layer: sparse integer polynomials, rational functions,
-labelled matrices and the fraction-free solver.
+cyclotomic integers, labelled matrices and the fraction-free solver.
 
 Oracle for ring arithmetic: evaluation at several integer points compared
-against plain Fraction arithmetic.
+against plain Fraction arithmetic.  Oracle for cyclotomic products: the
+IntPoly product of the coordinate polynomials reduced mod Phi_m.
 """
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsgreen.errors import NotDivisible, SingularBlock, ZeroDenominator
-from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_gcd
+from lsgreen.exactalg import (
+    CycloNum, IntPoly, PolyMatrix, RatFunc, cyclotomic_polynomial, euler_phi, matrix_solve,
+    poly_gcd,
+)
 
 EVAL_POINTS = (2, 3, -1, Fraction(1, 2))
 
@@ -181,6 +185,54 @@ def test_ratfunc_arithmetic_matches_fraction_oracle(an, ad, bn, bd):
 def test_ratfunc_denominator_sign_normalised(n, d):
     f = RatFunc(n, d)
     assert f.den.leading_coeff() > 0
+
+
+# ---------------------------------------------------------------------------
+# CycloNum
+# ---------------------------------------------------------------------------
+
+# m = 1..40 holds primes (2, 3, 5, ... 37), prime powers (4, 8, 9, 16, 25,
+# 27, 32) and composites with two or three prime factors (6, 12, 30, ...).
+cyclo_m = st.integers(min_value=1, max_value=40)
+
+
+@st.composite
+def cyclo_coords(draw):
+    """m and two integer coordinate lists of length phi(m)."""
+    m = draw(cyclo_m)
+    coords = st.lists(st.integers(min_value=-50, max_value=50),
+                      min_size=euler_phi(m), max_size=euler_phi(m))
+    return m, draw(coords), draw(coords)
+
+
+@given(cyclo_coords())
+def test_cyclonum_mul_matches_reduced_polynomial_product(case):
+    m, xs, ys = case
+    prod = IntPoly(dict(enumerate(xs))) * IntPoly(dict(enumerate(ys)))
+    _, rem = prod.divmod(cyclotomic_polynomial(m))
+    want = [rem.coeff(i) for i in range(euler_phi(m))]
+    assert CycloNum(m, xs) * CycloNum(m, ys) == CycloNum(m, want)
+
+
+@given(cyclo_coords())
+def test_cyclonum_add_sub_neg_are_coordinatewise(case):
+    m, xs, ys = case
+    a, b = CycloNum(m, xs), CycloNum(m, ys)
+    assert a + b == CycloNum(m, [x + y for x, y in zip(xs, ys)])
+    assert a - b == CycloNum(m, [x - y for x, y in zip(xs, ys)])
+    assert -a == CycloNum(m, [-x for x in xs])
+
+
+@given(cyclo_m, st.integers(min_value=-100, max_value=100))
+def test_cyclonum_conj_of_root_is_inverse_root(m, k):
+    assert CycloNum.root_power(m, k).conj() == CycloNum.root_power(m, -k)
+
+
+@given(cyclo_coords())
+def test_cyclonum_conj_is_multiplicative(case):
+    m, xs, ys = case
+    a, b = CycloNum(m, xs), CycloNum(m, ys)
+    assert (a * b).conj() == a.conj() * b.conj()
 
 
 # ---------------------------------------------------------------------------

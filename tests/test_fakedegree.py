@@ -3,12 +3,15 @@
 Oracle: the closed product/table forms, re-derived here from scratch and
 compared with the character-sum implementation.
 """
+from fractions import Fraction
+
 import pytest
 
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, b_invariant, char_table
-from lsgreen.exactalg import IntPoly
+from lsgreen.errors import NotPolynomial, NotRational
+from lsgreen.exactalg import CycloNum, IntPoly, euler_phi
 from lsgreen.fakedegree import (
-    check_symmetry, fake_degree, fake_degree_sum, omega, omega_closed,
+    _cpoly_divexact, check_symmetry, fake_degree, fake_degree_sum, omega, omega_closed,
     omega_sum, poincare_polynomial,
 )
 
@@ -70,6 +73,41 @@ def test_fake_degree_sum_accepts_value_iterables():
                  zip(table[Chi(1)].values, table[Eps].values))
     direct = fake_degree_sum(m, prod)
     assert direct == fake_degree(4, Chi(1))  # tensoring chi_i by eps fixes it
+
+
+def at_identity(m, value):
+    """The class function with the given value at the identity (the first
+    of dihedral.elements) and 0 elsewhere."""
+    zero = CycloNum.rational(m, 0)
+    return (value,) + (zero,) * (2 * m - 1)
+
+
+@pytest.mark.parametrize("m", (3, 4, 5, 6, 12))
+def test_fake_degree_sum_certifies_rationality(m):
+    # R = P(q) * zeta_m / 2m has irrational coefficients
+    with pytest.raises(NotRational):
+        fake_degree_sum(m, at_identity(m, CycloNum.root_power(m, 1)))
+
+
+@pytest.mark.parametrize("m", (3, 4, 5, 6, 12))
+def test_fake_degree_sum_certifies_integrality(m):
+    # R = P(q) / 2m: a polynomial over Q, but its constant term is 1/2m
+    with pytest.raises(NotPolynomial):
+        fake_degree_sum(m, at_identity(m, CycloNum.rational(m, 1)))
+
+
+def test_cpoly_divexact_refuses_a_divisor_that_is_not_monic():
+    m = 5
+    one, two = CycloNum.rational(m, 1), CycloNum.rational(m, 2)
+    with pytest.raises(ValueError, match="not monic"):
+        _cpoly_divexact(m, [one, one, two], [one, two])
+
+
+@pytest.mark.parametrize("m", (3, 4, 5, 6, 12))
+def test_cyclonum_rejects_fraction_coordinates(m):
+    coords = [Fraction(1, 2)] + [0] * (euler_phi(m) - 1)
+    with pytest.raises((TypeError, ValueError)):
+        CycloNum(m, coords)
 
 
 @pytest.mark.parametrize("m", range(3, 9))
