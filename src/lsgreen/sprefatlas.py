@@ -7,7 +7,8 @@ special characters (for even m the index-r characters contribute the
 primed one instead).  Its claim to preference is that truncated induction
 of special characters from the dihedral reflection subgroups lands exactly
 on this set; :func:`verify_spref_via_induction` recomputes that from
-scratch with ordinary inner products in Q(zeta_m).
+scratch with ordinary inner products: sums in Z[zeta_m], then one exact
+division by the order of the subgroup.
 
 The atlas holds, as versioned JSON fixtures, the handful of rank-2
 correspondences whose class partitions and closure diagrams are known from
