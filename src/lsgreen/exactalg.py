@@ -5,13 +5,18 @@ Four layers, all exact (no floating point anywhere):
 * :class:`IntPoly` -- sparse univariate polynomials over the integers, the
   coefficient domain for everything q-graded.
 * :class:`RatFunc` -- reduced fractions of integer polynomials, normalised so
-  the denominator has positive leading coefficient.
+  the denominator has positive leading coefficient.  A sum of products is
+  one :func:`rf_dot`: the numerators are added in Z[q] over their unreduced
+  denominators and the sum is reduced once, where the fold
+  ``acc = acc + a*b`` takes two gcds per term.
 * :class:`CycloNum` -- elements of Z[zeta_m], the integers of the cyclotomic
   field Q(zeta_m), stored as integer coordinates with respect to the power
   basis of Z[x]/(Phi_m).  Character sums stay in this ring; the Molien sum
   of :mod:`fakedegree` makes one exact division, by |W| = 2m, at the end.
 * :class:`PolyMatrix` -- matrices of rational functions with *labelled* rows
   and columns, plus an exact left-division solver (:func:`matrix_solve`).
+  Each entry of a product is one :func:`rf_dot`, and so is the sum each
+  unknown of a solution is read from.
 
 The polynomial variable is called ``q`` in printed output.
 
@@ -45,6 +50,7 @@ __all__ = [
     "PolyMatrix",
     "poly_gcd",
     "poly_lcm",
+    "rf_dot",
     "euler_phi",
     "cyclotomic_polynomial",
     "matrix_solve",
@@ -83,6 +89,16 @@ class IntPoly:
                         del c[e]
             self.c = c
         self._hash = None
+
+    @classmethod
+    def _new(cls, c: dict[int, int]) -> "IntPoly":
+        """A result of arithmetic: ``c`` is a fresh dict of int
+        coefficients with no zero value, so the constructor's checks are
+        skipped."""
+        self = object.__new__(cls)
+        self.c = c
+        self._hash = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -139,10 +155,7 @@ class IntPoly:
                 c[e] = w
             elif e in c:
                 del c[e]
-        r = IntPoly.__new__(IntPoly)
-        r.c = c
-        r._hash = None
-        return r
+        return IntPoly._new(c)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
@@ -154,25 +167,16 @@ class IntPoly:
                 c[e] = w
             elif e in c:
                 del c[e]
-        r = IntPoly.__new__(IntPoly)
-        r.c = c
-        r._hash = None
-        return r
+        return IntPoly._new(c)
 
     def __neg__(self) -> "IntPoly":
-        r = IntPoly.__new__(IntPoly)
-        r.c = {e: -v for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return IntPoly._new({e: -v for e, v in self.c.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
                 return _ZERO
-            r = IntPoly.__new__(IntPoly)
-            r.c = {e: v * other for e, v in self.c.items()}
-            r._hash = None
-            return r
+            return IntPoly._new({e: v * other for e, v in self.c.items()})
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.c, other.c
@@ -189,10 +193,7 @@ class IntPoly:
                     c[e] = w
                 elif e in c:
                     del c[e]
-        r = IntPoly.__new__(IntPoly)
-        r.c = c
-        r._hash = None
-        return r
+        return IntPoly._new(c)
 
     __rmul__ = __mul__
 
@@ -214,10 +215,7 @@ class IntPoly:
             raise ValueError("negative shift")
         if k == 0:
             return self
-        r = IntPoly.__new__(IntPoly)
-        r.c = {e + k: v for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return IntPoly._new({e + k: v for e, v in self.c.items()})
 
     def divmod(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Division with remainder, valid when every intermediate quotient
@@ -248,7 +246,7 @@ class IntPoly:
                     rem[ee] = w
                 elif ee in rem:
                     del rem[ee]
-        return IntPoly(quot), IntPoly(rem)
+        return IntPoly._new(quot), IntPoly._new(rem)
 
     def __floordiv__(self, other: "IntPoly") -> "IntPoly":
         """Exact division; raises NotDivisible if there is a remainder."""
@@ -271,10 +269,7 @@ class IntPoly:
         """The polynomial q**top * p(1/q); requires deg(p) <= top."""
         if self.c and max(self.c) > top:
             raise ValueError(f"degree {max(self.c)} exceeds reversal bound {top}")
-        r = IntPoly.__new__(IntPoly)
-        r.c = {top - e: v for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return IntPoly._new({top - e: v for e, v in self.c.items()})
 
     # -- comparisons, formatting ------------------------------------------
 
@@ -321,10 +316,7 @@ def _primitive(p: IntPoly) -> IntPoly:
     ct = p.content()
     if ct in (0, 1):
         return p
-    r = IntPoly.__new__(IntPoly)
-    r.c = {e: v // ct for e, v in p.c.items()}
-    r._hash = None
-    return r
+    return IntPoly._new({e: v // ct for e, v in p.c.items()})
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -349,7 +341,7 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
                 rem[ee] = w
             elif ee in rem:
                 del rem[ee]
-    return IntPoly(rem)
+    return IntPoly._new(rem)
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -378,7 +370,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 def poly_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
     if a.is_zero() or b.is_zero():
         return _ZERO
-    l = (a * b) // poly_gcd(a, b)
+    l = a * (b // poly_gcd(a, b))
     if l.leading_coeff() < 0:
         l = -l
     return l
@@ -394,7 +386,8 @@ class RatFunc:
     Normal form: gcd(num, den) = 1 and the leading coefficient of den is
     positive; zero is 0/1.  All arithmetic re-normalises, with a fast path
     when both operands are genuine polynomials (den = 1), which is the common
-    case inside the block elimination.
+    case inside the block elimination.  Sums of products belong in
+    :func:`rf_dot`, which normalises once.
     """
 
     __slots__ = ("num", "den")
@@ -403,7 +396,7 @@ class RatFunc:
         if isinstance(num, int):
             num = IntPoly(num)
         if isinstance(den, int):
-            den = IntPoly(den)
+            den = _ONE if den == 1 else IntPoly(den)
         if den.is_zero():
             raise ZeroDenominator(f"({num})/0")
         if _normalized:
@@ -522,6 +515,61 @@ def _as_ratfunc(x):
 
 
 RF_ZERO = RatFunc(0)
+RF_ONE = RatFunc(1)
+
+
+def rf_dot(pairs: Iterable[tuple[RatFunc, RatFunc]]) -> RatFunc:
+    """The sum of a*b over the (a, b) pairs, normalised once.
+
+    The fold ``acc = acc + a*b`` reduces every product and every partial
+    sum, two gcds per term.  Here pairs with a zero factor are skipped, each
+    product's numerator is added, coefficient by coefficient, into the group
+    of its unreduced denominator a.den*b.den (products of polynomials share
+    the group 1), and no gcd is taken inside the sum.  The groups are then
+    brought over the lcm of their denominators, and the one
+    :class:`RatFunc` built from that is reduced to lowest terms: the result
+    equals the fold's, in the same normal form.
+
+    >>> half = RatFunc(1, IntPoly({1: 1, 0: 1}))
+    >>> str(rf_dot([(half, RatFunc(IntPoly({1: 1}))), (half, RatFunc(1))]))
+    '1'
+    """
+    groups: dict[IntPoly, dict[int, int]] = {}
+    for a, b in pairs:
+        ac, bc = a.num.c, b.num.c
+        if not ac or not bc:
+            continue
+        ad, bd = a.den, b.den
+        if ad == _ONE:
+            den = bd
+        elif bd == _ONE:
+            den = ad
+        else:
+            den = ad * bd
+        acc = groups.get(den)
+        if acc is None:
+            acc = groups[den] = {}
+        for ea, va in ac.items():
+            for eb, vb in bc.items():
+                e = ea + eb
+                acc[e] = acc.get(e, 0) + va * vb
+    if not groups:
+        return RF_ZERO
+    lcm = _ONE
+    for den in groups:
+        if den != lcm:
+            lcm = den if lcm == _ONE else poly_lcm(lcm, den)
+    total: dict[int, int] = {}
+    for den, acc in groups.items():
+        if den == lcm:
+            for e, v in acc.items():
+                total[e] = total.get(e, 0) + v
+        else:
+            for ef, vf in (lcm // den).c.items():
+                for e, v in acc.items():
+                    e += ef
+                    total[e] = total.get(e, 0) + v * vf
+    return RatFunc(IntPoly._new({e: v for e, v in total.items() if v}), lcm)
 
 
 # ---------------------------------------------------------------------------
@@ -811,23 +859,15 @@ class PolyMatrix:
         )
 
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product; each entry is one :func:`rf_dot` of a row and a
+        column, so it is reduced once, not once per term."""
         if self.cols != other.rows:
             raise ValueError("inner labels do not match")
-        n = len(self.cols)
-        out = []
-        for i in range(len(self.rows)):
-            row = []
-            for j in range(len(other.cols)):
-                acc = RF_ZERO
-                for k in range(n):
-                    a = self.data[i][k]
-                    if a.num.c:
-                        b = other.data[k][j]
-                        if b.num.c:
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.rows, other.cols, out)
+        cols = list(zip(*other.data))
+        return PolyMatrix(
+            self.rows, other.cols,
+            [[rf_dot(zip(row, col)) for col in cols] for row in self.data],
+        )
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -866,8 +906,10 @@ def matrix_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     A must be square (its row and column label tuples coincide as sets); the
     result X carries B's row labels and A's row labels as columns.  Strategy:
     clear all denominators with a single scalar multiple s (X*(A*s) = B*s has
-    the same solution), run fraction-free Bareiss elimination on the
-    transposed augmented system, and back-substitute.  A singular A raises
+    the same solution; each entry n/d becomes n * (s/d), with no gcd), run
+    fraction-free Bareiss elimination on the transposed augmented system,
+    and back-substitute: the sum rhs_i - sum_l u_il x_l of each unknown is
+    one :func:`rf_dot`, divided by the pivot u_ii.  A singular A raises
     SingularBlock.  X*A is not multiplied back here: the caller does that
     (:func:`lsgreen.greensolver.solve` checks the whole system it builds).
     """
@@ -878,15 +920,18 @@ def matrix_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     k = len(a.rows)
     nrhs = len(b.rows)
 
-    # scalar denominator clearing
+    # scalar denominator clearing: x * s = x.num * (s / x.den), exactly
     s = _ONE
+    dens = {_ONE}
     for mat in (a, b):
         for row in mat.data:
             for x in row:
-                if x.den != _ONE:
+                if x.den not in dens:
                     s = poly_lcm(s, x.den)
-    a2 = [[(a.data[i][j] * s).as_poly() for j in range(k)] for i in range(k)]
-    b2 = [[(b.data[i][j] * s).as_poly() for j in range(k)] for i in range(nrhs)]
+                    dens.add(x.den)
+    cofactor = {den: s // den for den in dens}
+    a2 = [[x.num * cofactor[x.den] for x in row] for row in a.data]
+    b2 = [[x.num * cofactor[x.den] for x in row] for row in b.data]
 
     # transposed augmented matrix: rows = k equations, cols = k unknowns + rhs
     mat: list[list[IntPoly]] = [
@@ -922,11 +967,10 @@ def matrix_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     for r2 in range(nrhs):
         x = [RF_ZERO] * k
         for i in range(k - 1, -1, -1):
-            acc = RatFunc(mat[i][k + r2])
-            for l in range(i + 1, k):
-                if mat[i][l].c and x[l].num.c:
-                    acc = acc - RatFunc(mat[i][l]) * x[l]
-            x[i] = acc / RatFunc(mat[i][i])
+            row = mat[i]
+            terms = [(RatFunc(row[k + r2]), RF_ONE)]
+            terms += [(RatFunc(-row[l]), x[l]) for l in range(i + 1, k) if row[l].c]
+            x[i] = rf_dot(terms) / RatFunc(row[i])
         xcols.append(x)
 
     return PolyMatrix(b.rows, a.rows, xcols)

@@ -284,7 +284,8 @@ def _omega_entry_closed(m: int, a: CharLabel, b: CharLabel) -> IntPoly:
 
 def omega_closed(m: int) -> PolyMatrix:
     """The omega matrix from its closed entry table (no character sums)."""
-    labels = [c.label for c in irreps(m)]
+    dihedral._check_m(m, minimum=3)
+    labels = all_labels(m)
     return PolyMatrix.from_function(
         labels, labels, lambda a, b: RatFunc(_omega_entry_closed(m, a, b))
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
-from .exactalg import RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve
+from .exactalg import RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, rf_dot
 
 __all__ = [
     "LSDatum",
@@ -305,28 +305,13 @@ class SolveState:
 
             # residual update among the still-unsolved characters:
             # M -= P_{.,C} Lambda_C P_{.,C}^t
-            lam_blk = [[L[i][j] for j in midx] for i in midx]
-            k = len(midx)
-            half: dict[int, list[RatFunc]] = {}
-            for i in above:
-                pi = prows[i]
-                row = []
-                for s in range(k):
-                    acc2 = RF_ZERO
-                    for t in range(k):
-                        if pi[t].num.c and lam_blk[t][s].num.c:
-                            acc2 = acc2 + pi[t] * lam_blk[t][s]
-                    row.append(acc2)
-                half[i] = row
+            lam_cols = [[L[i][j] for i in midx] for j in midx]
+            half = {i: [rf_dot(zip(prows[i], col)) for col in lam_cols] for i in above}
             rows = {i: list(M[i]) for i in above}
             for ii, i in enumerate(above):
                 hi = half[i]
                 for j in above[ii:]:
-                    pj = prows[j]
-                    acc2 = RF_ZERO
-                    for s in range(k):
-                        if hi[s].num.c and pj[s].num.c:
-                            acc2 = acc2 + hi[s] * pj[s]
+                    acc2 = rf_dot(zip(hi, prows[j]))
                     if acc2.num.c:
                         rows[i][j] = rows[i][j] - acc2
                         if j != i:
@@ -363,18 +348,9 @@ class SolveState:
         P, L = self.P, self.L
         for r, label in enumerate(self.labels):
             # (P Lambda)[r, t] over the solved t
-            pl = {}
-            for t in solved:
-                acc = RF_ZERO
-                for s in block[t]:
-                    if P[r][s].num.c and L[s][t].num.c:
-                        acc = acc + P[r][s] * L[s][t]
-                pl[t] = acc
+            pl = {t: rf_dot((P[r][s], L[s][t]) for s in block[t]) for t in solved}
             for c in solved:
-                acc = RF_ZERO
-                for t in solved:
-                    if pl[t].num.c and P[c][t].num.c:
-                        acc = acc + pl[t] * P[c][t]
+                acc = rf_dot((pl[t], P[c][t]) for t in solved)
                 if acc != self.omega.get(label, self.labels[c]):
                     raise AssertionError(
                         "multiplication-back failed: P Lambda P^t != omega "

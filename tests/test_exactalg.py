@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from lsgreen.errors import NotDivisible, SingularBlock, ZeroDenominator
 from lsgreen.exactalg import (
     CycloNum, IntPoly, PolyMatrix, RatFunc, cyclotomic_polynomial, euler_phi, matrix_solve,
-    poly_gcd,
+    poly_gcd, rf_dot,
 )
 
 EVAL_POINTS = (2, 3, -1, Fraction(1, 2))
@@ -185,6 +185,81 @@ def test_ratfunc_arithmetic_matches_fraction_oracle(an, ad, bn, bd):
 def test_ratfunc_denominator_sign_normalised(n, d):
     f = RatFunc(n, d)
     assert f.den.leading_coeff() > 0
+
+
+# ---------------------------------------------------------------------------
+# rf_dot
+# ---------------------------------------------------------------------------
+
+Q = IntPoly({1: 1})
+# denominators drawn from a small pool, so that pairs share a denominator,
+# have coprime ones (q + 1, q - 1, q^2 + 1, 2q + 3, q) or ones with a common
+# factor (q^2 - 1, (q + 1)^2)
+SHARED_DENS = tuple(map(IntPoly, (
+    {1: 1, 0: 1}, {1: 1, 0: -1}, {2: 1, 0: 1}, {1: 2, 0: 3}, {1: 1},
+    {2: 1, 0: -1}, {2: 1, 1: 2, 0: 1},
+)))
+
+rf_factors = st.one_of(
+    small_polys.map(RatFunc),
+    st.builds(RatFunc, small_polys, st.sampled_from(SHARED_DENS)),
+    st.builds(RatFunc, small_polys, nonzero_polys),
+)
+rf_pairs = st.lists(st.tuples(rf_factors, rf_factors), max_size=6)
+
+
+def naive_dot(pairs):
+    acc = RatFunc(0)
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def assert_normal_form(f):
+    assert poly_gcd(f.num, f.den) == IntPoly.one()
+    assert f.den.leading_coeff() > 0
+    if f.num.is_zero():
+        assert f.den == IntPoly.one()
+
+
+@given(rf_pairs)
+def test_rf_dot_equals_the_naive_fold(pairs):
+    got = rf_dot(pairs)
+    assert got == naive_dot(pairs)
+    assert_normal_form(got)
+
+
+@given(rf_pairs)
+def test_rf_dot_of_a_sum_and_its_negation_is_zero(pairs):
+    cancelling = pairs + [(-a, b) for a, b in pairs]
+    got = rf_dot(cancelling)
+    assert got.is_zero() and got.den == IntPoly.one()
+
+
+@given(st.lists(st.tuples(small_polys, small_polys), max_size=6))
+def test_rf_dot_of_polynomials_is_a_polynomial(pairs):
+    got = rf_dot([(RatFunc(a), RatFunc(b)) for a, b in pairs])
+    assert got.is_polynomial()
+    assert got.as_poly() == sum((a * b for a, b in pairs), IntPoly.zero())
+
+
+def test_rf_dot_frozen_cases():
+    zero, one = RatFunc(0), RatFunc(1)
+    qp1, qm1 = IntPoly({1: 1, 0: 1}), IntPoly({1: 1, 0: -1})
+    assert rf_dot([]) == zero
+    assert rf_dot([(zero, one), (RatFunc(Q), zero), (zero, zero)]) == zero
+    # a shared denominator that cancels: (q + 1)/(q^2 - 1) = 1/(q - 1)
+    shared = rf_dot([(RatFunc(Q, qm1 * qp1), one), (RatFunc(1, qm1 * qp1), one)])
+    assert (shared.num, shared.den) == (IntPoly.one(), qm1)
+    # coprime denominators: 1/(q + 1) + 1/(q - 1) = 2q/(q^2 - 1)
+    coprime = rf_dot([(RatFunc(1, qp1), one), (one, RatFunc(1, qm1))])
+    assert (coprime.num, coprime.den) == (IntPoly({1: 2}), qm1 * qp1)
+    # cancelling to 0 across different denominators
+    half = RatFunc(1, IntPoly(2))
+    assert rf_dot([(half, RatFunc(1, qp1)), (RatFunc(-1, qp1), half)]) == zero
+    # q/(1 - q) comes back as -q/(q - 1)
+    neg = rf_dot([(RatFunc(1), RatFunc(Q, IntPoly({1: -1, 0: 1})))])
+    assert (neg.num, neg.den) == (-Q, qm1)
 
 
 # ---------------------------------------------------------------------------

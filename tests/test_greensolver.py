@@ -7,14 +7,15 @@ entry was confirmed by multiplying the factorization back.
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
-from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps
+from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels
 from lsgreen.errors import SingularBlock
 from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
 from lsgreen.fakedegree import fake_degree, omega
 from lsgreen import greensolver
 from lsgreen.greensolver import (
-    LSDatum, closure_order, datum_from_jsonable, datum_to_jsonable, solve,
+    LSDatum, SolveState, closure_order, datum_from_jsonable, datum_to_jsonable, solve,
     verify_system,
 )
 from lsgreen.springer import SpringerSet, search
@@ -219,3 +220,52 @@ def test_cut_prefix_is_multiplied_back(monkeypatch):
     monkeypatch.setattr(greensolver, "matrix_solve", off_by_a_fraction)
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
+
+
+@pytest.mark.parametrize("classes, a", [
+    # three singletons: P(1, eps) = q^2/(q^2 - q + 1), P(eps, 0) = -1/q
+    (({Chi(0)}, {Eps}, {Chi(1)}), (2, 1, 0)),
+    # a two-character class over chi_1: P(0, 1) = P(eps, 1) = q^4/(q^2 + 1)
+    (({Chi(1)}, {Chi(0), Eps}), (3, 0)),
+], ids=("chain", "two-class"))
+def test_multiply_back_rejects_a_changed_rational_p_entry(classes, a):
+    om = omega(3, method="closed")
+    state = SolveState.start(om, 3)
+    for cls, a_c in zip(classes, a):
+        state = state.peel(frozenset(cls), a_c)
+    system = state.system()
+    state.check_columns()
+    i, j = next((i, j) for i, row in enumerate(state.P) for j, x in enumerate(row)
+                if not x.is_polynomial())
+    bad = [list(row) for row in state.P]
+    bad[i][j] = bad[i][j] + RatFunc(IntPoly.one(), IntPoly({1: 1, 0: 2}))
+    doctored = dataclasses.replace(state, P=tuple(map(tuple, bad)))
+    with pytest.raises(AssertionError, match="multiplication-back failed"):
+        doctored.check_columns()
+    assert not verify_system(
+        dataclasses.replace(system, P=PolyMatrix(state.labels, state.labels, bad)), om)
+
+
+@st.composite
+def random_data(draw):
+    """A random partition of the labels for some m <= 10 into classes, with
+    random weakly decreasing a-values in 0..m."""
+    m = draw(st.integers(min_value=3, max_value=10))
+    labels = draw(st.permutations(all_labels(m)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=len(labels) - 1),
+                               max_size=5)))
+    bounds = [0, *cuts, len(labels)]
+    classes = tuple(frozenset(labels[i:j]) for i, j in zip(bounds, bounds[1:]))
+    a = draw(st.lists(st.integers(min_value=0, max_value=m),
+                      min_size=len(classes), max_size=len(classes)))
+    return LSDatum(m, classes, tuple(sorted(a, reverse=True)))
+
+
+@given(random_data())
+def test_solve_returns_a_verified_system_or_raises_singular(datum):
+    om = omega(datum.m, method="closed")
+    try:
+        system = solve(om, datum)
+    except SingularBlock:
+        return
+    assert verify_system(system, om)
