@@ -16,16 +16,17 @@ import sys
 
 from lsgreen.errors import InvalidFSequence
 from lsgreen.springer import (
-    all_springer_sets, dominates, maximal, search, support_f_sequence,
-    validate_f_sequence,
+    SearchConfig, all_springer_sets, dominates, maximal, search,
+    support_f_sequence, validate_f_sequence,
 )
 
 max_m = int(sys.argv[1]) if len(sys.argv) > 1 else 14
+bounds = SearchConfig(max_m=max_m)
 
 total = 0
 for m in range(3, max_m + 1):
     for s in all_springer_sets(m):
-        out = search(s)
+        out = search(s, bounds=bounds)
         for hit in out.nonconforming:
             total += 1
             d = hit.datum

@@ -11,28 +11,26 @@ import json
 import sys
 import time
 
-from lsgreen.springer import (
-    all_springer_sets, dominates, iota, maximal, search,
-)
+from lsgreen.checks import search_outcome_check
+from lsgreen.springer import SearchConfig, all_springer_sets, search
 
 
 def run_sweep(min_m: int, max_m: int):
+    bounds = SearchConfig(max_m=max_m)
     rows = []
     for m in range(min_m, max_m + 1):
         t0 = time.perf_counter()
         sets = all_springer_sets(m)
         tried = hits = stray = singular = 0
         for s in sets:
-            out = search(s)
+            out = search(s, bounds=bounds)
             tried += out.tried
             hits += len(out.hits)
             stray += len(out.nonconforming)
             singular += out.rejected_singular
-            top = maximal(s)
-            assert any(h.datum == top for h in out.hits)
-            assert all(dominates(top, h.datum) for h in out.hits)
-            if iota(s) != 0:
-                assert len(out.hits) == 1
+            check = search_outcome_check(out)
+            if not check.passed:
+                raise AssertionError(f"m={m}, S={s.describe()}: {check}")
         rows.append({
             "m": m,
             "sets": len(sets),

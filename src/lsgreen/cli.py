@@ -18,10 +18,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .checks import VERIFY_CHECKS
 from .dihedral import CharLabel, format_label, irreps
 from .errors import BadSubgroup, InvalidM, LsgreenError, SearchBoundExceeded
 from .exactalg import IntPoly, PolyMatrix, RatFunc
-from .fakedegree import check_symmetry, fake_degree, omega
+# the verify checks live in checks; perfbench/selftest.py reads
+# cli.check_symmetry
+from .fakedegree import check_symmetry, fake_degree, omega  # noqa: F401
 from .greensolver import (
     ClosureOrder,
     GreenSystem,
@@ -32,13 +35,11 @@ from .greensolver import (
     solve,
 )
 from .springer import (
+    ConditionCheck,
     SearchConfig,
     SpringerSet,
     check_conditions,
-    closed_form_system,
-    enumerate_f_sequences,
     maximal,
-    predicted_partition,
     rational_smoothness,
     search,
     special_pieces,
@@ -48,7 +49,6 @@ from .sprefatlas import (
     d_sequence_formula_report,
     get_fixture,
     load_fixtures,
-    s_pref,
     s_pref_report,
     verify_spref_via_induction,
 )
@@ -96,13 +96,14 @@ def closure_to_jsonable(order: ClosureOrder) -> dict:
     }
 
 
+def _check_to_jsonable(c: ConditionCheck) -> dict:
+    return {"name": c.name, "passed": c.passed, "details": list(c.details)}
+
+
 def _conditions_to_jsonable(report) -> dict:
     return {
         "accepted": report.accepted,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "details": list(c.details)}
-            for c in report.checks
-        ],
+        "checks": [_check_to_jsonable(c) for c in report.checks],
         "class_minimizers": [
             format_label(l) if l is not None else None
             for l in report.springer_chars
@@ -527,92 +528,16 @@ def _cmd_atlas(args):
 
 def _cmd_verify(args):
     m = _need_m(args)
+    _check_m_bound(args, m, "search", SearchConfig.max_m)
     bounds = _bounds(args)
-    if m > bounds.max_m:
-        raise SearchBoundExceeded(f"m={m} exceeds the search bound {bounds.max_m}")
-    checks: list[dict] = []
-
-    def record(name: str, fn):
-        try:
-            ok, details = fn()
-        except SearchBoundExceeded:
-            raise
-        except (LsgreenError, AssertionError) as exc:
-            ok, details = False, [str(exc)]
-        checks.append({"name": name, "passed": ok, "details": details})
-
-    def _omega_both():
-        omega(m, method="both")
-        return True, []
-
-    record("pairing-matrix-cross-derivation", _omega_both)
-
-    def _symmetry():
-        bad = [format_label(c.label) for c in irreps(m) if not check_symmetry(m, c)]
-        return (not bad, bad)
-
-    record("fake-degree-symmetry", _symmetry)
-
-    def _b_matches():
-        bad = [format_label(c.label) for c in irreps(m)
-               if fake_degree(m, c.label).order() != c.b]
-        return (not bad, bad)
-
-    record("b-invariant-is-fake-degree-valuation", _b_matches)
-
-    def _spref_checks():
-        details = []
-        frep = d_sequence_formula_report(m)
-        if not frep.passed:
-            details.append("d-sequence formula check failed")
-        if not verify_spref_via_induction(m):
-            details.append("induction does not reproduce the preferred set")
-        return (not details, details)
-
-    record("preferred-set", _spref_checks)
-
-    def _search_spref():
-        details = []
-        sp = s_pref(m)
-        outcome = search(sp, bounds=bounds)
-        if not outcome.hits:
-            return False, ["no accepted correspondence for the preferred set"]
-        expect = {predicted_partition(sp, f) for f in enumerate_f_sequences(sp)}
-        got = set(outcome.data())
-        if expect != got:
-            details.append(
-                f"accepted set has {len(got)} data, predicted family has {len(expect)}"
-            )
-        top = maximal(sp)
-        if outcome.data()[0] != top:
-            details.append("dominant result is not the maximal correspondence")
-        cf = closed_form_system(sp)
-        solved = next((h.system for h in outcome.hits if h.datum == top), None)
-        if solved is not None and (cf.P != solved.P or cf.Lambda != solved.Lambda):
-            details.append("closed-form system disagrees with the solver")
-        for h in outcome.hits:
-            smooth = rational_smoothness(h.system)
-            if not (smooth.all_pieces_smooth and smooth.full_variety):
-                details.append("smoothness check failed for an accepted datum")
-                break
-        return (not details, details)
-
-    record("preferred-set-search", _search_spref)
-
-    def _atlas_m():
-        bad = [fx.name for fx in load_fixtures()
-               if fx.m == m and not atlas_check(fx).passed]
-        return (not bad, bad)
-
-    record("atlas-fixtures", _atlas_m)
-
-    passed = all(c["passed"] for c in checks)
+    checks = [check(m, bounds) for check in VERIFY_CHECKS]
+    passed = all(c.passed for c in checks)
     code = 0 if passed else 1
     if args.format == "json":
-        return code, render_json({"m": m, "passed": passed, "checks": checks})
+        return code, render_json({"m": m, "passed": passed,
+                                  "checks": [_check_to_jsonable(c) for c in checks]})
     return code, _checks_table(
-        args.format, "check",
-        [(c["name"], c["passed"], c["details"]) for c in checks],
+        args.format, "check", [(c.name, c.passed, c.details) for c in checks],
         latex_name=lambda name: name.replace("-", " "),
     )
 

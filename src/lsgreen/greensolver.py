@@ -22,9 +22,9 @@ from which
 One peel is one step of :class:`SolveState`, which is never changed in
 place: a state depends only on the classes peeled so far, so the search
 extends one state by every class that may come next.  The Y rows of a
-class are kept only while that class is solved, and the full product
-P Lambda P^t is re-multiplied and compared with omega before any system is
-returned.
+class are kept only while that class is solved.  One routine multiplies
+P Lambda P^t back against omega, in every column before any system is
+returned and in the solved columns when the search cuts a prefix.
 
 Nothing here assumes the datum has the shape predicted by the
 classification of correspondences; wild candidates are either solved or
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
-from .exactalg import RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, rf_dot
+from .exactalg import RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_gcd, rf_dot
 
 __all__ = [
     "LSDatum",
@@ -202,12 +202,14 @@ def _gamma(m: int) -> IntPoly:
 
 
 def _div_by_poly(x: RatFunc, d: IntPoly) -> RatFunc:
-    """x / d with a fast exact path when x is a polynomial multiple of d."""
+    """x / d for a monic d, in lowest terms: x is reduced, so only
+    g = gcd(num, d) can cancel, and x / d = (num/g) / (den * d/g)."""
     if x.is_polynomial():
         quo, rem = x.num.divmod(d)
         if rem.is_zero():
             return RatFunc(quo, IntPoly(1), _normalized=True)
-    return x / RatFunc(d)
+    g = poly_gcd(x.num, d)
+    return RatFunc(x.num // g, x.den * (d // g), _normalized=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,27 +337,11 @@ class SolveState:
     def check_columns(self) -> None:
         """Multiply P Lambda P^t back in the columns of the solved
         characters and compare with omega; a difference raises
-        AssertionError.  P is block lower-triangular and Lambda
-        block-diagonal, so those columns involve only the P columns and
-        Lambda blocks already solved, which no later class changes."""
-        unsolved = set(self.unsolved)
-        solved = [i for i in range(len(self.labels)) if i not in unsolved]
-        block = {}
-        for cls in self.classes:
-            idx = [self.pos[l] for l in cls]
-            for i in idx:
-                block[i] = idx
-        P, L = self.P, self.L
-        for r, label in enumerate(self.labels):
-            # (P Lambda)[r, t] over the solved t
-            pl = {t: rf_dot((P[r][s], L[s][t]) for s in block[t]) for t in solved}
-            for c in solved:
-                acc = rf_dot((pl[t], P[c][t]) for t in solved)
-                if acc != self.omega.get(label, self.labels[c]):
-                    raise AssertionError(
-                        "multiplication-back failed: P Lambda P^t != omega "
-                        "in the solved columns"
-                    )
+        AssertionError.  No later class changes those columns."""
+        solved = [i for i in range(len(self.labels)) if i not in self.unsolved]
+        if not _multiplies_back(self.P, self.L, self.omega, self.labels, solved):
+            raise AssertionError("multiplication-back failed: P Lambda P^t != omega "
+                                 "in the solved columns")
 
     def system(self) -> GreenSystem:
         """The solved system, once the classes partition the labels (else
@@ -387,11 +373,28 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
     return state.system()
 
 
+def _multiplies_back(P, L, omega: PolyMatrix, labels, cols) -> bool:
+    """Whether (P Lambda P^t)[r, c] = omega[r, c] for every row r and every
+    column c in ``cols``, P and Lambda dense over the positions of
+    ``labels``.  Both inner indices run over ``cols``: on the solved
+    characters that is exact, as P[c][t] = Lambda[t][c] = 0 for a solved c
+    and an unsolved t.  Reads P, Lambda and omega only."""
+    lam = [[L[s][t] for s in cols] for t in cols]  # the columns of Lambda
+    pt = [[P[c][t] for t in cols] for c in cols]   # the rows of P
+    for r, row in enumerate(P):
+        pl = [rf_dot(zip([row[s] for s in cols], col)) for col in lam]
+        for c, pc in zip(cols, pt):
+            if rf_dot(zip(pl, pc)) != omega.get(labels[r], labels[c]):
+                return False
+    return True
+
+
 def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
     """Multiply P Lambda P^t back out and compare with omega."""
-    prod = system.P.mul(system.Lambda).mul(system.P.transpose())
-    target = omega.submatrix(prod.rows, prod.cols)
-    return prod == target
+    P, L = system.P, system.Lambda
+    if not P.rows == P.cols == L.rows == L.cols:
+        raise ValueError("P and Lambda must share one label order")
+    return _multiplies_back(P.data, L.data, omega, P.rows, range(len(P.rows)))
 
 
 # ---------------------------------------------------------------------------

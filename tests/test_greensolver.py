@@ -5,6 +5,7 @@ small enough to solve by hand from the pairing matrix, and each frozen
 entry was confirmed by multiplying the factorization back.
 """
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +16,8 @@ from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
 from lsgreen.fakedegree import fake_degree, omega
 from lsgreen import greensolver
 from lsgreen.greensolver import (
-    LSDatum, SolveState, closure_order, datum_from_jsonable, datum_to_jsonable, solve,
-    verify_system,
+    GreenSystem, LSDatum, SolveState, closure_order, datum_from_jsonable,
+    datum_to_jsonable, solve, verify_system,
 )
 from lsgreen.springer import SpringerSet, search
 
@@ -246,6 +247,25 @@ def test_multiply_back_rejects_a_changed_rational_p_entry(classes, a):
         dataclasses.replace(system, P=PolyMatrix(state.labels, state.labels, bad)), om)
 
 
+# factors of q^m - 1 and of q^(2a), and two that divide neither
+DIV_FACTORS = tuple(map(IntPoly, (
+    {1: 1, 0: -1}, {1: 1, 0: 1}, {2: 1, 1: 1, 0: 1}, {2: 1, 0: 1}, {2: 1, 1: -1, 0: 1},
+    {1: 1}, {1: 2, 0: 3}, {2: 1, 0: -3},
+)))
+products = st.lists(st.sampled_from(DIV_FACTORS), max_size=4).map(
+    lambda fs: functools.reduce(lambda x, y: x * y, fs, IntPoly.one()))
+
+
+@given(products, products, st.integers(min_value=-3, max_value=3).filter(bool),
+       st.one_of(st.integers(min_value=1, max_value=12).map(lambda m: IntPoly({m: 1, 0: -1})),
+                 st.integers(min_value=0, max_value=6).map(IntPoly.q)))
+def test_div_by_poly_is_the_quotient_in_lowest_terms(num, den, c, d):
+    x = RatFunc(num * c, den)
+    got = greensolver._div_by_poly(x, d)
+    want = x / RatFunc(d)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
 @st.composite
 def random_data(draw):
     """A random partition of the labels for some m <= 10 into classes, with
@@ -269,3 +289,48 @@ def test_solve_returns_a_verified_system_or_raises_singular(datum):
     except SingularBlock:
         return
     assert verify_system(system, om)
+
+
+@given(random_data(), st.data())
+def test_multiply_back_agrees_with_the_dense_product(datum, data):
+    # peel some classes, change one entry of P or Lambda in the solved
+    # columns (or leave it), and compare check_columns -- and, once every
+    # class is solved, verify_system -- with the dense product
+    om = omega(datum.m, method="closed")
+    k = data.draw(st.integers(min_value=1, max_value=len(datum.classes)))
+    state = SolveState.start(om, datum.m)
+    try:
+        for cls, a_c in zip(datum.classes[:k], datum.a[:k]):
+            state = state.peel(cls, a_c)
+    except SingularBlock:
+        return
+    labels, n = state.labels, len(state.labels)
+    solved = [i for i in range(n) if i not in state.unsolved]
+    where = data.draw(st.sampled_from(("P", "Lambda", "Lambda off the blocks")))
+    i = data.draw(st.sampled_from(range(n) if where == "P" else solved))
+    j = data.draw(st.sampled_from(solved))
+    if where == "Lambda off the blocks":
+        outside = [t for t in solved if datum.class_of(labels[t]) != datum.class_of(labels[i])]
+        if not outside:
+            return
+        j = data.draw(st.sampled_from(outside))
+    delta = data.draw(st.sampled_from((RatFunc(0), RatFunc(1), RatFunc(1, IntPoly({1: 1, 0: 2})))))
+    rows = [list(row) for row in (state.P if where == "P" else state.L)]
+    rows[i][j] = rows[i][j] + delta
+    rows = tuple(map(tuple, rows))
+    doctored = dataclasses.replace(state, **{"P" if where == "P" else "L": rows})
+    p = PolyMatrix(labels, labels, doctored.P)
+    lam = PolyMatrix(labels, labels, doctored.L)
+    prod = p.mul(lam).mul(p.transpose())
+    dense_ok = all(prod.get(r, labels[c]) == om.get(r, labels[c])
+                   for r in labels for c in solved)
+    if where != "P":  # P is invertible, so every change of Lambda shows
+        assert dense_ok == (delta == RatFunc(0))
+    try:
+        doctored.check_columns()
+        checked = True
+    except AssertionError:
+        checked = False
+    assert checked == dense_ok
+    if k == len(datum.classes):
+        assert verify_system(GreenSystem(datum, p, lam), om) == dense_ok
