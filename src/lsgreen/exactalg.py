@@ -18,6 +18,10 @@ Four layers, all exact (no floating point anywhere):
   Each entry of a product is one :func:`rf_dot`, and so is the sum each
   unknown of a solution is read from.
 
+Over Z[q] alone, :func:`poly_dot` sums products of polynomials and
+:func:`poly_solve` solves a block by the same Bareiss elimination as
+:func:`matrix_solve`, finished by exact division, with no fraction at all.
+
 The polynomial variable is called ``q`` in printed output.
 
 >>> p = IntPoly({4: 1, 3: 1, 1: -1, 0: -1})
@@ -51,9 +55,11 @@ __all__ = [
     "poly_gcd",
     "poly_lcm",
     "rf_dot",
+    "poly_dot",
     "euler_phi",
     "cyclotomic_polynomial",
     "matrix_solve",
+    "poly_solve",
 ]
 
 
@@ -230,22 +236,24 @@ class IntPoly:
         dlead = other.degree()
         clead = other.c[dlead]
         oitems = list(other.c.items())
-        while rem:
-            e = max(rem)
-            if e < dlead:
-                break
-            v = rem[e]
+        # a step at exponent e changes only exponents <= e, so one walk
+        # down from the top degree meets every leading term in turn
+        for e in range(max(rem, default=-1), dlead - 1, -1):
+            v = rem.get(e)
+            if v is None:
+                continue
             if v % clead:
                 raise NotDivisible(f"coefficient {v} not divisible by {clead}")
             f = v // clead
-            quot[e - dlead] = f
+            s = e - dlead
+            quot[s] = f
             for eo, vo in oitems:
-                ee = e - dlead + eo
+                ee = s + eo
                 w = rem.get(ee, 0) - f * vo
                 if w:
                     rem[ee] = w
-                elif ee in rem:
-                    del rem[ee]
+                else:
+                    rem.pop(ee, None)
         return IntPoly._new(quot), IntPoly._new(rem)
 
     def __floordiv__(self, other: "IntPoly") -> "IntPoly":
@@ -327,20 +335,21 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     lead = b.leading_coeff()
     rem = dict((a * lead ** (da - db + 1)).c)
     bitems = list(b.c.items())
-    while rem:
-        e = max(rem)
-        if e < db:
-            break
-        f = rem[e] // lead  # exact by construction of the pseudo-remainder
-        if rem[e] != f * lead:
-            raise NotDivisible(f"pseudo-remainder step: {rem[e]} by {lead}")
+    for e in range(da, db - 1, -1):  # one walk down, as in IntPoly.divmod
+        v = rem.get(e)
+        if v is None:
+            continue
+        f = v // lead  # exact by construction of the pseudo-remainder
+        if v != f * lead:
+            raise NotDivisible(f"pseudo-remainder step: {v} by {lead}")
+        s = e - db
         for eo, vo in bitems:
-            ee = e - db + eo
+            ee = s + eo
             w = rem.get(ee, 0) - f * vo
             if w:
                 rem[ee] = w
-            elif ee in rem:
-                del rem[ee]
+            else:
+                rem.pop(ee, None)
     return IntPoly._new(rem)
 
 
@@ -900,6 +909,37 @@ class PolyMatrix:
 # exact linear solving
 # ---------------------------------------------------------------------------
 
+def _bareiss(mat: list[list[IntPoly]], k: int, labels: Sequence | None = None) -> None:
+    """Fraction-free (Bareiss) elimination, in place, on the first k
+    columns of the k rows of ``mat``; the columns after them are carried
+    along.  Every division is exact, and the last pivot ``mat[k-1][k-1]``
+    is the determinant of the row-permuted k x k block.  A column without
+    a pivot raises SingularBlock (naming ``labels[i]`` when given)."""
+    width = len(mat[0]) if mat else 0
+    prev = _ONE
+    for i in range(k):
+        piv = next((j for j in range(i, k) if mat[j][i].c), None)
+        if piv is None:
+            where = f" (labels {labels[i]!r})" if labels is not None else ""
+            raise SingularBlock(f"no pivot in column {i}{where}")
+        if piv != i:
+            mat[i], mat[piv] = mat[piv], mat[i]
+        pivot = mat[i][i]
+        for j in range(i + 1, k):
+            head = mat[j][i]
+            row_j = mat[j]
+            row_i = mat[i]
+            if head.is_zero():
+                for l in range(i + 1, width):
+                    if row_j[l].c:
+                        row_j[l] = (row_j[l] * pivot) // prev
+            else:
+                for l in range(i + 1, width):
+                    row_j[l] = (row_j[l] * pivot - head * row_i[l]) // prev
+            row_j[i] = _ZERO
+        prev = pivot
+
+
 def matrix_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Solve X * A = B exactly over the field of rational functions.
 
@@ -907,11 +947,12 @@ def matrix_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     result X carries B's row labels and A's row labels as columns.  Strategy:
     clear all denominators with a single scalar multiple s (X*(A*s) = B*s has
     the same solution; each entry n/d becomes n * (s/d), with no gcd), run
-    fraction-free Bareiss elimination on the transposed augmented system,
-    and back-substitute: the sum rhs_i - sum_l u_il x_l of each unknown is
-    one :func:`rf_dot`, divided by the pivot u_ii.  A singular A raises
-    SingularBlock.  X*A is not multiplied back here: the caller does that
-    (:func:`lsgreen.greensolver.solve` checks the whole system it builds).
+    fraction-free Bareiss elimination (:func:`_bareiss`) on the transposed
+    augmented system, and back-substitute: the sum rhs_i - sum_l u_il x_l
+    of each unknown is one :func:`rf_dot`, divided by the pivot u_ii.  A
+    singular A raises SingularBlock.  X*A is not multiplied back here: the
+    caller does that (:func:`lsgreen.greensolver.solve` checks the whole
+    system it builds).
     """
     if len(a.rows) != len(a.cols):
         raise ValueError("coefficient block is not square")
@@ -938,29 +979,7 @@ def matrix_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         [a2[c][r] for c in range(k)] + [b2[r2][r] for r2 in range(nrhs)]
         for r in range(k)
     ]
-    width = k + nrhs
-
-    prev = _ONE
-    for i in range(k):
-        piv = next((j for j in range(i, k) if not mat[j][i].is_zero()), None)
-        if piv is None:
-            raise SingularBlock(f"no pivot in column {i} (labels {a.rows[i]!r})")
-        if piv != i:
-            mat[i], mat[piv] = mat[piv], mat[i]
-        pivot = mat[i][i]
-        for j in range(i + 1, k):
-            head = mat[j][i]
-            row_j = mat[j]
-            row_i = mat[i]
-            if head.is_zero():
-                for l in range(i + 1, width):
-                    if row_j[l].c:
-                        row_j[l] = (row_j[l] * pivot) // prev
-            else:
-                for l in range(i + 1, width):
-                    row_j[l] = (row_j[l] * pivot - head * row_i[l]) // prev
-            row_j[i] = _ZERO
-        prev = pivot
+    _bareiss(mat, k, a.rows)
 
     # back substitution, one rhs column at a time, over rational functions
     xcols: list[list[RatFunc]] = []
@@ -974,3 +993,90 @@ def matrix_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         xcols.append(x)
 
     return PolyMatrix(b.rows, a.rows, xcols)
+
+
+# ---------------------------------------------------------------------------
+# solving over Z[q]
+# ---------------------------------------------------------------------------
+
+def poly_dot(pairs: Iterable[tuple[IntPoly, IntPoly]]) -> IntPoly:
+    """The sum of a*b over the (a, b) pairs of polynomials, added
+    coefficient by coefficient into one dict; pairs with a zero factor
+    cost one test."""
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        ac, bc = a.c, b.c
+        if ac and bc:
+            for ea, va in ac.items():
+                for eb, vb in bc.items():
+                    e = ea + eb
+                    acc[e] = acc.get(e, 0) + va * vb
+    return IntPoly._new({e: v for e, v in acc.items() if v})
+
+
+def _exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly | None:
+    """num / den when it lies in Z[q], else None."""
+    try:
+        quo, rem = num.divmod(den)
+    except NotDivisible:
+        return None
+    return None if rem.c else quo
+
+
+def poly_solve(a: Sequence[Sequence[IntPoly]], b: Sequence[Sequence[IntPoly]]
+               ) -> tuple[IntPoly, list[list[IntPoly]], bool]:
+    """Solve X * A = B over Z[q] for a square A, X wanted in N[q].
+
+    Bareiss elimination (:func:`_bareiss`, shared with
+    :func:`matrix_solve`) runs on the transposed augmented system over
+    Z[q]; a singular A raises SingularBlock.  Back-substitution divides
+    each unknown's sum by its pivot exactly.  Returns ``(delta, rows,
+    cut)`` with delta the last pivot (the determinant of the row-permuted
+    A):
+
+    * ``cut`` False: every entry of X has nonnegative integer coefficients,
+      and ``rows`` is X;
+    * ``cut`` True: some division left a remainder or a fractional
+      coefficient, or an entry has a negative coefficient.  The
+      back-substitution stops at the first such entry, and ``rows`` is
+      delta * X, the fraction-free numerators (in Z[q] by Cramer's rule),
+      built only now.
+
+    >>> one, q = IntPoly(1), IntPoly({1: 1})
+    >>> delta, rows, cut = poly_solve([[q, one], [one, q]], [[q * q + one, q + q]])
+    >>> cut, [str(x) for x in rows[0]]
+    (False, ['q', '1'])
+    >>> poly_solve([[q + q]], [[q]])[1:]
+    ([[IntPoly({1: 1})]], True)
+    """
+    k, nrhs = len(a), len(b)
+    mat = [[a[c][r] for c in range(k)] + [b[r2][r] for r2 in range(nrhs)]
+           for r in range(k)]
+    _bareiss(mat, k)
+    delta = mat[k - 1][k - 1]
+    rows: list[list[IntPoly]] = []
+    for r2 in range(nrhs):
+        x = [_ZERO] * k
+        for i in range(k - 1, -1, -1):
+            row = mat[i]
+            num = row[k + r2] - poly_dot((row[l], x[l]) for l in range(i + 1, k))
+            xi = _exact_quotient(num, row[i])
+            if xi is None or any(v < 0 for v in xi.c.values()):
+                return delta, _numerators(mat, k, delta), True
+            x[i] = xi
+        rows.append(x)
+    return delta, rows, False
+
+
+def _numerators(mat: list[list[IntPoly]], k: int, delta: IntPoly) -> list[list[IntPoly]]:
+    """delta * X from an eliminated system: the same back-substitution on
+    delta times the right-hand sides, every division exact in Z[q]."""
+    rows = []
+    for r2 in range(len(mat[0]) - k):
+        y = [_ZERO] * k
+        for i in range(k - 1, -1, -1):
+            row = mat[i]
+            num = delta * row[k + r2] - poly_dot((row[l], y[l]) for l in range(i + 1, k))
+            y[i] = num // row[i]
+        rows.append(y)
+    return rows

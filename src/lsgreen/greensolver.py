@@ -19,12 +19,21 @@ from which
     Lambda_C   = q^(-2 a_C) M_{C,C},
     P-rows     : X . Y^C_{C,C} = q^(a_C) Y^C_{chi,C}.
 
-One peel is one step of :class:`SolveState`, which is never changed in
-place: a state depends only on the classes peeled so far, so the search
-extends one state by every class that may come next.  The Y rows of a
-class are kept only while that class is solved.  One routine multiplies
-P Lambda P^t back against omega, in every column before any system is
-returned and in the solved columns when the search cuts a prefix.
+One peel is one step of a state that is never changed in place: a state
+depends only on the classes peeled so far, so the search extends one state
+by every class that may come next.  There are two kinds of state.
+
+* :class:`SolveState`, over Q(q), is :func:`solve`'s, for any datum: it
+  divides by q^m - 1, keeps the Y rows of a class only while that class is
+  solved, and :func:`verify_system` multiplies the whole system back
+  before it is returned.
+* :class:`IntegralState`, over Z[q], is the search's.  The search extends
+  only prefixes whose P and Lambda are polynomials, so the residual stays
+  in Z[q] and the P rows solve X . M_CC = q^(a_C) M_{chi,C}
+  (:func:`poly_solve`: Bareiss, then exact division; the first remainder
+  or negative coefficient cuts the prefix).  Each peel multiplies back the
+  columns of its class, in Z[q], and a cut class is multiplied back
+  scaled by delta q^(2 a_C) before it is dropped.  No gcd is taken.
 
 Nothing here assumes the datum has the shape predicted by the
 classification of correspondences; wild candidates are either solved or
@@ -37,13 +46,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
-from .exactalg import RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_gcd, rf_dot
+from .exactalg import (
+    RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_gcd, poly_solve, rf_dot,
+)
 
 __all__ = [
     "LSDatum",
     "GreenSystem",
     "ClosureOrder",
     "SolveState",
+    "IntegralState",
     "solve",
     "closure_order",
     "verify_system",
@@ -220,9 +232,9 @@ class SolveState:
     entries found non-polynomial.  Matrices are dense over the canonical
     label positions (``pos``); rows of M outside ``unsolved`` are stale.
 
-    :meth:`peel` returns a new state and leaves this one as it was, so one
-    state can be extended by several next classes: the search solves each
-    class-list prefix once this way, and :func:`solve` peels one datum."""
+    :meth:`peel` returns a new state and leaves this one as it was.
+    :func:`solve` peels one datum this way, over Q(q); the search peels
+    :class:`IntegralState` instead."""
 
     omega: PolyMatrix
     m: int
@@ -327,22 +339,6 @@ class SolveState:
             nonpolynomial_y=tuple(nonpoly),
         )
 
-    def last_block(self) -> tuple[list[RatFunc], list[RatFunc]]:
-        """The entries the last peel made final: the Lambda block of the
-        class, and the P entries of every unsolved row over it."""
-        idx = [self.pos[l] for l in self.classes[-1]]
-        return ([self.L[i][j] for i in idx for j in idx],
-                [self.P[r][j] for r in self.unsolved for j in idx])
-
-    def check_columns(self) -> None:
-        """Multiply P Lambda P^t back in the columns of the solved
-        characters and compare with omega; a difference raises
-        AssertionError.  No later class changes those columns."""
-        solved = [i for i in range(len(self.labels)) if i not in self.unsolved]
-        if not _multiplies_back(self.P, self.L, self.omega, self.labels, solved):
-            raise AssertionError("multiplication-back failed: P Lambda P^t != omega "
-                                 "in the solved columns")
-
     def system(self) -> GreenSystem:
         """The solved system, once the classes partition the labels (else
         ValueError), multiplied back against omega: a product that differs
@@ -373,28 +369,218 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
     return state.system()
 
 
-def _multiplies_back(P, L, omega: PolyMatrix, labels, cols) -> bool:
-    """Whether (P Lambda P^t)[r, c] = omega[r, c] for every row r and every
-    column c in ``cols``, P and Lambda dense over the positions of
-    ``labels``.  Both inner indices run over ``cols``: on the solved
-    characters that is exact, as P[c][t] = Lambda[t][c] = 0 for a solved c
-    and an unsolved t.  Reads P, Lambda and omega only."""
-    lam = [[L[s][t] for s in cols] for t in cols]  # the columns of Lambda
-    pt = [[P[c][t] for t in cols] for c in cols]   # the rows of P
-    for r, row in enumerate(P):
-        pl = [rf_dot(zip([row[s] for s in cols], col)) for col in lam]
-        for c, pc in zip(cols, pt):
-            if rf_dot(zip(pl, pc)) != omega.get(labels[r], labels[c]):
-                return False
-    return True
+def _rf(p: IntPoly) -> RatFunc:
+    return RatFunc(p, IntPoly.one(), _normalized=True) if p.c else RF_ZERO
+
+
+def _q_divides(p: IntPoly, k: int) -> bool:
+    """Whether q^k divides p."""
+    return all(e >= k for e in p.c)
+
+
+def _gamma_divides(p: IntPoly, m: int) -> bool:
+    """Whether q^m - 1 divides p: p mod (q^m - 1) folds each exponent to
+    its residue mod m."""
+    fold: dict[int, int] = {}
+    for e, v in p.c.items():
+        fold[e % m] = fold.get(e % m, 0) + v
+    return not any(fold.values())
+
+
+@dataclass(frozen=True, eq=False)
+class IntegralState:
+    """The search's class-by-class solve over Z[q].
+
+    The search keeps a prefix only while P and Lambda are polynomials with
+    P nonnegative (condition (4)), so every state it extends is integral
+    and so is its residual M.  The P rows over a class C solve
+    X . M_CC = q^(a_C) M_{chi,C} -- the Y equation times q^m - 1 -- by
+    :func:`poly_solve`, and Lambda_C = q^(-2 a_C) M_CC is an exact shift.
+    :meth:`peel` returns None at a cut: a block division with a remainder,
+    a negative P coefficient or a Lambda_C that q^(2 a_C) does not divide.
+    The search's top class has a = 0 and no rows above it, so it is never
+    cut.  A Y entry M/(q^m - 1) is non-polynomial exactly when q^m - 1 does
+    not divide M.
+
+    Every peel multiplies P Lambda P^t back in the columns it makes final:
+    an integral one by :meth:`check_class` on the new state, a cut one by
+    :meth:`certify`, scaled into Z[q].  Each column is final once its class
+    is peeled, so along a path the checks cover every entry of the product
+    once, a full datum needs no second pass, and no cut prunes unchecked.
+    Fields as in :class:`SolveState`, entries :class:`IntPoly`; ``solved``
+    lists the peeled positions in order."""
+
+    m: int
+    labels: tuple[CharLabel, ...]
+    pos: dict[CharLabel, int]
+    omega: tuple[tuple[IntPoly, ...], ...]
+    classes: tuple[frozenset[CharLabel], ...]
+    a: tuple[int, ...]
+    M: tuple[tuple[IntPoly, ...], ...]
+    P: tuple[tuple[IntPoly, ...], ...]
+    L: tuple[tuple[IntPoly, ...], ...]
+    unsolved: tuple[int, ...]
+    solved: tuple[int, ...] = ()
+    nonpolynomial_y: tuple[tuple[int, CharLabel, CharLabel], ...] = ()
+
+    @staticmethod
+    def start(omega: PolyMatrix, m: int) -> "IntegralState":
+        """The state before any class is peeled: M = omega, which must be
+        polynomial (NotPolynomial otherwise)."""
+        labels = tuple(all_labels(m))
+        if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):
+            raise ValueError("omega labels do not match the character labels for this m")
+        n = len(labels)
+        om = tuple(tuple(omega.get(r, c).as_poly() for c in labels) for r in labels)
+        zero = ((IntPoly.zero(),) * n,) * n
+        return IntegralState(m, labels, {l: i for i, l in enumerate(labels)}, om,
+                             (), (), om, zero, zero, tuple(range(n)))
+
+    def block(self, cls: frozenset[CharLabel], a_c: int):
+        """The next class's Z[q] block solve: ``(midx, delta, rows, cut)``
+        with ``midx`` the member positions (sorted), and ``delta``,
+        ``rows`` (over the unsolved rows above C, in order) and ``cut`` as
+        :func:`poly_solve` returns them; a Lambda_C that q^(2 a_C) does not
+        divide is a cut too, with rows = delta X.  With no row above C,
+        delta = 1.  Raises SingularBlock for a singular M_CC."""
+        midx = [self.pos[l] for l in sorted(cls, key=label_sort_key)]
+        M = self.M
+        above = [i for i in self.unsolved if i not in midx]
+        delta, rows, cut = IntPoly.one(), [], False
+        if above:
+            mcc = [[M[i][j] for j in midx] for i in midx]
+            rhs = [[M[i][j].shift(a_c) for j in midx] for i in above]
+            delta, rows, cut = poly_solve(mcc, rhs)
+        if not cut and not all(_q_divides(M[i][j], 2 * a_c) for i in midx for j in midx):
+            rows, cut = [[delta * x for x in row] for row in rows], True
+        return midx, delta, rows, cut
+
+    def peel(self, cls: frozenset[CharLabel], a_c: int) -> "IntegralState | None":
+        """The state with the next class solved, multiplied back in its
+        columns; or None at a cut, once :meth:`certify` has multiplied the
+        cut block back.  A wrong block raises AssertionError, a singular
+        M_CC SingularBlock."""
+        midx, delta, rows, cut = self.block(cls, a_c)
+        if cut:
+            self.certify(midx, a_c, delta, rows)
+            return None
+        M, labels, ci = self.M, self.labels, len(self.classes)
+        nonpoly = list(self.nonpolynomial_y)
+        if ci > 0:
+            for i in self.unsolved:
+                for j in midx:
+                    if not _gamma_divides(M[i][j], self.m):
+                        nonpoly.append((ci, labels[i], labels[j]))
+        lam = {(i, j): IntPoly({e - 2 * a_c: v for e, v in M[i][j].c.items()})
+               for i in midx for j in midx}
+        L, P = list(self.L), list(self.P)
+        for i in midx:
+            L[i] = tuple(lam.get((i, j), x) for j, x in enumerate(L[i]))
+            row = list(P[i])
+            row[i] = IntPoly.q(a_c)
+            P[i] = tuple(row)
+        above = [i for i in self.unsolved if i not in midx]
+        for i, x in zip(above, rows):
+            row = list(P[i])
+            for j, v in zip(midx, x):
+                row[j] = v
+            P[i] = tuple(row)
+        state = replace(
+            self, classes=self.classes + (frozenset(cls),), a=self.a + (a_c,),
+            P=tuple(P), L=tuple(L), unsolved=tuple(above),
+            solved=self.solved + tuple(midx), nonpolynomial_y=tuple(nonpoly),
+        )
+        state.check_class()
+        if not above:
+            return state
+        # residual among the rows above C: M -= P_{.,C} Lambda_C P_{.,C}^t
+        lam_cols = [[lam[i, j] for i in midx] for j in midx]
+        half = {i: [poly_dot(zip(x, col)) for col in lam_cols] for i, x in zip(above, rows)}
+        xs = dict(zip(above, rows))
+        M2 = list(M)
+        new = {i: list(M[i]) for i in above}
+        for ii, i in enumerate(above):
+            hi = half[i]
+            for j in above[ii:]:
+                acc = poly_dot(zip(hi, xs[j]))
+                if acc.c:
+                    new[i][j] = new[i][j] - acc
+                    if j != i:
+                        new[j][i] = new[j][i] - acc
+        for i in above:
+            M2[i] = tuple(new[i])
+        return replace(state, M=tuple(M2))
+
+    def _products(self, c: int) -> list[IntPoly]:
+        """(P Lambda P^t)[r, c] for every row r, with Lambda P^t contracted
+        for column c first.  Inner indices run over the solved positions,
+        which is exact for a solved c: P[c][t] and Lambda[s][t] vanish for
+        an unsolved t.  Reads P and Lambda only."""
+        P, L, S = self.P, self.L, self.solved
+        pc = P[c]
+        w = [poly_dot((L[s][t], pc[t]) for t in S) for s in S]
+        return [poly_dot(zip([row[s] for s in S], w)) for row in P]
+
+    def check_class(self) -> None:
+        """Multiply P Lambda P^t back in the columns of the last class and
+        compare with omega in Z[q]; a difference raises AssertionError."""
+        for c in (self.pos[l] for l in self.classes[-1]):
+            if self._products(c) != [row[c] for row in self.omega]:
+                raise AssertionError("multiplication-back failed: P Lambda P^t "
+                                     "!= omega in the columns of the last class")
+
+    def certify(self, midx, a_c: int, delta: IntPoly, rows) -> None:
+        """Multiply back the columns of a cut class before the search
+        drops it.  Its P rows above it are rows / delta and its Lambda
+        block is M_CC / q^(2 a_C), so each entry of the columns is
+        compared times delta q^(2 a_C), in Z[q]: for every row r and c in
+        C,
+
+            delta q^(2a) ((P Lambda P^t)[r, c] over the solved positions
+                          - omega[r, c])
+              + q^a sum_{s in C} D[r, s] M[s, c] = 0,
+
+        with D = rows over the rows above C, delta q^a on the diagonal of
+        C and 0 on the solved rows.  A difference raises AssertionError."""
+        qa, scale = IntPoly.q(a_c), delta.shift(2 * a_c)
+        d = dict(zip([i for i in self.unsolved if i not in midx], rows))
+        for t, i in enumerate(midx):
+            d[i] = [delta.shift(a_c) if u == t else IntPoly.zero() for u in range(len(midx))]
+        for c in midx:
+            mc = [self.M[s][c] for s in midx]
+            for r, prod in enumerate(self._products(c)):
+                own = poly_dot(zip(d[r], mc)) if r in d else IntPoly.zero()
+                if poly_dot(((scale, prod - self.omega[r][c]), (qa, own))).c:
+                    raise AssertionError("multiplication-back failed: P Lambda P^t "
+                                         "!= omega in the columns of a cut class")
+
+    def system(self) -> GreenSystem:
+        """The solved system, once the classes partition the labels (else
+        ValueError).  Every column was multiplied back when its class was
+        peeled, so nothing is checked here."""
+        labels = self.labels
+        return GreenSystem(
+            LSDatum(self.m, self.classes, self.a),
+            PolyMatrix(labels, labels, [[_rf(x) for x in row] for row in self.P]),
+            PolyMatrix(labels, labels, [[_rf(x) for x in row] for row in self.L]),
+            self.nonpolynomial_y,
+        )
 
 
 def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
-    """Multiply P Lambda P^t back out and compare with omega."""
+    """Multiply P Lambda P^t back out and compare with omega: each entry is
+    one :func:`rf_dot` of a row of P Lambda and a row of P.  Reads P,
+    Lambda and omega only."""
     P, L = system.P, system.Lambda
     if not P.rows == P.cols == L.rows == L.cols:
         raise ValueError("P and Lambda must share one label order")
-    return _multiplies_back(P.data, L.data, omega, P.rows, range(len(P.rows)))
+    lam = list(zip(*L.data))  # the columns of Lambda
+    for r, row in zip(P.rows, P.data):
+        pl = [rf_dot(zip(row, col)) for col in lam]
+        for c, pc in zip(P.rows, P.data):
+            if rf_dot(zip(pl, pc)) != omega.get(r, c):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,9 @@ from .dihedral import (
 )
 from .errors import InvalidFSequence, InvalidM, SearchBoundExceeded, SingularBlock
 from .exactalg import IntPoly, PolyMatrix, RatFunc
-# search peels SolveState itself and never calls solve; perfbench/selftest.py
-# reads springer.solve
-from .greensolver import GreenSystem, LSDatum, SolveState, solve  # noqa: F401
+# search peels IntegralState itself and never calls solve; the benchmark's
+# self-test reads springer.solve
+from .greensolver import GreenSystem, IntegralState, LSDatum, solve  # noqa: F401
 
 __all__ = [
     "SpringerSet",
@@ -855,16 +855,6 @@ class SearchOutcome:
         return tuple(h.datum for h in self.hits)
 
 
-def _integral(state: SolveState) -> bool:
-    """Condition (4) on the entries the last peel made final: the class's
-    Lambda block polynomial, and the P entries above it polynomial with
-    nonnegative coefficients."""
-    lam, p = state.last_block()
-    return (all(v.is_polynomial() for v in lam)
-            and all(v.is_polynomial() and all(c >= 0 for c in v.num.c.values())
-                    for v in p))
-
-
 def search(springer: SpringerSet, *, family_filter: bool = True,
            bounds: SearchConfig | None = None) -> SearchOutcome:
     """Solve every candidate of the Springer set, keep those passing all
@@ -880,14 +870,17 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     The data of :func:`enumerate_candidate_data` come depth-first over
     their class lists, and each is solved from the longest prefix it
     shares with the one before: ``path`` holds the states of that prefix,
-    one :meth:`SolveState.peel` per class, so each prefix is solved once.
-    A class fixes its Lambda block and the P entries above it, so a prefix
-    whose last class fails condition (4) is cut, after the columns of omega
-    it fixes have been multiplied back; the candidates under it count as
-    ``pruned``.  A singular Y block counts the candidates of its prefix in
-    ``rejected_singular``.  A full datum runs as :func:`greensolver.solve`
-    would: one multiply-back of the whole system, then all five conditions.
-    ``bounds`` defaults to ``SearchConfig()``."""
+    one :meth:`IntegralState.peel` per class, so each prefix is solved once,
+    over Z[q].  A class fixes its Lambda block and the P entries above it,
+    so a prefix whose last class fails condition (4) -- a block division
+    with a remainder or a negative P coefficient -- is cut, after the
+    columns of omega it fixes have been multiplied back, scaled into Z[q];
+    the candidates under it count as ``pruned``.  A singular block counts
+    the candidates of its prefix in ``rejected_singular``.  Every peel that
+    is not cut multiplies back the columns of its class, so a full datum
+    has been checked in every column when it reaches the five conditions;
+    its P and Lambda equal :func:`greensolver.solve`'s.  ``bounds``
+    defaults to ``SearchConfig()``."""
     s, swapped = springer.normalized()
     data = enumerate_candidate_data(s, family_filter=family_filter, bounds=bounds)
     om = fakedegree.omega(s.m, method="closed")
@@ -895,10 +888,10 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     stray: list[SearchHit] = []
     counts = {"solved": 0, "pruned": 0, "singular": 0}
     prefix: list[frozenset[CharLabel]] = []
-    path = [SolveState.start(om, s.m)]  # path[i]: prefix[:i] peeled
+    path = [IntegralState.start(om, s.m)]  # path[i]: prefix[:i] peeled
     cut = None  # while prefix ends in a cut class: "pruned" or "singular"
     for datum in data:
-        classes, top = datum.classes, len(datum.classes) - 1
+        classes = datum.classes
         keep = 0
         while keep < len(prefix) and prefix[keep] == classes[keep]:
             keep += 1
@@ -907,16 +900,14 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
             continue
         del prefix[keep:], path[keep + 1:]
         cut = None
-        for level in range(keep, top + 1):
+        for level in range(keep, len(classes)):
             prefix.append(classes[level])
             try:
                 state = path[-1].peel(classes[level], datum.a[level])
             except SingularBlock:
-                path[-1].check_columns()
                 cut = "singular"
                 break
-            if level < top and not _integral(state):
-                state.check_columns()
+            if state is None:
                 cut = "pruned"
                 break
             path.append(state)

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from lsgreen.errors import NotDivisible, SingularBlock, ZeroDenominator
 from lsgreen.exactalg import (
     CycloNum, IntPoly, PolyMatrix, RatFunc, cyclotomic_polynomial, euler_phi, matrix_solve,
-    poly_gcd, rf_dot,
+    poly_dot, poly_gcd, poly_solve, rf_dot,
 )
 
 EVAL_POINTS = (2, 3, -1, Fraction(1, 2))
@@ -104,6 +104,14 @@ def test_divmod_roundtrip_monic(c, b, r):
     a = b * c + r
     quot, rem = a.divmod(b)
     assert quot == c and rem == r
+
+
+@given(small_polys, nonzero_polys)
+def test_divmod_of_a_multiple_is_exact(a, b):
+    # any nonzero divisor, leading coefficient too: every step of the long
+    # division of a * b by b meets an integer quotient coefficient
+    quot, rem = (a * b).divmod(b)
+    assert quot == a and rem.is_zero()
 
 
 def test_exact_divides():
@@ -364,3 +372,43 @@ def test_matrix_solve_roundtrip_triangular(xrows):
     x = PolyMatrix(("r1", "r2"), labels,
                    [[RatFunc(p) for p in row] for row in xrows])
     assert matrix_solve(a, x.mul(a)) == x
+
+
+nonnegative_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    max_size=3,
+).map(IntPoly)
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.booleans(), st.data())
+def test_poly_solve_agrees_with_matrix_solve(k, nrhs, exact, data):
+    # on random polynomial blocks, the Z[q] solve and the rational one are
+    # singular together; without a cut they give the same polynomials, and
+    # at a cut delta X / delta is matrix_solve's X, which is then not in N[q]
+    a = [[data.draw(small_polys) for _ in range(k)] for _ in range(k)]
+    if exact:  # B = X A for a drawn X in N[q]
+        x = [[data.draw(nonnegative_polys) for _ in range(k)] for _ in range(nrhs)]
+        b = [[poly_dot(zip(row, col)) for col in zip(*a)] for row in x]
+    else:
+        b = [[data.draw(small_polys) for _ in range(k)] for _ in range(nrhs)]
+    labels, rhs_labels = tuple(range(k)), tuple(f"r{i}" for i in range(nrhs))
+    try:
+        want = matrix_solve(PolyMatrix(labels, labels, a), PolyMatrix(rhs_labels, labels, b))
+    except SingularBlock:
+        with pytest.raises(SingularBlock):
+            poly_solve(a, b)
+        return
+    delta, rows, cut = poly_solve(a, b)
+    if cut:
+        assert not exact
+        got = [[RatFunc(v, delta) for v in row] for row in rows]
+        assert got == [list(row) for row in want.data]
+        assert any(not v.is_polynomial() or min(v.num.c.values(), default=0) < 0
+                   for row in want.data for v in row)
+    else:
+        assert [[RatFunc(v) for v in row] for row in rows] == [list(row) for row in want.data]
+        assert all(min(v.c.values(), default=0) >= 0 for row in rows for v in row)
+        if exact:
+            assert rows == x

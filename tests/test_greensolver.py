@@ -16,10 +16,10 @@ from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
 from lsgreen.fakedegree import fake_degree, omega
 from lsgreen import greensolver
 from lsgreen.greensolver import (
-    GreenSystem, LSDatum, SolveState, closure_order, datum_from_jsonable,
+    IntegralState, LSDatum, SolveState, closure_order, datum_from_jsonable,
     datum_to_jsonable, solve, verify_system,
 )
-from lsgreen.springer import SpringerSet, search
+from lsgreen.springer import SpringerSet, all_springer_sets, enumerate_candidate_data, search
 
 
 def P(system, a, b):
@@ -188,8 +188,7 @@ def test_verify_system_detects_doctored_entry(sys3):
 
 def test_multiply_back_catches_a_wrong_block(monkeypatch):
     # matrix_solve makes no check of its own; solve's multiply-back must
-    # catch a wrong block solution, and search must let it through rather
-    # than count the candidate as singular
+    # catch a wrong block solution
     real = greensolver.matrix_solve
 
     def off_by_one(a, b):
@@ -202,24 +201,38 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch):
     datum = LSDatum(3, ({Eps}, {Chi(1)}, {Chi(0)}), (3, 1, 0))
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         solve(omega(3, method="closed"), datum)
-    with pytest.raises(AssertionError, match="multiplication-back failed"):
+
+    # nor does the search's Z[q] block solve: a wrong block that is still in
+    # N[q] is not cut, so the per-class multiply-back must catch it rather
+    # than let search count the candidate as singular or solved
+    real_zq = greensolver.poly_solve
+
+    def off_by_one_zq(a, b):
+        delta, rows, cut = real_zq(a, b)
+        if not cut:
+            rows[0][0] = rows[0][0] + IntPoly.one()
+        return delta, rows, cut
+
+    monkeypatch.setattr(greensolver, "poly_solve", off_by_one_zq)
+    with pytest.raises(AssertionError, match="multiplication-back failed.*last class"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
 
 
 def test_cut_prefix_is_multiplied_back(monkeypatch):
-    # a wrong, non-polynomial P entry makes search cut the prefix on
-    # integrality; the columns that prefix fixed must be multiplied back
-    # first, so the wrong block raises instead of dropping candidates
-    real = greensolver.matrix_solve
+    # a wrong, non-polynomial P entry makes search cut the prefix; the
+    # columns of the cut class must be multiplied back first (scaled into
+    # Z[q]), so the wrong block raises instead of dropping candidates
+    real = greensolver.poly_solve
 
     def off_by_a_fraction(a, b):
-        x = real(a, b)
-        data = [list(row) for row in x.data]
-        data[0][0] = data[0][0] + RatFunc(1, IntPoly({1: 1, 0: 2}))
-        return PolyMatrix(x.rows, x.cols, data)
+        delta, rows, cut = real(a, b)
+        if not cut:
+            rows = [[delta * x for x in row] for row in rows]
+        rows[0][0] = rows[0][0] + IntPoly.one()  # X[0][0] + 1/delta
+        return delta, rows, True
 
-    monkeypatch.setattr(greensolver, "matrix_solve", off_by_a_fraction)
-    with pytest.raises(AssertionError, match="multiplication-back failed"):
+    monkeypatch.setattr(greensolver, "poly_solve", off_by_a_fraction)
+    with pytest.raises(AssertionError, match="multiplication-back failed.*cut class"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
 
 
@@ -235,14 +248,10 @@ def test_multiply_back_rejects_a_changed_rational_p_entry(classes, a):
     for cls, a_c in zip(classes, a):
         state = state.peel(frozenset(cls), a_c)
     system = state.system()
-    state.check_columns()
     i, j = next((i, j) for i, row in enumerate(state.P) for j, x in enumerate(row)
                 if not x.is_polynomial())
     bad = [list(row) for row in state.P]
     bad[i][j] = bad[i][j] + RatFunc(IntPoly.one(), IntPoly({1: 1, 0: 2}))
-    doctored = dataclasses.replace(state, P=tuple(map(tuple, bad)))
-    with pytest.raises(AssertionError, match="multiplication-back failed"):
-        doctored.check_columns()
     assert not verify_system(
         dataclasses.replace(system, P=PolyMatrix(state.labels, state.labels, bad)), om)
 
@@ -291,46 +300,91 @@ def test_solve_returns_a_verified_system_or_raises_singular(datum):
     assert verify_system(system, om)
 
 
-@given(random_data(), st.data())
+def _dense_ok(P, L, om, labels, cols):
+    """Whether the dense product P L P^t equals omega in the columns cols."""
+    p = PolyMatrix(labels, labels, P)
+    prod = p.mul(PolyMatrix(labels, labels, L)).mul(p.transpose())
+    return all(prod.get(r, labels[c]) == om.get(r, labels[c]) for r in labels for c in cols)
+
+
+@st.composite
+def search_candidates(draw):
+    """A candidate datum of a random Springer set for some m <= 10, family
+    filter on or off: cut, when it is, after some classes are solved."""
+    m = draw(st.integers(min_value=3, max_value=10))
+    springer = draw(st.sampled_from(all_springer_sets(m)))
+    family_filter = draw(st.booleans())
+    return draw(st.sampled_from(list(
+        enumerate_candidate_data(springer, family_filter=family_filter))))
+
+
+@given(st.one_of(random_data(), search_candidates()), st.data())
 def test_multiply_back_agrees_with_the_dense_product(datum, data):
-    # peel some classes, change one entry of P or Lambda in the solved
-    # columns (or leave it), and compare check_columns -- and, once every
-    # class is solved, verify_system -- with the dense product
+    # peel classes over Z[q] up to some class, or to the first cut; change
+    # one entry of P or Lambda in the columns solved so far (at a cut: of
+    # the prefix's P and Lambda, or of the cut block's delta X), or leave
+    # it, and compare the multiply-back of the class's columns --
+    # check_class after an integral peel, certify at a cut -- with the
+    # dense product over Q(q)
     om = omega(datum.m, method="closed")
     k = data.draw(st.integers(min_value=1, max_value=len(datum.classes)))
-    state = SolveState.start(om, datum.m)
+    state = IntegralState.start(om, datum.m)
     try:
-        for cls, a_c in zip(datum.classes[:k], datum.a[:k]):
+        for level, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
+            midx, delta, rows, cut = state.block(cls, a_c)
+            if cut or level == k - 1:
+                break
             state = state.peel(cls, a_c)
     except SingularBlock:
         return
     labels, n = state.labels, len(state.labels)
-    solved = [i for i in range(n) if i not in state.unsolved]
-    where = data.draw(st.sampled_from(("P", "Lambda", "Lambda off the blocks")))
-    i = data.draw(st.sampled_from(range(n) if where == "P" else solved))
-    j = data.draw(st.sampled_from(solved))
-    if where == "Lambda off the blocks":
-        outside = [t for t in solved if datum.class_of(labels[t]) != datum.class_of(labels[i])]
-        if not outside:
-            return
-        j = data.draw(st.sampled_from(outside))
-    delta = data.draw(st.sampled_from((RatFunc(0), RatFunc(1), RatFunc(1, IntPoly({1: 1, 0: 2})))))
-    rows = [list(row) for row in (state.P if where == "P" else state.L)]
-    rows[i][j] = rows[i][j] + delta
-    rows = tuple(map(tuple, rows))
-    doctored = dataclasses.replace(state, **{"P" if where == "P" else "L": rows})
-    p = PolyMatrix(labels, labels, doctored.P)
-    lam = PolyMatrix(labels, labels, doctored.L)
-    prod = p.mul(lam).mul(p.transpose())
-    dense_ok = all(prod.get(r, labels[c]) == om.get(r, labels[c])
-                   for r in labels for c in solved)
-    if where != "P":  # P is invertible, so every change of Lambda shows
-        assert dense_ok == (delta == RatFunc(0))
+    block_of = {t: datum.class_of(labels[t]) for t in range(n)}
+    if cut:
+        above = [i for i in state.unsolved if i not in midx]
+        solved, target = list(state.solved), state
+        p_spots = [(i, j) for i in range(n) for j in solved] + [
+            (i, j) for i in above for j in midx]
+    else:
+        target = state.peel(cls, a_c)
+        solved = list(target.solved)
+        p_spots = [(i, j) for i in range(n) for j in solved]
+    kinds = {
+        "P": p_spots,
+        "Lambda": [(i, j) for i in solved for j in solved],
+        "Lambda off the blocks": [(i, j) for i in solved for j in solved
+                                  if block_of[i] != block_of[j]],
+    }
+    if not any(kinds.values()):  # a first class with no row above it
+        return
+    where = data.draw(st.sampled_from(sorted(kind for kind, spots in kinds.items() if spots)))
+    i, j = data.draw(st.sampled_from(kinds[where]))
+    change = data.draw(st.sampled_from((IntPoly.zero(), IntPoly.one(), IntPoly({1: 1, 0: 2}))))
+    P, L = [list(row) for row in target.P], [list(row) for row in target.L]
+    if cut and j in midx:
+        rows = [list(row) for row in rows]
+        rows[above.index(i)][midx.index(j)] += change
+    else:
+        (P if where == "P" else L)[i][j] += change
+    doctored = dataclasses.replace(target, P=tuple(map(tuple, P)), L=tuple(map(tuple, L)))
+    rP = [[RatFunc(x) for x in row] for row in P]
+    rL = [[RatFunc(x) for x in row] for row in L]
+    if cut:  # the cut block over Q(q): P rows delta X / delta, Lambda M_CC / q^(2a)
+        for t, c in enumerate(midx):
+            rP[c][c] = RatFunc(IntPoly.q(a_c))
+            for u, d in enumerate(midx):
+                rL[c][d] = RatFunc(state.M[c][d], IntPoly.q(2 * a_c))
+        for i2, row in zip(above, rows):
+            for c, x in zip(midx, row):
+                rP[i2][c] = RatFunc(x, delta)
+    dense_ok = _dense_ok(rP, rL, om, labels, midx)
+    if where != "P" and j in midx:  # P is invertible and P[j, j] = q^a
+        assert dense_ok == change.is_zero()
     try:
-        doctored.check_columns()
+        if cut:
+            doctored.certify(midx, a_c, delta, rows)
+        else:
+            doctored.check_class()
         checked = True
     except AssertionError:
         checked = False
     assert checked == dense_ok
-    if k == len(datum.classes):
-        assert verify_system(GreenSystem(datum, p, lam), om) == dense_ok
