@@ -25,13 +25,16 @@ from lsgreen.springer import (
 )
 
 
-def _entries(systems):
-    systems = sorted(systems, key=lambda sy: support_vector(sy.datum))
+def entries(systems):
+    """The compared fields of solved systems, in the given order."""
     return [(sy.datum, sy.P, sy.Lambda, sy.nonpolynomial_y) for sy in systems]
 
 
-def exhaustive(springer, family_filter: bool, bounds: SearchConfig):
-    """(hits, nonconforming, tried, singular) from solving every candidate."""
+def exhaustive(springer, family_filter: bool, bounds: SearchConfig | None = None):
+    """The reference the pruned search must match: every datum
+    enumerate_candidate_data yields, solved and judged on its own.
+    Returns (hits, nonconforming, tried, singular), the systems sorted by
+    support vector as search lists them."""
     s, _ = springer.normalized()
     om = omega(s.m, method="closed")
     hits, stray, tried, singular = [], [], 0, 0
@@ -44,7 +47,9 @@ def exhaustive(springer, family_filter: bool, bounds: SearchConfig):
             continue
         if check_conditions(system, s).accepted:
             (hits if matches_predicted_partition(datum, s) else stray).append(system)
-    return _entries(hits), _entries(stray), tried, singular
+    hits.sort(key=lambda sy: support_vector(sy.datum))
+    stray.sort(key=lambda sy: support_vector(sy.datum))
+    return hits, stray, tried, singular
 
 
 def check_m(m: int, bounds: SearchConfig) -> dict:
@@ -55,14 +60,14 @@ def check_m(m: int, bounds: SearchConfig) -> dict:
     for family_filter in (True, False):
         for s in all_springer_sets(m):
             out = search(s, family_filter=family_filter, bounds=bounds)
-            want = exhaustive(s, family_filter, bounds)
-            got = (_entries(h.system for h in out.hits),
-                   _entries(h.system for h in out.nonconforming),
+            hits, stray, tried, singular = exhaustive(s, family_filter, bounds)
+            got = (entries(h.system for h in out.hits),
+                   entries(h.system for h in out.nonconforming),
                    out.tried, out.rejected_singular)
-            if got != want:
+            if got != (entries(hits), entries(stray), tried, singular):
                 row["differences"].append(f"S={s.describe()} family_filter={family_filter}")
-            row["candidates" if family_filter else "unfiltered"] += want[2]
-            row["singular"] += want[3]
+            row["candidates" if family_filter else "unfiltered"] += tried
+            row["singular"] += singular
     row["seconds"] = round(time.perf_counter() - t0, 1)
     return row
 

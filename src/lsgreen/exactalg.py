@@ -1054,29 +1054,31 @@ def poly_solve(a: Sequence[Sequence[IntPoly]], b: Sequence[Sequence[IntPoly]]
            for r in range(k)]
     _bareiss(mat, k)
     delta = mat[k - 1][k - 1]
-    rows: list[list[IntPoly]] = []
-    for r2 in range(nrhs):
-        x = [_ZERO] * k
-        for i in range(k - 1, -1, -1):
-            row = mat[i]
-            num = row[k + r2] - poly_dot((row[l], x[l]) for l in range(i + 1, k))
-            xi = _exact_quotient(num, row[i])
-            if xi is None or any(v < 0 for v in xi.c.values()):
-                return delta, _numerators(mat, k, delta), True
-            x[i] = xi
-        rows.append(x)
+    rows = _back_substitute(mat, k)
+    if rows is None:
+        return delta, _back_substitute(mat, k, delta), True
     return delta, rows, False
 
 
-def _numerators(mat: list[list[IntPoly]], k: int, delta: IntPoly) -> list[list[IntPoly]]:
-    """delta * X from an eliminated system: the same back-substitution on
-    delta times the right-hand sides, every division exact in Z[q]."""
+def _back_substitute(mat: list[list[IntPoly]], k: int, scale: IntPoly | None = None
+                     ) -> list[list[IntPoly]] | None:
+    """The unknowns of an eliminated system, one right-hand side column at
+    a time.  With no scale: X, or None at the first entry whose division
+    leaves a remainder or whose quotient is not in N[q].  With scale
+    delta, the last pivot: delta * X, every division exact in Z[q]."""
     rows = []
     for r2 in range(len(mat[0]) - k):
-        y = [_ZERO] * k
+        x = [_ZERO] * k
         for i in range(k - 1, -1, -1):
             row = mat[i]
-            num = delta * row[k + r2] - poly_dot((row[l], y[l]) for l in range(i + 1, k))
-            y[i] = num // row[i]
-        rows.append(y)
+            rhs = row[k + r2] if scale is None else scale * row[k + r2]
+            num = rhs - poly_dot((row[l], x[l]) for l in range(i + 1, k))
+            if scale is not None:
+                x[i] = num // row[i]
+                continue
+            xi = _exact_quotient(num, row[i])
+            if xi is None or any(v < 0 for v in xi.c.values()):
+                return None
+            x[i] = xi
+        rows.append(x)
     return rows

@@ -31,9 +31,10 @@ by every class that may come next.  There are two kinds of state.
   only prefixes whose P and Lambda are polynomials, so the residual stays
   in Z[q] and the P rows solve X . M_CC = q^(a_C) M_{chi,C}
   (:func:`poly_solve`: Bareiss, then exact division; the first remainder
-  or negative coefficient cuts the prefix).  Each peel multiplies back the
-  columns of its class, in Z[q], and a cut class is multiplied back
-  scaled by delta q^(2 a_C) before it is dropped.  No gcd is taken.
+  or negative coefficient cuts the prefix).  Each peel, kept or cut,
+  multiplies back the columns of its class in Z[q], scaled by
+  delta q^(2 a_C), before the state is built or dropped.  No gcd is
+  taken.
 
 Nothing here assumes the datum has the shape predicted by the
 classification of correspondences; wild candidates are either solved or
@@ -402,11 +403,11 @@ class IntegralState:
     cut.  A Y entry M/(q^m - 1) is non-polynomial exactly when q^m - 1 does
     not divide M.
 
-    Every peel multiplies P Lambda P^t back in the columns it makes final:
-    an integral one by :meth:`check_class` on the new state, a cut one by
-    :meth:`certify`, scaled into Z[q].  Each column is final once its class
-    is peeled, so along a path the checks cover every entry of the product
-    once, a full datum needs no second pass, and no cut prunes unchecked.
+    Every peel multiplies P Lambda P^t back in the columns of its class,
+    cut or not, by :meth:`check_class`, scaled into Z[q].  Each column is
+    final once its class is peeled, so along a path the checks cover every
+    entry of the product once, a full datum needs no second pass, and no
+    cut prunes unchecked.
     Fields as in :class:`SolveState`, entries :class:`IntPoly`; ``solved``
     lists the peeled positions in order."""
 
@@ -438,11 +439,11 @@ class IntegralState:
 
     def block(self, cls: frozenset[CharLabel], a_c: int):
         """The next class's Z[q] block solve: ``(midx, delta, rows, cut)``
-        with ``midx`` the member positions (sorted), and ``delta``,
-        ``rows`` (over the unsolved rows above C, in order) and ``cut`` as
-        :func:`poly_solve` returns them; a Lambda_C that q^(2 a_C) does not
-        divide is a cut too, with rows = delta X.  With no row above C,
-        delta = 1.  Raises SingularBlock for a singular M_CC."""
+        with ``midx`` the member positions (sorted) and ``rows`` = delta X
+        over the unsolved rows above C, in order.  At a block cut of
+        :func:`poly_solve` delta is its last pivot; otherwise delta = 1,
+        and a Lambda_C that q^(2 a_C) does not divide is a cut too.
+        Raises SingularBlock for a singular M_CC."""
         midx = [self.pos[l] for l in sorted(cls, key=label_sort_key)]
         M = self.M
         above = [i for i in self.unsolved if i not in midx]
@@ -450,19 +451,21 @@ class IntegralState:
         if above:
             mcc = [[M[i][j] for j in midx] for i in midx]
             rhs = [[M[i][j].shift(a_c) for j in midx] for i in above]
-            delta, rows, cut = poly_solve(mcc, rhs)
-        if not cut and not all(_q_divides(M[i][j], 2 * a_c) for i in midx for j in midx):
-            rows, cut = [[delta * x for x in row] for row in rows], True
+            pivot, rows, cut = poly_solve(mcc, rhs)
+            if cut:
+                delta = pivot
+        if not cut:
+            cut = not all(_q_divides(M[i][j], 2 * a_c) for i in midx for j in midx)
         return midx, delta, rows, cut
 
     def peel(self, cls: frozenset[CharLabel], a_c: int) -> "IntegralState | None":
-        """The state with the next class solved, multiplied back in its
-        columns; or None at a cut, once :meth:`certify` has multiplied the
-        cut block back.  A wrong block raises AssertionError, a singular
-        M_CC SingularBlock."""
+        """The state with the next class solved, or None at a cut; either
+        way :meth:`check_class` first multiplies the class's columns back.
+        A wrong block raises AssertionError, a singular M_CC
+        SingularBlock."""
         midx, delta, rows, cut = self.block(cls, a_c)
+        self.check_class(midx, a_c, delta, rows)
         if cut:
-            self.certify(midx, a_c, delta, rows)
             return None
         M, labels, ci = self.M, self.labels, len(self.classes)
         nonpoly = list(self.nonpolynomial_y)
@@ -490,7 +493,6 @@ class IntegralState:
             P=tuple(P), L=tuple(L), unsolved=tuple(above),
             solved=self.solved + tuple(midx), nonpolynomial_y=tuple(nonpoly),
         )
-        state.check_class()
         if not above:
             return state
         # residual among the rows above C: M -= P_{.,C} Lambda_C P_{.,C}^t
@@ -512,36 +514,30 @@ class IntegralState:
         return replace(state, M=tuple(M2))
 
     def _products(self, c: int) -> list[IntPoly]:
-        """(P Lambda P^t)[r, c] for every row r, with Lambda P^t contracted
-        for column c first.  Inner indices run over the solved positions,
-        which is exact for a solved c: P[c][t] and Lambda[s][t] vanish for
-        an unsolved t.  Reads P and Lambda only."""
+        """The solved positions' share of (P Lambda P^t)[r, c] for every
+        row r, with Lambda P^t contracted for column c first: inner indices
+        run over the solved positions only.  Reads P and Lambda only."""
         P, L, S = self.P, self.L, self.solved
         pc = P[c]
         w = [poly_dot((L[s][t], pc[t]) for t in S) for s in S]
         return [poly_dot(zip([row[s] for s in S], w)) for row in P]
 
-    def check_class(self) -> None:
-        """Multiply P Lambda P^t back in the columns of the last class and
-        compare with omega in Z[q]; a difference raises AssertionError."""
-        for c in (self.pos[l] for l in self.classes[-1]):
-            if self._products(c) != [row[c] for row in self.omega]:
-                raise AssertionError("multiplication-back failed: P Lambda P^t "
-                                     "!= omega in the columns of the last class")
-
-    def certify(self, midx, a_c: int, delta: IntPoly, rows) -> None:
-        """Multiply back the columns of a cut class before the search
-        drops it.  Its P rows above it are rows / delta and its Lambda
-        block is M_CC / q^(2 a_C), so each entry of the columns is
-        compared times delta q^(2 a_C), in Z[q]: for every row r and c in
-        C,
+    def check_class(self, midx, a_c: int, delta: IntPoly, rows) -> None:
+        """Multiply back the columns of the next class C, as :meth:`block`
+        solved it, before :meth:`peel` keeps or cuts it.  Its P rows above
+        it are rows / delta, its diagonal
+        P block is q^(a_C) and its Lambda block is M_CC / q^(2 a_C), so
+        each entry of the columns is compared times delta q^(2 a_C), in
+        Z[q]: for every row r and c in C,
 
             delta q^(2a) ((P Lambda P^t)[r, c] over the solved positions
                           - omega[r, c])
               + q^a sum_{s in C} D[r, s] M[s, c] = 0,
 
         with D = rows over the rows above C, delta q^a on the diagonal of
-        C and 0 on the solved rows.  A difference raises AssertionError."""
+        C and 0 on the solved rows.  Kept, C's P and Lambda entries are
+        these rows and M_CC shifted down by 2 a_C, so this is P Lambda P^t
+        = omega in C's columns.  A difference raises AssertionError."""
         qa, scale = IntPoly.q(a_c), delta.shift(2 * a_c)
         d = dict(zip([i for i in self.unsolved if i not in midx], rows))
         for t, i in enumerate(midx):
@@ -552,7 +548,7 @@ class IntegralState:
                 own = poly_dot(zip(d[r], mc)) if r in d else IntPoly.zero()
                 if poly_dot(((scale, prod - self.omega[r][c]), (qa, own))).c:
                     raise AssertionError("multiplication-back failed: P Lambda P^t "
-                                         "!= omega in the columns of a cut class")
+                                         "!= omega in the columns of the next class")
 
     def system(self) -> GreenSystem:
         """The solved system, once the classes partition the labels (else

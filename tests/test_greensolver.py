@@ -203,7 +203,7 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch):
         solve(omega(3, method="closed"), datum)
 
     # nor does the search's Z[q] block solve: a wrong block that is still in
-    # N[q] is not cut, so the per-class multiply-back must catch it rather
+    # N[q] is not cut, so the class's multiply-back must catch it rather
     # than let search count the candidate as singular or solved
     real_zq = greensolver.poly_solve
 
@@ -214,7 +214,7 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch):
         return delta, rows, cut
 
     monkeypatch.setattr(greensolver, "poly_solve", off_by_one_zq)
-    with pytest.raises(AssertionError, match="multiplication-back failed.*last class"):
+    with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
 
 
@@ -232,7 +232,7 @@ def test_cut_prefix_is_multiplied_back(monkeypatch):
         return delta, rows, True
 
     monkeypatch.setattr(greensolver, "poly_solve", off_by_a_fraction)
-    with pytest.raises(AssertionError, match="multiplication-back failed.*cut class"):
+    with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
 
 
@@ -318,14 +318,39 @@ def search_candidates(draw):
         enumerate_candidate_data(springer, family_filter=family_filter))))
 
 
+# the changes the dense-product tests make: over Z[q] the state holds no
+# fraction, so 1/(q + 2) becomes q + 2
+INTEGRAL_CHANGES = (IntPoly.zero(), IntPoly.one(), IntPoly({1: 1, 0: 2}))
+RATIONAL_CHANGES = (RatFunc(0), RatFunc(1), RatFunc(1, IntPoly({1: 1, 0: 2})))
+
+
+def _doctor(data, kinds, P, L, changes):
+    """Add a drawn change to one entry of P or Lambda, at a drawn spot of a
+    drawn kind: ``(kind, change)``."""
+    where = data.draw(st.sampled_from(sorted(kind for kind, spots in kinds.items() if spots)))
+    i, j = data.draw(st.sampled_from(kinds[where]))
+    change = data.draw(st.sampled_from(changes))
+    (P if where == "P" else L)[i][j] += change
+    return where, change
+
+
+def _spots(P_spots, solved, block_of):
+    """The spots of the three kinds of change: P, Lambda, and Lambda
+    outside the datum's diagonal blocks."""
+    return {
+        "P": P_spots,
+        "Lambda": [(i, j) for i in solved for j in solved],
+        "Lambda off the blocks": [(i, j) for i in solved for j in solved
+                                  if block_of[i] != block_of[j]],
+    }
+
+
 @given(st.one_of(random_data(), search_candidates()), st.data())
 def test_multiply_back_agrees_with_the_dense_product(datum, data):
     # peel classes over Z[q] up to some class, or to the first cut; change
-    # one entry of P or Lambda in the columns solved so far (at a cut: of
-    # the prefix's P and Lambda, or of the cut block's delta X), or leave
-    # it, and compare the multiply-back of the class's columns --
-    # check_class after an integral peel, certify at a cut -- with the
-    # dense product over Q(q)
+    # one entry of the prefix's P or Lambda, or of the class's P rows above
+    # it (delta X), or leave it, and compare check_class with the dense
+    # product over Q(q) in the class's columns
     om = omega(datum.m, method="closed")
     k = data.draw(st.integers(min_value=1, max_value=len(datum.classes)))
     state = IntegralState.start(om, datum.m)
@@ -337,54 +362,62 @@ def test_multiply_back_agrees_with_the_dense_product(datum, data):
             state = state.peel(cls, a_c)
     except SingularBlock:
         return
-    labels, n = state.labels, len(state.labels)
-    block_of = {t: datum.class_of(labels[t]) for t in range(n)}
-    if cut:
-        above = [i for i in state.unsolved if i not in midx]
-        solved, target = list(state.solved), state
-        p_spots = [(i, j) for i in range(n) for j in solved] + [
-            (i, j) for i in above for j in midx]
-    else:
-        target = state.peel(cls, a_c)
-        solved = list(target.solved)
-        p_spots = [(i, j) for i in range(n) for j in solved]
-    kinds = {
-        "P": p_spots,
-        "Lambda": [(i, j) for i in solved for j in solved],
-        "Lambda off the blocks": [(i, j) for i in solved for j in solved
-                                  if block_of[i] != block_of[j]],
-    }
+    labels, n, solved = state.labels, len(state.labels), list(state.solved)
+    above = [i for i in state.unsolved if i not in midx]
+    kinds = _spots([(i, j) for i in range(n) for j in solved + midx
+                    if j in solved or i in above],
+                   solved, {t: datum.class_of(labels[t]) for t in range(n)})
     if not any(kinds.values()):  # a first class with no row above it
         return
-    where = data.draw(st.sampled_from(sorted(kind for kind, spots in kinds.items() if spots)))
-    i, j = data.draw(st.sampled_from(kinds[where]))
-    change = data.draw(st.sampled_from((IntPoly.zero(), IntPoly.one(), IntPoly({1: 1, 0: 2}))))
-    P, L = [list(row) for row in target.P], [list(row) for row in target.L]
-    if cut and j in midx:
-        rows = [list(row) for row in rows]
-        rows[above.index(i)][midx.index(j)] += change
-    else:
-        (P if where == "P" else L)[i][j] += change
-    doctored = dataclasses.replace(target, P=tuple(map(tuple, P)), L=tuple(map(tuple, L)))
+    # the class's P rows above it sit in P's columns midx while doctoring
+    P, L = [list(row) for row in state.P], [list(row) for row in state.L]
+    for i, row in zip(above, rows):
+        for c, x in zip(midx, row):
+            P[i][c] = x
+    _doctor(data, kinds, P, L, INTEGRAL_CHANGES)
+    rows = [[P[i][c] for c in midx] for i in above]
+    for i in above:
+        for c in midx:
+            P[i][c] = IntPoly.zero()
+    doctored = dataclasses.replace(state, P=tuple(map(tuple, P)), L=tuple(map(tuple, L)))
+    # the class over Q(q): P rows delta X / delta, q^a on the diagonal,
+    # Lambda M_CC / q^(2a)
     rP = [[RatFunc(x) for x in row] for row in P]
     rL = [[RatFunc(x) for x in row] for row in L]
-    if cut:  # the cut block over Q(q): P rows delta X / delta, Lambda M_CC / q^(2a)
-        for t, c in enumerate(midx):
-            rP[c][c] = RatFunc(IntPoly.q(a_c))
-            for u, d in enumerate(midx):
-                rL[c][d] = RatFunc(state.M[c][d], IntPoly.q(2 * a_c))
-        for i2, row in zip(above, rows):
-            for c, x in zip(midx, row):
-                rP[i2][c] = RatFunc(x, delta)
-    dense_ok = _dense_ok(rP, rL, om, labels, midx)
-    if where != "P" and j in midx:  # P is invertible and P[j, j] = q^a
-        assert dense_ok == change.is_zero()
+    for c in midx:
+        rP[c][c] = RatFunc(IntPoly.q(a_c))
+        for d in midx:
+            rL[c][d] = RatFunc(state.M[c][d], IntPoly.q(2 * a_c))
+    for i, row in zip(above, rows):
+        for c, x in zip(midx, row):
+            rP[i][c] = RatFunc(x, delta)
     try:
-        if cut:
-            doctored.certify(midx, a_c, delta, rows)
-        else:
-            doctored.check_class()
+        doctored.check_class(midx, a_c, delta, rows)
         checked = True
     except AssertionError:
         checked = False
-    assert checked == dense_ok
+    assert checked == _dense_ok(rP, rL, om, labels, midx)
+
+
+@given(random_data(), st.data())
+def test_verify_system_agrees_with_the_dense_product(datum, data):
+    # solve over Q(q), change one entry of P, of Lambda, or of Lambda
+    # outside the datum's diagonal blocks, or leave it, and compare
+    # verify_system with the dense product in every column
+    om = omega(datum.m, method="closed")
+    try:
+        system = solve(om, datum)
+    except SingularBlock:
+        return
+    labels = system.P.rows
+    n = len(labels)
+    kinds = _spots([(i, j) for i in range(n) for j in range(n)], range(n),
+                   {t: datum.class_of(labels[t]) for t in range(n)})
+    P, L = [list(row) for row in system.P.data], [list(row) for row in system.Lambda.data]
+    where, change = _doctor(data, kinds, P, L, RATIONAL_CHANGES)
+    dense_ok = _dense_ok(P, L, om, labels, range(n))
+    if where != "P":  # P is invertible, so every change of Lambda shows
+        assert dense_ok == (change == RatFunc(0))
+    doctored = dataclasses.replace(system, P=PolyMatrix(labels, labels, P),
+                                   Lambda=PolyMatrix(labels, labels, L))
+    assert verify_system(doctored, om) == dense_ok

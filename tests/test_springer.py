@@ -8,6 +8,8 @@ were verified independently (multiplication back in a separate computer
 algebra system) before freezing.
 """
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -182,28 +184,18 @@ def test_search_m_bound_enforced():
         search(SpringerSet.from_strings(20, "0,1,eps"))
 
 
-def _exhaustive(springer, family_filter):
-    """The reference the pruned search must match: every datum
-    enumerate_candidate_data yields, solved and judged on its own."""
-    s, _ = springer.normalized()
-    om = omega(s.m, method="closed")
-    hits, stray, tried, singular = [], [], 0, 0
-    for datum in enumerate_candidate_data(s, family_filter=family_filter):
-        tried += 1
-        try:
-            system = solve(om, datum)
-        except SingularBlock:
-            singular += 1
-            continue
-        if check_conditions(system, s).accepted:
-            (hits if matches_predicted_partition(datum, s) else stray).append(system)
-    hits.sort(key=lambda sy: support_vector(sy.datum))
-    stray.sort(key=lambda sy: support_vector(sy.datum))
-    return hits, stray, tried, singular
+def _load_exhaustive_check():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "exhaustive_check.py"
+    spec = importlib.util.spec_from_file_location("exhaustive_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _entries(systems):
-    return [(sy.datum, sy.P, sy.Lambda, sy.nonpolynomial_y) for sy in systems]
+# the reference the pruned search must match, shared with the opt-in
+# scripts/exhaustive_check.py: every candidate solved and judged on its own
+_exhaustive_check = _load_exhaustive_check()
+_exhaustive, _entries = _exhaustive_check.exhaustive, _exhaustive_check.entries
 
 
 @pytest.mark.parametrize("m, family_filter", [
