@@ -513,22 +513,13 @@ class IntegralState:
             M2[i] = tuple(new[i])
         return replace(state, M=tuple(M2))
 
-    def _products(self, c: int) -> list[IntPoly]:
-        """The solved positions' share of (P Lambda P^t)[r, c] for every
-        row r, with Lambda P^t contracted for column c first: inner indices
-        run over the solved positions only.  Reads P and Lambda only."""
-        P, L, S = self.P, self.L, self.solved
-        pc = P[c]
-        w = [poly_dot((L[s][t], pc[t]) for t in S) for s in S]
-        return [poly_dot(zip([row[s] for s in S], w)) for row in P]
-
     def check_class(self, midx, a_c: int, delta: IntPoly, rows) -> None:
         """Multiply back the columns of the next class C, as :meth:`block`
         solved it, before :meth:`peel` keeps or cuts it.  Its P rows above
-        it are rows / delta, its diagonal
-        P block is q^(a_C) and its Lambda block is M_CC / q^(2 a_C), so
-        each entry of the columns is compared times delta q^(2 a_C), in
-        Z[q]: for every row r and c in C,
+        it are rows / delta, its diagonal P block is q^(a_C) and its
+        Lambda block is M_CC / q^(2 a_C), so each entry of the columns is
+        compared times delta q^(2 a_C), in Z[q]: for every row r and c in
+        C,
 
             delta q^(2a) ((P Lambda P^t)[r, c] over the solved positions
                           - omega[r, c])
@@ -537,16 +528,26 @@ class IntegralState:
         with D = rows over the rows above C, delta q^a on the diagonal of
         C and 0 on the solved rows.  Kept, C's P and Lambda entries are
         these rows and M_CC shifted down by 2 a_C, so this is P Lambda P^t
-        = omega in C's columns.  A difference raises AssertionError."""
-        qa, scale = IntPoly.q(a_c), delta.shift(2 * a_c)
+        = omega in C's columns.  Lambda P^t is contracted for the column
+        first, and each left side is one :func:`poly_dot`.  Reads P and
+        Lambda over the solved positions, omega, and M and rows for C.  A
+        difference raises AssertionError."""
+        P, L, S, M = self.P, self.L, self.solved, self.M
+        scale = delta.shift(2 * a_c)
+        neg = -scale
         d = dict(zip([i for i in self.unsolved if i not in midx], rows))
         for t, i in enumerate(midx):
             d[i] = [delta.shift(a_c) if u == t else IntPoly.zero() for u in range(len(midx))]
         for c in midx:
-            mc = [self.M[s][c] for s in midx]
-            for r, prod in enumerate(self._products(c)):
-                own = poly_dot(zip(d[r], mc)) if r in d else IntPoly.zero()
-                if poly_dot(((scale, prod - self.omega[r][c]), (qa, own))).c:
+            pc = P[c]
+            w = [scale * poly_dot((L[s][t], pc[t]) for t in S) for s in S]
+            mc = [M[s][c].shift(a_c) for s in midx]
+            for r, row in enumerate(P):
+                pairs = [(row[s], x) for s, x in zip(S, w)]
+                pairs.append((self.omega[r][c], neg))
+                if r in d:
+                    pairs += zip(d[r], mc)
+                if poly_dot(pairs).c:
                     raise AssertionError("multiplication-back failed: P Lambda P^t "
                                          "!= omega in the columns of the next class")
 

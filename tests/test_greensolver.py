@@ -345,14 +345,27 @@ def _spots(P_spots, solved, block_of):
     }
 
 
-@given(st.one_of(random_data(), search_candidates()), st.data())
+# integral data whose Lambda has a block with entries off its diagonal,
+# below classes that come after it: random data and search candidates
+# rarely have such a prefix
+MULTI_CLASS_DATA = (
+    LSDatum(5, ({Eps}, {Chi(1), Chi(2)}, {Chi(0)}), (5, 1, 0)),
+    LSDatum(4, ({Eps}, {ChiRPrime}, {Chi(1), ChiR}, {Chi(0)}), (4, 2, 1, 0)),
+    LSDatum(8, ({Eps}, {ChiRPrime}, {Chi(2), Chi(3), ChiR}, {Chi(1)}, {Chi(0)}),
+            (8, 4, 2, 1, 0)),
+)
+
+
+@given(st.one_of(random_data(), search_candidates(), st.sampled_from(MULTI_CLASS_DATA)),
+       st.data())
 def test_multiply_back_agrees_with_the_dense_product(datum, data):
-    # peel classes over Z[q] up to some class, or to the first cut; change
-    # one entry of the prefix's P or Lambda, or of the class's P rows above
-    # it (delta X), or leave it, and compare check_class with the dense
-    # product over Q(q) in the class's columns
+    # peel classes over Z[q] up to the last class or some class before it,
+    # or to the first cut; change one entry of the prefix's P or Lambda,
+    # or of the class's P rows above it (delta X), or leave it, and compare
+    # check_class with the dense product over Q(q) in the class's columns
     om = omega(datum.m, method="closed")
-    k = data.draw(st.integers(min_value=1, max_value=len(datum.classes)))
+    k = data.draw(st.one_of(st.just(len(datum.classes)),
+                            st.integers(min_value=1, max_value=len(datum.classes))))
     state = IntegralState.start(om, datum.m)
     try:
         for level, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
