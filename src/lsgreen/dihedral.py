@@ -26,7 +26,7 @@ machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InvalidM
@@ -123,12 +123,25 @@ class CharLabel:
 
     kind: str
     index: int | None = None
+    # hash((kind, index)), the dataclass hash, computed once: labels are
+    # hashed in every set and dict of the search, and the value keeps
+    # their iteration order
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("chi", "chi_r", "chi_r_prime", "eps"):
             raise ValueError(f"unknown label kind {self.kind!r}")
         if (self.kind == "chi") != (self.index is not None):
             raise ValueError("index is required exactly for 'chi' labels")
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so a copy or an unpickled label carries
+        # the hash of the process it lives in
+        return CharLabel, (self.kind, self.index)
 
     def __repr__(self) -> str:
         return format_label(self)

@@ -3,7 +3,9 @@
 Four layers, all exact (no floating point anywhere):
 
 * :class:`IntPoly` -- sparse univariate polynomials over the integers, the
-  coefficient domain for everything q-graded.
+  coefficient domain for everything q-graded.  Large dense products, exact
+  quotients and gcds go through Kronecker substitution: one big-integer
+  operation at q = 2^K.
 * :class:`RatFunc` -- reduced fractions of integer polynomials, normalised so
   the denominator has positive leading coefficient.  A sum of products is
   one :func:`rf_dot`: the numerators are added in Z[q] over their unreduced
@@ -34,7 +36,10 @@ The polynomial variable is called ``q`` in printed output.
 from __future__ import annotations
 
 import operator
+import struct
+from collections import deque
 from functools import lru_cache
+from itertools import compress
 from math import gcd as int_gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -190,16 +195,9 @@ class IntPoly:
             return _ZERO
         if len(a) > len(b):
             a, b = b, a
-        c: dict[int, int] = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = ea + eb
-                w = c.get(e, 0) + va * vb
-                if w:
-                    c[e] = w
-                elif e in c:
-                    del c[e]
-        return IntPoly._new(c)
+        if len(a) >= _KRON_MUL_MIN and _dense(a) and _dense(b):
+            return IntPoly._new(_kron_mul(a, b))
+        return IntPoly._new(_school_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -257,7 +255,14 @@ class IntPoly:
         return IntPoly._new(quot), IntPoly._new(rem)
 
     def __floordiv__(self, other: "IntPoly") -> "IntPoly":
-        """Exact division; raises NotDivisible if there is a remainder."""
+        """Exact division; raises NotDivisible if there is a remainder.
+
+        Above the crossover the quotient is read off one integer division
+        (:func:`_kron_quotient`); when that is inconclusive, long division
+        (:meth:`divmod`) decides."""
+        c = _large_quotient(self.c, other.c)
+        if c is not None:
+            return IntPoly._new(c)
         q, r = self.divmod(other)
         if not r.is_zero():
             raise NotDivisible(f"({self}) is not divisible by ({other})")
@@ -320,6 +325,163 @@ _ZERO = IntPoly()
 _ONE = IntPoly(1)
 
 
+def _school_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The schoolbook product of two coefficient dicts, ``a`` the shorter."""
+    c: dict[int, int] = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = ea + eb
+            w = c.get(e, 0) + va * vb
+            if w:
+                c[e] = w
+            elif e in c:
+                del c[e]
+    return c
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution
+# ---------------------------------------------------------------------------
+#
+# A polynomial q^lo * sum_i c_i q^i whose coefficients all satisfy
+# |c_i| < 2^(K-1) is its value at xi = 2^K, read back as balanced base-2^K
+# digits.  A product, an exact quotient or a gcd of large dense polynomials
+# is then one CPython big-integer operation between a pack and an unpack
+# (Harvey, J. Symbolic Comput. 2009; the gcd is GCDHEU, Char, Geddes and
+# Gonnet, J. Symbolic Comput. 1989).  K is a multiple of 8, so packing and
+# unpacking are byte copies.  The thresholds below are the crossovers
+# measured by scripts/kronecker_crossover.py (the table is in the README,
+# "The exact kernel"); under them the dict loops are faster.
+
+_KRON_MUL_MIN = 16     # terms of the shorter factor
+_KRON_DIV_WORK = 1024  # terms of the divisor times deg a - deg b + 1
+_KRON_GCD_MIN = 8      # terms of the shorter primitive operand
+_KRON_SPAN = 8         # a packed operand spans fewer slots than this per term
+_KRON_TRIES = 3        # GCDHEU evaluation points before the PRS loop
+
+
+def _dense(c: dict[int, int]) -> bool:
+    """Whether c is dense enough to pack: sparse high-degree polynomials
+    (q^5000 + 1) stay on the dict loops, whose cost is per term."""
+    return max(c) - min(c) < _KRON_SPAN * len(c)
+
+
+def _norm(c: dict[int, int]) -> int:
+    return max(map(abs, c.values()))
+
+
+# byte maps for the top byte of a slot: add 2^7 modulo 2^8, and the byte
+# that sign-extends it
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
+def _kron_pack(c: dict[int, int], lo: int, kb: int, n: int) -> int:
+    """The value at q = 2^(8 kb) of q^(-lo) c, for a c whose exponents lie
+    in lo .. lo + n - 1 and whose coefficients are below 2^(8 kb - 1) in
+    absolute value.
+
+    Each slot holds its coefficient plus 2^(8 kb - 1), a nonnegative
+    number, and the number whose every slot is 2^(8 kb - 1) is subtracted
+    at the end.  For slots of at most 8 bytes the coefficients are packed
+    as signed 64-bit words by :mod:`struct`; the low kb bytes of each word,
+    with the top bit of the last one flipped, are that slot, and kb
+    strided copies cut them out."""
+    if kb > 8:
+        half = 1 << (8 * kb - 1)
+        slots = [half] * n
+        for e, v in c.items():
+            slots[e - lo] += v
+        raw = b"".join([v.to_bytes(kb, "little") for v in slots])
+    else:
+        slots = [0] * (n + lo)
+        deque(map(slots.__setitem__, c.keys(), c.values()), 0)
+        if lo:
+            del slots[:lo]
+        words = struct.pack(f"<{n}q", *slots)
+        raw = bytearray(kb * n)
+        for j in range(kb - 1):
+            raw[j::kb] = words[j::8]
+        raw[kb - 1::kb] = words[kb - 1::8].translate(_FLIP)
+    return int.from_bytes(raw, "little") - int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+
+
+def _kron_unpack(x: int, kb: int, n: int, lo: int) -> dict[int, int] | None:
+    """The coefficient dict {lo + i: d_i} of the n balanced base-2^(8 kb)
+    digits d_i of x, each in [-2^(8 kb - 1), 2^(8 kb - 1)); None when x
+    needs more than n digits.
+
+    Adding the number whose every digit is 2^(8 kb - 1) makes every digit
+    nonnegative; :func:`_kron_pack`'s steps, reversed, read them back as
+    signed 64-bit words, sign-extended from their top byte."""
+    y = x + int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+    if y < 0 or y.bit_length() > 8 * kb * n:
+        return None
+    raw = y.to_bytes(kb * n, "little")
+    if kb > 8:
+        half = 1 << (8 * kb - 1)
+        digits = [int.from_bytes(raw[j:j + kb], "little") - half for j in range(0, kb * n, kb)]
+    else:
+        words = bytearray(8 * n)
+        for j in range(kb - 1):
+            words[j::8] = raw[j::kb]
+        top = raw[kb - 1::kb].translate(_FLIP)
+        words[kb - 1::8] = top
+        if kb < 8:
+            sign = top.translate(_SIGN)
+            for j in range(kb, 8):
+                words[j::8] = sign
+        digits = struct.unpack(f"<{n}q", words)
+    return dict(compress(zip(range(lo, lo + n), digits), digits))
+
+
+def _kron_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two nonzero coefficient dicts, by one integer
+    product.  K is rigorous: every coefficient of a*b is at most
+    min(len a, len b) * |a| * |b| in absolute value, below 2^(K-1)."""
+    lo_a, lo_b = min(a), min(b)
+    na, nb = max(a) - lo_a + 1, max(b) - lo_b + 1
+    bound = min(len(a), len(b)) * _norm(a) * _norm(b)
+    kb = (bound.bit_length() + 8) // 8
+    x = _kron_pack(a, lo_a, kb, na) * _kron_pack(b, lo_b, kb, nb)
+    return _kron_unpack(x, kb, na + nb - 1, lo_a + lo_b)
+
+
+def _kron_quotient(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """a / b for nonzero coefficient dicts, by one integer division: the
+    quotient Q, or None when the evaluation proves nothing.  Raises
+    NotDivisible when b(xi) does not divide a(xi), or when a's order or
+    degree is too low, since a = b*Q in Z[q] would give a(xi) = b(xi) Q(xi).
+
+    The slot width is a guess, |a| times the length of b or Q, so Q is
+    accepted only if min(len b, len Q) * |b| * |Q| < 2^(K-1): then b*Q and
+    a both have coefficients below 2^(K-1) and the same value at xi, so
+    they are equal.  There is one attempt and no retry with a larger K:
+    for ((q+2)c) / (2c) the integer division is exact at every even xi."""
+    lo_a, lo_b = min(a), min(b)
+    na, nb = max(a) - lo_a + 1, max(b) - lo_b + 1
+    if lo_a < lo_b or na < nb:
+        raise NotDivisible("the dividend's order or degree is too low")
+    nq = na - nb + 1
+    norm_b = _norm(b)
+    bits = max(_norm(a), norm_b).bit_length() + min(len(b), nq).bit_length() + 2
+    kb = (bits + 7) // 8
+    xq, r = divmod(_kron_pack(a, lo_a, kb, na), _kron_pack(b, lo_b, kb, nb))
+    if r:
+        raise NotDivisible("nonzero remainder at q = 2^K")
+    c = _kron_unpack(xq, kb, nq, lo_a - lo_b)
+    if not c or min(len(b), len(c)) * norm_b * _norm(c) >> (8 * kb - 1):
+        return None
+    return c
+
+
+def _large_quotient(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """:func:`_kron_quotient` above the crossover, None below it."""
+    if a and len(b) * (max(a) - max(b) + 1) >= _KRON_DIV_WORK and _dense(a) and _dense(b):
+        return _kron_quotient(a, b)
+    return None
+
+
 def _primitive(p: IntPoly) -> IntPoly:
     ct = p.content()
     if ct in (0, 1):
@@ -353,12 +515,60 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly._new(rem)
 
 
+def _prs_gcd(x: IntPoly, y: IntPoly) -> IntPoly:
+    """gcd of two primitive polynomials up to sign, by primitive-PRS
+    Euclid: the pseudo-remainder sequence is re-primitivised at every
+    step, which keeps coefficient growth tame at the sizes seen here."""
+    while not y.is_zero():
+        x, y = y, _primitive(_pseudo_rem(x, y))
+    return x
+
+
+def _heuristic_gcd(x: dict[int, int], y: dict[int, int]) -> IntPoly | None:
+    """gcd of two primitive coefficient dicts, with positive leading
+    coefficient, by GCDHEU; None after _KRON_TRIES evaluation points
+    without a proof.
+
+    The power of q they share is split off first.  At xi = 2^K >=
+    2 min(|x|, |y|) + 2, the primitive part G of the balanced base-xi
+    digits of igcd(x(xi), y(xi)) is the gcd as soon as G divides both
+    (Char, Geddes and Gonnet 1989, Theorem 1); the divisions are checked
+    exactly.  K is also large enough to pack both."""
+    lo_x, lo_y = min(x), min(y)
+    shift = min(lo_x, lo_y)
+    x = {e - lo_x: v for e, v in x.items()}
+    y = {e - lo_y: v for e, v in y.items()}
+    if len(x) == 1 or len(y) == 1:
+        return IntPoly._new({shift: 1})
+    nx, ny = max(x) + 1, max(y) + 1
+    norm_x, norm_y = _norm(x), _norm(y)
+    bits = max((2 * min(norm_x, norm_y) + 2).bit_length(), max(norm_x, norm_y).bit_length() + 1)
+    for _ in range(_KRON_TRIES):
+        kb = (bits + 7) // 8
+        g = int_gcd(_kron_pack(x, 0, kb, nx), _kron_pack(y, 0, kb, ny))
+        c = _kron_unpack(g, kb, g.bit_length() // (8 * kb) + 2, 0)
+        ct = 0
+        for v in c.values():
+            ct = int_gcd(ct, v)
+        if c[max(c)] < 0:
+            ct = -ct
+        c = {e: v // ct for e, v in c.items()}
+        try:
+            if c == {0: 1} or (_kron_quotient(x, c) is not None
+                               and _kron_quotient(y, c) is not None):
+                return IntPoly._new({e + shift: v for e, v in c.items()})
+        except NotDivisible:
+            pass
+        bits = 16 * kb
+    return None
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Gcd in Z[q], normalised primitive with positive leading coefficient.
 
-    Primitive-PRS Euclid: contents are pulled out up front and the
-    pseudo-remainder sequence is re-primitivised at every step, which keeps
-    coefficient growth tame at the sizes seen here.
+    Contents are pulled out up front.  Above the crossover the primitive
+    parts go to GCDHEU (:func:`_heuristic_gcd`); below it, or when that
+    proves nothing, to primitive-PRS Euclid (:func:`_prs_gcd`).
     """
     if a.is_zero():
         g = b
@@ -367,10 +577,12 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     else:
         ca, cb = a.content(), b.content()
         x, y = _primitive(a), _primitive(b)
-        while not y.is_zero():
-            r = _pseudo_rem(x, y)
-            x, y = y, _primitive(r)
-        g = x * int_gcd(ca, cb)
+        g = None
+        if min(len(x.c), len(y.c)) >= _KRON_GCD_MIN and _dense(x.c) and _dense(y.c):
+            g = _heuristic_gcd(x.c, y.c)
+        if g is None:
+            g = _prs_gcd(x, y)
+        g = g * int_gcd(ca, cb)
     if g.leading_coeff() < 0:
         g = -g
     return g
@@ -1017,6 +1229,9 @@ def poly_dot(pairs: Iterable[tuple[IntPoly, IntPoly]]) -> IntPoly:
 def _exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly | None:
     """num / den when it lies in Z[q], else None."""
     try:
+        c = _large_quotient(num.c, den.c)
+        if c is not None:
+            return IntPoly._new(c)
         quo, rem = num.divmod(den)
     except NotDivisible:
         return None

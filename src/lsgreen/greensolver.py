@@ -225,6 +225,17 @@ def _div_by_poly(x: RatFunc, d: IntPoly) -> RatFunc:
     return RatFunc(x.num // g, x.den * (d // g), _normalized=True)
 
 
+def _div_by_q_power(x: RatFunc, k: int) -> RatFunc:
+    """x / q^k in lowest terms, by valuations: x is reduced, so only
+    q^s with s = min(ord num, k) can cancel, and x / q^k =
+    (num / q^s) / (den q^(k - s)); no gcd is taken."""
+    if x.is_zero():
+        return x
+    s = min(x.num.order(), k)
+    num = IntPoly({e - s: v for e, v in x.num.c.items()}) if s else x.num
+    return RatFunc(num, x.den.shift(k - s), _normalized=True)
+
+
 @dataclass(frozen=True, eq=False)
 class SolveState:
     """Where the class-by-class solve stands: the classes peeled so far
@@ -284,12 +295,11 @@ class SolveState:
                         nonpoly.append((ci, labels[i], cl))
 
         # Lambda block: q^(-2 a_C) (q^m - 1) Y_{C,C} = q^(-2 a_C) M_{C,C}
-        q2a = IntPoly.q(2 * a_c)
         L = list(self.L)
         for i in midx:
             row = list(L[i])
             for j in midx:
-                row[j] = _div_by_poly(M[i][j], q2a)
+                row[j] = _div_by_q_power(M[i][j], 2 * a_c)
             L[i] = tuple(row)
 
         # diagonal P block

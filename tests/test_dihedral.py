@@ -3,11 +3,13 @@
 Oracle: the full orthogonality relations of the character table, checked in
 exact cyclotomic arithmetic.
 """
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lsgreen.dihedral import (
-    Chi, ChiR, ChiRPrime, Eps, Ref, Rot,
+    CharLabel, Chi, ChiR, ChiRPrime, Eps, Ref, Rot,
     all_labels, b_invariant, char_table, char_value, elements, families,
     format_label, inverse, irreps, mult, num_irreducibles, parse_label,
     specials,
@@ -159,3 +161,13 @@ def test_label_census(m):
     else:
         assert len(labs) == (m - 1) // 2 + 2
     assert labs[0] == Chi(0) and labs[-1] == Eps
+
+
+@given(st.integers(min_value=0, max_value=40))
+def test_char_label_hash_is_the_field_tuple_hash(i):
+    # the cached hash is the dataclass hash, so every set and dict of
+    # labels iterates in the same order as before it was cached
+    for label in (Chi(i), ChiR, ChiRPrime, Eps):
+        assert hash(label) == hash((label.kind, label.index))
+    assert Chi(i) == CharLabel("chi", i) and hash(Chi(i)) == hash(CharLabel("chi", i))
+    assert pickle.loads(pickle.dumps(Chi(i))) == Chi(i)

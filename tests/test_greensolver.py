@@ -275,6 +275,15 @@ def test_div_by_poly_is_the_quotient_in_lowest_terms(num, den, c, d):
     assert (got.num, got.den) == (want.num, want.den)
 
 
+@given(products, products, st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=8))
+def test_div_by_q_power_is_the_quotient_in_lowest_terms(num, den, c, k):
+    x = RatFunc(num * c, den)
+    got = greensolver._div_by_q_power(x, k)
+    want = x / RatFunc(IntPoly.q(k))
+    assert (got.num, got.den) == (want.num, want.den)
+
+
 @st.composite
 def random_data(draw):
     """A random partition of the labels for some m <= 10 into classes, with
