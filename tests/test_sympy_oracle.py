@@ -4,12 +4,11 @@ kernel: products, exact quotients and gcds above the Kronecker crossovers.
 Test-only and optional: the module is skipped where sympy is not
 installed, and lsgreen never imports it.
 """
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsgreen.exactalg import IntPoly, poly_gcd
+from test_exactalg import large_polys
 
 sympy = pytest.importorskip("sympy")
 Q = sympy.Symbol("q")
@@ -24,21 +23,8 @@ def from_sympy(p) -> IntPoly:
     return IntPoly({e: int(v) for (e,), v in p.as_dict().items()})
 
 
-@st.composite
-def random_polys(draw, min_terms, max_terms, bit_sizes):
-    """Seeded random polynomials: 16-200 signed terms over one to three
-    exponent slots per term, shifted by a power of q."""
-    n = draw(st.integers(min_value=min_terms, max_value=max_terms))
-    bits = draw(st.sampled_from(bit_sizes))
-    slots = draw(st.integers(min_value=1, max_value=3))
-    offset = draw(st.integers(min_value=0, max_value=20))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    return IntPoly({offset + e: rng.choice((-1, 1)) * rng.randrange(1, 2**bits)
-                    for e in rng.sample(range(slots * n), n)})
-
-
-large = random_polys(16, 200, (1, 16, 80))
-medium = random_polys(8, 60, (1, 16, 80))
+large = large_polys(bit_sizes=(1, 16, 80))
+medium = large_polys(min_terms=8, max_terms=60, bit_sizes=(1, 16, 80))
 
 
 @settings(max_examples=20, deadline=None)
@@ -55,7 +41,8 @@ def test_exact_quotient_matches_sympy(a, b):
 
 
 @settings(max_examples=20, deadline=None)
-@given(medium, medium, random_polys(1, 30, (1, 8)), st.integers(min_value=1, max_value=12))
+@given(medium, medium, large_polys(min_terms=1, max_terms=30, bit_sizes=(1, 8)),
+       st.integers(min_value=1, max_value=12))
 def test_gcd_matches_sympy(u, v, g, c):
     a, b = g * u * c, g * v
     assert poly_gcd(a, b) == from_sympy(to_sympy(a).gcd(to_sympy(b)))
