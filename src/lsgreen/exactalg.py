@@ -39,7 +39,7 @@ import operator
 import struct
 from collections import deque
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd as int_gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -394,10 +394,13 @@ def _kron_pack(c: dict[int, int], lo: int, kb: int, n: int) -> int:
             slots[e - lo] += v
         raw = b"".join([v.to_bytes(kb, "little") for v in slots])
     else:
-        slots = [0] * (n + lo)
-        deque(map(slots.__setitem__, c.keys(), c.values()), 0)
-        if lo:
+        if lo <= n:  # index by exponent, then drop the first lo slots
+            slots = [0] * (n + lo)
+            deque(map(slots.__setitem__, c.keys(), c.values()), 0)
             del slots[:lo]
+        else:  # a high order: shift the exponents instead
+            slots = [0] * n
+            deque(map(slots.__setitem__, map(operator.sub, c, repeat(lo)), c.values()), 0)
         words = struct.pack(f"<{n}q", *slots)
         raw = bytearray(kb * n)
         for j in range(kb - 1):

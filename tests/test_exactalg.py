@@ -422,15 +422,17 @@ def test_poly_solve_agrees_with_matrix_solve(k, nrhs, exact, data):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def large_polys(draw, min_terms=16, max_terms=200, bit_sizes=(1, 4, 16, 40, 80)):
+def large_polys(draw, min_terms=16, max_terms=200, bit_sizes=(1, 4, 16, 40, 80),
+                orders=st.integers(min_value=0, max_value=30) | st.just(1000)):
     """Polynomials above the Kronecker crossovers: 16-200 terms spread over
     one to three exponent slots per term, signed coefficients of 1 to 80
-    bits, shifted by a power of q.  The terms come from a drawn seed, which
+    bits, shifted by a power of q (by default up to q^30, or q^1000, an
+    order above the span).  The terms come from a drawn seed, which
     keeps the draw fast at this size."""
     n = draw(st.integers(min_value=min_terms, max_value=max_terms))
     bits = draw(st.sampled_from(bit_sizes))
     slots = draw(st.integers(min_value=1, max_value=3))
-    offset = draw(st.integers(min_value=0, max_value=30))
+    offset = draw(orders)
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     exps = rng.sample(range(slots * n), n)
     return IntPoly({offset + e: rng.choice((-1, 1)) * rng.randrange(1, 2**bits)
@@ -495,8 +497,10 @@ def test_kronecker_quotient_takes_the_fast_path_on_typical_operands():
     assert exactalg._kron_quotient((a * b).c, b.c) == a.c
 
 
-# the PRS oracle is slow on large operands, so these stay near the crossover
-gcd_factors = large_polys(min_terms=4, max_terms=24, bit_sizes=(1, 4, 16))
+# the PRS oracle is slow on large operands and on far-apart orders, so
+# these stay near the crossover
+gcd_factors = large_polys(min_terms=4, max_terms=24, bit_sizes=(1, 4, 16),
+                          orders=st.integers(min_value=0, max_value=30))
 
 
 @settings(max_examples=25, deadline=None)
