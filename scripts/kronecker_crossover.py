@@ -6,7 +6,9 @@ Prints one Markdown table per operation, in microseconds per call (the
 best of three timed batches, each at least 20 ms): products n x n, the
 same 32 x 32 product at falling density, exact quotients by a divisor
 of n terms and of n-term quotients, and gcds of two products with an
-n-term common factor.
+n-term common factor; last, packing and unpacking at slots of at most
+8 bytes by :mod:`struct`, as the library does, against the slot-by-slot
+``int.to_bytes`` form it keeps for wider slots.
 Operands are seeded random polynomials with signed 16-bit coefficients,
 spread over three exponent slots per term, the shape of the Bareiss
 entries of random rational data at m = 16..24.  The thresholds
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import compress
 
 from lsgreen import exactalg as ea
 
@@ -27,6 +30,24 @@ BITS = 16     # coefficient size of the operands
 def poly(rng: random.Random, n: int, span: int = SPAN, bits: int = BITS) -> dict[int, int]:
     exps = rng.sample(range(span * n), n)
     return {e: rng.choice((-1, 1)) * rng.randrange(1, 1 << bits) for e in exps}
+
+
+def pack_by_slot(c: dict[int, int], lo: int, kb: int, n: int) -> int:
+    """``exactalg._kron_pack`` as it packs slots wider than 8 bytes."""
+    half = 1 << (8 * kb - 1)
+    slots = [half] * n
+    for e, v in c.items():
+        slots[e - lo] += v
+    raw = b"".join([v.to_bytes(kb, "little") for v in slots])
+    return int.from_bytes(raw, "little") - int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+
+
+def unpack_by_slot(x: int, kb: int, n: int, lo: int) -> dict[int, int]:
+    """``exactalg._kron_unpack`` as it unpacks slots wider than 8 bytes."""
+    raw = (x + int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")).to_bytes(kb * n, "little")
+    half = 1 << (8 * kb - 1)
+    digits = [int.from_bytes(raw[j:j + kb], "little") - half for j in range(0, kb * n, kb)]
+    return dict(compress(zip(range(lo, lo + n), digits), digits))
 
 
 def usec(fn, *args) -> float:
@@ -85,6 +106,24 @@ def main() -> None:
         y = ea._primitive(ea.IntPoly._new(ea._kron_mul(g, v)))
         label = f"{n} ({min(len(x.c), len(y.c))})"
         print(row(label, usec(ea._prs_gcd, x, y), usec(ea._heuristic_gcd, x.c, y.c)))
+
+
+    head = "| {} | slot by slot (µs) | struct (µs) | speed-up |\n|---|---:|---:|---:|"
+    for what in ("Packing", "Unpacking"):
+        print(f"\n{what} n terms into slots of kb bytes\n")
+        print(head.format("n, kb"))
+        for n in (16, 64, 256):
+            for kb in (3, 8):
+                c = poly(rng, n, bits=8 * kb - 4)
+                lo, slots = min(c), max(c) - min(c) + 1
+                x = ea._kron_pack(c, lo, kb, slots)
+                assert x == pack_by_slot(c, lo, kb, slots)
+                assert ea._kron_unpack(x, kb, slots, lo) == unpack_by_slot(x, kb, slots, lo) == c
+                if what == "Packing":
+                    old, new = usec(pack_by_slot, c, lo, kb, slots), usec(ea._kron_pack, c, lo, kb, slots)
+                else:
+                    old, new = usec(unpack_by_slot, x, kb, slots, lo), usec(ea._kron_unpack, x, kb, slots, lo)
+                print(row(f"{n}, {kb}", old, new))
 
 
 if __name__ == "__main__":

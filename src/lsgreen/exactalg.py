@@ -260,9 +260,12 @@ class IntPoly:
         Above the crossover the quotient is read off one integer division
         (:func:`_kron_quotient`); when that is inconclusive, long division
         (:meth:`divmod`) decides."""
-        c = _large_quotient(self.c, other.c)
-        if c is not None:
-            return IntPoly._new(c)
+        a, b = self.c, other.c
+        if (a and b and len(b) * (max(a) - max(b) + 1) >= _KRON_DIV_WORK
+                and _dense(a) and _dense(b)):
+            c = _kron_quotient(a, b)
+            if c is not None:
+                return IntPoly._new(c)
         q, r = self.divmod(other)
         if not r.is_zero():
             raise NotDivisible(f"({self}) is not divisible by ({other})")
@@ -394,13 +397,8 @@ def _kron_pack(c: dict[int, int], lo: int, kb: int, n: int) -> int:
             slots[e - lo] += v
         raw = b"".join([v.to_bytes(kb, "little") for v in slots])
     else:
-        if lo <= n:  # index by exponent, then drop the first lo slots
-            slots = [0] * (n + lo)
-            deque(map(slots.__setitem__, c.keys(), c.values()), 0)
-            del slots[:lo]
-        else:  # a high order: shift the exponents instead
-            slots = [0] * n
-            deque(map(slots.__setitem__, map(operator.sub, c, repeat(lo)), c.values()), 0)
+        slots = [0] * n
+        deque(map(slots.__setitem__, map(operator.sub, c, repeat(lo)), c.values()), 0)
         words = struct.pack(f"<{n}q", *slots)
         raw = bytearray(kb * n)
         for j in range(kb - 1):
@@ -478,13 +476,6 @@ def _kron_quotient(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | Non
     return c
 
 
-def _large_quotient(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
-    """:func:`_kron_quotient` above the crossover, None below it."""
-    if a and len(b) * (max(a) - max(b) + 1) >= _KRON_DIV_WORK and _dense(a) and _dense(b):
-        return _kron_quotient(a, b)
-    return None
-
-
 def _primitive(p: IntPoly) -> IntPoly:
     ct = p.content()
     if ct in (0, 1):
@@ -541,8 +532,6 @@ def _heuristic_gcd(x: dict[int, int], y: dict[int, int]) -> IntPoly | None:
     shift = min(lo_x, lo_y)
     x = {e - lo_x: v for e, v in x.items()}
     y = {e - lo_y: v for e, v in y.items()}
-    if len(x) == 1 or len(y) == 1:
-        return IntPoly._new({shift: 1})
     nx, ny = max(x) + 1, max(y) + 1
     norm_x, norm_y = _norm(x), _norm(y)
     bits = max((2 * min(norm_x, norm_y) + 2).bit_length(), max(norm_x, norm_y).bit_length() + 1)
@@ -1232,13 +1221,9 @@ def poly_dot(pairs: Iterable[tuple[IntPoly, IntPoly]]) -> IntPoly:
 def _exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly | None:
     """num / den when it lies in Z[q], else None."""
     try:
-        c = _large_quotient(num.c, den.c)
-        if c is not None:
-            return IntPoly._new(c)
-        quo, rem = num.divmod(den)
+        return num // den
     except NotDivisible:
         return None
-    return None if rem.c else quo
 
 
 def poly_solve(a: Sequence[Sequence[IntPoly]], b: Sequence[Sequence[IntPoly]]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsgreen import exactalg
-from lsgreen.errors import NotDivisible, SingularBlock, ZeroDenominator
+from lsgreen.errors import DivisionByZero, NotDivisible, SingularBlock, ZeroDenominator
 from lsgreen.exactalg import (
     CycloNum, IntPoly, PolyMatrix, RatFunc, cyclotomic_polynomial, euler_phi, matrix_solve,
     poly_dot, poly_gcd, poly_solve, rf_dot,
@@ -495,6 +495,18 @@ def test_kronecker_quotient_takes_the_fast_path_on_typical_operands():
     a = IntPoly({e: rng.randrange(-2**16, 2**16) or 1 for e in range(0, 192, 3)})
     b = IntPoly({e: rng.randrange(-2**16, 2**16) or 1 for e in range(5, 53, 3)})
     assert exactalg._kron_quotient((a * b).c, b.c) == a.c
+
+
+def test_division_by_the_zero_polynomial_raises_division_by_zero():
+    # a dividend above the quotient crossover too: the crossover test
+    # must not look at the empty divisor first
+    large = IntPoly({e: e + 1 for e in range(200)})
+    for p in (IntPoly({1: 1, 0: 2}), large):
+        with pytest.raises(DivisionByZero):
+            p // IntPoly.zero()
+        with pytest.raises(DivisionByZero):
+            exactalg._exact_quotient(p, IntPoly.zero())
+        assert not IntPoly.zero().divides(p)
 
 
 # the PRS oracle is slow on large operands and on far-apart orders, so
