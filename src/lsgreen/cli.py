@@ -301,10 +301,11 @@ def _checks_table(fmt: str, what: str, rows, latex_name=str) -> str:
 SOLVE_M_BOUND = 30  # m bound of solve and maximal
 # The m bounds of irr, omega and spref, each where the command takes a few
 # seconds (wall time, 2-core VM, Python 3.11): irr 60 takes 2.1 s (80:
-# 6.5 s); omega's Molien sum (--method sum or both) at 30 takes 2.7 s
-# (40: 6.6 s) and its closed table at 300 takes 1.6 s (400: 4.3 s);
-# spref 1000 takes 1.2 s (2000: 4.6 s, 3000: 7.8 s).  --max-m replaces
-# every one of them.
+# 6.5 s); omega's closed table at 300 takes 1.6 s (400: 4.3 s); spref 1000
+# takes 1.2 s (2000: 4.6 s, 3000: 7.8 s).  omega's Molien sum (--method sum
+# or both) at 30 takes 0.4-0.5 s, 0.7 s at 29 (the slowest m up to 30) and
+# 1.2 s at 40; its bound stays 30, the largest m at which the test-suite
+# checks it against the closed table.  --max-m replaces every one of them.
 IRR_M_BOUND = 60
 OMEGA_SUM_M_BOUND = 30
 OMEGA_CLOSED_M_BOUND = 300

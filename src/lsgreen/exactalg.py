@@ -830,13 +830,6 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _cyclo_tail(m: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero lower terms (i, c) of Phi_m = x^phi + sum c x^i."""
-    cyc = cyclotomic_polynomial(m)
-    return tuple((i, c) for i, c in cyc.c.items() if i < euler_phi(m))
-
-
-@lru_cache(maxsize=None)
 def _power_reductions(m: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of x^j mod Phi_m for j = 0 .. 2m, as integer vectors of
     length phi(m)."""
@@ -858,6 +851,29 @@ def _power_reductions(m: int) -> tuple[tuple[int, ...], ...]:
         cur = nxt
         rows.append(tuple(cur))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For j = phi .. 2 phi - 2, the nonzero coordinates (i, c) of x^j mod
+    Phi_m.  They are sparse: at prime m, x^j = x^(j-m) for j >= m and
+    x^(m-1) = -(1 + ... + x^(m-2)), so reducing a product costs O(m)
+    rather than the O(m^2) of dividing by Phi_m step by step."""
+    phi = euler_phi(m)
+    red = _power_reductions(m)
+    return tuple(tuple((i, c) for i, c in enumerate(red[j]) if c) for j in range(phi, 2 * phi - 1))
+
+
+def _cyclo_reduce(m: int, conv: Sequence[int]) -> tuple[int, ...]:
+    """The coordinates mod Phi_m of the coefficient list conv, of length
+    2 phi - 1, of a product of two elements of Z[x]/(Phi_m)."""
+    phi = (len(conv) + 1) // 2
+    out = list(conv[:phi])
+    for cj, row in zip(conv[phi:], _reduction_rows(m)):
+        if cj:
+            for i, c in row:
+                out[i] += cj * c
+    return tuple(out)
 
 
 class CycloNum:
@@ -961,15 +977,7 @@ class CycloNum:
             if a:
                 for j, b in bs:
                     conv[i + j] += a * b
-        # x^j = -x^(j-phi) * sum c x^i, highest j first
-        tail = _cyclo_tail(self.m)
-        for j in range(2 * phi - 2, phi - 1, -1):
-            cj = conv[j]
-            if cj:
-                base = j - phi
-                for i, c in tail:
-                    conv[base + i] -= cj * c
-        return CycloNum._new(self.m, tuple(conv[:phi]))
+        return CycloNum._new(self.m, _cyclo_reduce(self.m, conv))
 
     __rmul__ = __mul__
 

@@ -7,11 +7,13 @@ coinvariant algebra,
 
 with P the Poincare polynomial of the invariant ring and the sum over all
 2m group elements, det taken in the two-dimensional reflection
-representation.  :func:`fake_degree_sum` evaluates this element-by-element
-in Z[zeta_m][q]: character values are cyclotomic integers and both divisors
-are monic, so every step has integer coordinates, and the only division
-that can leave Z[zeta_m] is one exact division by |W| = 2m at the end.  The
-result is certified to be an integer polynomial.
+representation.  :func:`fake_degree_sum` evaluates this in Z[zeta_m][q]:
+character values are cyclotomic integers and both divisors are monic, so
+every step has integer coordinates, and the only division that can leave
+Z[zeta_m] is one exact division by |W| = 2m at the end.  The result is
+certified to be an integer polynomial.  The m rotation terms are one dot
+product of Kronecker-packed integers (:func:`_rotation_sum`), reduced mod
+Phi_m once per power of q.
 
 The omega matrix omega(chi, chi') = q^m * R(chi . chi' . eps) is computed by
 two genuinely independent routes -- the character sum above and a closed
@@ -21,6 +23,7 @@ each other.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -28,7 +31,9 @@ from typing import Sequence
 from . import dihedral
 from .dihedral import CharLabel, IrrChar, all_labels, char_table, elements, irreps
 from .errors import NotPolynomial
-from .exactalg import CycloNum, IntPoly, PolyMatrix, RatFunc
+from .exactalg import (
+    CycloNum, IntPoly, PolyMatrix, RatFunc, _cyclo_reduce, _kron_pack, _kron_unpack, euler_phi,
+)
 
 __all__ = [
     "poincare_polynomial",
@@ -117,13 +122,72 @@ def _rotation_cofactors(m: int) -> tuple[tuple[CycloNum, ...], ...]:
 
 def _values_of(m: int, f) -> tuple[CycloNum, ...]:
     if isinstance(f, IrrChar):
-        return f.values
-    if isinstance(f, CharLabel):
-        return dihedral.get_char(m, f).values
-    vals = tuple(f)
+        vals = f.values
+    elif isinstance(f, CharLabel):
+        vals = dihedral.get_char(m, f).values
+    else:
+        vals = tuple(f)
     if len(vals) != 2 * m:
         raise ValueError(f"need one value per group element (2m = {2 * m})")
+    for v in vals:
+        if not isinstance(v, CycloNum):
+            raise TypeError(f"class function values must be CycloNum, got {v!r}")
+        if v.m != m:
+            raise ValueError(f"value in Q(zeta_{v.m}) for m={m}")
     return vals
+
+
+@lru_cache(maxsize=None)
+def _cofactor_norm(m: int) -> int:
+    return max(abs(x) for tk in _rotation_cofactors(m) for c in tk for x in c.co)
+
+
+# m -> (slot bytes, packed rotation cofactors): one packing per m, replaced
+# by a wider one when a sum needs wider slots
+_PACKED_COFACTORS: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+
+def _packed_cofactors(m: int, kb: int) -> tuple[int, tuple[int, ...]]:
+    """The slot width kb' >= kb in bytes of the cached packing, and the
+    rotation cofactors packed at it.  The coefficient of zeta^i q^e sits
+    in slot e (2 phi - 1) + i, so that a product with one element of
+    Z[zeta_m], packed in phi slots, leaves each q-coefficient's 2 phi - 1
+    coordinates before reduction mod Phi_m in a block of its own."""
+    got = _PACKED_COFACTORS.get(m)
+    if got is None or got[0] < kb:
+        width = 2 * euler_phi(m) - 1
+        n = (2 * m - 1) * width
+        packs = tuple(
+            _kron_pack({e * width + i: x for e, c in enumerate(tk) for i, x in enumerate(c.co)},
+                       0, kb, n)
+            for tk in _rotation_cofactors(m)
+        )
+        got = _PACKED_COFACTORS[m] = (kb, packs)
+    return got
+
+
+def _rotation_sum(m: int, rot: Sequence[CycloNum]) -> list[CycloNum]:
+    """N = sum_k f(rho^k) (q^m-1)^2 / det(q - rho^k), as its 2m-1
+    q-coefficients, by one dot product of packed integers.
+
+    A coefficient of the sum before reduction mod Phi_m adds at most
+    m * phi products of a coordinate of f and one of a cofactor, so slots
+    of 8 kb bits with 2^(8 kb - 1) above that bound hold it exactly, as in
+    :func:`exactalg._kron_mul`."""
+    phi = euler_phi(m)
+    width = 2 * phi - 1
+    norm_f = max(abs(x) for v in rot for x in v.co)
+    if not norm_f:
+        return [_czero(m)] * (2 * m - 1)
+    bound = m * phi * norm_f * _cofactor_norm(m)
+    kb, packs = _packed_cofactors(m, (bound.bit_length() + 8) // 8)
+    total = sum(_kron_pack(dict(enumerate(v.co)), 0, kb, phi) * pk
+                for v, pk in zip(rot, packs) if any(v.co))
+    n = (2 * m - 1) * width
+    flat = [0] * n
+    digits = _kron_unpack(total, kb, n, 0)
+    deque(map(flat.__setitem__, digits, digits.values()), 0)
+    return [CycloNum._new(m, _cyclo_reduce(m, flat[i:i + width])) for i in range(0, n, width)]
 
 
 def fake_degree_sum(m: int, f) -> IntPoly:
@@ -138,18 +202,9 @@ def fake_degree_sum(m: int, f) -> IntPoly:
     """
     dihedral._check_m(m)
     vals = _values_of(m, f)
-    cof = _rotation_cofactors(m)
 
     # rotation part: N = sum_k f(rho^k) * (q^m-1)^2 / det(q - rho^k)
-    nrot = [_czero(m)] * (2 * m - 1)
-    for k in range(m):
-        fv = vals[k]
-        if fv.is_zero():
-            continue
-        tk = cof[k]
-        for e, c in enumerate(tk):
-            if not c.is_zero():
-                nrot[e] = nrot[e] + fv * c
+    nrot = _rotation_sum(m, vals[:m])
 
     # reflection part: every reflection contributes det = -1 over q^2 - 1
     srefl = _czero(m)

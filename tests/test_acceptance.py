@@ -32,7 +32,8 @@ def _accepted(outcome):
 
 
 def test_01_pairing_matrix_sum_and_closed_derivations_agree():
-    for m in range(3, 17):
+    # up to OMEGA_SUM_M_BOUND, the largest m `omega --method sum` accepts
+    for m in range(3, 31):
         assert omega_sum(m) == omega_closed(m), f"m={m}"
 
 

@@ -1,18 +1,23 @@
 """Fake degrees, the graded symmetry, and the pairing matrix.
 
-Oracle: the closed product/table forms, re-derived here from scratch and
-compared with the character-sum implementation.
+Oracles: the closed product/table forms, re-derived here from scratch and
+compared with the character-sum implementation, and the Molien sum taken
+element by element in Z[zeta_m][q], against which the packed rotation sum
+is checked.
 """
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+
+from lsgreen import fakedegree
 
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, b_invariant, char_table
 from lsgreen.errors import NotPolynomial, NotRational
 from lsgreen.exactalg import CycloNum, IntPoly, euler_phi
 from lsgreen.fakedegree import (
-    _cpoly_divexact, check_symmetry, fake_degree, fake_degree_sum, omega, omega_closed,
-    omega_sum, poincare_polynomial,
+    _cpoly_divexact, _czero, _rotation_cofactors, check_symmetry, fake_degree,
+    fake_degree_sum, omega, omega_closed, omega_sum, poincare_polynomial,
 )
 
 
@@ -80,6 +85,115 @@ def at_identity(m, value):
     of dihedral.elements) and 0 elsewhere."""
     zero = CycloNum.rational(m, 0)
     return (value,) + (zero,) * (2 * m - 1)
+
+
+def reference_fake_degree_sum(m, vals):
+    """R(f) with the rotation sum taken element by element: m (2m - 1)
+    reduced products in Z[zeta_m].  Everything after the rotation sum is
+    fake_degree_sum's own tail."""
+    cof = _rotation_cofactors(m)
+    nrot = [_czero(m)] * (2 * m - 1)
+    for k in range(m):
+        fv = vals[k]
+        if fv.is_zero():
+            continue
+        for e, c in enumerate(cof[k]):
+            if not c.is_zero():
+                nrot[e] = nrot[e] + fv * c
+    srefl = _czero(m)
+    for k in range(m):
+        srefl = srefl + vals[m + k]
+    u = [_czero(m)] * 2 + nrot
+    for e, c in enumerate(nrot):
+        u[e] = u[e] - c
+    if not srefl.is_zero():
+        u[0] = u[0] - srefl
+        u[m] = u[m] + 2 * srefl
+        u[2 * m] = u[2 * m] - srefl
+    one = CycloNum.rational(m, 1)
+    quot = _cpoly_divexact(m, u, [-one] + [_czero(m)] * (m - 1) + [one])
+    coeffs = {}
+    for e, c in enumerate(quot):
+        if c.is_zero():
+            continue
+        r = Fraction(c.rational_part(), 2 * m)
+        if r.denominator != 1:
+            raise NotPolynomial(f"coefficient of q^{e} is {r}")
+        coeffs[e] = int(r)
+    return IntPoly(coeffs)
+
+
+def outcome(fn, m, vals):
+    """The polynomial, or the type of the certification failure."""
+    try:
+        return fn(m, vals)
+    except (NotRational, NotPolynomial) as exc:
+        return type(exc)
+
+
+BIG = 2 ** 200
+big_ints = st.integers(-BIG, BIG)
+
+
+@st.composite
+def class_functions(draw):
+    """(m, values) for m = 3..40: an integer combination of the irreducible
+    characters (an integer polynomial), the same plus a rational value at
+    one element (usually not integral), or random coordinates (usually
+    irrational)."""
+    m = draw(st.integers(3, 40))
+    phi = euler_phi(m)
+    kind = draw(st.sampled_from(("characters", "rational", "coordinates")))
+    zero = CycloNum.rational(m, 0)
+    if kind == "coordinates":
+        vals = [CycloNum(m, draw(st.lists(big_ints, min_size=phi, max_size=phi)))
+                if draw(st.booleans()) else zero for _ in range(2 * m)]
+        return m, tuple(vals)
+    vals = [zero] * (2 * m)
+    for ch in char_table(m):
+        n = draw(big_ints)
+        vals = [v + x * n for v, x in zip(vals, ch.values)]
+    if kind == "rational":
+        i = draw(st.integers(0, 2 * m - 1))
+        vals[i] = vals[i] + draw(big_ints)
+    return m, tuple(vals)
+
+
+@given(class_functions())
+def test_packed_rotation_sum_equals_the_elementwise_sum(case):
+    m, vals = case
+    assert outcome(fake_degree_sum, m, vals) == outcome(reference_fake_degree_sum, m, vals)
+
+
+@pytest.mark.parametrize("m", (3, 8, 12))
+def test_a_coordinate_just_above_the_cached_slot_round_trips(m, monkeypatch):
+    monkeypatch.setattr(fakedegree, "_PACKED_COFACTORS", {})
+    triv, chi1 = char_table(m)[0], char_table(m)[1]
+    assert fake_degree_sum(m, triv) == IntPoly.one()
+    kb = fakedegree._PACKED_COFACTORS[m][0]
+    top = 1 << (8 * kb - 1)  # the first value the cached slots cannot hold
+    for v in (top - 1, top, top + 1, -top):
+        vals = tuple(a * v + b for a, b in zip(triv.values, chi1.values))
+        assert fake_degree_sum(m, vals) == reference_fake_degree_sum(m, vals) \
+            == IntPoly({0: v}) + fake_degree(m, chi1.label), v
+    assert fakedegree._PACKED_COFACTORS[m][0] > kb
+
+
+@pytest.mark.parametrize("i", (0, 1, 5))
+def test_fake_degree_sum_refuses_a_value_from_another_field(i):
+    # positions 0, 1 and 5 are the identity, a rotation and a reflection
+    vals = list(char_table(5)[1].values)
+    vals[i] = CycloNum.root_power(7, 1)
+    with pytest.raises(ValueError):
+        fake_degree_sum(5, vals)
+
+
+@pytest.mark.parametrize("i, value", [(1, "1"), (5, 1), (0, Fraction(1))])
+def test_fake_degree_sum_refuses_a_value_that_is_not_cyclotomic(i, value):
+    vals = list(char_table(5)[1].values)
+    vals[i] = value
+    with pytest.raises(TypeError):
+        fake_degree_sum(5, vals)
 
 
 @pytest.mark.parametrize("m", (3, 4, 5, 6, 12))

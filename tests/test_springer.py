@@ -162,7 +162,7 @@ def test_candidate_counts():
     assert sum(1 for _ in enumerate_candidate_data(GG5)) == 1
 
 
-@pytest.mark.parametrize("build, top", [(omega_closed, 40), (omega_sum, 16)])
+@pytest.mark.parametrize("build, top", [(omega_closed, 40), (omega_sum, 30)])
 def test_tied_singletons_do_not_interact(build, top):
     # Omega(r,r') Omega(eps,eps) = Omega(r,eps) Omega(r',eps): once the
     # determinant class is peeled off, the residual entry linking {r} and
