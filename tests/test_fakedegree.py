@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsgreen import fakedegree
-
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, b_invariant, char_table
 from lsgreen.errors import NotPolynomial, NotRational
 from lsgreen.exactalg import CycloNum, IntPoly, euler_phi
@@ -89,8 +88,8 @@ def at_identity(m, value):
 
 def reference_fake_degree_sum(m, vals):
     """R(f) with the rotation sum taken element by element: m (2m - 1)
-    reduced products in Z[zeta_m].  Everything after the rotation sum is
-    fake_degree_sum's own tail."""
+    reduced products in Z[zeta_m].  The steps after the rotation sum copy
+    fake_degree_sum's."""
     cof = _rotation_cofactors(m)
     nrot = [_czero(m)] * (2 * m - 1)
     for k in range(m):
