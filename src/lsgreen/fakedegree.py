@@ -270,8 +270,22 @@ def check_symmetry(m: int, f) -> bool:
 # the omega matrix
 # ---------------------------------------------------------------------------
 
-def _omega_entry_sum(m: int, chi: IrrChar, psi: IrrChar, eps_vals) -> IntPoly:
-    prod = tuple(a * b * e for a, b, e in zip(chi.values, psi.values, eps_vals))
+def _signs(eps_vals) -> tuple[int, ...]:
+    """The values of a sign character as the integers 1 and -1; any other
+    value raises ValueError."""
+    signs = []
+    for e in eps_vals:
+        if not e.is_rational() or e.rational_part() not in (1, -1):
+            raise ValueError(f"a sign character takes the values 1 and -1, got {e}")
+        signs.append(e.rational_part())
+    return tuple(signs)
+
+
+def _omega_entry_sum(m: int, chi: IrrChar, psi: IrrChar, signs: Sequence[int]) -> IntPoly:
+    """q^m R(chi . psi . eps), with eps given by its signs (:func:`_signs`):
+    one CycloNum product per group element, negated where eps is -1."""
+    prod = tuple(a * b if e == 1 else -(a * b)
+                 for a, b, e in zip(chi.values, psi.values, signs))
     return fake_degree_sum(m, prod).shift(m)
 
 
@@ -281,12 +295,12 @@ def omega_sum(m: int) -> PolyMatrix:
     (computed once per unordered pair)."""
     chars = irreps(m)
     labels = [c.label for c in chars]
-    eps_vals = chars[-1].values  # canonical order puts eps last
+    signs = _signs(chars[-1].values)  # canonical order puts eps last
     n = len(chars)
     grid: list[list[IntPoly | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            ent = _omega_entry_sum(m, chars[i], chars[j], eps_vals)
+            ent = _omega_entry_sum(m, chars[i], chars[j], signs)
             grid[i][j] = ent
             grid[j][i] = ent
     return PolyMatrix(labels, labels, [[RatFunc(x) for x in row] for row in grid])

@@ -26,7 +26,10 @@ by every class that may come next.  There are two kinds of state.
 * :class:`SolveState`, over Q(q), is :func:`solve`'s, for any datum: it
   divides by q^m - 1, keeps the Y rows of a class only while that class is
   solved, and :func:`verify_system` multiplies the whole system back
-  before it is returned.
+  before it is returned.  That check clears the denominators of each row
+  of P and of Lambda, which puts every entry of P Lambda P^t - omega in
+  Z[q], and evaluates them all once at q = 2^K, with K above a bound on
+  their coefficients: an exact certificate with no fraction reduced.
 * :class:`IntegralState`, over Z[q], is the search's.  The search extends
   only prefixes whose P and Lambda are polynomials, so the residual stays
   in Z[q] and the P rows solve X . M_CC = q^(a_C) M_{chi,C}
@@ -48,7 +51,8 @@ from dataclasses import dataclass, replace
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
 from .exactalg import (
-    RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_gcd, poly_solve, rf_dot,
+    RF_ZERO, IntPoly, PolyMatrix, RatFunc, _kron_value, matrix_solve, poly_dot, poly_gcd, poly_lcm,
+    poly_solve, rf_dot,
 )
 
 __all__ = [
@@ -574,18 +578,103 @@ class IntegralState:
         )
 
 
+def _l1(p: IntPoly) -> int:
+    """The l1 norm: the sum of the absolute values of the coefficients."""
+    return sum(map(abs, p.c.values()))
+
+
 def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
-    """Multiply P Lambda P^t back out and compare with omega: each entry is
-    one :func:`rf_dot` of a row of P Lambda and a row of P.  Reads P,
-    Lambda and omega only."""
+    """Whether P Lambda P^t = omega, by one exact evaluation.  Reads P,
+    Lambda and omega only.
+
+    The denominators are cleared first.  With d_r the lcm of the
+    denominators in row r of P and l the lcm of all of Lambda's, P~ =
+    diag(d) P and L~ = l Lambda lie in Z[q], and (P Lambda P^t)[r, c] =
+    omega[r, c] = w/v exactly when
+
+        f = v sum_{s,t} P~[r, s] L~[s, t] P~[c, t] - d_r d_c l w = 0,
+
+    an identity in Z[q].  With |.| the l1 norm and R the largest sum of
+    |P~[r, s]| over a row, no coefficient of f exceeds
+
+        B = max |v| max |L~| R^2 + max |d|^2 |l| max |w|.
+
+    At xi = 2^K with 2^(K-1) > B, f(xi) = 0 forces f = 0, because balanced
+    base-xi digits are unique.  So each polynomial is evaluated once at
+    xi (:func:`_kron_value`), u_r = P~(xi)[r] L~(xi) is formed once per
+    row, and every entry is one comparison of integers,
+    u_r . P~(xi)[c] v(xi) = d_r(xi) d_c(xi) l(xi) w(xi).  There is no
+    gcd past the lcms, no random point and no tolerance."""
     P, L = system.P, system.Lambda
     if not P.rows == P.cols == L.rows == L.cols:
         raise ValueError("P and Lambda must share one label order")
-    lam = list(zip(*L.data))  # the columns of Lambda
-    for r, row in zip(P.rows, P.data):
-        pl = [rf_dot(zip(row, col)) for col in lam]
-        for c, pc in zip(P.rows, P.data):
-            if rf_dot(zip(pl, pc)) != omega.get(r, c):
+    one = IntPoly.one()
+    lcms: dict[tuple[IntPoly, IntPoly], IntPoly] = {}
+    cofactors: dict[tuple[IntPoly, IntPoly], IntPoly] = {}
+
+    def lcm(dens) -> IntPoly:
+        # one poly_lcm per distinct denominator, each fold step cached
+        d = one
+        for den in dens:
+            if den != one and den != d:
+                key = (d, den)
+                if key not in lcms:
+                    lcms[key] = den if d == one else poly_lcm(d, den)
+                d = lcms[key]
+        return d
+
+    def clear(row, d):
+        # the nonzero entries of d * row: (column, numerator, cofactor key)
+        out = []
+        for j, x in enumerate(row):
+            if x.num.c:
+                key = (d, x.den)
+                if key not in cofactors:
+                    cofactors[key] = d // x.den
+                out.append((j, x.num, key))
+        return out
+
+    ds = [lcm({x.den for x in row if x.num.c}) for row in P.data]
+    prows = [clear(row, d) for row, d in zip(P.data, ds)]
+    ell = lcm({x.den for row in L.data for x in row if x.num.c})
+    lrows = [clear(row, ell) for row in L.data]
+    om = [[omega.get(r, c) for c in P.rows] for r in P.rows]
+
+    cof_norm = {key: _l1(f) for key, f in cofactors.items()}
+    rnorm = max((sum(_l1(x) * cof_norm[key] for _, x, key in row) for row in prows), default=0)
+    lnorm = max((_l1(x) * cof_norm[key] for row in lrows for _, x, key in row), default=0)
+    dnorm = max(map(_l1, ds), default=0)
+    wnorm = max(_l1(x.num) for row in om for x in row)
+    vnorm = max(_l1(x.den) for row in om for x in row)
+    bound = vnorm * lnorm * rnorm ** 2 + dnorm ** 2 * _l1(ell) * wnorm
+    # every polynomial packed is below B too, or below a factor of it
+    kb = (max(bound, rnorm, lnorm, dnorm, _l1(ell), wnorm, vnorm).bit_length() + 8) // 8
+
+    cof_val = {key: _kron_value(f.c, kb) for key, f in cofactors.items()}
+    n = len(P.rows)
+    pv = []
+    for row in prows:
+        vals = [0] * n
+        for j, x, key in row:
+            vals[j] = _kron_value(x.c, kb) * cof_val[key]
+        pv.append(vals)
+    lv = [[(t, _kron_value(x.c, kb) * cof_val[key]) for t, x, key in row] for row in lrows]
+    dv = [_kron_value(d.c, kb) for d in ds]
+    ellv = _kron_value(ell.c, kb)
+    for r in range(n):
+        u = [0] * n
+        for s, x in enumerate(pv[r]):
+            if x:
+                for t, y in lv[s]:
+                    u[t] += x * y
+        ur = [(t, x) for t, x in enumerate(u) if x]
+        scale = dv[r] * ellv
+        for c, w in enumerate(om[r]):
+            pc = pv[c]
+            lhs = sum(x * pc[t] for t, x in ur)
+            if w.den != one:
+                lhs *= _kron_value(w.den.c, kb)
+            if lhs != scale * dv[c] * _kron_value(w.num.c, kb):
                 return False
     return True
 

@@ -253,6 +253,15 @@ def test_omega_matches_definition_entrywise():
             assert om.get(a, b).as_poly() == want, (a, b)
 
 
+@pytest.mark.parametrize("m", (3, 4, 7))
+def test_omega_sum_takes_the_sign_character_as_signs(m):
+    eps = {c.label: c for c in char_table(m)}[Eps].values
+    assert fakedegree._signs(eps) == tuple(e.rational_part() for e in eps)
+    for bad in (CycloNum.rational(m, 2), CycloNum.rational(m, 0), CycloNum.root_power(m, 1)):
+        with pytest.raises(ValueError, match="values 1 and -1"):
+            fakedegree._signs(eps[:-1] + (bad,))
+
+
 def test_omega_diagonal_corner_terms():
     # pairing either linear character with itself gives exactly q^(2m)
     for m in (3, 4, 8):

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels
 from lsgreen.errors import SingularBlock
-from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
+from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, rf_dot
 from lsgreen.fakedegree import fake_degree, omega
 from lsgreen import greensolver
 from lsgreen.greensolver import (
@@ -443,3 +443,103 @@ def test_verify_system_agrees_with_the_dense_product(datum, data):
     doctored = dataclasses.replace(system, P=PolyMatrix(labels, labels, P),
                                    Lambda=PolyMatrix(labels, labels, L))
     assert verify_system(doctored, om) == dense_ok
+
+
+# ---------------------------------------------------------------------------
+# verify_system's evaluation certificate against the rational multiply-back
+# ---------------------------------------------------------------------------
+
+def reference_verify_system(system, om):
+    """The multiply-back verify_system made before it evaluated at 2^K:
+    each entry of P Lambda P^t is one rf_dot of a row of P Lambda and a row
+    of P, in lowest terms, compared with omega's normal form."""
+    P, L = system.P, system.Lambda
+    lam = list(zip(*L.data))  # the columns of Lambda
+    for r, row in zip(P.rows, P.data):
+        pl = [rf_dot(zip(row, col)) for col in lam]
+        for c, pc in zip(P.rows, P.data):
+            if rf_dot(zip(pl, pc)) != om.get(r, c):
+                return False
+    return True
+
+
+@given(random_data(), st.data())
+def test_verify_system_agrees_with_the_rf_dot_multiply_back(datum, data):
+    # solve over Q(q) and change one entry of P or Lambda, or leave it;
+    # take omega itself or the product of the changed system, which is
+    # rational wherever the change is, and maybe change one omega entry
+    om = omega(datum.m, method="closed")
+    try:
+        system = solve(om, datum)
+    except SingularBlock:
+        return
+    labels = system.P.rows
+    n = len(labels)
+    kinds = _spots([(i, j) for i in range(n) for j in range(n)], range(n),
+                   {t: datum.class_of(labels[t]) for t in range(n)})
+    P, L = [list(row) for row in system.P.data], [list(row) for row in system.Lambda.data]
+    _doctor(data, kinds, P, L, RATIONAL_CHANGES)
+    doctored = dataclasses.replace(system, P=PolyMatrix(labels, labels, P),
+                                   Lambda=PolyMatrix(labels, labels, L))
+    target = om
+    if data.draw(st.booleans()):
+        p = doctored.P
+        target = p.mul(doctored.Lambda).mul(p.transpose())
+        assert verify_system(doctored, target)
+    W = [list(row) for row in target.data]
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    W[i][j] += data.draw(st.sampled_from(RATIONAL_CHANGES))
+    target = PolyMatrix(labels, labels, W)
+    assert verify_system(doctored, target) == reference_verify_system(doctored, target)
+
+
+def test_verify_system_takes_an_omega_with_rational_entries(sys3):
+    # an omega entry with a denominator: the product of a system whose
+    # Lambda has one
+    labels = sys3.P.rows
+    L = [list(row) for row in sys3.Lambda.data]
+    L[1][1] = L[1][1] + RatFunc(1, IntPoly({1: 1, 0: 2}))
+    system = dataclasses.replace(sys3, Lambda=PolyMatrix(labels, labels, L))
+    om = system.P.mul(system.Lambda).mul(system.P.transpose())
+    assert not all(x.is_polynomial() for row in om.data for x in row)
+    assert verify_system(system, om)
+    W = [list(row) for row in om.data]
+    W[0][2] = W[0][2] + RatFunc(1, IntPoly({1: 1, 0: 3}))
+    assert not verify_system(system, PolyMatrix(labels, labels, W))
+
+
+def _rational_chain_system():
+    # P(1, eps) = q^2/(q^2 - q + 1), P(eps, 0) = -1/q: rows with denominators
+    state = SolveState.start(omega(3, method="closed"), 3)
+    for cls, a_c in zip(({Chi(0)}, {Eps}, {Chi(1)}), (2, 1, 0)):
+        state = state.peel(frozenset(cls), a_c)
+    return state.system()
+
+
+@pytest.mark.parametrize("which", ("m3", "b2", "m3-rational"))
+def test_verify_system_rejects_a_change_that_vanishes_at_a_power_of_two(which, sys3, sys_b2,
+                                                                        monkeypatch):
+    # omega[r, c] + 2^k - q is a different omega that agrees with the true
+    # one at q = 2^k; every k past the evaluation point verify_system picks
+    # for the true omega must still be rejected, so xi must grow with omega
+    system = {"m3": sys3, "b2": sys_b2, "m3-rational": _rational_chain_system()}[which]
+    om = omega(system.datum.m, method="closed")
+    widths = []
+    real = greensolver._kron_value
+
+    def recording(c, kb):
+        widths.append(kb)
+        return real(c, kb)
+
+    monkeypatch.setattr(greensolver, "_kron_value", recording)
+    assert verify_system(system, om)
+    top = 8 * max(widths)
+    labels = om.rows
+    for k in range(8, top + 17, 8):
+        change = RatFunc(IntPoly({0: 1 << k, 1: -1}))
+        for r in labels:
+            for c in labels:
+                W = PolyMatrix.from_function(
+                    labels, labels, lambda a, b: om.get(a, b) + change if (a, b) == (r, c)
+                    else om.get(a, b))
+                assert not verify_system(system, W), (k, r, c)
