@@ -647,7 +647,8 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
     wnorm = max(_l1(x.num) for row in om for x in row)
     vnorm = max(_l1(x.den) for row in om for x in row)
     bound = vnorm * lnorm * rnorm ** 2 + dnorm ** 2 * _l1(ell) * wnorm
-    # every polynomial packed is below B too, or below a factor of it
+    # the slots also hold every polynomial evaluated, which B alone does not
+    # bound when one of its factors is 0
     kb = (max(bound, rnorm, lnorm, dnorm, _l1(ell), wnorm, vnorm).bit_length() + 8) // 8
 
     cof_val = {key: _kron_value(f.c, kb) for key, f in cofactors.items()}
