@@ -8,10 +8,9 @@ same 32 x 32 product at falling density, exact quotients by a divisor
 of n terms and of n-term quotients, and gcds of two products with an
 n-term common factor; packing and unpacking at slots of at most 8 bytes
 by :mod:`struct`, as the library does, against the slot-by-slot
-``int.to_bytes`` form it keeps for wider slots; a polynomial's value at
-q = 2^(8 kb), as a sum of shifted coefficients against one pack; last,
-the rotation part of the Molien sum for one class function, m (2m - 1)
-reduced products in Z[zeta_m] against one packed dot product.
+``int.to_bytes`` form it keeps for wider slots; last, the rotation part of
+the Molien sum for one class function, m (2m - 1) reduced products in
+Z[zeta_m] against one packed dot product.
 Operands are seeded random polynomials with signed 16-bit coefficients,
 spread over three exponent slots per term, the shape of the Bareiss
 entries of random rational data at m = 16..24.  The thresholds
@@ -140,17 +139,6 @@ def main() -> None:
                 else:
                     old, new = usec(unpack_by_slot, x, kb, slots, lo), usec(ea._kron_unpack, x, kb, slots, lo)
                 print(row(f"{n}, {kb}", old, new))
-
-    print("\nValues at q = 2^(8 kb) of n terms, as verify_system takes them\n")
-    print("| n, kb | sum of shifts (µs) | packed (µs) | speed-up |\n|---|---:|---:|---:|")
-    for n in (4, 8, 16, 32, 64, 128):
-        for kb in (4, 16):
-            c = poly(rng, n)
-            k, lo, slots = 8 * kb, min(c), max(c) - min(c) + 1
-            shifted = sum(v << (k * e) for e, v in c.items())
-            assert ea._kron_pack(c, lo, kb, slots) << (k * lo) == shifted
-            print(row(f"{n}, {kb}", usec(lambda: sum(v << (k * e) for e, v in c.items())),
-                      usec(lambda: ea._kron_pack(c, lo, kb, slots) << (k * lo))))
 
     print("\nThe rotation sum of chi_1 . chi_2 . eps, as one omega entry takes it\n")
     print("| m (phi) | element by element (µs) | packed (µs) | speed-up |\n|---|---:|---:|---:|")

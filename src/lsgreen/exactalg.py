@@ -351,19 +351,16 @@ def _school_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 # digits.  A product, an exact quotient or a gcd of large dense polynomials
 # is then one CPython big-integer operation between a pack and an unpack
 # (Harvey, J. Symbolic Comput. 2009; the gcd is GCDHEU, Char, Geddes and
-# Gonnet, J. Symbolic Comput. 1989).  A value at xi alone, which the
-# multiply-back of greensolver.verify_system compares, is one pack
-# (_kron_value).  K is a multiple of 8, so packing and unpacking are byte
-# copies.  The thresholds below are the crossovers measured by
-# scripts/kronecker_crossover.py (the table is in the README, "The exact
-# kernel"); under them the dict loops, or a sum of shifts, are faster.
+# Gonnet, J. Symbolic Comput. 1989).  K is a multiple of 8, so packing and
+# unpacking are byte copies.  The thresholds below are the crossovers
+# measured by scripts/kronecker_crossover.py (the table is in the README,
+# "The exact kernel"); under them the dict loops are faster.
 
 _KRON_MUL_MIN = 16     # terms of the shorter factor
 _KRON_DIV_WORK = 1024  # terms of the divisor times deg a - deg b + 1
 _KRON_GCD_MIN = 8      # terms of the shorter primitive operand
 _KRON_SPAN = 8         # a packed operand spans fewer slots than this per term
 _KRON_TRIES = 3        # GCDHEU evaluation points before the PRS loop
-_KRON_VALUE_MIN = 32   # terms of a polynomial evaluated by one pack
 
 
 def _dense(c: dict[int, int]) -> bool:
@@ -437,19 +434,6 @@ def _kron_unpack(x: int, kb: int, n: int, lo: int) -> dict[int, int] | None:
                 words[j::8] = sign
         digits = struct.unpack(f"<{n}q", words)
     return dict(compress(zip(range(lo, lo + n), digits), digits))
-
-
-def _kron_value(c: dict[int, int], kb: int) -> int:
-    """The value at q = 2^(8 kb) of c, whose coefficients are below
-    2^(8 kb - 1) in absolute value: one :func:`_kron_pack` when c is long
-    and dense, else a sum of shifted coefficients."""
-    if not c:
-        return 0
-    k = 8 * kb
-    if len(c) >= _KRON_VALUE_MIN and _dense(c):
-        lo = min(c)
-        return _kron_pack(c, lo, kb, max(c) - lo + 1) << (k * lo)
-    return sum(v << (k * e) for e, v in c.items())
 
 
 def _kron_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

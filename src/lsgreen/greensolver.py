@@ -51,8 +51,8 @@ from dataclasses import dataclass, replace
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
 from .exactalg import (
-    RF_ZERO, IntPoly, PolyMatrix, RatFunc, _kron_value, matrix_solve, poly_dot, poly_gcd, poly_lcm,
-    poly_solve, rf_dot,
+    RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_gcd, poly_lcm, poly_solve,
+    rf_dot,
 )
 
 __all__ = [
@@ -583,6 +583,11 @@ def _l1(p: IntPoly) -> int:
     return sum(map(abs, p.c.values()))
 
 
+def _value_at(p: IntPoly, k: int) -> int:
+    """p(2^k), as a sum of shifted coefficients."""
+    return sum(v << (k * e) for e, v in p.c.items())
+
+
 def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
     """Whether P Lambda P^t = omega, by one exact evaluation.  Reads P,
     Lambda and omega only.
@@ -601,67 +606,52 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
 
     At xi = 2^K with 2^(K-1) > B, f(xi) = 0 forces f = 0, because balanced
     base-xi digits are unique.  So each polynomial is evaluated once at
-    xi (:func:`_kron_value`), u_r = P~(xi)[r] L~(xi) is formed once per
-    row, and every entry is one comparison of integers,
+    xi (:func:`_value_at`), u_r = P~(xi)[r] L~(xi) is formed once per row,
+    and every entry is one comparison of integers,
     u_r . P~(xi)[c] v(xi) = d_r(xi) d_c(xi) l(xi) w(xi).  There is no
     gcd past the lcms, no random point and no tolerance."""
     P, L = system.P, system.Lambda
     if not P.rows == P.cols == L.rows == L.cols:
         raise ValueError("P and Lambda must share one label order")
     one = IntPoly.one()
-    lcms: dict[tuple[IntPoly, IntPoly], IntPoly] = {}
-    cofactors: dict[tuple[IntPoly, IntPoly], IntPoly] = {}
 
-    def lcm(dens) -> IntPoly:
-        # one poly_lcm per distinct denominator, each fold step cached
+    def lcm(entries) -> IntPoly:
         d = one
-        for den in dens:
-            if den != one and den != d:
-                key = (d, den)
-                if key not in lcms:
-                    lcms[key] = den if d == one else poly_lcm(d, den)
-                d = lcms[key]
+        for x in entries:
+            if x.num.c and x.den != one and x.den != d:
+                d = poly_lcm(d, x.den)
         return d
 
     def clear(row, d):
-        # the nonzero entries of d * row: (column, numerator, cofactor key)
-        out = []
-        for j, x in enumerate(row):
-            if x.num.c:
-                key = (d, x.den)
-                if key not in cofactors:
-                    cofactors[key] = d // x.den
-                out.append((j, x.num, key))
-        return out
+        # the nonzero entries of d * row: (column, numerator, d / den), with
+        # no division where d / den is d or 1
+        return [(j, x.num, d if x.den == one else one if x.den == d else d // x.den)
+                for j, x in enumerate(row) if x.num.c]
 
-    ds = [lcm({x.den for x in row if x.num.c}) for row in P.data]
+    ds = [lcm(row) for row in P.data]
     prows = [clear(row, d) for row, d in zip(P.data, ds)]
-    ell = lcm({x.den for row in L.data for x in row if x.num.c})
+    ell = lcm(x for row in L.data for x in row)
     lrows = [clear(row, ell) for row in L.data]
     om = [[omega.get(r, c) for c in P.rows] for r in P.rows]
 
-    cof_norm = {key: _l1(f) for key, f in cofactors.items()}
-    rnorm = max((sum(_l1(x) * cof_norm[key] for _, x, key in row) for row in prows), default=0)
-    lnorm = max((_l1(x) * cof_norm[key] for row in lrows for _, x, key in row), default=0)
+    rnorm = max((sum(_l1(x) * _l1(f) for _, x, f in row) for row in prows), default=0)
+    lnorm = max((_l1(x) * _l1(f) for row in lrows for _, x, f in row), default=0)
     dnorm = max(map(_l1, ds), default=0)
     wnorm = max(_l1(x.num) for row in om for x in row)
     vnorm = max(_l1(x.den) for row in om for x in row)
     bound = vnorm * lnorm * rnorm ** 2 + dnorm ** 2 * _l1(ell) * wnorm
-    # the slots also hold every polynomial evaluated, which B alone does not
-    # bound when one of its factors is 0
-    kb = (max(bound, rnorm, lnorm, dnorm, _l1(ell), wnorm, vnorm).bit_length() + 8) // 8
+    k = bound.bit_length() + 1  # 2^(k-1) > bound
 
-    cof_val = {key: _kron_value(f.c, kb) for key, f in cofactors.items()}
     n = len(P.rows)
     pv = []
     for row in prows:
         vals = [0] * n
-        for j, x, key in row:
-            vals[j] = _kron_value(x.c, kb) * cof_val[key]
+        for j, x, f in row:
+            vals[j] = _value_at(x, k) * _value_at(f, k)
         pv.append(vals)
-    lv = [[(t, _kron_value(x.c, kb) * cof_val[key]) for t, x, key in row] for row in lrows]
-    dv = [_kron_value(d.c, kb) for d in ds]
-    ellv = _kron_value(ell.c, kb)
+    lv = [[(t, _value_at(x, k) * _value_at(f, k)) for t, x, f in row] for row in lrows]
+    dv = [_value_at(d, k) for d in ds]
+    ellv = _value_at(ell, k)
     for r in range(n):
         u = [0] * n
         for s, x in enumerate(pv[r]):
@@ -674,8 +664,8 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
             pc = pv[c]
             lhs = sum(x * pc[t] for t, x in ur)
             if w.den != one:
-                lhs *= _kron_value(w.den.c, kb)
-            if lhs != scale * dv[c] * _kron_value(w.num.c, kb):
+                lhs *= _value_at(w.den, k)
+            if lhs != scale * dv[c] * _value_at(w.num, k):
                 return False
     return True
 

@@ -524,16 +524,16 @@ def test_verify_system_rejects_a_change_that_vanishes_at_a_power_of_two(which, s
     # for the true omega must still be rejected, so xi must grow with omega
     system = {"m3": sys3, "b2": sys_b2, "m3-rational": _rational_chain_system()}[which]
     om = omega(system.datum.m, method="closed")
-    widths = []
-    real = greensolver._kron_value
+    points = []
+    real = greensolver._value_at
 
-    def recording(c, kb):
-        widths.append(kb)
-        return real(c, kb)
+    def recording(p, k):
+        points.append(k)
+        return real(p, k)
 
-    monkeypatch.setattr(greensolver, "_kron_value", recording)
+    monkeypatch.setattr(greensolver, "_value_at", recording)
     assert verify_system(system, om)
-    top = 8 * max(widths)
+    top = max(points)
     labels = om.rows
     for k in range(8, top + 17, 8):
         change = RatFunc(IntPoly({0: 1 << k, 1: -1}))
