@@ -615,11 +615,12 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
         raise ValueError("P and Lambda must share one label order")
     one = IntPoly.one()
 
-    def lcm(entries) -> IntPoly:
+    def lcm(dens) -> IntPoly:
+        # one poly_lcm per distinct denominator
         d = one
-        for x in entries:
-            if x.num.c and x.den != one and x.den != d:
-                d = poly_lcm(d, x.den)
+        for den in dens:
+            if den != one and den != d:
+                d = den if d == one else poly_lcm(d, den)
         return d
 
     def clear(row, d):
@@ -628,9 +629,9 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
         return [(j, x.num, d if x.den == one else one if x.den == d else d // x.den)
                 for j, x in enumerate(row) if x.num.c]
 
-    ds = [lcm(row) for row in P.data]
+    ds = [lcm({x.den for x in row if x.num.c}) for row in P.data]
     prows = [clear(row, d) for row, d in zip(P.data, ds)]
-    ell = lcm(x for row in L.data for x in row)
+    ell = lcm({x.den for row in L.data for x in row if x.num.c})
     lrows = [clear(row, ell) for row in L.data]
     om = [[omega.get(r, c) for c in P.rows] for r in P.rows]
 
