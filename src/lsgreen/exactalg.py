@@ -257,10 +257,26 @@ class IntPoly:
     def __floordiv__(self, other: "IntPoly") -> "IntPoly":
         """Exact division; raises NotDivisible if there is a remainder.
 
-        Above the crossover the quotient is read off one integer division
+        A monomial divisor c q^e shifts every exponent down by e and
+        divides every coefficient by c; an exponent below e or a
+        coefficient c does not divide is a remainder.  Above the crossover
+        the quotient is read off one integer division
         (:func:`_kron_quotient`); when that is inconclusive, long division
         (:meth:`divmod`) decides."""
         a, b = self.c, other.c
+        if len(b) == 1:
+            (eb, cb), = b.items()
+            if eb and a and min(a) < eb:
+                raise NotDivisible(f"q^{min(a)} is not divisible by q^{eb}")
+            if cb == 1:
+                return IntPoly._new({e - eb: v for e, v in a.items()}) if eb else self
+            quot = {}
+            for e, v in a.items():
+                f, r = divmod(v, cb)
+                if r:
+                    raise NotDivisible(f"coefficient {v} not divisible by {cb}")
+                quot[e - eb] = f
+            return IntPoly._new(quot)
         if (a and b and len(b) * (max(a) - max(b) + 1) >= _KRON_DIV_WORK
                 and _dense(a) and _dense(b)):
             c = _kron_quotient(a, b)

@@ -51,8 +51,8 @@ from dataclasses import dataclass, replace
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
 from .exactalg import (
-    RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_gcd, poly_lcm, poly_solve,
-    rf_dot,
+    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_gcd, poly_lcm,
+    poly_solve, rf_dot,
 )
 
 __all__ = [
@@ -240,6 +240,17 @@ def _div_by_q_power(x: RatFunc, k: int) -> RatFunc:
     return RatFunc(num, x.den.shift(k - s), _normalized=True)
 
 
+def _mul_by_q_power(x: RatFunc, k: int) -> RatFunc:
+    """x q^k in lowest terms, by valuations: x is reduced, so only q^s
+    with s = min(ord den, k) can cancel, and x q^k =
+    (num q^(k - s)) / (den / q^s); no gcd is taken."""
+    if x.is_zero():
+        return x
+    s = min(x.den.order(), k)
+    den = IntPoly({e - s: v for e, v in x.den.c.items()}) if s else x.den
+    return RatFunc(x.num.shift(k - s), den, _normalized=True)
+
+
 @dataclass(frozen=True, eq=False)
 class SolveState:
     """Where the class-by-class solve stands: the classes peeled so far
@@ -321,7 +332,8 @@ class SolveState:
             acc = PolyMatrix(members, members, [y[i] for i in midx])
             above_labels = [labels[i] for i in above]
             rhs = PolyMatrix(
-                above_labels, members, [[v * qa for v in y[i]] for i in above]
+                above_labels, members,
+                [[_mul_by_q_power(v, a_c) for v in y[i]] for i in above],
             )
             sol = matrix_solve(acc, rhs)
             prows = {}
@@ -333,18 +345,26 @@ class SolveState:
                 P[i] = tuple(row)
 
             # residual update among the still-unsolved characters:
-            # M -= P_{.,C} Lambda_C P_{.,C}^t
+            # M -= P_{.,C} Lambda_C P_{.,C}^t.  The half products
+            # -P_{i,C} Lambda_C are negated once per row; each new entry
+            # is one rf_dot of them against P_{j,C} and of the old entry
+            # against 1, so it is reduced once.  The mirror entry (j, i)
+            # takes that result only when its old entry is the same.
             lam_cols = [[L[i][j] for i in midx] for j in midx]
-            half = {i: [rf_dot(zip(prows[i], col)) for col in lam_cols] for i in above}
+            neg_half = {i: [-rf_dot(zip(prows[i], col)) for col in lam_cols] for i in above}
             rows = {i: list(M[i]) for i in above}
             for ii, i in enumerate(above):
-                hi = half[i]
+                hi = neg_half[i]
                 for j in above[ii:]:
-                    acc2 = rf_dot(zip(hi, prows[j]))
-                    if acc2.num.c:
-                        rows[i][j] = rows[i][j] - acc2
-                        if j != i:
-                            rows[j][i] = rows[j][i] - acc2
+                    prods = [(h, p) for h, p in zip(hi, prows[j]) if h.num.c and p.num.c]
+                    if not prods:
+                        continue
+                    old = M[i][j]
+                    new = rows[i][j] = rf_dot(prods + [(old, RF_ONE)])
+                    if j != i:
+                        mirror = M[j][i]
+                        rows[j][i] = (new if mirror == old
+                                      else rf_dot(prods + [(mirror, RF_ONE)]))
             for i in above:
                 M2[i] = tuple(rows[i])
 

@@ -497,11 +497,40 @@ def test_kronecker_quotient_takes_the_fast_path_on_typical_operands():
     assert exactalg._kron_quotient((a * b).c, b.c) == a.c
 
 
+@settings(max_examples=100)
+@given(small_polys, st.integers(min_value=-4, max_value=4).filter(bool),
+       st.integers(min_value=0, max_value=4),
+       st.sampled_from(("any", "multiple", "low term", "odd term")))
+def test_monomial_division_agrees_with_divmod(p, c, e, shape):
+    # c q^e divides p exactly when divmod leaves no remainder: an exponent
+    # below e, or a coefficient c does not divide, is a remainder
+    mono = IntPoly.q(e, c)
+    if shape != "any":
+        p = p * mono
+    if shape == "low term" and e:
+        p = p + IntPoly.q(e - 1)
+    if shape == "odd term" and abs(c) > 1:
+        p = p + IntPoly.q(e + 5, c + 1)
+    try:
+        quot, rem = p.divmod(mono)
+    except NotDivisible:
+        quot, rem = None, None
+    if rem is not None and rem.is_zero():
+        assert p // mono == quot
+        assert mono.divides(p)
+    else:
+        with pytest.raises(NotDivisible):
+            p // mono
+        assert not mono.divides(p)
+    assert IntPoly.zero() // mono == IntPoly.zero()
+
+
 def test_division_by_the_zero_polynomial_raises_division_by_zero():
     # a dividend above the quotient crossover too: the crossover test
-    # must not look at the empty divisor first
+    # must not look at the empty divisor first; and the zero and monomial
+    # dividends, which must not reach the monomial divisor's shift
     large = IntPoly({e: e + 1 for e in range(200)})
-    for p in (IntPoly({1: 1, 0: 2}), large):
+    for p in (IntPoly({1: 1, 0: 2}), large, IntPoly.q(3, -2), IntPoly.zero()):
         with pytest.raises(DivisionByZero):
             p // IntPoly.zero()
         with pytest.raises(DivisionByZero):

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels
 from lsgreen.errors import SingularBlock
-from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, rf_dot
+from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve, rf_dot
 from lsgreen.fakedegree import fake_degree, omega
 from lsgreen import greensolver
 from lsgreen.greensolver import (
@@ -284,6 +284,15 @@ def test_div_by_q_power_is_the_quotient_in_lowest_terms(num, den, c, k):
     assert (got.num, got.den) == (want.num, want.den)
 
 
+@given(products, products, st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=8))
+def test_mul_by_q_power_is_the_product_in_lowest_terms(num, den, c, k):
+    x = RatFunc(num * c, den)
+    got = greensolver._mul_by_q_power(x, k)
+    want = x * RatFunc(IntPoly.q(k))
+    assert (got.num, got.den) == (want.num, want.den)
+
+
 @st.composite
 def random_data(draw):
     """A random partition of the labels for some m <= 10 into classes, with
@@ -307,6 +316,89 @@ def test_solve_returns_a_verified_system_or_raises_singular(datum):
     except SingularBlock:
         return
     assert verify_system(system, om)
+
+
+def reference_peel_residual(state, cls, a_c):
+    """The M, P and Lambda a peel stored when the right-hand side was
+    Y * q^(a_C) and each residual entry an rf_dot followed by
+    RatFunc.__sub__, with (j, i) changed by the same product as (i, j)."""
+    labels, pos, M = state.labels, state.pos, state.M
+    members = sorted(cls, key=lambda l: pos[l])
+    midx = [pos[l] for l in members]
+    gamma = IntPoly({state.m: 1, 0: -1})
+    y = {i: [greensolver._div_by_poly(M[i][j], gamma) for j in midx] for i in state.unsolved}
+    L = [list(row) for row in state.L]
+    P = [list(row) for row in state.P]
+    for i in midx:
+        for j in midx:
+            L[i][j] = greensolver._div_by_q_power(M[i][j], 2 * a_c)
+        P[i][i] = RatFunc(IntPoly.q(a_c))
+    rows = [list(row) for row in M]
+    above = [i for i in state.unsolved if i not in midx]
+    if above:
+        qa = RatFunc(IntPoly.q(a_c))
+        sol = matrix_solve(
+            PolyMatrix(members, members, [y[i] for i in midx]),
+            PolyMatrix([labels[i] for i in above], members,
+                       [[v * qa for v in y[i]] for i in above]))
+        for i in above:
+            for j, c in zip(midx, members):
+                P[i][j] = sol.get(labels[i], c)
+        for ii, i in enumerate(above):
+            half = [rf_dot((P[i][s], L[s][t]) for s in midx) for t in midx]
+            for j in above[ii:]:
+                prod = rf_dot((h, P[j][t]) for h, t in zip(half, midx))
+                rows[i][j] = M[i][j] - prod
+                if j != i:
+                    rows[j][i] = M[j][i] - prod
+    return rows, P, L
+
+
+@given(random_data(), st.data())
+def test_peel_stores_what_the_reference_residual_update_stores(datum, data):
+    # peel class by class from omega, or from omega with one entry (i, j)
+    # changed and (j, i) not, both above the bottom class, so that the
+    # mirror of a residual entry differs from it
+    om = omega(datum.m, method="closed")
+    labels = om.rows
+    if data.draw(st.booleans()):
+        above = sorted(set(labels) - datum.classes[0], key=labels.index)
+        if len(above) >= 2:
+            r, c = data.draw(st.lists(st.sampled_from(above), min_size=2, max_size=2,
+                                      unique=True))
+            W = [list(row) for row in om.data]
+            W[labels.index(r)][labels.index(c)] += data.draw(
+                st.sampled_from(RATIONAL_CHANGES[1:]))
+            om = PolyMatrix(labels, labels, W)
+    state = SolveState.start(om, datum.m)
+    for cls, a_c in zip(datum.classes, datum.a):
+        try:
+            want = reference_peel_residual(state, cls, a_c)
+        except SingularBlock:
+            with pytest.raises(SingularBlock):
+                state.peel(cls, a_c)
+            return
+        state = state.peel(cls, a_c)
+        for got_rows, want_rows in zip((state.M, state.P, state.L), want):
+            for got_row, want_row in zip(got_rows, want_rows):
+                assert [(x.num, x.den) for x in got_row] == [(x.num, x.den) for x in want_row]
+
+
+def test_peel_keeps_an_asymmetric_residual_entry_apart_from_its_mirror():
+    # omega[chi1, r'] changed by 1/(q + 2) and omega[r', chi1] not: after
+    # the bottom class (eps) is peeled, the two residual entries differ by
+    # exactly that change, and M is the reference's
+    om = omega(4, method="closed")
+    labels = om.rows
+    r, c = labels.index(Chi(1)), labels.index(ChiRPrime)
+    W = [list(row) for row in om.data]
+    W[r][c] += RATIONAL_CHANGES[2]
+    start = SolveState.start(PolyMatrix(labels, labels, W), 4)
+    state = start.peel(frozenset({Eps}), 4)
+    assert state.M[r][c] - state.M[c][r] == RATIONAL_CHANGES[2]
+    want = reference_peel_residual(start, {Eps}, 4)[0]
+    assert [[(x.num, x.den) for x in row] for row in state.M] == [
+        [(x.num, x.den) for x in row] for row in want]
 
 
 def _dense_ok(P, L, om, labels, cols):
