@@ -5,12 +5,15 @@ Four layers, all exact (no floating point anywhere):
 * :class:`IntPoly` -- sparse univariate polynomials over the integers, the
   coefficient domain for everything q-graded.  Large dense products, exact
   quotients and gcds go through Kronecker substitution: one big-integer
-  operation at q = 2^K.
+  operation at q = 2^K.  An exact quotient by a monomial c q^e is a shift
+  and a division of each coefficient by c.
 * :class:`RatFunc` -- reduced fractions of integer polynomials, normalised so
   the denominator has positive leading coefficient.  A sum of products is
   one :func:`rf_dot`: the numerators are added in Z[q] over their unreduced
   denominators and the sum is reduced once, where the fold
-  ``acc = acc + a*b`` takes two gcds per term.
+  ``acc = acc + a*b`` takes two gcds per term.  A term to be added, such as
+  the old entry of an update x - sum a*b, goes in as the pair (x, 1), so
+  the update is reduced once too.
 * :class:`CycloNum` -- elements of Z[zeta_m], the integers of the cyclotomic
   field Q(zeta_m), stored as integer coordinates with respect to the power
   basis of Z[x]/(Phi_m).  Character sums stay in this ring; the Molien sum
@@ -759,9 +762,12 @@ def rf_dot(pairs: Iterable[tuple[RatFunc, RatFunc]]) -> RatFunc:
     :class:`RatFunc` built from that is reduced to lowest terms: the result
     equals the fold's, in the same normal form.  It serves sums that are
     kept: the solver's residual update, the back-substitution of
-    :func:`matrix_solve` and :meth:`PolyMatrix.mul`.  A multiply-back only
-    compares, so :func:`lsgreen.greensolver.verify_system` clears the
-    denominators instead and reduces nothing.
+    :func:`matrix_solve` and :meth:`PolyMatrix.mul`.  A term that is not a
+    product is the pair (x, 1): the residual entry M - sum h*p is one call
+    over the pairs (-h, p) and (M, 1), one reduction where ``M - rf_dot(..)``
+    takes two.  A multiply-back only compares, so
+    :func:`lsgreen.greensolver.verify_system` clears the denominators
+    instead and reduces nothing.
 
     >>> half = RatFunc(1, IntPoly({1: 1, 0: 1}))
     >>> str(rf_dot([(half, RatFunc(IntPoly({1: 1}))), (half, RatFunc(1))]))

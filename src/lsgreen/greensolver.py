@@ -25,11 +25,14 @@ by every class that may come next.  There are two kinds of state.
 
 * :class:`SolveState`, over Q(q), is :func:`solve`'s, for any datum: it
   divides by q^m - 1, keeps the Y rows of a class only while that class is
-  solved, and :func:`verify_system` multiplies the whole system back
-  before it is returned.  That check clears the denominators of each row
-  of P and of Lambda, which puts every entry of P Lambda P^t - omega in
-  Z[q], and evaluates them all once at q = 2^K, with K above a bound on
-  their coefficients: an exact certificate with no fraction reduced.
+  solved, reduces each residual entry it stores once (one :func:`rf_dot`
+  that takes the old entry in with the products), multiplies and divides
+  by powers of q through valuations, and :func:`verify_system` multiplies
+  the whole system back before it is returned.  That check clears the
+  denominators of each row of P and of Lambda, which puts every entry of
+  P Lambda P^t - omega in Z[q], and evaluates them all once at q = 2^K,
+  with K above a bound on their coefficients: an exact certificate with
+  no fraction reduced.
 * :class:`IntegralState`, over Z[q], is the search's.  The search extends
   only prefixes whose P and Lambda are polynomials, so the residual stays
   in Z[q] and the P rows solve X . M_CC = q^(a_C) M_{chi,C}

@@ -527,8 +527,8 @@ def test_monomial_division_agrees_with_divmod(p, c, e, shape):
 
 def test_division_by_the_zero_polynomial_raises_division_by_zero():
     # a dividend above the quotient crossover too: the crossover test
-    # must not look at the empty divisor first; and the zero and monomial
-    # dividends, which must not reach the monomial divisor's shift
+    # must not look at the empty divisor first; a monomial and the zero
+    # dividend too
     large = IntPoly({e: e + 1 for e in range(200)})
     for p in (IntPoly({1: 1, 0: 2}), large, IntPoly.q(3, -2), IntPoly.zero()):
         with pytest.raises(DivisionByZero):
