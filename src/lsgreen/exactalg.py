@@ -19,13 +19,15 @@ Four layers, all exact (no floating point anywhere):
   basis of Z[x]/(Phi_m).  Character sums stay in this ring; the Molien sum
   of :mod:`fakedegree` makes one exact division, by |W| = 2m, at the end.
 * :class:`PolyMatrix` -- matrices of rational functions with *labelled* rows
-  and columns, plus an exact left-division solver (:func:`matrix_solve`).
-  Each entry of a product is one :func:`rf_dot`, and so is the sum each
-  unknown of a solution is read from.
+  and columns.  Each entry of a product is one :func:`rf_dot`.
 
-Over Z[q] alone, :func:`poly_dot` sums products of polynomials and
-:func:`poly_solve` solves a block by the same Bareiss elimination as
-:func:`matrix_solve`, finished by exact division, with no fraction at all.
+Both block solvers take a square A and a right-hand side B as lists of
+rows and return the rows of X with X * A = B; one function,
+:func:`_bareiss`, builds the transposed augmented matrix of that system and
+eliminates it without fractions.  :func:`matrix_solve`, over Q(q), clears
+the denominators first and reads each unknown off one :func:`rf_dot`;
+:func:`poly_solve`, over Z[q] alone, finishes by exact division, with no
+fraction at all, and :func:`poly_dot` sums its products of polynomials.
 
 The polynomial variable is called ``q`` in printed output.
 
@@ -1090,12 +1092,6 @@ class PolyMatrix:
     def get(self, row, col) -> RatFunc:
         return self.data[self._ri[row]][self._ci[col]]
 
-    def submatrix(self, rows: Sequence, cols: Sequence) -> "PolyMatrix":
-        return PolyMatrix(
-            rows, cols,
-            [[self.data[self._ri[r]][self._ci[c]] for c in cols] for r in rows],
-        )
-
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "PolyMatrix":
@@ -1147,12 +1143,17 @@ class PolyMatrix:
 # exact linear solving
 # ---------------------------------------------------------------------------
 
-def _bareiss(mat: list[list[IntPoly]], k: int, labels: Sequence | None = None) -> None:
-    """Fraction-free (Bareiss) elimination, in place, on the first k
-    columns of the k rows of ``mat``; the columns after them are carried
-    along.  Every division is exact, and the last pivot ``mat[k-1][k-1]``
-    is the determinant of the row-permuted k x k block.  A column without
-    a pivot raises SingularBlock (naming ``labels[i]`` when given)."""
+def _bareiss(a: Sequence[Sequence[IntPoly]], b: Sequence[Sequence[IntPoly]],
+             labels: Sequence | None = None) -> list[list[IntPoly]]:
+    """The system X * A = B for a square A, as its transposed augmented
+    matrix [A^t | B^t] (k equations; k unknowns, then one column per row of
+    B) after fraction-free (Bareiss) elimination of its first k columns.
+    Every division is exact, and the last pivot ``[k-1][k-1]`` is the
+    determinant of the row-permuted A.  A column without a pivot raises
+    SingularBlock (naming ``labels[i]``, the label of A's row i, when
+    given)."""
+    k = len(a)
+    mat = [[row[r] for row in a] + [row[r] for row in b] for r in range(k)]
     width = len(mat[0]) if mat else 0
     prev = _ONE
     for i in range(k):
@@ -1176,61 +1177,52 @@ def _bareiss(mat: list[list[IntPoly]], k: int, labels: Sequence | None = None) -
                     row_j[l] = (row_j[l] * pivot - head * row_i[l]) // prev
             row_j[i] = _ZERO
         prev = pivot
+    return mat
 
 
-def matrix_solve(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+def matrix_solve(a: Sequence[Sequence[RatFunc]], b: Sequence[Sequence[RatFunc]],
+                 labels: Sequence | None = None) -> list[list[RatFunc]]:
     """Solve X * A = B exactly over the field of rational functions.
 
-    A must be square (its row and column label tuples coincide as sets); the
-    result X carries B's row labels and A's row labels as columns.  Strategy:
-    clear all denominators with a single scalar multiple s (X*(A*s) = B*s has
-    the same solution; each entry n/d becomes n * (s/d), with no gcd), run
-    fraction-free Bareiss elimination (:func:`_bareiss`) on the transposed
-    augmented system, and back-substitute: the sum rhs_i - sum_l u_il x_l
-    of each unknown is one :func:`rf_dot`, divided by the pivot u_ii.  A
-    singular A raises SingularBlock.  X*A is not multiplied back here: the
-    caller does that (:func:`lsgreen.greensolver.solve` checks the whole
-    system it builds).
+    ``a`` holds the k rows of a square A and ``b`` the rows of B, each of
+    k entries; the result is the rows of X, one per row of B.  Strategy:
+    clear all denominators with a single scalar multiple s (X*(A*s) = B*s
+    has the same solution; each entry n/d becomes n * (s/d), with no gcd),
+    eliminate (:func:`_bareiss`, as :func:`poly_solve` does), and
+    back-substitute: the sum rhs_i - sum_l u_il x_l of each unknown is one
+    :func:`rf_dot`, divided by the pivot u_ii.  A singular A raises
+    SingularBlock, naming ``labels[i]`` (A's row labels) when given.  X*A
+    is not multiplied back here: the caller does that
+    (:func:`lsgreen.greensolver.solve` checks the whole system it builds).
     """
-    if len(a.rows) != len(a.cols):
-        raise ValueError("coefficient block is not square")
-    if b.cols != a.cols:
-        b = b.submatrix(b.rows, a.cols)  # reorder columns; KeyError if mismatched
-    k = len(a.rows)
-    nrhs = len(b.rows)
+    k = len(a)
+    if any(len(row) != k for rows in (a, b) for row in rows):
+        raise ValueError("A must be square and B must have as many columns")
 
     # scalar denominator clearing: x * s = x.num * (s / x.den), exactly
     s = _ONE
     dens = {_ONE}
-    for mat in (a, b):
-        for row in mat.data:
+    for rows in (a, b):
+        for row in rows:
             for x in row:
                 if x.den not in dens:
                     s = poly_lcm(s, x.den)
                     dens.add(x.den)
     cofactor = {den: s // den for den in dens}
-    a2 = [[x.num * cofactor[x.den] for x in row] for row in a.data]
-    b2 = [[x.num * cofactor[x.den] for x in row] for row in b.data]
-
-    # transposed augmented matrix: rows = k equations, cols = k unknowns + rhs
-    mat: list[list[IntPoly]] = [
-        [a2[c][r] for c in range(k)] + [b2[r2][r] for r2 in range(nrhs)]
-        for r in range(k)
-    ]
-    _bareiss(mat, k, a.rows)
+    mat = _bareiss([[x.num * cofactor[x.den] for x in row] for row in a],
+                   [[x.num * cofactor[x.den] for x in row] for row in b], labels)
 
     # back substitution, one rhs column at a time, over rational functions
-    xcols: list[list[RatFunc]] = []
-    for r2 in range(nrhs):
+    xrows: list[list[RatFunc]] = []
+    for r2 in range(len(b)):
         x = [RF_ZERO] * k
         for i in range(k - 1, -1, -1):
             row = mat[i]
             terms = [(RatFunc(row[k + r2]), RF_ONE)]
             terms += [(RatFunc(-row[l]), x[l]) for l in range(i + 1, k) if row[l].c]
             x[i] = rf_dot(terms) / RatFunc(row[i])
-        xcols.append(x)
-
-    return PolyMatrix(b.rows, a.rows, xcols)
+        xrows.append(x)
+    return xrows
 
 
 # ---------------------------------------------------------------------------
@@ -1286,10 +1278,8 @@ def poly_solve(a: Sequence[Sequence[IntPoly]], b: Sequence[Sequence[IntPoly]]
     >>> poly_solve([[q + q]], [[q]])[1:]
     ([[IntPoly({1: 1})]], True)
     """
-    k, nrhs = len(a), len(b)
-    mat = [[a[c][r] for c in range(k)] + [b[r2][r] for r2 in range(nrhs)]
-           for r in range(k)]
-    _bareiss(mat, k)
+    k = len(a)
+    mat = _bareiss(a, b)
     delta = mat[k - 1][k - 1]
     rows = _back_substitute(mat, k)
     if rows is None:

@@ -24,10 +24,13 @@ depends only on the classes peeled so far, so the search extends one state
 by every class that may come next.  There are two kinds of state.
 
 * :class:`SolveState`, over Q(q), is :func:`solve`'s, for any datum: it
-  divides by q^m - 1, keeps the Y rows of a class only while that class is
-  solved, reduces each residual entry it stores once (one :func:`rf_dot`
-  that takes the old entry in with the products), multiplies and divides
-  by powers of q through valuations, and :func:`verify_system` multiplies
+  divides by q^m - 1 (exactly when :func:`_gamma_divides` says so, the
+  test :class:`IntegralState` uses), keeps the Y rows of a class only
+  while that class is solved, and passes them as lists of rows to
+  :func:`matrix_solve`, whose elimination is :func:`poly_solve`'s.  It
+  reduces each residual entry it stores once (one :func:`rf_dot` that
+  takes the old entry in with the products), multiplies and divides by
+  powers of q through valuations, and :func:`verify_system` multiplies
   the whole system back before it is returned.  That check clears the
   denominators of each row of P and of Lambda, which puts every entry of
   P Lambda P^t - omega in Z[q], and evaluates them all once at q = 2^K,
@@ -168,8 +171,8 @@ def datum_from_jsonable(data: dict) -> LSDatum:
     "bottom_first" (default; the storage order) or "top_first" (the order
     printed tables use).  Types are checked, not coerced: ``m`` and the
     a-values must be integers, ``classes`` a list of lists of label
-    strings and ``a`` a list; anything else, or a missing key, raises
-    ValueError."""
+    strings and ``a`` a list; anything else, a missing key or a label
+    repeated within one class raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a datum must be a JSON object, got {type(data).__name__}")
     for key in ("m", "classes", "a"):
@@ -186,7 +189,13 @@ def datum_from_jsonable(data: dict) -> LSDatum:
         raise ValueError(f"classes must be a list of label lists, got {data['classes']!r}")
     if not isinstance(data["a"], list):
         raise ValueError(f"a must be a list of integers, got {data['a']!r}")
-    classes = [frozenset(parse_label(s, m) for s in cls) for cls in data["classes"]]
+    classes = []
+    for cls in data["classes"]:
+        labels = [parse_label(s, m) for s in cls]
+        for i, l in enumerate(labels):
+            if l in labels[:i]:
+                raise ValueError(f"label {format_label(l)!r} repeated within one class")
+        classes.append(frozenset(labels))
     avals = [_json_int(x, "a-value") for x in data["a"]]
     if order == "top_first":
         classes.reverse()
@@ -215,21 +224,27 @@ class GreenSystem:
 # the solver
 # ---------------------------------------------------------------------------
 
-def _gamma(m: int) -> IntPoly:
-    """q^m - 1, the order of a split maximal torus piece; the universal
-    denominator of the Y blocks."""
-    return IntPoly({m: 1, 0: -1})
+def _gamma_divides(p: IntPoly, m: int) -> bool:
+    """Whether q^m - 1 divides p: p mod (q^m - 1) folds each exponent to
+    its residue mod m."""
+    fold: dict[int, int] = {}
+    for e, v in p.c.items():
+        fold[e % m] = fold.get(e % m, 0) + v
+    return not any(fold.values())
 
 
-def _div_by_poly(x: RatFunc, d: IntPoly) -> RatFunc:
-    """x / d for a monic d, in lowest terms: x is reduced, so only
-    g = gcd(num, d) can cancel, and x / d = (num/g) / (den * d/g)."""
-    if x.is_polynomial():
-        quo, rem = x.num.divmod(d)
-        if rem.is_zero():
-            return RatFunc(quo, IntPoly(1), _normalized=True)
-    g = poly_gcd(x.num, d)
-    return RatFunc(x.num // g, x.den * (d // g), _normalized=True)
+def _div_by_gamma(x: RatFunc, m: int) -> RatFunc:
+    """x / (q^m - 1) in lowest terms; q^m - 1, the order of a split
+    maximal torus piece, is the universal denominator of the Y blocks.  A
+    polynomial x that q^m - 1 divides (:func:`_gamma_divides`, as
+    :class:`IntegralState` decides it) gives the exact quotient; otherwise
+    x is reduced, so only g = gcd(num, q^m - 1) can cancel, and
+    x / (q^m - 1) = (num/g) / (den (q^m - 1)/g)."""
+    gamma = IntPoly({m: 1, 0: -1})
+    if x.is_polynomial() and _gamma_divides(x.num, m):
+        return RatFunc(x.num // gamma, IntPoly(1), _normalized=True)
+    g = poly_gcd(x.num, gamma)
+    return RatFunc(x.num // g, x.den * (gamma // g), _normalized=True)
 
 
 def _div_by_q_power(x: RatFunc, k: int) -> RatFunc:
@@ -301,10 +316,9 @@ class SolveState:
         members = sorted(cls, key=label_sort_key)
         midx = [pos[l] for l in members]
         midx_set = set(midx)
-        gamma = _gamma(self.m)
 
         # Y rows = residual / (q^m - 1), one per unsolved character
-        y = {i: [_div_by_poly(M[i][j], gamma) for j in midx] for i in self.unsolved}
+        y = {i: [_div_by_gamma(M[i][j], self.m) for j in midx] for i in self.unsolved}
         nonpoly = list(self.nonpolynomial_y)
         if ci > 0:
             for i in self.unsolved:
@@ -332,16 +346,9 @@ class SolveState:
         M2 = list(M)
         if above:
             # P-rows over C: X . Y_{C,C} = q^(a_C) Y_{chi,C}
-            acc = PolyMatrix(members, members, [y[i] for i in midx])
-            above_labels = [labels[i] for i in above]
-            rhs = PolyMatrix(
-                above_labels, members,
-                [[_mul_by_q_power(v, a_c) for v in y[i]] for i in above],
-            )
-            sol = matrix_solve(acc, rhs)
-            prows = {}
-            for i, l in zip(above, above_labels):
-                prows[i] = [sol.get(l, c) for c in members]
+            rhs = [[_mul_by_q_power(v, a_c) for v in y[i]] for i in above]
+            prows = dict(zip(above, matrix_solve([y[i] for i in midx], rhs, members)))
+            for i in above:
                 row = list(P[i])
                 for j, v in zip(midx, prows[i]):
                     row[j] = v
@@ -414,15 +421,6 @@ def _rf(p: IntPoly) -> RatFunc:
 def _q_divides(p: IntPoly, k: int) -> bool:
     """Whether q^k divides p."""
     return all(e >= k for e in p.c)
-
-
-def _gamma_divides(p: IntPoly, m: int) -> bool:
-    """Whether q^m - 1 divides p: p mod (q^m - 1) folds each exponent to
-    its residue mod m."""
-    fold: dict[int, int] = {}
-    for e, v in p.c.items():
-        fold[e % m] = fold.get(e % m, 0) + v
-    return not any(fold.values())
 
 
 @dataclass(frozen=True, eq=False)

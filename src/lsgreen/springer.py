@@ -719,55 +719,36 @@ def _placements(rest: dict[CharLabel, tuple[int, ...]], slot: int | None):
                            for chi, ks in rest.items() if chi not in joined}
 
 
-@dataclass(frozen=True)
-class _CandidateSpace:
-    """The candidates for one normalised Springer set.
+def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,
+                             bounds: SearchConfig | None = None):
+    """An iterator over the candidate data, one per assignment of the free
+    characters, in the order :func:`search` solves them.
 
-    ``skeleton`` lists the classes bottom-up as (core, a-value, slot): the
+    The skeleton lists the classes bottom-up as (core, a-value, slot): the
     determinant class and the extra-linear singletons (slot None, no free
     character joins them), one numeric class C_k per d_k (slot k, core
-    Chi(d_k)), and the trivial class (slot 0, core Chi(0)).  ``choices[i]``
-    holds the slots the free character ``free[i]`` may join; a candidate
-    is one slot per free character."""
-
-    m: int
-    skeleton: tuple[tuple[frozenset[CharLabel], int, int | None], ...]
-    free: tuple[CharLabel, ...]
-    choices: tuple[tuple[int, ...], ...]
-
-    def data(self):
-        """Every candidate datum, depth-first over the class lists
-        bottom-up: for k = N..1 each admissible set of free characters
-        joining C_k, then the trivial class.  Candidates sharing their
-        lowest classes are consecutive."""
-        a = tuple(a_c for _, a_c, _ in self.skeleton)
-
-        def walk(level: int, classes: tuple, rest: dict):
-            if level == len(self.skeleton):
-                yield LSDatum(self.m, classes, a)
-                return
-            core, _, slot = self.skeleton[level]
-            for joined, left in _placements(rest, slot):
-                yield from walk(level + 1, classes + (core | joined,), left)
-
-        return walk(0, (), dict(zip(self.free, self.choices)))
-
-
-def _candidate_space(s: SpringerSet, family_filter: bool,
-                     bounds: SearchConfig) -> _CandidateSpace:
-    """The candidate space of a normalised Springer set; raises
-    SearchBoundExceeded when m or the candidate count is over its bound.
-
-    A free (non-Springer) character of b-invariant b may join C_k when
-    d_k < b; with family_filter the trivial class is off-limits (it could
-    only ever fail the family-support condition).
+    Chi(d_k)), and the trivial class (slot 0, core Chi(0)).  What varies is
+    the numeric class hosting each free (non-Springer) character: one of
+    b-invariant b may join C_k when d_k < b, and with family_filter off
+    the trivial class too (with it on, that class could only ever fail the
+    family-support condition).  The data come depth-first over the class
+    lists bottom-up: for k = N..1 each admissible set of free characters
+    joining C_k, then the trivial class.  So candidates sharing their
+    lowest classes are consecutive.
 
     When both extra linear characters are Springer their singleton classes
     tie (both have a = m/2); the skeleton puts ChiRPrime below ChiR.  The
     other order gives the same system: once the determinant class is peeled
     off, the residual entry Omega(r, r') - Omega(r, eps) Omega(r', eps) /
     Omega(eps, eps) is q^m - q^(3m/2) q^(3m/2) / q^(2m) = 0, so the two
-    singletons do not interact."""
+    singletons do not interact.
+
+    The bounds on m and on the candidate count are checked when this is
+    called, before any datum is built (SearchBoundExceeded); ``bounds``
+    defaults to ``SearchConfig()``."""
+    if bounds is None:
+        bounds = SearchConfig()
+    s, _ = springer.normalized()
     m = s.m
     if m > bounds.max_m:
         raise SearchBoundExceeded(f"m={m} exceeds the search bound {bounds.max_m}")
@@ -795,27 +776,17 @@ def _candidate_space(s: SpringerSet, family_filter: bool,
         + [(frozenset({Chi(d[k])}), d[k], k) for k in range(n, 0, -1)]
         + [(frozenset({Chi(0)}), 0, 0)]
     )
-    return _CandidateSpace(m, tuple(skeleton), free, tuple(choices))
+    a = tuple(a_c for _, a_c, _ in skeleton)
 
+    def walk(level: int, classes: tuple, rest: dict):
+        if level == len(skeleton):
+            yield LSDatum(m, classes, a)
+            return
+        core, _, slot = skeleton[level]
+        for joined, left in _placements(rest, slot):
+            yield from walk(level + 1, classes + (core | joined,), left)
 
-def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,
-                             bounds: SearchConfig | None = None):
-    """An iterator over the candidate data, one per assignment of the free
-    characters, in the order :func:`search` solves them.
-
-    The skeleton -- determinant class, extra-linear singletons (ChiRPrime
-    below ChiR when both are Springer), one numeric class per d_k, trivial
-    class -- is fixed; what varies is the numeric class hosting each
-    non-Springer character, ranging over those with d_k < b (and the
-    trivial class when family_filter is off).  The data come depth-first
-    over the class lists, so candidates sharing a prefix are consecutive.
-    The bounds are checked when this is called, before any datum is built;
-    ``bounds`` defaults to ``SearchConfig()``."""
-    s, _ = springer.normalized()
-    space = _candidate_space(
-        s, family_filter, bounds if bounds is not None else SearchConfig()
-    )
-    return space.data()
+    return walk(0, (), dict(zip(free, choices)))
 
 
 @dataclass(frozen=True)

@@ -297,8 +297,9 @@ _GOOD_DATUM = {"m": 3, "classes": [["eps"], ["1"], ["0"]], "a": [3, 1, 0]}
     ([_GOOD_DATUM], "must be a JSON object"),
     ({k: v for k, v in _GOOD_DATUM.items() if k != "m"}, "datum is missing key 'm'"),
     ({k: v for k, v in _GOOD_DATUM.items() if k != "a"}, "datum is missing key 'a'"),
+    ({**_GOOD_DATUM, "classes": [["eps"], ["1", "1"], ["0"]]}, "label '1' repeated"),
 ], ids=["float-a", "bool-a", "float-m", "bool-m", "classes-not-list", "top-level-list",
-        "missing-m", "missing-a"])
+        "missing-m", "missing-a", "repeated-label"])
 def test_solve_rejects_mistyped_datum(capsys, tmp_path, payload, message):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(payload))

@@ -344,13 +344,13 @@ def test_matrix_solve_recovers_known_solution():
                    [[one, rf({1: 1})], [rf(0), one]])
     x = PolyMatrix(("w",), ("u", "v"), [[rf({1: 1}), rf({2: 1})]])
     b = x.mul(a)
-    assert matrix_solve(a, b) == x
+    assert matrix_solve(a.data, b.data) == [list(row) for row in x.data]
 
 
 def test_matrix_solve_rejects_singular():
     row = [rf({1: 1}), rf({1: 1})]
-    a = PolyMatrix(("u", "v"), ("u", "v"), [row, list(row)])
-    b = PolyMatrix(("w",), ("u", "v"), [[rf({0: 1}), rf({0: 1})]])
+    a = [row, list(row)]
+    b = [[rf({0: 1}), rf({0: 1})]]
     with pytest.raises(SingularBlock):
         matrix_solve(a, b)
 
@@ -374,7 +374,7 @@ def test_matrix_solve_roundtrip_triangular(xrows):
     a = PolyMatrix(labels, labels, arows)
     x = PolyMatrix(("r1", "r2"), labels,
                    [[RatFunc(p) for p in row] for row in xrows])
-    assert matrix_solve(a, x.mul(a)) == x
+    assert matrix_solve(a.data, x.mul(a).data) == [list(row) for row in x.data]
 
 
 nonnegative_polys = st.dictionaries(
@@ -396,9 +396,9 @@ def test_poly_solve_agrees_with_matrix_solve(k, nrhs, exact, data):
         b = [[poly_dot(zip(row, col)) for col in zip(*a)] for row in x]
     else:
         b = [[data.draw(small_polys) for _ in range(k)] for _ in range(nrhs)]
-    labels, rhs_labels = tuple(range(k)), tuple(f"r{i}" for i in range(nrhs))
     try:
-        want = matrix_solve(PolyMatrix(labels, labels, a), PolyMatrix(rhs_labels, labels, b))
+        want = matrix_solve([[RatFunc(v) for v in row] for row in a],
+                            [[RatFunc(v) for v in row] for row in b])
     except SingularBlock:
         with pytest.raises(SingularBlock):
             poly_solve(a, b)
@@ -407,11 +407,11 @@ def test_poly_solve_agrees_with_matrix_solve(k, nrhs, exact, data):
     if cut:
         assert not exact
         got = [[RatFunc(v, delta) for v in row] for row in rows]
-        assert got == [list(row) for row in want.data]
+        assert got == want
         assert any(not v.is_polynomial() or min(v.num.c.values(), default=0) < 0
-                   for row in want.data for v in row)
+                   for row in want for v in row)
     else:
-        assert [[RatFunc(v) for v in row] for row in rows] == [list(row) for row in want.data]
+        assert [[RatFunc(v) for v in row] for row in rows] == want
         assert all(min(v.c.values(), default=0) >= 0 for row in rows for v in row)
         if exact:
             assert rows == x
