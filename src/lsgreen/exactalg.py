@@ -1083,10 +1083,6 @@ class PolyMatrix:
     def from_function(rows: Sequence, cols: Sequence, fn) -> "PolyMatrix":
         return PolyMatrix(rows, cols, [[fn(r, c) for c in cols] for r in rows])
 
-    @staticmethod
-    def zeros(rows: Sequence, cols: Sequence) -> "PolyMatrix":
-        return PolyMatrix(rows, cols, [[RF_ZERO] * len(cols) for _ in rows])
-
     # -- access ------------------------------------------------------------
 
     def get(self, row, col) -> RatFunc:

@@ -15,18 +15,20 @@ class C at a time off the residual matrix
 
 from which
 
-    Y^C        = M / (q^m - 1)            (rows: unsolved characters),
     Lambda_C   = q^(-2 a_C) M_{C,C},
-    P-rows     : X . Y^C_{C,C} = q^(a_C) Y^C_{chi,C}.
+    P-rows     : X . M_{C,C} = q^(a_C) M_{chi,C}   (chi unsolved, above C).
+
+The P equation is X . Y_{C,C} = q^(a_C) Y_{chi,C} for the paper's
+Y = M / (q^m - 1), times q^m - 1; both states solve it on M.  An entry of
+Y above the bottom class is polynomial exactly when its entry of M is a
+polynomial that q^m - 1 divides (:func:`_gamma_divides`).
 
 One peel is one step of a state that is never changed in place: a state
 depends only on the classes peeled so far, so the search extends one state
 by every class that may come next.  There are two kinds of state.
 
 * :class:`SolveState`, over Q(q), is :func:`solve`'s, for any datum: it
-  divides by q^m - 1 (exactly when :func:`_gamma_divides` says so, the
-  test :class:`IntegralState` uses), keeps the Y rows of a class only
-  while that class is solved, and passes them as lists of rows to
+  passes the rows of M_CC and of q^(a_C) M_{chi,C} to
   :func:`matrix_solve`, whose elimination is :func:`poly_solve`'s.  It
   reduces each residual entry it stores once (one :func:`rf_dot` that
   takes the old entry in with the products), multiplies and divides by
@@ -38,12 +40,11 @@ by every class that may come next.  There are two kinds of state.
   no fraction reduced.
 * :class:`IntegralState`, over Z[q], is the search's.  The search extends
   only prefixes whose P and Lambda are polynomials, so the residual stays
-  in Z[q] and the P rows solve X . M_CC = q^(a_C) M_{chi,C}
-  (:func:`poly_solve`: Bareiss, then exact division; the first remainder
-  or negative coefficient cuts the prefix).  Each peel, kept or cut,
-  multiplies back the columns of its class in Z[q], scaled by
-  delta q^(2 a_C), before the state is built or dropped.  No gcd is
-  taken.
+  in Z[q] and the P rows solve the same equation by :func:`poly_solve`
+  (Bareiss, then exact division; the first remainder or negative
+  coefficient cuts the prefix).  Each peel, kept or cut, multiplies back
+  the columns of its class in Z[q], scaled by delta q^(2 a_C), before
+  the state is built or dropped.  No gcd is taken.
 
 Nothing here assumes the datum has the shape predicted by the
 classification of correspondences; wild candidates are either solved or
@@ -57,8 +58,8 @@ from dataclasses import dataclass, replace
 
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
 from .exactalg import (
-    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_gcd, poly_lcm,
-    poly_solve, rf_dot,
+    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_lcm, poly_solve,
+    rf_dot,
 )
 
 __all__ = [
@@ -100,7 +101,15 @@ class LSDatum:
             raise ValueError("one a-value per class required")
         if not self.classes:
             raise ValueError("empty datum")
-        object.__setattr__(self, "classes", tuple(frozenset(c) for c in self.classes))
+        classes = []
+        for c in self.classes:
+            if not isinstance(c, (set, frozenset)):  # a set holds no repeat
+                c = list(c)
+                for i, l in enumerate(c):
+                    if l in c[:i]:
+                        raise ValueError(f"label {str(l)!r} repeated within one class")
+            classes.append(frozenset(c))
+        object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "a", tuple(self.a))
         seen: set[CharLabel] = set()
         for cls in self.classes:
@@ -189,13 +198,7 @@ def datum_from_jsonable(data: dict) -> LSDatum:
         raise ValueError(f"classes must be a list of label lists, got {data['classes']!r}")
     if not isinstance(data["a"], list):
         raise ValueError(f"a must be a list of integers, got {data['a']!r}")
-    classes = []
-    for cls in data["classes"]:
-        labels = [parse_label(s, m) for s in cls]
-        for i, l in enumerate(labels):
-            if l in labels[:i]:
-                raise ValueError(f"label {format_label(l)!r} repeated within one class")
-        classes.append(frozenset(labels))
+    classes = [[parse_label(s, m) for s in cls] for cls in data["classes"]]
     avals = [_json_int(x, "a-value") for x in data["a"]]
     if order == "top_first":
         classes.reverse()
@@ -231,20 +234,6 @@ def _gamma_divides(p: IntPoly, m: int) -> bool:
     for e, v in p.c.items():
         fold[e % m] = fold.get(e % m, 0) + v
     return not any(fold.values())
-
-
-def _div_by_gamma(x: RatFunc, m: int) -> RatFunc:
-    """x / (q^m - 1) in lowest terms; q^m - 1, the order of a split
-    maximal torus piece, is the universal denominator of the Y blocks.  A
-    polynomial x that q^m - 1 divides (:func:`_gamma_divides`, as
-    :class:`IntegralState` decides it) gives the exact quotient; otherwise
-    x is reduced, so only g = gcd(num, q^m - 1) can cancel, and
-    x / (q^m - 1) = (num/g) / (den (q^m - 1)/g)."""
-    gamma = IntPoly({m: 1, 0: -1})
-    if x.is_polynomial() and _gamma_divides(x.num, m):
-        return RatFunc(x.num // gamma, IntPoly(1), _normalized=True)
-    g = poly_gcd(x.num, gamma)
-    return RatFunc(x.num // g, x.den * (gamma // g), _normalized=True)
 
 
 def _div_by_q_power(x: RatFunc, k: int) -> RatFunc:
@@ -310,23 +299,25 @@ class SolveState:
     def peel(self, cls: frozenset[CharLabel], a_c: int) -> "SolveState":
         """Solve the next class up: its Lambda block, the P entries of the
         unsolved rows over it, and the residual among the rows above it.
-        Raises SingularBlock when its diagonal Y block is not invertible."""
+        Raises SingularBlock when its diagonal block M_CC is not
+        invertible."""
         ci = len(self.classes)
         labels, pos, M = self.labels, self.pos, self.M
         members = sorted(cls, key=label_sort_key)
         midx = [pos[l] for l in members]
         midx_set = set(midx)
 
-        # Y rows = residual / (q^m - 1), one per unsolved character
-        y = {i: [_div_by_gamma(M[i][j], self.m) for j in midx] for i in self.unsolved}
+        # Y = M / (q^m - 1) is polynomial exactly where M is a polynomial
+        # that q^m - 1 divides (M is reduced); IntegralState's fold
         nonpoly = list(self.nonpolynomial_y)
         if ci > 0:
             for i in self.unsolved:
-                for cl, v in zip(members, y[i]):
-                    if not v.is_polynomial():
-                        nonpoly.append((ci, labels[i], cl))
+                for j in midx:
+                    x = M[i][j]
+                    if not (x.is_polynomial() and _gamma_divides(x.num, self.m)):
+                        nonpoly.append((ci, labels[i], labels[j]))
 
-        # Lambda block: q^(-2 a_C) (q^m - 1) Y_{C,C} = q^(-2 a_C) M_{C,C}
+        # Lambda block: q^(-2 a_C) M_{C,C}
         L = list(self.L)
         for i in midx:
             row = list(L[i])
@@ -345,9 +336,11 @@ class SolveState:
         above = [i for i in self.unsolved if i not in midx_set]
         M2 = list(M)
         if above:
-            # P-rows over C: X . Y_{C,C} = q^(a_C) Y_{chi,C}
-            rhs = [[_mul_by_q_power(v, a_c) for v in y[i]] for i in above]
-            prows = dict(zip(above, matrix_solve([y[i] for i in midx], rhs, members)))
+            # P-rows over C: X . M_{C,C} = q^(a_C) M_{chi,C}, the Y
+            # equation times q^m - 1, as IntegralState.block solves it
+            mcc = [[M[i][j] for j in midx] for i in midx]
+            rhs = [[_mul_by_q_power(M[i][j], a_c) for j in midx] for i in above]
+            prows = dict(zip(above, matrix_solve(mcc, rhs, members)))
             for i in above:
                 row = list(P[i])
                 for j, v in zip(midx, prows[i]):
@@ -404,7 +397,7 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
     """Solve P Lambda P^t = omega for the given datum: one
     :meth:`SolveState.peel` per class, bottom-up, then one multiply-back.
 
-    Raises SingularBlock when some diagonal Y block is not invertible (the
+    Raises SingularBlock when some diagonal block M_CC is not invertible (the
     datum then admits no system).  The returned system has been multiplied
     back against omega; this is the one check, :func:`matrix_solve` makes
     none of its own."""

@@ -523,8 +523,7 @@ def closed_form_system(springer: SpringerSet, f=None) -> GreenSystem:
     p_mat = PolyMatrix.from_function(labels, labels, p_entry)
 
     # ---- Lambda: q^(-2a) (q^m - 1) Y_{C,C} per class ----
-    lam = PolyMatrix.zeros(labels, labels)
-    lam_data = [list(row) for row in lam.data]
+    lam_data = [[RatFunc(0)] * len(labels) for _ in labels]
     pos = {l: t for t, l in enumerate(labels)}
     for stage in range(ncls):
         members = sorted(datum.classes[stage], key=label_sort_key)

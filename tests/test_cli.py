@@ -3,10 +3,13 @@
 Everything goes through ``cli.main(argv)`` so exit codes and both output
 streams are observable without spawning subprocesses.
 """
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lsgreen import cli
 from lsgreen.greensolver import datum_from_jsonable, datum_to_jsonable
@@ -307,6 +310,73 @@ def test_solve_rejects_mistyped_datum(capsys, tmp_path, payload, message):
     assert rc == 2
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+_LABEL_TEXT = st.sampled_from(["eps", "0", "1", "2", "r", "r'", " 1", "x", ""])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=4)
+    | _LABEL_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _class_lists(d):
+    """The classes of d that are still lists."""
+    classes = d.get("classes")
+    return [c for c in classes if isinstance(c, list)] if isinstance(classes, list) else []
+
+
+@st.composite
+def mutated_datum(draw):
+    """_GOOD_DATUM after one to three edits: a key dropped, a value of any
+    JSON type in place of a key's value, a class, a label or an a-value,
+    a label repeated or moved between classes, or a class or an a-value
+    added or removed."""
+    d = json.loads(json.dumps(_GOOD_DATUM))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "repeat", "move", "resize"]))
+        classes = _class_lists(d)
+        labelled = [c for c in classes if c]
+        if kind == "drop" and d:
+            del d[draw(st.sampled_from(sorted(d)))]
+        elif kind == "retype":
+            slots = [(d, k) for k in ("m", "classes", "a", "class_order")]
+            slots += [(d[k], i) for k in ("classes", "a") if isinstance(d.get(k), list)
+                      for i in range(len(d[k]))]
+            slots += [(c, i) for c in classes for i in range(len(c))]
+            box, key = draw(st.sampled_from(slots))
+            box[key] = draw(st.sampled_from(["top_first", "sideways"]) | _JSON_VALUES)
+        elif kind in ("repeat", "move") and labelled and classes:
+            source = draw(st.sampled_from(labelled))
+            i = draw(st.integers(0, len(source) - 1))
+            label = source[i] if kind == "repeat" else source.pop(i)
+            draw(st.sampled_from(classes)).append(label)
+        elif kind == "resize":
+            key = draw(st.sampled_from(["classes", "a"]))
+            seq = d.get(key)
+            if isinstance(seq, list):
+                if seq and draw(st.booleans()):
+                    seq.pop(draw(st.integers(0, len(seq) - 1)))
+                else:
+                    seq.append([draw(_LABEL_TEXT)] if key == "classes"
+                               else draw(st.integers(-2, 8)))
+    return d
+
+
+@given(mutated_datum())
+def test_solve_survives_any_mutated_datum(tmp_path_factory, payload):
+    # whatever the file holds, solve exits 0, 1 or 2 with no traceback, and
+    # prints nothing on stdout unless it succeeds
+    path = tmp_path_factory.mktemp("datum") / "datum.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["solve", "3", "--datum", str(path)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -54,6 +54,8 @@ def test_datum_requires_full_partition():
         LSDatum(3, ({Eps}, {Chi(0)}), (3, 0))
     with pytest.raises(ValueError, match="repeated"):
         LSDatum(3, ({Eps, Chi(1)}, {Chi(1)}, {Chi(0)}), (3, 1, 0))
+    with pytest.raises(ValueError, match="label '1' repeated within one class"):
+        LSDatum(3, ([Eps], [Chi(1), Chi(1)], [Chi(0)]), (3, 1, 0))
     with pytest.raises(ValueError, match="decreasing"):
         LSDatum(3, ({Eps}, {Chi(1)}, {Chi(0)}), (1, 3, 0))
 
@@ -264,13 +266,11 @@ products = st.lists(st.sampled_from(DIV_FACTORS), max_size=4).map(
     lambda fs: functools.reduce(lambda x, y: x * y, fs, IntPoly.one()))
 
 
-@given(products, products, st.integers(min_value=-3, max_value=3).filter(bool),
+@given(products, products, st.integers(min_value=-3, max_value=3),
        st.integers(min_value=1, max_value=12))
-def test_div_by_gamma_is_the_quotient_in_lowest_terms(num, den, c, m):
-    x = RatFunc(num * c, den)
-    got = greensolver._div_by_gamma(x, m)
-    want = x / RatFunc(IntPoly({m: 1, 0: -1}))
-    assert (got.num, got.den) == (want.num, want.den)
+def test_gamma_divides_is_divisibility_by_q_m_minus_1(f, g, c, m):
+    x = f * g * c
+    assert greensolver._gamma_divides(x, m) == IntPoly({m: 1, 0: -1}).divides(x)
 
 
 @given(products, products, st.integers(min_value=-3, max_value=3),
@@ -329,13 +329,19 @@ def test_solve_names_the_member_of_a_singular_later_block():
 
 
 def reference_peel_residual(state, cls, a_c):
-    """The M, P and Lambda a peel stored when the right-hand side was
-    Y * q^(a_C) and each residual entry an rf_dot followed by
-    RatFunc.__sub__, with (j, i) changed by the same product as (i, j)."""
-    pos, M = state.pos, state.M
+    """The M, P and Lambda a peel stored when it solved on Y = M / (q^m - 1),
+    the right-hand side was Y * q^(a_C) and each residual entry an rf_dot
+    followed by RatFunc.__sub__, with (j, i) changed by the same product as
+    (i, j); and the (class, row, column) triples of the non-polynomial Y
+    entries above the bottom class."""
+    pos, M, labels = state.pos, state.M, state.labels
     members = sorted(cls, key=lambda l: pos[l])
     midx = [pos[l] for l in members]
-    y = {i: [greensolver._div_by_gamma(M[i][j], state.m) for j in midx] for i in state.unsolved}
+    gamma = RatFunc(IntPoly({state.m: 1, 0: -1}))
+    y = {i: [M[i][j] / gamma for j in midx] for i in state.unsolved}
+    ci = len(state.classes)
+    nonpoly = [(ci, labels[i], labels[j]) for i in state.unsolved
+               for j, v in zip(midx, y[i]) if ci > 0 and not v.is_polynomial()]
     L = [list(row) for row in state.L]
     P = [list(row) for row in state.P]
     for i in midx:
@@ -357,7 +363,7 @@ def reference_peel_residual(state, cls, a_c):
                 rows[i][j] = M[i][j] - prod
                 if j != i:
                     rows[j][i] = M[j][i] - prod
-    return rows, P, L
+    return rows, P, L, nonpoly
 
 
 @given(random_data(), st.data())
@@ -384,10 +390,12 @@ def test_peel_stores_what_the_reference_residual_update_stores(datum, data):
             with pytest.raises(SingularBlock):
                 state.peel(cls, a_c)
             return
+        nonpoly = state.nonpolynomial_y + tuple(want[3])
         state = state.peel(cls, a_c)
-        for got_rows, want_rows in zip((state.M, state.P, state.L), want):
+        for got_rows, want_rows in zip((state.M, state.P, state.L), want[:3]):
             for got_row, want_row in zip(got_rows, want_rows):
                 assert [(x.num, x.den) for x in got_row] == [(x.num, x.den) for x in want_row]
+        assert state.nonpolynomial_y == nonpoly
 
 
 def test_peel_keeps_an_asymmetric_residual_entry_apart_from_its_mirror():
