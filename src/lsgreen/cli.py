@@ -421,20 +421,23 @@ def _cmd_omega(args):
     return 0, caption + _matrix_table(args.format, om)
 
 
-def _load_datum_file(path: str) -> LSDatum:
+def _load_datum_file(path: str, m: int) -> LSDatum:
+    """The datum in the file, for m.  The file's m is compared with m (the
+    command line's, already within its bound) before the datum is built,
+    so a file for another m is not checked as a partition of its labels."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and isinstance(obj.get("datum"), dict):
         obj = obj["datum"]
+    if isinstance(obj, dict) and type(obj.get("m")) is int and obj["m"] != m:
+        raise ValueError(f"datum file is for m={obj['m']}, command line says m={m}")
     return datum_from_jsonable(obj)
 
 
 def _cmd_solve(args):
     m = _need_m(args)
     _check_m_bound(args, m, "solve", SOLVE_M_BOUND)
-    datum = _load_datum_file(args.datum)
-    if datum.m != m:
-        raise ValueError(f"datum file is for m={datum.m}, command line says m={m}")
+    datum = _load_datum_file(args.datum, m)
     system = solve(omega(m, method="both"), datum)
     if args.format == "json":
         return 0, render_json(system_to_jsonable(system))

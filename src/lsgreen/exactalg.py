@@ -763,11 +763,10 @@ def rf_dot(pairs: Iterable[tuple[RatFunc, RatFunc]]) -> RatFunc:
     brought over the lcm of their denominators, and the one
     :class:`RatFunc` built from that is reduced to lowest terms: the result
     equals the fold's, in the same normal form.  It serves sums that are
-    kept: the solver's residual update, the back-substitution of
-    :func:`matrix_solve` and :meth:`PolyMatrix.mul`.  A term that is not a
-    product is the pair (x, 1): the residual entry M - sum h*p is one call
-    over the pairs (-h, p) and (M, 1), one reduction where ``M - rf_dot(..)``
-    takes two.  A multiply-back only compares, so
+    kept: the solver's residual update and the back-substitution of
+    :func:`matrix_solve`.  A term that is not a product is the pair (x, 1):
+    the residual entry M - sum h*p is one call over the pairs (-h, p) and
+    (M, 1), one reduction where ``M - rf_dot(..)`` takes two.  A multiply-back only compares, so
     :func:`lsgreen.greensolver.verify_system` clears the denominators
     instead and reduces nothing.
 
@@ -1087,35 +1086,6 @@ class PolyMatrix:
 
     def get(self, row, col) -> RatFunc:
         return self.data[self._ri[row]][self._ci[col]]
-
-    # -- algebra -----------------------------------------------------------
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.cols, self.rows,
-            [[self.data[i][j] for i in range(len(self.rows))]
-             for j in range(len(self.cols))],
-        )
-
-    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        """The product; each entry is one :func:`rf_dot` of a row and a
-        column, so it is reduced once, not once per term."""
-        if self.cols != other.rows:
-            raise ValueError("inner labels do not match")
-        cols = list(zip(*other.data))
-        return PolyMatrix(
-            self.rows, other.cols,
-            [[rf_dot(zip(row, col)) for col in cols] for row in self.data],
-        )
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        n = len(self.rows)
-        return all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(n) for j in range(i + 1, n)
-        )
 
     # -- comparisons, formatting ------------------------------------------
 

@@ -19,32 +19,41 @@ from which
     P-rows     : X . M_{C,C} = q^(a_C) M_{chi,C}   (chi unsolved, above C).
 
 The P equation is X . Y_{C,C} = q^(a_C) Y_{chi,C} for the paper's
-Y = M / (q^m - 1), times q^m - 1; both states solve it on M.  An entry of
+Y = M / (q^m - 1), times q^m - 1; both routes solve it on M.  An entry of
 Y above the bottom class is polynomial exactly when its entry of M is a
 polynomial that q^m - 1 divides (:func:`_gamma_divides`).
 
-One peel is one step of a state that is never changed in place: a state
-depends only on the classes peeled so far, so the search extends one state
-by every class that may come next.  There are two kinds of state.
+There are two routes.
 
-* :class:`SolveState`, over Q(q), is :func:`solve`'s, for any datum: it
-  passes the rows of M_CC and of q^(a_C) M_{chi,C} to
-  :func:`matrix_solve`, whose elimination is :func:`poly_solve`'s.  It
-  reduces each residual entry it stores once (one :func:`rf_dot` that
-  takes the old entry in with the products), multiplies and divides by
-  powers of q through valuations, and :func:`verify_system` multiplies
-  the whole system back before it is returned.  That check clears the
-  denominators of each row of P and of Lambda, which puts every entry of
-  P Lambda P^t - omega in Z[q], and evaluates them all once at q = 2^K,
-  with K above a bound on their coefficients: an exact certificate with
-  no fraction reduced.
-* :class:`IntegralState`, over Z[q], is the search's.  The search extends
-  only prefixes whose P and Lambda are polynomials, so the residual stays
-  in Z[q] and the P rows solve the same equation by :func:`poly_solve`
-  (Bareiss, then exact division; the first remainder or negative
-  coefficient cuts the prefix).  Each peel, kept or cut, multiplies back
-  the columns of its class in Z[q], scaled by delta q^(2 a_C), before
-  the state is built or dropped.  No gcd is taken.
+* :class:`SolveState`, over Q(q), is :func:`solve`'s, for any datum: one
+  state per peel, never changed in place.  It passes the rows of M_CC and
+  of q^(a_C) M_{chi,C} to :func:`matrix_solve`, whose elimination is
+  :func:`poly_solve`'s.  It reduces each residual entry it stores once
+  (one :func:`rf_dot` that takes the old entry in with the products),
+  multiplies and divides by powers of q through valuations, and
+  :func:`verify_system` multiplies the whole system back before it is
+  returned.  That check clears the denominators of each row of P and of
+  Lambda, which puts every entry of P Lambda P^t - omega in Z[q], and
+  evaluates them all once at q = 2^K, with K above a bound on their
+  coefficients: an exact certificate with no fraction reduced.
+* :class:`NodeTable`, over Z[q], is the search's.  After a set S of
+  characters is peeled, M is the Schur complement omega / omega_SS, which
+  depends on S alone (Crabtree and Haynsworth, Proc. AMS 22, 1969), so a
+  block solve depends only on the node (S, C, a_C).  The table keeps one
+  residual per S and one outcome per node -- singular, cut, or kept with
+  X, Lambda_C and its non-polynomial Y pairs -- one table per m for the
+  process (:func:`node_table`).  The search extends only kept nodes, whose
+  P and Lambda are polynomials with P nonnegative, so every residual is in
+  Z[q]; the P rows solve by :func:`poly_solve` (Bareiss, then exact
+  division; the first remainder or negative coefficient cuts the node).
+  Each new node is certified once before it is stored
+  (:func:`_certify_node`) by two identities in Z[q]: the block equation
+  delta X . M_CC = delta q^(a_C) M_{above,C}, and for a kept node the
+  Schur update M_{S+C} = M_S - X Lambda_C X^t with q^(2 a_C) Lambda_C =
+  M_CC, each by one evaluation at 2^K with 2^(K-1) above an l1 bound.
+  These are the blocks of a block LDL^t step, so from M_{} = omega,
+  induction over the nodes gives P Lambda P^t = omega for every full
+  datum, and no cut prunes unchecked.  No gcd is taken.
 
 Nothing here assumes the datum has the shape predicted by the
 classification of correspondences; wild candidates are either solved or
@@ -55,8 +64,11 @@ Y entries that fail to be polynomial are recorded on the system, not fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
+from . import fakedegree
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
+from .errors import SingularBlock
 from .exactalg import (
     RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_lcm, poly_solve,
     rf_dot,
@@ -67,7 +79,8 @@ __all__ = [
     "GreenSystem",
     "ClosureOrder",
     "SolveState",
-    "IntegralState",
+    "NodeTable",
+    "node_table",
     "solve",
     "closure_order",
     "verify_system",
@@ -268,7 +281,7 @@ class SolveState:
 
     :meth:`peel` returns a new state and leaves this one as it was.
     :func:`solve` peels one datum this way, over Q(q); the search peels
-    :class:`IntegralState` instead."""
+    the nodes of a :class:`NodeTable` instead."""
 
     omega: PolyMatrix
     m: int
@@ -308,7 +321,7 @@ class SolveState:
         midx_set = set(midx)
 
         # Y = M / (q^m - 1) is polynomial exactly where M is a polynomial
-        # that q^m - 1 divides (M is reduced); IntegralState's fold
+        # that q^m - 1 divides (M is reduced); the node table's fold
         nonpoly = list(self.nonpolynomial_y)
         if ci > 0:
             for i in self.unsolved:
@@ -337,7 +350,7 @@ class SolveState:
         M2 = list(M)
         if above:
             # P-rows over C: X . M_{C,C} = q^(a_C) M_{chi,C}, the Y
-            # equation times q^m - 1, as IntegralState.block solves it
+            # equation times q^m - 1, as the node table solves it
             mcc = [[M[i][j] for j in midx] for i in midx]
             rhs = [[_mul_by_q_power(M[i][j], a_c) for j in midx] for i in above]
             prows = dict(zip(above, matrix_solve(mcc, rhs, members)))
@@ -417,179 +430,210 @@ def _q_divides(p: IntPoly, k: int) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class IntegralState:
-    """The search's class-by-class solve over Z[q].
+class Node:
+    """A kept node (S, C, a_C) of a :class:`NodeTable`: C's member
+    positions ``midx`` (members in label order), the unsolved positions
+    ``above`` C, X (``rows``, one per position above), Lambda_C (``lam``)
+    and the (row, column) labels of the Y entries over C found
+    non-polynomial (none when S is empty: the bottom class)."""
 
-    The search keeps a prefix only while P and Lambda are polynomials with
-    P nonnegative (condition (4)), so every state it extends is integral
-    and so is its residual M.  The P rows over a class C solve
-    X . M_CC = q^(a_C) M_{chi,C} -- the Y equation times q^m - 1 -- by
-    :func:`poly_solve`, and Lambda_C = q^(-2 a_C) M_CC is an exact shift.
-    :meth:`peel` returns None at a cut: a block division with a remainder,
-    a negative P coefficient or a Lambda_C that q^(2 a_C) does not divide.
-    The search's top class has a = 0 and no rows above it, so it is never
-    cut.  A Y entry M/(q^m - 1) is non-polynomial exactly when q^m - 1 does
-    not divide M.
+    midx: tuple[int, ...]
+    above: tuple[int, ...]
+    rows: tuple[tuple[IntPoly, ...], ...]
+    lam: tuple[tuple[IntPoly, ...], ...]
+    nonpoly: tuple[tuple[CharLabel, CharLabel], ...]
 
-    Every peel multiplies P Lambda P^t back in the columns of its class,
-    cut or not, by :meth:`check_class`, scaled into Z[q].  Each column is
-    final once its class is peeled, so along a path the checks cover every
-    entry of the product once, a full datum needs no second pass, and no
-    cut prunes unchecked.
-    Fields as in :class:`SolveState`, entries :class:`IntPoly`; ``solved``
-    lists the peeled positions in order."""
 
-    m: int
-    labels: tuple[CharLabel, ...]
-    pos: dict[CharLabel, int]
-    omega: tuple[tuple[IntPoly, ...], ...]
-    classes: tuple[frozenset[CharLabel], ...]
-    a: tuple[int, ...]
-    M: tuple[tuple[IntPoly, ...], ...]
-    P: tuple[tuple[IntPoly, ...], ...]
-    L: tuple[tuple[IntPoly, ...], ...]
-    unsolved: tuple[int, ...]
-    solved: tuple[int, ...] = ()
-    nonpolynomial_y: tuple[tuple[int, CharLabel, CharLabel], ...] = ()
+class NodeTable:
+    """The search's class-by-class solve over Z[q], one node per (S, C,
+    a_C): S the set of labels already peeled, C the next class, a_C its
+    a-value.
 
-    @staticmethod
-    def start(omega: PolyMatrix, m: int) -> "IntegralState":
-        """The state before any class is peeled: M = omega, which must be
-        polynomial (NotPolynomial otherwise)."""
+    ``residuals[S] = (unsolved, M)`` holds the residual M_S over the
+    positions still unsolved, one per peeled set (it is omega / omega_SS,
+    whichever classes S was peeled in).  :meth:`node` returns the block
+    solve X . M_CC = q^(a_C) M_{above,C} of a node, by :func:`poly_solve`:
+    "singular" when M_CC is singular, "pruned" at a cut (a block division
+    with a remainder, a negative coefficient of X, or a Lambda_C = M_CC /
+    q^(2 a_C) that is not polynomial), else a :class:`Node`.  The search
+    extends only kept nodes, so every residual is integral.
+
+    Each new node is certified by :func:`_certify_node` before anything is
+    stored, against the stored M_{S+C} when another path has built it.
+    With P_CC = q^(a_C) its identities are the blocks of
+
+        M_S = [P_CC; X] Lambda_C [P_CC; X]^t + (0 (+) M_{S+C})
+
+    over C and above; the C x above block is the transpose of the above x
+    C one, because omega is checked symmetric here and the identities keep
+    every M_S symmetric.  A failed certificate raises AssertionError and
+    leaves the table as it was.  :func:`node_table` keeps one table per m
+    for the whole process, so every search of that m shares its nodes."""
+
+    def __init__(self, omega: PolyMatrix, m: int):
         labels = tuple(all_labels(m))
         if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):
             raise ValueError("omega labels do not match the character labels for this m")
-        n = len(labels)
-        om = tuple(tuple(omega.get(r, c).as_poly() for c in labels) for r in labels)
-        zero = ((IntPoly.zero(),) * n,) * n
-        return IntegralState(m, labels, {l: i for i, l in enumerate(labels)}, om,
-                             (), (), om, zero, zero, tuple(range(n)))
+        om = [[omega.get(r, c).as_poly() for c in labels] for r in labels]
+        for i, row in enumerate(om):
+            for j in range(i):
+                if row[j] != om[j][i]:
+                    raise ValueError("omega must be symmetric")
+                row[j] = om[j][i]  # every residual shares its mirror entries
+        self.m, self.labels = m, labels
+        self.pos = {l: i for i, l in enumerate(labels)}
+        self.residuals = {frozenset(): (tuple(range(len(labels))), tuple(map(tuple, om)))}
+        self.nodes: dict = {}
 
-    def block(self, cls: frozenset[CharLabel], a_c: int):
-        """The next class's Z[q] block solve: ``(midx, delta, rows, cut)``
-        with ``midx`` the member positions (sorted) and ``rows`` = delta X
-        over the unsolved rows above C, in order.  At a block cut of
-        :func:`poly_solve` delta is its last pivot; otherwise delta = 1,
-        and a Lambda_C that q^(2 a_C) does not divide is a cut too.
-        Raises SingularBlock for a singular M_CC."""
+    def node(self, peeled: frozenset[CharLabel], cls: frozenset[CharLabel], a_c: int):
+        """The node (S, C, a_C), built and certified on first use: a
+        :class:`Node`, "pruned" or "singular".  S must be the peeled set
+        of a kept node (or empty)."""
+        key = (peeled, cls, a_c)
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = self._build(peeled, cls, a_c)
+        return got
+
+    def _build(self, peeled, cls, a_c):
+        unsolved, M = self.residuals[peeled]
+        loc = {p: u for u, p in enumerate(unsolved)}
         midx = [self.pos[l] for l in sorted(cls, key=label_sort_key)]
-        M = self.M
-        above = [i for i in self.unsolved if i not in midx]
+        cl = [loc[p] for p in midx]
+        above = [u for u in range(len(unsolved)) if u not in cl]
         delta, rows, cut = IntPoly.one(), [], False
         if above:
-            mcc = [[M[i][j] for j in midx] for i in midx]
-            rhs = [[M[i][j].shift(a_c) for j in midx] for i in above]
-            pivot, rows, cut = poly_solve(mcc, rhs)
+            mcc = [[M[s][c] for c in cl] for s in cl]
+            rhs = [[M[i][c].shift(a_c) for c in cl] for i in above]
+            try:
+                pivot, rows, cut = poly_solve(mcc, rhs)
+            except SingularBlock:
+                return "singular"
             if cut:
                 delta = pivot
         if not cut:
-            cut = not all(_q_divides(M[i][j], 2 * a_c) for i in midx for j in midx)
-        return midx, delta, rows, cut
-
-    def peel(self, cls: frozenset[CharLabel], a_c: int) -> "IntegralState | None":
-        """The state with the next class solved, or None at a cut; either
-        way :meth:`check_class` first multiplies the class's columns back.
-        A wrong block raises AssertionError, a singular M_CC
-        SingularBlock."""
-        midx, delta, rows, cut = self.block(cls, a_c)
-        self.check_class(midx, a_c, delta, rows)
+            cut = not all(_q_divides(M[s][c], 2 * a_c) for s in cl for c in cl)
         if cut:
-            return None
-        M, labels, ci = self.M, self.labels, len(self.classes)
-        nonpoly = list(self.nonpolynomial_y)
-        if ci > 0:
-            for i in self.unsolved:
-                for j in midx:
-                    if not _gamma_divides(M[i][j], self.m):
-                        nonpoly.append((ci, labels[i], labels[j]))
-        lam = {(i, j): IntPoly({e - 2 * a_c: v for e, v in M[i][j].c.items()})
-               for i in midx for j in midx}
-        L, P = list(self.L), list(self.P)
-        for i in midx:
-            L[i] = tuple(lam.get((i, j), x) for j, x in enumerate(L[i]))
-            row = list(P[i])
-            row[i] = IntPoly.q(a_c)
-            P[i] = tuple(row)
-        above = [i for i in self.unsolved if i not in midx]
-        for i, x in zip(above, rows):
-            row = list(P[i])
-            for j, v in zip(midx, x):
-                row[j] = v
-            P[i] = tuple(row)
-        state = replace(
-            self, classes=self.classes + (frozenset(cls),), a=self.a + (a_c,),
-            P=tuple(P), L=tuple(L), unsolved=tuple(above),
-            solved=self.solved + tuple(midx), nonpolynomial_y=tuple(nonpoly),
-        )
-        if not above:
-            return state
-        # residual among the rows above C: M -= P_{.,C} Lambda_C P_{.,C}^t
-        lam_cols = [[lam[i, j] for i in midx] for j in midx]
-        half = {i: [poly_dot(zip(x, col)) for col in lam_cols] for i, x in zip(above, rows)}
-        xs = dict(zip(above, rows))
-        M2 = list(M)
-        new = {i: list(M[i]) for i in above}
-        for ii, i in enumerate(above):
-            hi = half[i]
-            for j in above[ii:]:
-                acc = poly_dot(zip(hi, xs[j]))
-                if acc.c:
-                    new[i][j] = new[i][j] - acc
-                    if j != i:
-                        new[j][i] = new[j][i] - acc
-        for i in above:
-            M2[i] = tuple(new[i])
-        return replace(state, M=tuple(M2))
-
-    def check_class(self, midx, a_c: int, delta: IntPoly, rows) -> None:
-        """Multiply back the columns of the next class C, as :meth:`block`
-        solved it, before :meth:`peel` keeps or cuts it.  Its P rows above
-        it are rows / delta, its diagonal P block is q^(a_C) and its
-        Lambda block is M_CC / q^(2 a_C), so each entry of the columns is
-        compared times delta q^(2 a_C), in Z[q]: for every row r and c in
-        C,
-
-            delta q^(2a) ((P Lambda P^t)[r, c] over the solved positions
-                          - omega[r, c])
-              + q^a sum_{s in C} D[r, s] M[s, c] = 0,
-
-        with D = rows over the rows above C, delta q^a on the diagonal of
-        C and 0 on the solved rows.  Kept, C's P and Lambda entries are
-        these rows and M_CC shifted down by 2 a_C, so this is P Lambda P^t
-        = omega in C's columns.  Lambda P^t is contracted for the column
-        first, and each left side is one :func:`poly_dot`.  Reads P and
-        Lambda over the solved positions, omega, and M and rows for C.  A
-        difference raises AssertionError."""
-        P, L, S, M = self.P, self.L, self.solved, self.M
-        scale = delta.shift(2 * a_c)
-        neg = -scale
-        d = dict(zip([i for i in self.unsolved if i not in midx], rows))
-        for t, i in enumerate(midx):
-            d[i] = [delta.shift(a_c) if u == t else IntPoly.zero() for u in range(len(midx))]
-        for c in midx:
-            pc = P[c]
-            w = [scale * poly_dot((L[s][t], pc[t]) for t in S) for s in S]
-            mc = [M[s][c].shift(a_c) for s in midx]
-            for r, row in enumerate(P):
-                pairs = [(row[s], x) for s, x in zip(S, w)]
-                pairs.append((self.omega[r][c], neg))
-                if r in d:
-                    pairs += zip(d[r], mc)
-                if poly_dot(pairs).c:
-                    raise AssertionError("multiplication-back failed: P Lambda P^t "
-                                         "!= omega in the columns of the next class")
-
-    def system(self) -> GreenSystem:
-        """The solved system, once the classes partition the labels (else
-        ValueError).  Every column was multiplied back when its class was
-        peeled, so nothing is checked here."""
+            _certify_node(M, cl, above, a_c, delta, rows)
+            return "pruned"
+        lam = [[IntPoly({e - 2 * a_c: v for e, v in M[s][c].c.items()}) for c in cl]
+               for s in cl]
+        up = tuple(unsolved[i] for i in above)
+        have = self.residuals.get(peeled | cls)
+        nxt = have[1] if have is not None else _schur_update(M, cl, above, rows, lam)
+        _certify_node(M, cl, above, a_c, delta, rows, lam, nxt)
+        if have is None:
+            self.residuals[peeled | cls] = (up, nxt)
         labels = self.labels
-        return GreenSystem(
-            LSDatum(self.m, self.classes, self.a),
-            PolyMatrix(labels, labels, [[_rf(x) for x in row] for row in self.P]),
-            PolyMatrix(labels, labels, [[_rf(x) for x in row] for row in self.L]),
-            self.nonpolynomial_y,
-        )
+        nonpoly = [(labels[unsolved[u]], labels[p]) for u in range(len(unsolved))
+                   for c, p in zip(cl, midx) if not _gamma_divides(M[u][c], self.m)
+                   ] if peeled else []
+        return Node(tuple(midx), up, tuple(map(tuple, rows)), tuple(map(tuple, lam)),
+                    tuple(nonpoly))
+
+    def system(self, datum: LSDatum, nodes) -> GreenSystem:
+        """The system of a full datum from its kept nodes, bottom-up.  The
+        nodes were certified when they were built, so nothing is checked
+        here."""
+        n = len(self.labels)
+        P = [[RF_ZERO] * n for _ in range(n)]
+        L = [[RF_ZERO] * n for _ in range(n)]
+        nonpoly = []
+        for ci, (node, a_c) in enumerate(zip(nodes, datum.a)):
+            qa = RatFunc(IntPoly.q(a_c))
+            for i, lrow in zip(node.midx, node.lam):
+                P[i][i] = qa
+                for j, x in zip(node.midx, lrow):
+                    L[i][j] = _rf(x)
+            for i, xrow in zip(node.above, node.rows):
+                for j, x in zip(node.midx, xrow):
+                    P[i][j] = _rf(x)
+            nonpoly += [(ci, r, c) for r, c in node.nonpoly]
+        labels = self.labels
+        return GreenSystem(datum, PolyMatrix(labels, labels, P),
+                           PolyMatrix(labels, labels, L), tuple(nonpoly))
+
+
+@lru_cache(maxsize=None)
+def node_table(m: int) -> NodeTable:
+    """The node table of m over the closed omega, one per process.  The
+    repeats are across searches: over the 124 Springer sets of m = 3..12,
+    859 of the 1 247 peels repeat a node of the same m, while a table per
+    search would see 129 repeats."""
+    return NodeTable(fakedegree.omega(m, method="closed"), m)
+
+
+def _schur_update(M, cl, above, rows, lam):
+    """M_{S+C} = M[above] - X Lambda_C X^t over the rows above C, for a
+    symmetric M: the half products X_i Lambda_C once per row, each entry
+    on and above the diagonal one :func:`poly_dot`, and its mirror entry
+    the same object."""
+    lam_cols = [[lam[s][t] for s in range(len(cl))] for t in range(len(cl))]
+    half = [[poly_dot(zip(x, col)) for col in lam_cols] for x in rows]
+    new = [[M[i][j] for j in above] for i in above]
+    for ii, hi in enumerate(half):
+        for jj in range(ii, len(above)):
+            acc = poly_dot(zip(hi, rows[jj]))
+            if acc.c:
+                new[ii][jj] = new[jj][ii] = new[ii][jj] - acc
+    return tuple(map(tuple, new))
+
+
+def _certify_node(M, cl, above, a_c, delta, rows, lam=None, nxt=None) -> None:
+    """Multiply a node back: M is M_S, ``cl`` and ``above`` index C's
+    members and the rows above C in it, ``rows`` = delta X.  Checks the
+    block equation
+
+        rows . M_CC = delta q^(a_C) M_{above,C},
+
+    and for a kept node (delta = 1, ``lam`` and ``nxt`` = M_{S+C} given)
+
+        q^(2 a_C) Lambda_C = M_CC,   nxt = M_S[above] - X Lambda_C X^t.
+
+    Each is f = 0 for some f in Z[q] whose coefficients are below B, with
+    |.| the l1 norm and R the largest sum of |rows[i, s]| over a row:
+
+        B = max(R max |M_CC| + |delta| max |M_{above,C}|,
+                max |Lambda_C| + max |M_CC|,
+                max |M_S[above]| + max |nxt| + max |Lambda_C| R^2).
+
+    At xi = 2^K with 2^(K-1) > B, f(xi) = 0 forces f = 0 (balanced base-xi
+    digits are unique, as in :func:`verify_system`), so every entry is
+    evaluated once (:func:`_value_at`) and each identity is compared in
+    integers.  A difference raises AssertionError."""
+    def top(mat):
+        return max((_l1(x) for row in mat for x in row), default=0)
+
+    mcc = [[M[s][c] for c in cl] for s in cl]
+    mac = [[M[i][c] for c in cl] for i in above]
+    r = max((sum(map(_l1, row)) for row in rows), default=0)
+    bound = r * top(mcc) + _l1(delta) * top(mac)
+    if lam is not None:
+        maa = [[M[i][j] for j in above] for i in above]
+        lmax = top(lam)
+        bound = max(bound, lmax + top(mcc), top(maa) + top(nxt) + lmax * r * r)
+    k = bound.bit_length() + 1  # 2^(k-1) > bound
+
+    def at(mat):
+        return [[_value_at(x, k) for x in row] for row in mat]
+
+    mccv, rv = at(mcc), at(rows)
+    dq = _value_at(delta, k) << (k * a_c)
+    ok = all(sum(x * mccv[s][t] for s, x in enumerate(xr)) == dq * mv
+             for xr, mrow in zip(rv, at(mac)) for t, mv in enumerate(mrow))
+    if ok and lam is not None:
+        lv = at(lam)
+        ok = all(x << (2 * a_c * k) == y for lr, mr in zip(lv, mccv) for x, y in zip(lr, mr))
+        # nxt + X Lambda_C X^t = M_S[above], with X_i Lambda_C once per row
+        half = [[sum(x * lv[s][t] for s, x in enumerate(xr)) for t in range(len(cl))]
+                for xr in rv]
+        ok = ok and all(
+            nv + sum(h * y for h, y in zip(hi, xj)) == mv
+            for hi, nrow, mrow in zip(half, at(nxt), at(maa))
+            for xj, nv, mv in zip(rv, nrow, mrow))
+    if not ok:
+        raise AssertionError("multiplication-back failed: the node's block equation "
+                             "or Schur update does not hold")
 
 
 def _l1(p: IntPoly) -> int:

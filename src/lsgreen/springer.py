@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import fakedegree
 from .dihedral import (
     CharLabel,
     Chi,
@@ -46,11 +45,11 @@ from .dihedral import (
     parse_label,
     specials,
 )
-from .errors import InvalidFSequence, InvalidM, SearchBoundExceeded, SingularBlock
+from .errors import InvalidFSequence, InvalidM, SearchBoundExceeded
 from .exactalg import IntPoly, PolyMatrix, RatFunc
-# search peels IntegralState itself and never calls solve; the benchmark's
+# search walks the node table and never calls solve; the benchmark's
 # self-test reads springer.solve
-from .greensolver import GreenSystem, IntegralState, LSDatum, solve  # noqa: F401
+from .greensolver import GreenSystem, LSDatum, node_table, solve  # noqa: F401
 
 __all__ = [
     "SpringerSet",
@@ -838,27 +837,29 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     stays the classified family.
 
     The data of :func:`enumerate_candidate_data` come depth-first over
-    their class lists, and each is solved from the longest prefix it
-    shares with the one before: ``path`` holds the states of that prefix,
-    one :meth:`IntegralState.peel` per class, so each prefix is solved once,
-    over Z[q].  A class fixes its Lambda block and the P entries above it,
-    so a prefix whose last class fails condition (4) -- a block division
-    with a remainder or a negative P coefficient -- is cut, after the
-    columns of omega it fixes have been multiplied back, scaled into Z[q];
-    the candidates under it count as ``pruned``.  A singular block counts
-    the candidates of its prefix in ``rejected_singular``.  Every peel that
-    is not cut multiplies back the columns of its class, so a full datum
-    has been checked in every column when it reaches the five conditions;
-    its P and Lambda equal :func:`greensolver.solve`'s.  ``bounds``
-    defaults to ``SearchConfig()``."""
+    their class lists, and each is walked from the longest prefix it
+    shares with the one before, one node of m's :func:`node_table` per
+    class: the node (S, C, a_C) of the labels S peeled below C.  A node is
+    built and certified once per process and shared by every search of m
+    (see :class:`greensolver.NodeTable`).  A class fixes its Lambda block
+    and the P entries above it, so a prefix whose last node fails
+    condition (4) -- a block division with a remainder, a negative P
+    coefficient or a Lambda block q^(2 a_C) does not divide -- is cut; the
+    candidates under it count as ``pruned``.  A singular block counts the
+    candidates of its prefix in ``rejected_singular``.  A full datum's
+    system is read off its nodes, whose certificates give P Lambda P^t =
+    omega, and goes to the five conditions; its P and Lambda equal
+    :func:`greensolver.solve`'s.  ``bounds`` defaults to
+    ``SearchConfig()``."""
     s, swapped = springer.normalized()
     data = enumerate_candidate_data(s, family_filter=family_filter, bounds=bounds)
-    om = fakedegree.omega(s.m, method="closed")
+    table = node_table(s.m)
     hits: list[SearchHit] = []
     stray: list[SearchHit] = []
     counts = {"solved": 0, "pruned": 0, "singular": 0}
     prefix: list[frozenset[CharLabel]] = []
-    path = [IntegralState.start(om, s.m)]  # path[i]: prefix[:i] peeled
+    peeled = [frozenset()]  # peeled[i]: the labels of prefix[:i]
+    nodes = []  # nodes[i]: the kept node of prefix[i]
     cut = None  # while prefix ends in a cut class: "pruned" or "singular"
     for datum in data:
         classes = datum.classes
@@ -868,24 +869,22 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
         if cut is not None and keep == len(prefix):
             counts[cut] += 1
             continue
-        del prefix[keep:], path[keep + 1:]
+        del prefix[keep:], peeled[keep + 1:], nodes[keep:]
         cut = None
         for level in range(keep, len(classes)):
-            prefix.append(classes[level])
-            try:
-                state = path[-1].peel(classes[level], datum.a[level])
-            except SingularBlock:
-                cut = "singular"
+            cls = classes[level]
+            prefix.append(cls)
+            node = table.node(peeled[-1], cls, datum.a[level])
+            if isinstance(node, str):
+                cut = node
                 break
-            if state is None:
-                cut = "pruned"
-                break
-            path.append(state)
+            nodes.append(node)
+            peeled.append(peeled[-1] | cls)
         if cut is not None:
             counts[cut] += 1
             continue
         counts["solved"] += 1
-        system = path[-1].system()
+        system = table.system(datum, nodes)
         report = check_conditions(system, s)
         if report.accepted:
             hit = SearchHit(datum, system, report)

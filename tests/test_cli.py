@@ -312,6 +312,17 @@ def test_solve_rejects_mistyped_datum(capsys, tmp_path, payload, message):
     assert message in err and "Traceback" not in err
 
 
+def test_solve_compares_the_datum_files_m_before_building_the_datum(capsys, tmp_path):
+    # a file for m = 200001 is refused on its m alone, not as a partition
+    # of the 100 003 labels of that m
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"m": 200001, "classes": [["eps"]], "a": [0]}))
+    rc, out, err = run(capsys, "solve", "3", "--datum", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: datum file is for m=200001, command line says m=3\n"
+    assert len(err.encode()) < 1024
+
+
 _LABEL_TEXT = st.sampled_from(["eps", "0", "1", "2", "r", "r'", " 1", "x", ""])
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=4)

@@ -6,17 +6,21 @@ entry was confirmed by multiplying the factorization back.
 """
 import dataclasses
 import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels
+import dense
+from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, label_sort_key
 from lsgreen.errors import SingularBlock
-from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve, rf_dot
+from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_solve, rf_dot
 from lsgreen.fakedegree import fake_degree, omega
-from lsgreen import greensolver
+from lsgreen import greensolver, springer as springer_module
 from lsgreen.greensolver import (
-    IntegralState, LSDatum, SolveState, closure_order, datum_from_jsonable,
+    LSDatum, Node, NodeTable, SolveState, closure_order, datum_from_jsonable,
     datum_to_jsonable, solve, verify_system,
 )
 from lsgreen.springer import SpringerSet, all_springer_sets, enumerate_candidate_data, search
@@ -188,7 +192,16 @@ def test_verify_system_detects_doctored_entry(sys3):
     assert not verify_system(doctored, omega(3, method="closed"))
 
 
-def test_multiply_back_catches_a_wrong_block(monkeypatch):
+@pytest.fixture
+def fresh_node_tables():
+    """Empty the per-m node tables before and after the test, so that a
+    patched block solve is called at all."""
+    greensolver.node_table.cache_clear()
+    yield
+    greensolver.node_table.cache_clear()
+
+
+def test_multiply_back_catches_a_wrong_block(monkeypatch, fresh_node_tables):
     # matrix_solve makes no check of its own; solve's multiply-back must
     # catch a wrong block solution
     real = greensolver.matrix_solve
@@ -219,7 +232,7 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
 
 
-def test_cut_prefix_is_multiplied_back(monkeypatch):
+def test_cut_prefix_is_multiplied_back(monkeypatch, fresh_node_tables):
     # a wrong, non-polynomial P entry makes search cut the prefix; the
     # columns of the cut class must be multiplied back first (scaled into
     # Z[q]), so the wrong block raises instead of dropping candidates
@@ -235,6 +248,42 @@ def test_cut_prefix_is_multiplied_back(monkeypatch):
     monkeypatch.setattr(greensolver, "poly_solve", off_by_a_fraction)
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
+
+
+def _load_workloads(monkeypatch):
+    """perfbench/workloads.py, whose search-sweep check holds the goldens."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_failed_certificate_leaves_the_node_table_as_it_was(monkeypatch, fresh_node_tables):
+    # the third block solve that is not cut comes back wrong: the search
+    # raises after some nodes are stored; the same search unpatched, on the
+    # same table, must still match the benchmark's golden for the set
+    springer = SpringerSet.from_strings(6, "0,1,2,r',eps")
+    real = greensolver.poly_solve
+    calls = []
+
+    def wrong_third_block(a, b):
+        delta, rows, cut = real(a, b)
+        if not cut:
+            calls.append(1)
+            if len(calls) == 3:
+                rows[0][0] = rows[0][0] + IntPoly.one()
+        return delta, rows, cut
+
+    with monkeypatch.context() as mp:
+        mp.setattr(greensolver, "poly_solve", wrong_third_block)
+        with pytest.raises(AssertionError, match="multiplication-back failed"):
+            search(springer)
+    table = greensolver.node_table(6)
+    assert len(calls) == 3 and table.nodes
+    sweep = _load_workloads(monkeypatch).SearchSweep()
+    assert sweep.check(springer, search(springer))[1] == []
 
 
 @pytest.mark.parametrize("classes, a", [
@@ -415,11 +464,15 @@ def test_peel_keeps_an_asymmetric_residual_entry_apart_from_its_mirror():
         [(x.num, x.den) for x in row] for row in want]
 
 
-def _dense_ok(P, L, om, labels, cols):
-    """Whether the dense product P L P^t equals omega in the columns cols."""
+def _dense_ok(P, L, om, labels, cols, R=None):
+    """Whether the dense product P L P^t, plus R when given, equals omega
+    in the columns cols."""
     p = PolyMatrix(labels, labels, P)
-    prod = p.mul(PolyMatrix(labels, labels, L)).mul(p.transpose())
-    return all(prod.get(r, labels[c]) == om.get(r, labels[c]) for r in labels for c in cols)
+    prod = dense.mul(dense.mul(p, PolyMatrix(labels, labels, L)), dense.transpose(p))
+    n = len(labels)
+    R = R or [[RatFunc(0)] * n for _ in range(n)]
+    return all(prod.data[r][c] + R[r][c] == om.get(labels[r], labels[c])
+               for r in range(n) for c in cols)
 
 
 @st.composite
@@ -471,60 +524,173 @@ MULTI_CLASS_DATA = (
 )
 
 
+def _walk(table, datum, k):
+    """The datum's nodes in the table, up to its k-th class or its first
+    node that is not kept: (level, the set peeled below it, the kept nodes
+    below it, the node at it)."""
+    peeled, nodes = frozenset(), []
+    for level, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
+        node = table.node(peeled, cls, a_c)
+        if not isinstance(node, Node) or level == k - 1:
+            return level, peeled, nodes, node
+        nodes.append(node)
+        peeled |= cls
+
+
+def _node_pieces(table, datum, level, peeled, node):
+    """What the node's certificate reads, as lists: M_S, C's and the rows
+    above C's indices in it, delta X, and for a kept node Lambda_C and the
+    stored M_{S+C} (None at a cut, where delta X is solved again)."""
+    unsolved, M = table.residuals[peeled]
+    midx = [table.pos[l] for l in sorted(datum.classes[level], key=label_sort_key)]
+    cl = [unsolved.index(p) for p in midx]
+    above = [u for u in range(len(unsolved)) if u not in cl]
+    a_c = datum.a[level]
+    if isinstance(node, Node):
+        return (M, cl, above, IntPoly.one(), [list(r) for r in node.rows],
+                [list(r) for r in node.lam],
+                [list(r) for r in table.residuals[peeled | datum.classes[level]][1]])
+    delta, rows = IntPoly.one(), []
+    if above:
+        delta, rows, cut = poly_solve([[M[s][c] for c in cl] for s in cl],
+                                      [[M[i][c].shift(a_c) for c in cl] for i in above])
+        delta = delta if cut else IntPoly.one()
+    return M, cl, above, delta, rows, None, None
+
+
 @given(st.one_of(random_data(), search_candidates(), st.sampled_from(MULTI_CLASS_DATA)),
        st.data())
 def test_multiply_back_agrees_with_the_dense_product(datum, data):
-    # peel classes over Z[q] up to the last class or some class before it,
-    # or to the first cut; change one entry of the prefix's P or Lambda,
-    # or of the class's P rows above it (delta X), or leave it, and compare
-    # check_class with the dense product over Q(q) in the class's columns
+    # walk the datum's nodes up to the last class or some class before it,
+    # or to the first cut; change one entry of that node's delta X, its
+    # Lambda_C or the stored M_{S+C}, or leave it, and compare the node's
+    # certificate with the dense product over Q(q): P Lambda P^t plus the
+    # residual in every column for a kept node, in C's columns at a cut
     om = omega(datum.m, method="closed")
     k = data.draw(st.one_of(st.just(len(datum.classes)),
                             st.integers(min_value=1, max_value=len(datum.classes))))
-    state = IntegralState.start(om, datum.m)
-    try:
-        for level, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
-            midx, delta, rows, cut = state.block(cls, a_c)
-            if cut or level == k - 1:
-                break
-            state = state.peel(cls, a_c)
-    except SingularBlock:
+    table = NodeTable(om, datum.m)
+    level, peeled, nodes, node = _walk(table, datum, k)
+    if node == "singular":
         return
-    labels, n, solved = state.labels, len(state.labels), list(state.solved)
-    above = [i for i in state.unsolved if i not in midx]
-    kinds = _spots([(i, j) for i in range(n) for j in solved + midx
-                    if j in solved or i in above],
-                   solved, {t: datum.class_of(labels[t]) for t in range(n)})
-    if not any(kinds.values()):  # a first class with no row above it
+    a_c = datum.a[level]
+    M, cl, above, delta, rows, lam, nxt = _node_pieces(table, datum, level, peeled, node)
+    kinds = {"delta X": rows, "Lambda_C": lam or [], "M_{S+C}": nxt or []}
+    kinds = {kind: mat for kind, mat in kinds.items() if mat and mat[0]}
+    if not kinds:  # a top class cut on Lambda alone
         return
-    # the class's P rows above it sit in P's columns midx while doctoring
-    P, L = [list(row) for row in state.P], [list(row) for row in state.L]
-    for i, row in zip(above, rows):
-        for c, x in zip(midx, row):
-            P[i][c] = x
-    _doctor(data, kinds, P, L, INTEGRAL_CHANGES)
-    rows = [[P[i][c] for c in midx] for i in above]
-    for i in above:
-        for c in midx:
-            P[i][c] = IntPoly.zero()
-    doctored = dataclasses.replace(state, P=tuple(map(tuple, P)), L=tuple(map(tuple, L)))
-    # the class over Q(q): P rows delta X / delta, q^a on the diagonal,
-    # Lambda M_CC / q^(2a)
-    rP = [[RatFunc(x) for x in row] for row in P]
-    rL = [[RatFunc(x) for x in row] for row in L]
-    for c in midx:
-        rP[c][c] = RatFunc(IntPoly.q(a_c))
-        for d in midx:
-            rL[c][d] = RatFunc(state.M[c][d], IntPoly.q(2 * a_c))
-    for i, row in zip(above, rows):
-        for c, x in zip(midx, row):
-            rP[i][c] = RatFunc(x, delta)
+    mat = kinds[data.draw(st.sampled_from(sorted(kinds)))]
+    i = data.draw(st.integers(0, len(mat) - 1))
+    j = data.draw(st.integers(0, len(mat[i]) - 1))
+    mat[i][j] += data.draw(st.sampled_from(INTEGRAL_CHANGES))
     try:
-        doctored.check_class(midx, a_c, delta, rows)
+        greensolver._certify_node(M, cl, above, a_c, delta, rows, lam, nxt)
         checked = True
     except AssertionError:
         checked = False
-    assert checked == _dense_ok(rP, rL, om, labels, midx)
+
+    # the prefix's nodes over Q(q), then this node: P rows delta X / delta,
+    # q^a on C's diagonal, Lambda_C, or M_CC / q^(2a) at a cut
+    labels, n = table.labels, len(table.labels)
+    unsolved = table.residuals[peeled][0]
+    P = [[RatFunc(0)] * n for _ in range(n)]
+    L = [[RatFunc(0)] * n for _ in range(n)]
+    for below, a_b in zip(nodes, datum.a):
+        for i, lrow in zip(below.midx, below.lam):
+            P[i][i] = RatFunc(IntPoly.q(a_b))
+            for j, x in zip(below.midx, lrow):
+                L[i][j] = RatFunc(x)
+        for i, xrow in zip(below.above, below.rows):
+            for j, x in zip(below.midx, xrow):
+                P[i][j] = RatFunc(x)
+    midx = [unsolved[c] for c in cl]
+    for s_, c in zip(cl, midx):
+        P[c][c] = RatFunc(IntPoly.q(a_c))
+        for t, d in zip(cl, midx):
+            L[c][d] = (RatFunc(lam[cl.index(s_)][cl.index(t)]) if lam is not None
+                       else RatFunc(M[s_][t], IntPoly.q(2 * a_c)))
+    for i, row in zip(above, rows):
+        for c, x in zip(midx, row):
+            P[unsolved[i]][c] = RatFunc(x, delta)
+    R = [[RatFunc(0)] * n for _ in range(n)]
+    for ii, i in enumerate(above):
+        for jj, j in enumerate(above):
+            if nxt is not None:
+                R[unsolved[i]][unsolved[j]] = RatFunc(nxt[ii][jj])
+    cols = range(n) if nxt is not None else midx
+    assert checked == _dense_ok(P, L, om, labels, cols, R)
+
+
+@pytest.mark.parametrize("datum", MULTI_CLASS_DATA, ids=("m5", "b2", "m8"))
+def test_node_certificate_catches_a_change_at_the_bound(datum, monkeypatch):
+    # for every kept node, one coefficient of one stored M_{S+C} entry
+    # changed by +-2^(K-1), K the evaluation point of the true node's
+    # certificate, is caught; so is the change 2^k - q, which vanishes at
+    # q = 2^k, for k = K - 1, K, K + 1 and every multiple of 8 up to 16
+    # past K: xi must grow with M_{S+C}
+    table = NodeTable(omega(datum.m, method="closed"), datum.m)
+    points = []
+    real = greensolver._value_at
+
+    def recording(p, k):
+        points.append(k)
+        return real(p, k)
+
+    monkeypatch.setattr(greensolver, "_value_at", recording)
+    peeled = frozenset()
+    for level, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
+        node = table.node(peeled, cls, a_c)
+        assert isinstance(node, Node)
+        M, cl, above, delta, rows, lam, nxt = _node_pieces(table, datum, level, peeled, node)
+        points.clear()
+        greensolver._certify_node(M, cl, above, a_c, delta, rows, lam, nxt)
+        top = max(points)
+        changes = [IntPoly({e: sign << (top - 1)}) for sign in (1, -1) for e in (0, 1, 5)]
+        ks = sorted({top - 1, top, top + 1, *range(8, top + 17, 8)})
+        changes += [IntPoly({0: 1 << k, 1: -1}) for k in ks]
+        for ii in range(len(above)):
+            for jj in range(len(above)):
+                for change in changes:
+                    bad = [list(r) for r in nxt]
+                    bad[ii][jj] += change
+                    with pytest.raises(AssertionError, match="multiplication-back failed"):
+                        greensolver._certify_node(M, cl, above, a_c, delta, rows, lam, bad)
+        peeled |= cls
+
+
+def test_a_singular_node_is_cached_and_counts_its_candidates(monkeypatch):
+    # the datum of test_solve_names_the_member_of_a_singular_later_block:
+    # with chi_2's row and column of omega zeroed, the node ({eps},
+    # {chi_1, chi_2}, 1) is singular; the table keeps it as such and the
+    # search counts every candidate under it in rejected_singular, as
+    # solving each candidate on its own does
+    om = omega(5, method="closed")
+    zeroed = PolyMatrix.from_function(
+        om.rows, om.cols, lambda r, c: RatFunc(0) if Chi(2) in (r, c) else om.get(r, c))
+    table = NodeTable(zeroed, 5)
+    bottom, later = frozenset({Eps}), frozenset({Chi(1), Chi(2)})
+    assert isinstance(table.node(frozenset(), bottom, 5), Node)
+    assert table.node(bottom, later, 1) == "singular"
+    assert table.nodes[bottom, later, 1] == "singular"
+
+    def refuse(a, b):
+        raise AssertionError("a cached node was solved again")
+
+    springer = SpringerSet.from_strings(5, "0,1,eps")
+    with monkeypatch.context() as mp:
+        mp.setattr(greensolver, "poly_solve", refuse)
+        assert table.node(bottom, later, 1) == "singular"
+    monkeypatch.setattr(springer_module, "node_table", lambda m: table)
+    for family_filter in (True, False):
+        out = search(springer, family_filter=family_filter)
+        singular = 0
+        for datum in enumerate_candidate_data(springer, family_filter=family_filter):
+            try:
+                solve(zeroed, datum)
+            except SingularBlock:
+                singular += 1
+        assert singular == 1
+        assert (out.rejected_singular, out.tried) == (singular, 1 if family_filter else 2)
 
 
 @given(random_data(), st.data())
@@ -590,7 +756,7 @@ def test_verify_system_agrees_with_the_rf_dot_multiply_back(datum, data):
     target = om
     if data.draw(st.booleans()):
         p = doctored.P
-        target = p.mul(doctored.Lambda).mul(p.transpose())
+        target = dense.mul(dense.mul(p, doctored.Lambda), dense.transpose(p))
         assert verify_system(doctored, target)
     W = [list(row) for row in target.data]
     i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
@@ -606,7 +772,7 @@ def test_verify_system_takes_an_omega_with_rational_entries(sys3):
     L = [list(row) for row in sys3.Lambda.data]
     L[1][1] = L[1][1] + RatFunc(1, IntPoly({1: 1, 0: 2}))
     system = dataclasses.replace(sys3, Lambda=PolyMatrix(labels, labels, L))
-    om = system.P.mul(system.Lambda).mul(system.P.transpose())
+    om = dense.mul(dense.mul(system.P, system.Lambda), dense.transpose(system.P))
     assert not all(x.is_polynomial() for row in om.data for x in row)
     assert verify_system(system, om)
     W = [list(row) for row in om.data]
