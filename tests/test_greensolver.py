@@ -604,20 +604,22 @@ def test_multiply_back_agrees_with_the_dense_product(datum, data):
             for j, x in zip(below.midx, xrow):
                 P[i][j] = RatFunc(x)
     midx = [unsolved[c] for c in cl]
-    for s_, c in zip(cl, midx):
+    for u, c in enumerate(midx):
         P[c][c] = RatFunc(IntPoly.q(a_c))
-        for t, d in zip(cl, midx):
-            L[c][d] = (RatFunc(lam[cl.index(s_)][cl.index(t)]) if lam is not None
-                       else RatFunc(M[s_][t], IntPoly.q(2 * a_c)))
+        for v, d in enumerate(midx):
+            L[c][d] = (RatFunc(lam[u][v]) if lam is not None
+                       else RatFunc(M[cl[u]][cl[v]], IntPoly.q(2 * a_c)))
     for i, row in zip(above, rows):
         for c, x in zip(midx, row):
             P[unsolved[i]][c] = RatFunc(x, delta)
     R = [[RatFunc(0)] * n for _ in range(n)]
-    for ii, i in enumerate(above):
-        for jj, j in enumerate(above):
-            if nxt is not None:
-                R[unsolved[i]][unsolved[j]] = RatFunc(nxt[ii][jj])
-    cols = range(n) if nxt is not None else midx
+    if nxt is None:
+        cols = midx
+    else:
+        cols = range(n)
+        for i, nrow in zip(above, nxt):
+            for j, x in zip(above, nrow):
+                R[unsolved[i]][unsolved[j]] = RatFunc(x)
     assert checked == _dense_ok(P, L, om, labels, cols, R)
 
 
