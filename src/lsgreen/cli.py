@@ -339,12 +339,21 @@ _CONFIG_KEYS = {
 }
 
 
+def _read_text(path: str | Path) -> str:
+    """The file's text; a file that cannot be read (missing, a directory,
+    not permitted) is bad input, a ValueError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+
+
 def parse_config_file(path: str | Path) -> dict:
     """``key = value`` lines, '#' starting a comment, read into
     {argparse dest: value}.  springer_set is a comma-separated label list;
     booleans are 1/0, true/false or yes/no in any case."""
     values = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -425,8 +434,7 @@ def _load_datum_file(path: str, m: int) -> LSDatum:
     """The datum in the file, for m.  The file's m is compared with m (the
     command line's, already within its bound) before the datum is built,
     so a file for another m is not checked as a partition of its labels."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = json.loads(_read_text(path))
     if isinstance(obj, dict) and isinstance(obj.get("datum"), dict):
         obj = obj["datum"]
     if isinstance(obj, dict) and type(obj.get("m")) is int and obj["m"] != m:
@@ -533,6 +541,8 @@ def _cmd_atlas(args):
 def _cmd_verify(args):
     m = _need_m(args)
     _check_m_bound(args, m, "search", SearchConfig.max_m)
+    if m < 3:  # every check would fail on m alone: bad input, not a failed check
+        raise InvalidM(f"m must be an integer >= 3, got {m}")
     bounds = _bounds(args)
     checks = [check(m, bounds) for check in VERIFY_CHECKS]
     passed = all(c.passed for c in checks)
@@ -591,13 +601,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_max_m=True)
     p.add_argument("--method", choices=("sum", "closed", "both"), default="both")
     p = sub.add_parser("solve", help="solve one datum file")
-    _add_common(p, with_bounds=True)
+    _add_common(p, with_max_m=True)
     p.add_argument("--datum", required=True, metavar="FILE",
                    help="JSON datum (or full system JSON with a 'datum' key)")
     p = sub.add_parser("search", help="enumerate and solve all candidates")
     _add_common(p, with_springer=True, with_bounds=True, with_search_flags=True)
     p = sub.add_parser("maximal", help="the dominant correspondence for a set")
-    _add_common(p, with_springer=True, with_bounds=True)
+    _add_common(p, with_springer=True, with_max_m=True)
     p.add_argument("--emit-certificates", action="store_true")
     _add_common(sub.add_parser("spref", help="the preferred Springer set"),
                 with_max_m=True)

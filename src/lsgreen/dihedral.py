@@ -196,8 +196,10 @@ def parse_label(text: str, m: int) -> CharLabel:
     return Chi(i)
 
 
+@lru_cache(maxsize=None, typed=True)
 def all_labels(m: int) -> tuple[CharLabel, ...]:
-    """All irreducible-character labels in canonical order."""
+    """All irreducible-character labels in canonical order, built once per
+    m (the labels are frozen)."""
     _check_m(m)
     mid = [Chi(i) for i in range((m + 1) // 2)]
     if m % 2 == 0:

@@ -25,11 +25,12 @@ polynomial that q^m - 1 divides (:func:`_gamma_divides`).
 
 There are two routes.
 
-* :class:`SolveState`, over Q(q), is :func:`solve`'s, for any datum: one
-  state per peel, never changed in place.  It passes the rows of M_CC and
-  of q^(a_C) M_{chi,C} to :func:`matrix_solve`, whose elimination is
-  :func:`poly_solve`'s.  It reduces each residual entry it stores once
-  (one :func:`rf_dot` that takes the old entry in with the products),
+* :func:`solve`, over Q(q), for any datum: one loop over its classes that
+  keeps P, Lambda and M as dense lists.  Omega must be symmetric, so M is
+  too, and only its upper triangle is updated.  It passes the rows of
+  M_CC and of q^(a_C) M_{chi,C} to :func:`matrix_solve`, whose elimination
+  is :func:`poly_solve`'s.  It reduces each residual entry once (one
+  :func:`rf_dot` that takes the old entry in with the products),
   multiplies and divides by powers of q through valuations, and
   :func:`verify_system` multiplies the whole system back before it is
   returned.  That check clears the denominators of each row of P and of
@@ -63,7 +64,7 @@ Y entries that fail to be polynomial are recorded on the system, not fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import fakedegree
@@ -78,7 +79,6 @@ __all__ = [
     "LSDatum",
     "GreenSystem",
     "ClosureOrder",
-    "SolveState",
     "NodeTable",
     "node_table",
     "solve",
@@ -271,153 +271,86 @@ def _mul_by_q_power(x: RatFunc, k: int) -> RatFunc:
     return RatFunc(x.num.shift(k - s), den, _normalized=True)
 
 
-@dataclass(frozen=True, eq=False)
-class SolveState:
-    """Where the class-by-class solve stands: the classes peeled so far
-    (bottom-up, with their a-values), the P columns and Lambda blocks they
-    fixed, the residual M over the characters still unsolved, and the Y
-    entries found non-polynomial.  Matrices are dense over the canonical
-    label positions (``pos``); rows of M outside ``unsolved`` are stale.
-
-    :meth:`peel` returns a new state and leaves this one as it was.
-    :func:`solve` peels one datum this way, over Q(q); the search peels
-    the nodes of a :class:`NodeTable` instead."""
-
-    omega: PolyMatrix
-    m: int
-    labels: tuple[CharLabel, ...]
-    pos: dict[CharLabel, int]
-    classes: tuple[frozenset[CharLabel], ...]
-    a: tuple[int, ...]
-    M: tuple[tuple[RatFunc, ...], ...]
-    P: tuple[tuple[RatFunc, ...], ...]
-    L: tuple[tuple[RatFunc, ...], ...]
-    unsolved: tuple[int, ...]
-    nonpolynomial_y: tuple[tuple[int, CharLabel, CharLabel], ...] = ()
-
-    @staticmethod
-    def start(omega: PolyMatrix, m: int) -> "SolveState":
-        """The state before any class is peeled: M = omega."""
-        labels = tuple(all_labels(m))
-        if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):
-            raise ValueError("omega labels do not match the character labels for this m")
-        n = len(labels)
-        zero_row = (RF_ZERO,) * n
-        return SolveState(
-            omega, m, labels, {l: i for i, l in enumerate(labels)}, (), (),
-            tuple(tuple(omega.get(r, c) for c in labels) for r in labels),
-            (zero_row,) * n, (zero_row,) * n, tuple(range(n)),
-        )
-
-    def peel(self, cls: frozenset[CharLabel], a_c: int) -> "SolveState":
-        """Solve the next class up: its Lambda block, the P entries of the
-        unsolved rows over it, and the residual among the rows above it.
-        Raises SingularBlock when its diagonal block M_CC is not
-        invertible."""
-        ci = len(self.classes)
-        labels, pos, M = self.labels, self.pos, self.M
-        members = sorted(cls, key=label_sort_key)
-        midx = [pos[l] for l in members]
-        midx_set = set(midx)
-
-        # Y = M / (q^m - 1) is polynomial exactly where M is a polynomial
-        # that q^m - 1 divides (M is reduced); the node table's fold
-        nonpoly = list(self.nonpolynomial_y)
-        if ci > 0:
-            for i in self.unsolved:
-                for j in midx:
-                    x = M[i][j]
-                    if not (x.is_polynomial() and _gamma_divides(x.num, self.m)):
-                        nonpoly.append((ci, labels[i], labels[j]))
-
-        # Lambda block: q^(-2 a_C) M_{C,C}
-        L = list(self.L)
-        for i in midx:
-            row = list(L[i])
-            for j in midx:
-                row[j] = _div_by_q_power(M[i][j], 2 * a_c)
-            L[i] = tuple(row)
-
-        # diagonal P block
-        qa = RatFunc(IntPoly.q(a_c))
-        P = list(self.P)
-        for i in midx:
-            row = list(P[i])
-            row[i] = qa
-            P[i] = tuple(row)
-
-        above = [i for i in self.unsolved if i not in midx_set]
-        M2 = list(M)
-        if above:
-            # P-rows over C: X . M_{C,C} = q^(a_C) M_{chi,C}, the Y
-            # equation times q^m - 1, as the node table solves it
-            mcc = [[M[i][j] for j in midx] for i in midx]
-            rhs = [[_mul_by_q_power(M[i][j], a_c) for j in midx] for i in above]
-            prows = dict(zip(above, matrix_solve(mcc, rhs, members)))
-            for i in above:
-                row = list(P[i])
-                for j, v in zip(midx, prows[i]):
-                    row[j] = v
-                P[i] = tuple(row)
-
-            # residual update among the still-unsolved characters:
-            # M -= P_{.,C} Lambda_C P_{.,C}^t.  The half products
-            # -P_{i,C} Lambda_C are negated once per row; each new entry
-            # is one rf_dot of them against P_{j,C} and of the old entry
-            # against 1, so it is reduced once.  The mirror entry (j, i)
-            # takes that result only when its old entry is the same.
-            lam_cols = [[L[i][j] for i in midx] for j in midx]
-            neg_half = {i: [-rf_dot(zip(prows[i], col)) for col in lam_cols] for i in above}
-            rows = {i: list(M[i]) for i in above}
-            for ii, i in enumerate(above):
-                hi = neg_half[i]
-                for j in above[ii:]:
-                    prods = [(h, p) for h, p in zip(hi, prows[j]) if h.num.c and p.num.c]
-                    if not prods:
-                        continue
-                    old = M[i][j]
-                    new = rows[i][j] = rf_dot(prods + [(old, RF_ONE)])
-                    if j != i:
-                        mirror = M[j][i]
-                        rows[j][i] = (new if mirror == old
-                                      else rf_dot(prods + [(mirror, RF_ONE)]))
-            for i in above:
-                M2[i] = tuple(rows[i])
-
-        return replace(
-            self, classes=self.classes + (frozenset(cls),), a=self.a + (a_c,),
-            M=tuple(M2), P=tuple(P), L=tuple(L), unsolved=tuple(above),
-            nonpolynomial_y=tuple(nonpoly),
-        )
-
-    def system(self) -> GreenSystem:
-        """The solved system, once the classes partition the labels (else
-        ValueError), multiplied back against omega: a product that differs
-        raises AssertionError."""
-        labels = self.labels
-        system = GreenSystem(
-            LSDatum(self.m, self.classes, self.a),
-            PolyMatrix(labels, labels, self.P),
-            PolyMatrix(labels, labels, self.L),
-            self.nonpolynomial_y,
-        )
-        if not verify_system(system, self.omega):
-            raise AssertionError("multiplication-back failed: P Lambda P^t != omega")
-        return system
+def _symmetric_omega(omega: PolyMatrix, m: int):
+    """The character labels of m and omega's entries over them, each mirror
+    entry the same object as its entry.  ValueError unless omega is over
+    those labels and symmetric."""
+    labels = all_labels(m)
+    if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):
+        raise ValueError("omega labels do not match the character labels for this m")
+    om = [[omega.get(r, c) for c in labels] for r in labels]
+    for i, row in enumerate(om):
+        for j in range(i):
+            if row[j] != om[j][i]:
+                raise ValueError("omega must be symmetric")
+            row[j] = om[j][i]
+    return labels, om
 
 
 def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
-    """Solve P Lambda P^t = omega for the given datum: one
-    :meth:`SolveState.peel` per class, bottom-up, then one multiply-back.
+    """Solve P Lambda P^t = omega for the given datum, one class at a time
+    bottom-up, then multiply the system back.
 
-    Raises SingularBlock when some diagonal block M_CC is not invertible (the
-    datum then admits no system).  The returned system has been multiplied
-    back against omega; this is the one check, :func:`matrix_solve` makes
-    none of its own."""
-    state = SolveState.start(omega, datum.m)
-    for cls, a_c in zip(datum.classes, datum.a):
-        state = state.peel(cls, a_c)
-    return state.system()
+    P, Lambda and the residual M are dense over the canonical label
+    positions; rows of M already solved are stale.  M stays symmetric, so
+    each residual entry and its mirror are one object, updated once.
+    Raises ValueError unless omega is symmetric, and SingularBlock when
+    some diagonal block M_CC is not invertible (the datum then admits no
+    system).  The returned system has been multiplied back against omega;
+    this is the one check, :func:`matrix_solve` makes none of its own."""
+    labels, M = _symmetric_omega(omega, datum.m)
+    pos = {l: i for i, l in enumerate(labels)}
+    n = len(labels)
+    P = [[RF_ZERO] * n for _ in range(n)]
+    L = [[RF_ZERO] * n for _ in range(n)]
+    unsolved = list(range(n))
+    nonpoly = []
+    for ci, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
+        members = sorted(cls, key=label_sort_key)
+        midx = [pos[l] for l in members]
+        # Y = M / (q^m - 1) is polynomial exactly where M is a polynomial
+        # that q^m - 1 divides (M is reduced); the node table's fold
+        if ci:
+            nonpoly += [(ci, labels[i], labels[j]) for i in unsolved for j in midx
+                        if not (M[i][j].is_polynomial() and _gamma_divides(M[i][j].num, datum.m))]
+
+        # Lambda block q^(-2 a_C) M_{C,C} and diagonal P block q^(a_C)
+        qa = RatFunc(IntPoly.q(a_c))
+        for i in midx:
+            for j in midx:
+                L[i][j] = _div_by_q_power(M[i][j], 2 * a_c)
+            P[i][i] = qa
+
+        unsolved = [i for i in unsolved if i not in midx]
+        if not unsolved:
+            continue
+        # P-rows over C: X . M_{C,C} = q^(a_C) M_{chi,C}, the Y equation
+        # times q^m - 1, as the node table solves it
+        X = matrix_solve([[M[i][j] for j in midx] for i in midx],
+                         [[_mul_by_q_power(M[i][j], a_c) for j in midx] for i in unsolved],
+                         members)
+        for i, xrow in zip(unsolved, X):
+            for j, v in zip(midx, xrow):
+                P[i][j] = v
+
+        # residual update M -= P_{.,C} Lambda_C P_{.,C}^t on and above the
+        # diagonal.  The half products -P_{i,C} Lambda_C are negated once
+        # per row; each new entry is one rf_dot of them against P_{j,C}
+        # and of the old entry against 1, so it is reduced once.
+        lam_cols = [[L[i][j] for i in midx] for j in midx]
+        neg_half = [[-rf_dot(zip(xrow, col)) for col in lam_cols] for xrow in X]
+        for ii, i in enumerate(unsolved):
+            for jj in range(ii, len(unsolved)):
+                prods = [(h, p) for h, p in zip(neg_half[ii], X[jj]) if h.num.c and p.num.c]
+                if prods:
+                    j = unsolved[jj]
+                    M[i][j] = M[j][i] = rf_dot(prods + [(M[i][j], RF_ONE)])
+
+    system = GreenSystem(datum, PolyMatrix(labels, labels, P), PolyMatrix(labels, labels, L),
+                         tuple(nonpoly))
+    if not verify_system(system, omega):
+        raise AssertionError("multiplication-back failed: P Lambda P^t != omega")
+    return system
 
 
 def _rf(p: IntPoly) -> RatFunc:
@@ -471,15 +404,9 @@ class NodeTable:
     for the whole process, so every search of that m shares its nodes."""
 
     def __init__(self, omega: PolyMatrix, m: int):
-        labels = tuple(all_labels(m))
-        if set(omega.rows) != set(labels) or set(omega.cols) != set(labels):
-            raise ValueError("omega labels do not match the character labels for this m")
-        om = [[omega.get(r, c).as_poly() for c in labels] for r in labels]
-        for i, row in enumerate(om):
-            for j in range(i):
-                if row[j] != om[j][i]:
-                    raise ValueError("omega must be symmetric")
-                row[j] = om[j][i]  # every residual shares its mirror entries
+        labels, om = _symmetric_omega(omega, m)
+        # as_poly is the entry's numerator, so mirror entries stay shared
+        om = [[x.as_poly() for x in row] for row in om]
         self.m, self.labels = m, labels
         self.pos = {l: i for i, l in enumerate(labels)}
         self.residuals = {frozenset(): (tuple(range(len(labels))), tuple(map(tuple, om)))}

@@ -258,6 +258,14 @@ def test_bad_m(capsys):
     assert "m must be an integer >= 3" in err
 
 
+@pytest.mark.parametrize("m", ["-1", "2"])
+def test_verify_rejects_m_below_3_as_bad_input(capsys, m):
+    # every check would fail on m alone; that is bad input, not a failed check
+    rc, out, err = run(capsys, "verify", m)
+    assert (rc, out) == (2, "")
+    assert err == f"error: m must be an integer >= 3, got {m}\n"
+
+
 def test_search_needs_springer_set(capsys):
     rc, _, err = run(capsys, "search", "6")
     assert rc == 2
@@ -388,6 +396,83 @@ def test_solve_survives_any_mutated_datum(tmp_path_factory, payload):
     assert "Traceback" not in err.getvalue()
     if rc:
         assert out.getvalue() == ""
+
+
+_CONFIG_VALUES = {
+    "m": st.sampled_from([-1, 0, 1, 2, 3, 4, 6, "x"]),
+    "springer_set": st.lists(_LABEL_TEXT, max_size=5).map(",".join) | st.just("all"),
+    "output_format": st.sampled_from(["json", "tsv", "latex", "xml", ""]),
+    "max_candidates": st.sampled_from([-1, 0, 2, 5, "x"]),
+    "max_m": st.sampled_from([-1, 0, 2, 5, "x"]),
+    "no_family_filter": st.sampled_from(["yes", "No", "0", "TRUE", "maybe"]),
+    "emit_certificates": st.sampled_from(["yes", "No", "0", "TRUE", "maybe"]),
+}
+
+
+@st.composite
+def config_file(draw):
+    """The bytes of a config file: lines of the known keys with cheap
+    values, an unknown key, a line without '=', comments, blank lines or
+    bytes that are not UTF-8."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["key"] * 8 + ["unknown", "no-equals", "comment", "blank",
+                                                   "not-utf8"]))
+        if kind == "key":
+            key = draw(st.sampled_from(sorted(cli._CONFIG_KEYS)))
+            lines.append(f"{key} = {draw(_CONFIG_VALUES[key])}".encode())
+        elif kind == "unknown":
+            lines.append(b"springer = 0,1")
+        elif kind == "no-equals":
+            lines.append(b"m 3")
+        elif kind == "comment":
+            lines.append(b"# m = 5")
+        elif kind == "blank":
+            lines.append(b"")
+        else:
+            lines.append(b"m = \xff\xfe3")
+    return b"\n".join(lines) + b"\n"
+
+
+@given(st.sampled_from(["irr", "omega", "search", "maximal", "spref", "verify"]),
+       config_file())
+def test_every_command_survives_any_config_file(tmp_path_factory, command, text):
+    # whatever the config file holds, each command that reads one exits 0,
+    # 1, 2 or 3 with no traceback, and prints nothing on stdout unless it
+    # succeeds
+    path = tmp_path_factory.mktemp("config") / "run.cfg"
+    path.write_bytes(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--config", str(path)])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("irr", "3", "--config", "DIR"),
+    ("solve", "3", "--datum", "DIR"),
+], ids=["config", "datum"])
+def test_a_directory_as_the_input_file_is_bad_input(capsys, tmp_path, argv):
+    rc, out, err = run(capsys, *(str(tmp_path) if a == "DIR" else a for a in argv))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "maximal"])
+def test_max_candidates_is_not_an_option_of_a_single_solve(capsys, tmp_path, command):
+    # solve and maximal enumerate nothing, so they have no candidate bound
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(_GOOD_DATUM))
+    rest = ["--datum", str(path)] if command == "solve" else ["--springer", "all"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "3", *rest, "--max-candidates", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-candidates" in captured.err
 
 
 @pytest.mark.parametrize("argv, config", [

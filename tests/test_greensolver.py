@@ -20,8 +20,8 @@ from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_so
 from lsgreen.fakedegree import fake_degree, omega
 from lsgreen import greensolver, springer as springer_module
 from lsgreen.greensolver import (
-    LSDatum, Node, NodeTable, SolveState, closure_order, datum_from_jsonable,
-    datum_to_jsonable, solve, verify_system,
+    LSDatum, Node, NodeTable, closure_order, datum_from_jsonable, datum_to_jsonable, solve,
+    verify_system,
 )
 from lsgreen.springer import SpringerSet, all_springer_sets, enumerate_candidate_data, search
 
@@ -294,16 +294,14 @@ def test_a_failed_certificate_leaves_the_node_table_as_it_was(monkeypatch, fresh
 ], ids=("chain", "two-class"))
 def test_multiply_back_rejects_a_changed_rational_p_entry(classes, a):
     om = omega(3, method="closed")
-    state = SolveState.start(om, 3)
-    for cls, a_c in zip(classes, a):
-        state = state.peel(frozenset(cls), a_c)
-    system = state.system()
-    i, j = next((i, j) for i, row in enumerate(state.P) for j, x in enumerate(row)
+    system = solve(om, LSDatum(3, tuple(map(frozenset, classes)), a))
+    labels = system.P.rows
+    i, j = next((i, j) for i, row in enumerate(system.P.data) for j, x in enumerate(row)
                 if not x.is_polynomial())
-    bad = [list(row) for row in state.P]
+    bad = [list(row) for row in system.P.data]
     bad[i][j] = bad[i][j] + RatFunc(IntPoly.one(), IntPoly({1: 1, 0: 2}))
     assert not verify_system(
-        dataclasses.replace(system, P=PolyMatrix(state.labels, state.labels, bad)), om)
+        dataclasses.replace(system, P=PolyMatrix(labels, labels, bad)), om)
 
 
 # factors of q^m - 1 and of q^(2a), and two that divide neither
@@ -377,91 +375,96 @@ def test_solve_names_the_member_of_a_singular_later_block():
         solve(zeroed, datum)
 
 
-def reference_peel_residual(state, cls, a_c):
-    """The M, P and Lambda a peel stored when it solved on Y = M / (q^m - 1),
-    the right-hand side was Y * q^(a_C) and each residual entry an rf_dot
-    followed by RatFunc.__sub__, with (j, i) changed by the same product as
-    (i, j); and the (class, row, column) triples of the non-polynomial Y
-    entries above the bottom class."""
-    pos, M, labels = state.pos, state.M, state.labels
-    members = sorted(cls, key=lambda l: pos[l])
-    midx = [pos[l] for l in members]
-    gamma = RatFunc(IntPoly({state.m: 1, 0: -1}))
-    y = {i: [M[i][j] / gamma for j in midx] for i in state.unsolved}
-    ci = len(state.classes)
-    nonpoly = [(ci, labels[i], labels[j]) for i in state.unsolved
-               for j, v in zip(midx, y[i]) if ci > 0 and not v.is_polynomial()]
-    L = [list(row) for row in state.L]
-    P = [list(row) for row in state.P]
-    for i in midx:
-        for j in midx:
-            L[i][j] = greensolver._div_by_q_power(M[i][j], 2 * a_c)
-        P[i][i] = RatFunc(IntPoly.q(a_c))
-    rows = [list(row) for row in M]
-    above = [i for i in state.unsolved if i not in midx]
-    if above:
+RATIONAL_CHANGES = (RatFunc(0), RatFunc(1), RatFunc(1, IntPoly({1: 1, 0: 2})))
+
+
+def reference_solve(om, datum):
+    """The P and Lambda a solve stored when it solved each block on
+    Y = M / (q^m - 1), the right-hand side was Y * q^(a_C) and each
+    residual entry (i, j) and its mirror (j, i) an rf_dot followed by
+    RatFunc.__sub__, with its own dense state; and the (class, row,
+    column) triples of the non-polynomial Y entries above the bottom
+    class.  Raises SingularBlock where a Y block is singular."""
+    labels = om.rows
+    n = len(labels)
+    M = [list(row) for row in om.data]
+    P = [[RatFunc(0)] * n for _ in range(n)]
+    L = [[RatFunc(0)] * n for _ in range(n)]
+    gamma = RatFunc(IntPoly({datum.m: 1, 0: -1}))
+    unsolved = list(range(n))
+    nonpoly = []
+    for ci, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
+        midx = sorted(labels.index(l) for l in cls)
+        y = {i: [M[i][j] / gamma for j in midx] for i in unsolved}
+        nonpoly += [(ci, labels[i], labels[j]) for i in unsolved
+                    for j, v in zip(midx, y[i]) if ci > 0 and not v.is_polynomial()]
+        for i in midx:
+            for j in midx:
+                L[i][j] = greensolver._div_by_q_power(M[i][j], 2 * a_c)
+            P[i][i] = RatFunc(IntPoly.q(a_c))
+        unsolved = [i for i in unsolved if i not in midx]
+        if not unsolved:
+            continue
         qa = RatFunc(IntPoly.q(a_c))
-        sol = matrix_solve([y[i] for i in midx], [[v * qa for v in y[i]] for i in above])
-        for i, x in zip(above, sol):
+        sol = matrix_solve([y[i] for i in midx], [[v * qa for v in y[i]] for i in unsolved])
+        for i, x in zip(unsolved, sol):
             for j, v in zip(midx, x):
                 P[i][j] = v
-        for ii, i in enumerate(above):
+        rows = [list(row) for row in M]
+        for ii, i in enumerate(unsolved):
             half = [rf_dot((P[i][s], L[s][t]) for s in midx) for t in midx]
-            for j in above[ii:]:
+            for j in unsolved[ii:]:
                 prod = rf_dot((h, P[j][t]) for h, t in zip(half, midx))
                 rows[i][j] = M[i][j] - prod
-                if j != i:
-                    rows[j][i] = M[j][i] - prod
-    return rows, P, L, nonpoly
+                rows[j][i] = M[j][i] - prod
+        M = rows
+    return P, L, nonpoly
 
 
 @given(random_data(), st.data())
 def test_peel_stores_what_the_reference_residual_update_stores(datum, data):
-    # peel class by class from omega, or from omega with one entry (i, j)
-    # changed and (j, i) not, both above the bottom class, so that the
-    # mirror of a residual entry differs from it
+    # solve class by class from omega, or from omega with the pair (i, j),
+    # (j, i) changed together, and compare with the reference solve entry
+    # by entry; both raise SingularBlock or neither does
     om = omega(datum.m, method="closed")
     labels = om.rows
     if data.draw(st.booleans()):
-        above = sorted(set(labels) - datum.classes[0], key=labels.index)
-        if len(above) >= 2:
-            r, c = data.draw(st.lists(st.sampled_from(above), min_size=2, max_size=2,
-                                      unique=True))
-            W = [list(row) for row in om.data]
-            W[labels.index(r)][labels.index(c)] += data.draw(
-                st.sampled_from(RATIONAL_CHANGES[1:]))
-            om = PolyMatrix(labels, labels, W)
-    state = SolveState.start(om, datum.m)
-    for cls, a_c in zip(datum.classes, datum.a):
-        try:
-            want = reference_peel_residual(state, cls, a_c)
-        except SingularBlock:
-            with pytest.raises(SingularBlock):
-                state.peel(cls, a_c)
-            return
-        nonpoly = state.nonpolynomial_y + tuple(want[3])
-        state = state.peel(cls, a_c)
-        for got_rows, want_rows in zip((state.M, state.P, state.L), want[:3]):
-            for got_row, want_row in zip(got_rows, want_rows):
-                assert [(x.num, x.den) for x in got_row] == [(x.num, x.den) for x in want_row]
-        assert state.nonpolynomial_y == nonpoly
+        r, c = data.draw(st.tuples(st.sampled_from(labels), st.sampled_from(labels)))
+        change = data.draw(st.sampled_from(RATIONAL_CHANGES[1:]))
+        W = [list(row) for row in om.data]
+        i, j = labels.index(r), labels.index(c)
+        W[i][j] += change
+        if j != i:
+            W[j][i] += change
+        om = PolyMatrix(labels, labels, W)
+    try:
+        want = reference_solve(om, datum)
+    except SingularBlock:
+        with pytest.raises(SingularBlock):
+            solve(om, datum)
+        return
+    system = solve(om, datum)
+    for got_rows, want_rows in zip((system.P.data, system.Lambda.data), want[:2]):
+        for got_row, want_row in zip(got_rows, want_rows):
+            assert [(x.num, x.den) for x in got_row] == [(x.num, x.den) for x in want_row]
+    assert system.nonpolynomial_y == tuple(want[2])
 
 
-def test_peel_keeps_an_asymmetric_residual_entry_apart_from_its_mirror():
-    # omega[chi1, r'] changed by 1/(q + 2) and omega[r', chi1] not: after
-    # the bottom class (eps) is peeled, the two residual entries differ by
-    # exactly that change, and M is the reference's
+@pytest.mark.parametrize("change", RATIONAL_CHANGES[1:], ids=("one", "rational"))
+def test_solve_rejects_an_asymmetric_omega(change):
+    # omega[chi1, r'] changed and omega[r', chi1] not: both solvers refuse
+    # it before any block is solved
     om = omega(4, method="closed")
     labels = om.rows
-    r, c = labels.index(Chi(1)), labels.index(ChiRPrime)
     W = [list(row) for row in om.data]
-    W[r][c] += RATIONAL_CHANGES[2]
-    start = SolveState.start(PolyMatrix(labels, labels, W), 4)
-    state = start.peel(frozenset({Eps}), 4)
-    assert state.M[r][c] - state.M[c][r] == RATIONAL_CHANGES[2]
-    want = reference_peel_residual(start, {Eps}, 4)[0]
-    assert [[(x.num, x.den) for x in row] for row in state.M] == [
-        [(x.num, x.den) for x in row] for row in want]
+    W[labels.index(Chi(1))][labels.index(ChiRPrime)] += change
+    bad = PolyMatrix(labels, labels, W)
+    datum = LSDatum(4, ({Eps}, {ChiRPrime}, {Chi(1), ChiR}, {Chi(0)}), (4, 2, 1, 0))
+    with pytest.raises(ValueError, match="omega must be symmetric"):
+        solve(bad, datum)
+    if change.is_polynomial():
+        with pytest.raises(ValueError, match="omega must be symmetric"):
+            NodeTable(bad, 4)
 
 
 def _dense_ok(P, L, om, labels, cols, R=None):
@@ -489,7 +492,6 @@ def search_candidates(draw):
 # the changes the dense-product tests make: over Z[q] the state holds no
 # fraction, so 1/(q + 2) becomes q + 2
 INTEGRAL_CHANGES = (IntPoly.zero(), IntPoly.one(), IntPoly({1: 1, 0: 2}))
-RATIONAL_CHANGES = (RatFunc(0), RatFunc(1), RatFunc(1, IntPoly({1: 1, 0: 2})))
 
 
 def _doctor(data, kinds, P, L, changes):
@@ -784,10 +786,7 @@ def test_verify_system_takes_an_omega_with_rational_entries(sys3):
 
 def _rational_chain_system():
     # P(1, eps) = q^2/(q^2 - q + 1), P(eps, 0) = -1/q: rows with denominators
-    state = SolveState.start(omega(3, method="closed"), 3)
-    for cls, a_c in zip(({Chi(0)}, {Eps}, {Chi(1)}), (2, 1, 0)):
-        state = state.peel(frozenset(cls), a_c)
-    return state.system()
+    return solve(omega(3, method="closed"), LSDatum(3, ({Chi(0)}, {Eps}, {Chi(1)}), (2, 1, 0)))
 
 
 @pytest.mark.parametrize("which", ("m3", "b2", "m3-rational"))
