@@ -1109,21 +1109,23 @@ class PolyMatrix:
 # exact linear solving
 # ---------------------------------------------------------------------------
 
-def _bareiss(a: Sequence[Sequence[IntPoly]], b: Sequence[Sequence[IntPoly]],
-             labels: Sequence | None = None) -> list[list[IntPoly]]:
+def _bareiss(a: Sequence[Sequence], b: Sequence[Sequence],
+             labels: Sequence | None = None) -> list[list]:
     """The system X * A = B for a square A, as its transposed augmented
     matrix [A^t | B^t] (k equations; k unknowns, then one column per row of
     B) after fraction-free (Bareiss) elimination of its first k columns.
     Every division is exact, and the last pivot ``[k-1][k-1]`` is the
     determinant of the row-permuted A.  A column without a pivot raises
     SingularBlock (naming ``labels[i]``, the label of A's row i, when
-    given)."""
+    given).  The entries are IntPolys or Python ints: the ring is the type
+    of A's entries, and a zero is told by truthiness."""
     k = len(a)
     mat = [[row[r] for row in a] + [row[r] for row in b] for r in range(k)]
     width = len(mat[0]) if mat else 0
-    prev = _ONE
+    ring = type(a[0][0]) if k else IntPoly
+    prev, zero = ring(1), ring()
     for i in range(k):
-        piv = next((j for j in range(i, k) if mat[j][i].c), None)
+        piv = next((j for j in range(i, k) if mat[j][i]), None)
         if piv is None:
             where = f" (labels {labels[i]!r})" if labels is not None else ""
             raise SingularBlock(f"no pivot in column {i}{where}")
@@ -1134,14 +1136,14 @@ def _bareiss(a: Sequence[Sequence[IntPoly]], b: Sequence[Sequence[IntPoly]],
             head = mat[j][i]
             row_j = mat[j]
             row_i = mat[i]
-            if head.is_zero():
+            if not head:
                 for l in range(i + 1, width):
-                    if row_j[l].c:
+                    if row_j[l]:
                         row_j[l] = (row_j[l] * pivot) // prev
             else:
                 for l in range(i + 1, width):
                     row_j[l] = (row_j[l] * pivot - head * row_i[l]) // prev
-            row_j[i] = _ZERO
+            row_j[i] = zero
         prev = pivot
     return mat
 

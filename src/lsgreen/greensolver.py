@@ -45,9 +45,14 @@ There are two routes.
   X, Lambda_C and its non-polynomial Y pairs -- one table per m for the
   process (:func:`node_table`).  The search extends only kept nodes, whose
   P and Lambda are polynomials with P nonnegative, so every residual is in
-  Z[q]; the P rows solve by :func:`poly_solve` (Bareiss, then exact
-  division; the first remainder or negative coefficient cuts the node).
-  Each new node is certified once before it is stored
+  Z[q].  A node's P rows are first solved at q = 2 in integers
+  (:func:`_cut_at_two`): when M_CC(2) is nonsingular and X(2) is not in N,
+  the node is cut there, a cut the Z[q] solve would make too, since X in
+  N[q] puts X(2) in N; the integer multiply-back delta X(2) . M_CC(2) =
+  delta 2^(a_C) M_{above,C}(2) certifies it.  Every other node's P rows
+  solve by :func:`poly_solve` (Bareiss, then exact division; the first
+  remainder or negative coefficient cuts the node).
+  Each of those nodes is certified once before it is stored
   (:func:`_certify_node`) by two identities in Z[q]: the block equation
   delta X . M_CC = delta q^(a_C) M_{above,C}, and for a kept node the
   Schur update M_{S+C} = M_S - X Lambda_C X^t with q^(2 a_C) Lambda_C =
@@ -71,8 +76,8 @@ from . import fakedegree
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
 from .errors import SingularBlock
 from .exactalg import (
-    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, poly_lcm, poly_solve,
-    rf_dot,
+    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, matrix_solve, poly_dot, poly_lcm,
+    poly_solve, rf_dot,
 )
 
 __all__ = [
@@ -385,14 +390,19 @@ class NodeTable:
     ``residuals[S] = (unsolved, M)`` holds the residual M_S over the
     positions still unsolved, one per peeled set (it is omega / omega_SS,
     whichever classes S was peeled in).  :meth:`node` returns the block
-    solve X . M_CC = q^(a_C) M_{above,C} of a node, by :func:`poly_solve`:
-    "singular" when M_CC is singular, "pruned" at a cut (a block division
-    with a remainder, a negative coefficient of X, or a Lambda_C = M_CC /
-    q^(2 a_C) that is not polynomial), else a :class:`Node`.  The search
-    extends only kept nodes, so every residual is integral.
+    solve X . M_CC = q^(a_C) M_{above,C} of a node: "singular" when M_CC is
+    singular, "pruned" at a cut (an X that is not in N[q], or a Lambda_C =
+    M_CC / q^(2 a_C) that is not polynomial), else a :class:`Node`.  The
+    search extends only kept nodes, so every residual is integral.
 
-    Each new node is certified by :func:`_certify_node` before anything is
-    stored, against the stored M_{S+C} when another path has built it.
+    The block equation is solved at q = 2 first, in integers
+    (:func:`_cut_at_two`).  Where M_CC(2) is nonsingular, X(2) is the value
+    of the unique solution X at 2, and X(2) outside N rules X out of N[q]:
+    the node is "pruned" on the integer multiply-back of delta X(2), with
+    no polynomial solved.  Otherwise :func:`poly_solve` solves the block
+    over Z[q] (Bareiss, exact division).  Each node it solves is certified
+    by :func:`_certify_node` before anything is stored, against the stored
+    M_{S+C} when another path has built it.
     With P_CC = q^(a_C) its identities are the blocks of
 
         M_S = [P_CC; X] Lambda_C [P_CC; X]^t + (0 (+) M_{S+C})
@@ -430,6 +440,8 @@ class NodeTable:
         above = [u for u in range(len(unsolved)) if u not in cl]
         delta, rows, cut = IntPoly.one(), [], False
         if above:
+            if _cut_at_two(M, cl, above, a_c):
+                return "pruned"
             mcc = [[M[s][c] for c in cl] for s in cl]
             rhs = [[M[i][c].shift(a_c) for c in cl] for i in above]
             try:
@@ -504,6 +516,41 @@ def _schur_update(M, cl, above, rows, lam):
             if acc.c:
                 new[ii][jj] = new[jj][ii] = new[ii][jj] - acc
     return tuple(map(tuple, new))
+
+
+def _cut_at_two(M, cl, above, a_c) -> bool:
+    """Whether the node's block equation cuts it at q = 2, in integers.
+
+    Solves X(2) M_CC(2) = 2^(a_C) M_{above,C}(2) by :func:`_bareiss` and
+    back-substitutes delta X(2) by exact integer division, delta the last
+    pivot.  False when M_CC(2) is singular or X(2) has entries in N only.
+    Else X, the unique solution over Q(q), is not in N[q] (X in N[q]
+    would put X(2) in N), so the block solve over Z[q] would cut the node
+    too.  Before a True, the integer multiply-back delta X(2) . M_CC(2) =
+    delta 2^(a_C) M_{above,C}(2) certifies delta X(2); a difference
+    raises AssertionError."""
+    mcc = [[_value_at(M[s][c], 1) for c in cl] for s in cl]
+    rhs = [[_value_at(M[i][c], 1) << a_c for c in cl] for i in above]
+    try:
+        mat = _bareiss(mcc, rhs)
+    except SingularBlock:
+        return False
+    k = len(cl)
+    delta = mat[k - 1][k - 1]
+    rows = []
+    for col in range(k, k + len(above)):
+        x = [0] * k
+        for i in range(k - 1, -1, -1):
+            row = mat[i]
+            x[i] = (delta * row[col] - sum(row[l] * x[l] for l in range(i + 1, k))) // row[i]
+        rows.append(x)
+    if all(v % delta == 0 and v // delta >= 0 for x in rows for v in x):
+        return False
+    if any(sum(v * mcc[s][t] for s, v in enumerate(x)) != delta * y
+           for x, yrow in zip(rows, rhs) for t, y in enumerate(yrow)):
+        raise AssertionError("multiplication-back failed: the node's block equation "
+                             "does not hold at q = 2")
+    return True
 
 
 def _certify_node(M, cl, above, a_c, delta, rows, lam=None, nxt=None) -> None:

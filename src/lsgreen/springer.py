@@ -805,8 +805,11 @@ class SearchOutcome:
     class has a singular Y block.  A candidate under a cut is not solved
     further, so a singular block above the cut is not reached and such a
     candidate counts as pruned: ``rejected_singular`` is a lower bound of
-    the number of candidates with a singular block.  For every m <= 14 the
-    two are equal, both 0."""
+    the number of candidates with a singular block.  On the closed omega
+    both are 0 for m <= 30: omega(2) is positive definite there (its
+    leading principal minors are positive), so every block M_CC(2) of a
+    Schur complement of it is too, and no block is singular at q = 2 or
+    over Z[q]."""
 
     m: int
     springer: SpringerSet          # normalised form actually searched
@@ -843,9 +846,11 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     built and certified once per process and shared by every search of m
     (see :class:`greensolver.NodeTable`).  A class fixes its Lambda block
     and the P entries above it, so a prefix whose last node fails
-    condition (4) -- a block division with a remainder, a negative P
-    coefficient or a Lambda block q^(2 a_C) does not divide -- is cut; the
-    candidates under it count as ``pruned``.  A singular block counts the
+    condition (4) -- P entries not in N[q], or a Lambda block q^(2 a_C)
+    does not divide -- is cut; the candidates under it count as
+    ``pruned``.  Most cuts are found by solving the block at q = 2 in
+    integers, where a P entry outside N rules out one in N[q]; the rest
+    by the block solve over Z[q].  A singular block counts the
     candidates of its prefix in ``rejected_singular``.  A full datum's
     system is read off its nodes, whose certificates give P Lambda P^t =
     omega, and goes to the five conditions; its P and Lambda equal

@@ -418,6 +418,26 @@ def test_poly_solve_agrees_with_matrix_solve(k, nrhs, exact, data):
             assert rows == x
 
 
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3), st.data())
+def test_bareiss_on_integers_is_bareiss_on_constant_polynomials(k, nrhs, data):
+    # the elimination over Z (the search's q = 2 solve) and over Z[q] (the
+    # block solves) pivot the same way: singular together, and else every
+    # entry, pivots included, is the same number
+    ints = st.integers(min_value=-4, max_value=4)
+    a = [[data.draw(ints) for _ in range(k)] for _ in range(k)]
+    b = [[data.draw(ints) for _ in range(k)] for _ in range(nrhs)]
+    try:
+        want = exactalg._bareiss([[IntPoly(v) for v in row] for row in a],
+                                 [[IntPoly(v) for v in row] for row in b])
+    except SingularBlock:
+        with pytest.raises(SingularBlock):
+            exactalg._bareiss(a, b)
+        return
+    got = exactalg._bareiss(a, b)
+    assert all(type(v) is int for row in got for v in row)
+    assert [[IntPoly(v) for v in row] for row in got] == want
+
+
 # ---------------------------------------------------------------------------
 # Kronecker substitution: large products, exact quotients and gcds
 # ---------------------------------------------------------------------------

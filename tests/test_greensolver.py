@@ -220,8 +220,10 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch, fresh_node_tables):
     # N[q] is not cut, so the class's multiply-back must catch it rather
     # than let search count the candidate as singular or solved
     real_zq = greensolver.poly_solve
+    calls = []
 
     def off_by_one_zq(a, b):
+        calls.append(1)
         delta, rows, cut = real_zq(a, b)
         if not cut:
             rows[0][0] = rows[0][0] + IntPoly.one()
@@ -230,6 +232,7 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch, fresh_node_tables):
     monkeypatch.setattr(greensolver, "poly_solve", off_by_one_zq)
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
+    assert calls  # a node the q = 2 solve cuts never reaches poly_solve
 
 
 def test_cut_prefix_is_multiplied_back(monkeypatch, fresh_node_tables):
@@ -237,8 +240,10 @@ def test_cut_prefix_is_multiplied_back(monkeypatch, fresh_node_tables):
     # columns of the cut class must be multiplied back first (scaled into
     # Z[q]), so the wrong block raises instead of dropping candidates
     real = greensolver.poly_solve
+    calls = []
 
     def off_by_a_fraction(a, b):
+        calls.append(1)
         delta, rows, cut = real(a, b)
         if not cut:
             rows = [[delta * x for x in row] for row in rows]
@@ -248,6 +253,7 @@ def test_cut_prefix_is_multiplied_back(monkeypatch, fresh_node_tables):
     monkeypatch.setattr(greensolver, "poly_solve", off_by_a_fraction)
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
+    assert calls
 
 
 def _load_workloads(monkeypatch):
@@ -679,9 +685,15 @@ def test_a_singular_node_is_cached_and_counts_its_candidates(monkeypatch):
     def refuse(a, b):
         raise AssertionError("a cached node was solved again")
 
+    # the node is singular at q = 2 too, so building it again would reach
+    # poly_solve: it does on a second table, not on the first
+    again = NodeTable(zeroed, 5)
+    again.node(frozenset(), bottom, 5)
     springer = SpringerSet.from_strings(5, "0,1,eps")
     with monkeypatch.context() as mp:
         mp.setattr(greensolver, "poly_solve", refuse)
+        with pytest.raises(AssertionError, match="a cached node was solved again"):
+            again.node(bottom, later, 1)
         assert table.node(bottom, later, 1) == "singular"
     monkeypatch.setattr(springer_module, "node_table", lambda m: table)
     for family_filter in (True, False):
@@ -694,6 +706,110 @@ def test_a_singular_node_is_cached_and_counts_its_candidates(monkeypatch):
                 singular += 1
         assert singular == 1
         assert (out.rejected_singular, out.tried) == (singular, 1 if family_filter else 2)
+
+
+def _outcome(node):
+    """A node's outcome as a value: the string, or a kept node's fields."""
+    if isinstance(node, str):
+        return node
+    return tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_the_q2_cut_changes_no_node_and_no_residual(m, monkeypatch):
+    # every search of m, both family filters, on a fresh table with the
+    # q = 2 solve and on one where it declines every node: the same nodes
+    # with the same outcomes, and the same residuals
+    real = greensolver._cut_at_two
+    cuts = []
+
+    def counted(*args):
+        cut = real(*args)
+        cuts.append(cut)
+        return cut
+
+    tables = []
+    for two in (counted, lambda M, cl, above, a_c: False):
+        table = NodeTable(omega(m, method="closed"), m)
+        with monkeypatch.context() as mp:
+            mp.setattr(greensolver, "_cut_at_two", two)
+            mp.setattr(springer_module, "node_table", lambda m: table)
+            for family_filter in (True, False):
+                for springer in all_springer_sets(m):
+                    search(springer, family_filter=family_filter)
+        tables.append(table)
+    fast, slow = tables
+    assert ({key: _outcome(node) for key, node in fast.nodes.items()}
+            == {key: _outcome(node) for key, node in slow.nodes.items()})
+    assert fast.residuals == slow.residuals
+    assert any(cuts) or "pruned" not in fast.nodes.values()
+
+
+def test_a_wrong_q2_solution_raises_and_leaves_the_node_table_as_it_was(monkeypatch):
+    # the q = 2 elimination comes back with X(2)[0][0] = -10^9: a cut that
+    # the integer multiply-back must refuse before anything is stored
+    table = NodeTable(omega(6, method="closed"), 6)
+    bottom = frozenset({Eps})
+    assert isinstance(table.node(frozenset(), bottom, 6), Node)
+    nodes, residuals = dict(table.nodes), dict(table.residuals)
+    real = greensolver._bareiss
+    calls = []
+
+    def far_off(a, b):
+        calls.append(1)
+        mat = real(a, b)
+        k = len(a)
+        mat[k - 1][k] = -10 ** 9 * mat[k - 1][k - 1]
+        return mat
+
+    monkeypatch.setattr(greensolver, "_bareiss", far_off)
+    with pytest.raises(AssertionError, match="multiplication-back failed"):
+        table.node(bottom, frozenset({ChiRPrime}), 3)
+    assert calls
+    assert table.nodes == nodes and table.residuals == residuals
+
+
+def test_a_block_singular_at_q2_is_cut_over_z_q(monkeypatch):
+    # a symmetric omega of m = 3 whose bottom block M_CC = q - 2 vanishes
+    # at q = 2, with 1 beside it: the q = 2 solve declines, and the block
+    # solve over Z[q] cuts X = 1 / (q - 2)
+    def entry(r, c):
+        if r == c == Eps:
+            return RatFunc(IntPoly({1: 1, 0: -2}))
+        return RatFunc(1) if Eps in (r, c) or r == c else RatFunc(0)
+
+    labels = all_labels(3)
+    table = NodeTable(PolyMatrix.from_function(labels, labels, entry), 3)
+    seen = {"_cut_at_two": [], "poly_solve": []}
+    for name, got in seen.items():
+        def spy(*args, real=getattr(greensolver, name), got=got):
+            got.append(real(*args))
+            return got[-1]
+        monkeypatch.setattr(greensolver, name, spy)
+    assert table.node(frozenset(), frozenset({Eps}), 0) == "pruned"
+    assert seen["_cut_at_two"] == [False]
+    (delta, rows, cut), = seen["poly_solve"]
+    assert cut and delta == IntPoly({1: 1, 0: -2}) and rows == [[IntPoly.one()]] * 2
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_omega_is_positive_definite_at_2_and_3_up_to_m_30(q):
+    # Bareiss without row swaps: the i-th pivot is the i-th leading
+    # principal minor of omega(q), so all positive is Sylvester's criterion.
+    # Every M_CC(q) of the search is then positive definite (a principal
+    # block of a Schur complement of omega(q)), and no block is singular
+    # at q = 2 or over Z[q] for these m
+    for m in range(3, 31):
+        om = omega(m, method="closed")
+        a = [[sum(v * q ** e for e, v in om.get(r, c).as_poly().c.items()) for c in om.cols]
+             for r in om.rows]
+        n, prev = len(a), 1
+        for i in range(n):
+            assert a[i][i] > 0, (m, i)
+            for j in range(i + 1, n):
+                for l in range(i + 1, n):
+                    a[j][l] = (a[j][l] * a[i][i] - a[j][i] * a[i][l]) // prev
+            prev = a[i][i]
 
 
 @given(random_data(), st.data())
