@@ -454,6 +454,7 @@ def _cmd_solve(args):
 
 def _cmd_search(args):
     m = _need_m(args)
+    _check_m_bound(args, m, "search", SearchConfig.max_m)
     bounds = _bounds(args)
     springer = _springer_arg(args)
     family_filter = not args.no_family_filter

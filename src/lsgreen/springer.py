@@ -625,32 +625,36 @@ def check_conditions(system: GreenSystem, springer: SpringerSet) -> ConditionRep
     c2 = ConditionCheck("specials-are-springer", not det2, tuple(det2))
 
     # (3) within a family, nonspecial characters sit weakly below the special
+    class_of = {l: ci for ci, members in enumerate(datum.classes) for l in members}
     det3: list[str] = []
     spc = set(specials(m))
     for fam in dihedral_families(m):
         for s in fam & spc:
-            hi = datum.class_of(s)
+            hi = class_of[s]
             for psi in fam - spc:
-                if datum.class_of(psi) > hi:
+                if class_of[psi] > hi:
                     det3.append(
                         f"{format_label(psi)} sits above its family's special "
                         f"{format_label(s)}"
                     )
     c3 = ConditionCheck("family-support", not det3, tuple(det3))
 
-    # (4) Lambda integral, P with nonnegative integer coefficients
+    # (4) Lambda integral, P with nonnegative integer coefficients, and
+    # (5) row chi of P divisible by q^(a of chi's class)
     det4: list[str] = []
-    for row in system.Lambda.rows:
-        for col in system.Lambda.cols:
-            v = system.Lambda.get(row, col)
+    det5: list[str] = []
+    Lam, P = system.Lambda, system.P
+    for row, entries in zip(Lam.rows, Lam.data):
+        for col, v in zip(Lam.cols, entries):
             if not v.is_polynomial():
                 det4.append(
                     f"Lambda[{format_label(row)},{format_label(col)}] not polynomial"
                 )
-    for row in system.P.rows:
-        for col in system.P.cols:
-            v = system.P.get(row, col)
-            if not v.is_polynomial():
+    for row, entries in zip(P.rows, P.data):
+        a_row = datum.a[class_of[row]]
+        for col, v in zip(P.cols, entries):
+            poly = v.is_polynomial()
+            if not poly:
                 det4.append(
                     f"P[{format_label(row)},{format_label(col)}] not polynomial"
                 )
@@ -659,23 +663,12 @@ def check_conditions(system: GreenSystem, springer: SpringerSet) -> ConditionRep
                     f"P[{format_label(row)},{format_label(col)}] = {v.num} "
                     "has a negative coefficient"
                 )
-    c4 = ConditionCheck("integrality", not det4, tuple(det4[:6]))
-
-    # (5) row chi of P divisible by q^(a of chi's class)
-    det5: list[str] = []
-    for row in system.P.rows:
-        a_row = datum.a_of(row)
-        if a_row == 0:
-            continue
-        for col in system.P.cols:
-            v = system.P.get(row, col)
-            if v.num.is_zero():
-                continue
-            if not v.is_polynomial() or v.num.order() < a_row:
+            if a_row and not v.num.is_zero() and (not poly or v.num.order() < a_row):
                 det5.append(
                     f"P[{format_label(row)},{format_label(col)}] = {v} "
                     f"not divisible by q^{a_row}"
                 )
+    c4 = ConditionCheck("integrality", not det4, tuple(det4[:6]))
     c5 = ConditionCheck("row-divisibility", not det5, tuple(det5[:6]))
 
     return ConditionReport((c1, c2, c3, c4, c5), minimizers)
@@ -701,22 +694,6 @@ class SearchConfig:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
-def _placements(rest: dict[CharLabel, tuple[int, ...]], slot: int | None):
-    """Each set of free characters that may join the class of ``slot``,
-    with the options left to the others: (joined, rest).  A character whose
-    only option left is ``slot`` must join."""
-    if slot is None:
-        yield frozenset(), rest
-        return
-    forced = [chi for chi, ks in rest.items() if ks == (slot,)]
-    optional = [chi for chi, ks in rest.items() if slot in ks and len(ks) > 1]
-    for size in range(len(optional) + 1):
-        for combo in itertools.combinations(optional, size):
-            joined = frozenset(forced).union(combo)
-            yield joined, {chi: tuple(k for k in ks if k != slot)
-                           for chi, ks in rest.items() if chi not in joined}
-
-
 def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,
                              bounds: SearchConfig | None = None):
     """An iterator over the candidate data, one per assignment of the free
@@ -729,10 +706,8 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
     the numeric class hosting each free (non-Springer) character: one of
     b-invariant b may join C_k when d_k < b, and with family_filter off
     the trivial class too (with it on, that class could only ever fail the
-    family-support condition).  The data come depth-first over the class
-    lists bottom-up: for k = N..1 each admissible set of free characters
-    joining C_k, then the trivial class.  So candidates sharing their
-    lowest classes are consecutive.
+    family-support condition).  The data are the product of these choices,
+    one pick of a class per free character.
 
     When both extra linear characters are Springer their singleton classes
     tie (both have a = m/2); the skeleton puts ChiRPrime below ChiR.  The
@@ -775,16 +750,11 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
         + [(frozenset({Chi(0)}), 0, 0)]
     )
     a = tuple(a_c for _, a_c, _ in skeleton)
-
-    def walk(level: int, classes: tuple, rest: dict):
-        if level == len(skeleton):
-            yield LSDatum(m, classes, a)
-            return
-        core, _, slot = skeleton[level]
-        for joined, left in _placements(rest, slot):
-            yield from walk(level + 1, classes + (core | joined,), left)
-
-    return walk(0, (), dict(zip(free, choices)))
+    return (
+        LSDatum(m, tuple(core | {chi for chi, k in zip(free, pick) if k == slot}
+                         for core, _, slot in skeleton), a)
+        for pick in itertools.product(*choices)
+    )
 
 
 @dataclass(frozen=True)
@@ -800,11 +770,11 @@ class SearchOutcome:
 
     ``tried`` is the number of candidates, every datum of the space:
     ``tried = pruned + rejected_singular + full data solved``.  ``pruned``
-    counts the candidates under a class-list prefix cut on condition (4);
-    ``rejected_singular`` those under a prefix (or a full datum) whose next
-    class has a singular Y block.  A candidate under a cut is not solved
-    further, so a singular block above the cut is not reached and such a
-    candidate counts as pruned: ``rejected_singular`` is a lower bound of
+    counts the candidates whose walk up the class list stops at a node cut
+    on condition (4); ``rejected_singular`` those whose walk stops at a
+    class with a singular Y block.  A walk is not continued past a cut, so
+    a singular block above the cut is not reached and such a candidate
+    counts as pruned: ``rejected_singular`` is a lower bound of
     the number of candidates with a singular block.  On the closed omega
     both are 0 for m <= 30: omega(2) is positive definite there (its
     leading principal minors are positive), so every block M_CC(2) of a
@@ -833,27 +803,27 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     five conditions and matching the two-run partition read off their
     supports.
 
-    Condition-passing candidates outside that shape do exist for a handful
-    of Springer sets (both floating characters pushed into the a=1 class
-    while the index they skip over keeps a singleton class of its own);
-    they land in ``nonconforming``, never in ``hits``, so the main count
-    stays the classified family.
+    Condition-passing candidates outside that shape do exist for some
+    Springer sets (78 up to m = 16, first at m = 10; the f-sequence read
+    off the supports of each has a drop larger than its d-gap, see
+    scripts/stray_data.py); they land in ``nonconforming``, never in
+    ``hits``, so the main count stays the classified family.
 
-    The data of :func:`enumerate_candidate_data` come depth-first over
-    their class lists, and each is walked from the longest prefix it
-    shares with the one before, one node of m's :func:`node_table` per
-    class: the node (S, C, a_C) of the labels S peeled below C.  A node is
-    built and certified once per process and shared by every search of m
-    (see :class:`greensolver.NodeTable`).  A class fixes its Lambda block
-    and the P entries above it, so a prefix whose last node fails
-    condition (4) -- P entries not in N[q], or a Lambda block q^(2 a_C)
-    does not divide -- is cut; the candidates under it count as
+    Each datum of :func:`enumerate_candidate_data` is walked from its
+    bottom class up, one node of m's :func:`node_table` per class: the
+    node (S, C, a_C) of the labels S peeled below C.  A node is built and
+    certified once per process and shared by every walk and every search
+    of m (see :class:`greensolver.NodeTable`); its outcome depends on S, C
+    and a_C alone, so the order of the data moves no count.  A class fixes
+    its Lambda block and the P entries above it, so the walk stops at a
+    node that fails condition (4) -- P entries not in N[q], or a Lambda
+    block q^(2 a_C) does not divide -- and the candidate counts as
     ``pruned``.  Most cuts are found by solving the block at q = 2 in
     integers, where a P entry outside N rules out one in N[q]; the rest
-    by the block solve over Z[q].  A singular block counts the
-    candidates of its prefix in ``rejected_singular``.  A full datum's
-    system is read off its nodes, whose certificates give P Lambda P^t =
-    omega, and goes to the five conditions; its P and Lambda equal
+    by the block solve over Z[q].  A walk that stops at a singular block
+    counts in ``rejected_singular``.  A full datum's system is read off
+    its nodes, whose certificates give P Lambda P^t = omega, and goes to
+    the five conditions; its P and Lambda equal
     :func:`greensolver.solve`'s.  ``bounds`` defaults to
     ``SearchConfig()``."""
     s, swapped = springer.normalized()
@@ -862,38 +832,22 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     hits: list[SearchHit] = []
     stray: list[SearchHit] = []
     counts = {"solved": 0, "pruned": 0, "singular": 0}
-    prefix: list[frozenset[CharLabel]] = []
-    peeled = [frozenset()]  # peeled[i]: the labels of prefix[:i]
-    nodes = []  # nodes[i]: the kept node of prefix[i]
-    cut = None  # while prefix ends in a cut class: "pruned" or "singular"
     for datum in data:
-        classes = datum.classes
-        keep = 0
-        while keep < len(prefix) and prefix[keep] == classes[keep]:
-            keep += 1
-        if cut is not None and keep == len(prefix):
-            counts[cut] += 1
-            continue
-        del prefix[keep:], peeled[keep + 1:], nodes[keep:]
-        cut = None
-        for level in range(keep, len(classes)):
-            cls = classes[level]
-            prefix.append(cls)
-            node = table.node(peeled[-1], cls, datum.a[level])
+        peeled, nodes = frozenset(), []
+        for cls, a_c in zip(datum.classes, datum.a):
+            node = table.node(peeled, cls, a_c)
             if isinstance(node, str):
-                cut = node
+                counts[node] += 1
                 break
             nodes.append(node)
-            peeled.append(peeled[-1] | cls)
-        if cut is not None:
-            counts[cut] += 1
-            continue
-        counts["solved"] += 1
-        system = table.system(datum, nodes)
-        report = check_conditions(system, s)
-        if report.accepted:
-            hit = SearchHit(datum, system, report)
-            (hits if matches_predicted_partition(datum, s) else stray).append(hit)
+            peeled |= cls
+        else:
+            counts["solved"] += 1
+            system = table.system(datum, nodes)
+            report = check_conditions(system, s)
+            if report.accepted:
+                hit = SearchHit(datum, system, report)
+                (hits if matches_predicted_partition(datum, s) else stray).append(hit)
     hits.sort(key=lambda h: support_vector(h.datum))
     stray.sort(key=lambda h: support_vector(h.datum))
     return SearchOutcome(m=s.m, springer=s, swapped=swapped,

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
 The expensive piece is the search sweep: `search` over every Springer set
-for every m in SWEEP_MS, each covering all its candidates (prefixes that
-fail integrality are cut, full data condition-checked).  Several
+for every m in SWEEP_MS, each covering all its candidates (each walked up
+its classes to the first node that fails integrality, full data
+condition-checked).  Several
 acceptance tests consume it, so it runs once per session.
 """
 from __future__ import annotations

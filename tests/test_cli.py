@@ -513,3 +513,20 @@ def test_hit_bound_is_reported_as_bound(capsys, tmp_path, argv, message):
     assert rc == 3
     assert out == ""
     assert err == f"bound exceeded: {message}\n"
+
+
+def test_search_checks_m_before_building_the_springer_set(capsys, monkeypatch):
+    # a Springer set lists all_labels(m), which a huge m would allocate
+    # before the search's own bound check
+    class Unbuilt:
+        @staticmethod
+        def from_strings(m, text):
+            raise ValueError("Springer set built")
+
+    monkeypatch.setattr(cli, "SpringerSet", Unbuilt)
+    rc, out, err = run(capsys, "search", "17", "--springer", "0,1,eps")
+    assert (rc, out) == (3, "")
+    assert err == "bound exceeded: m=17 exceeds the search bound 16\n"
+    # --max-m lifts the bound, and the Springer set is built next
+    rc, _, err = run(capsys, "search", "17", "--springer", "0,1,eps", "--max-m", "17")
+    assert (rc, err) == (2, "error: Springer set built\n")

@@ -9,12 +9,14 @@ algebra system) before freezing.
 """
 import dataclasses
 import importlib.util
+import math
+import random
 from pathlib import Path
 
 import pytest
 
 from lsgreen import greensolver, springer as springer_module
-from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps
+from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, b_invariant
 from lsgreen.errors import InvalidFSequence, SearchBoundExceeded, SingularBlock
 from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc
 from lsgreen.fakedegree import omega, omega_closed, omega_sum
@@ -166,8 +168,8 @@ def test_candidate_counts():
 def test_tied_singletons_do_not_interact(build, top):
     # Omega(r,r') Omega(eps,eps) = Omega(r,eps) Omega(r',eps): once the
     # determinant class is peeled off, the residual entry linking {r} and
-    # {r'} is zero, so enumerate_candidate_data may fix one order of the two
-    # singleton classes
+    # {r'} is zero, so the skeleton of enumerate_candidate_data may fix one
+    # order of the two singleton classes
     for m in range(4, top + 1, 2):
         om = build(m)
         assert (om.get(ChiR, ChiRPrime) * om.get(Eps, Eps)
@@ -214,7 +216,7 @@ def test_pruned_search_equals_exhaustive(monkeypatch, m, family_filter):
     for springer in all_springer_sets(m):
         yielded.clear()
         with monkeypatch.context() as mp:
-            # search peels prefixes itself and never calls solve
+            # search walks the node table and never calls solve
             mp.setattr(greensolver, "solve", no_solve)
             mp.setattr(springer_module, "solve", no_solve)
             mp.setattr(springer_module, "enumerate_candidate_data", counted)
@@ -227,6 +229,56 @@ def test_pruned_search_equals_exhaustive(monkeypatch, m, family_filter):
         # search reads every candidate off enumerate_candidate_data once
         assert len(yielded) == len(set(yielded)) == out.tried, label
         assert out.pruned + out.rejected_singular <= out.tried, label
+
+
+@pytest.mark.parametrize("family_filter", [True, False])
+def test_search_outcome_does_not_depend_on_the_candidate_order(monkeypatch, family_filter):
+    # a node's outcome depends on (S, C, a_C) alone, so walking the
+    # candidates in another order, on fresh node tables that then build
+    # their nodes in another order, must give the same outcome
+    real = enumerate_candidate_data
+
+    def shuffled(*args, **kwargs):
+        data = list(real(*args, **kwargs))
+        random.Random(len(data)).shuffle(data)
+        return iter(data)
+
+    for m in range(3, 11):
+        for springer in all_springer_sets(m):
+            greensolver.node_table.cache_clear()
+            plain = search(springer, family_filter=family_filter)
+            greensolver.node_table.cache_clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(springer_module, "enumerate_candidate_data", shuffled)
+                other = search(springer, family_filter=family_filter)
+            label = (m, springer.describe(), family_filter)
+            assert other.hits == plain.hits, label
+            assert other.nonconforming == plain.nonconforming, label
+            assert ((other.tried, other.pruned, other.rejected_singular)
+                    == (plain.tried, plain.pruned, plain.rejected_singular)), label
+    greensolver.node_table.cache_clear()
+
+
+@pytest.mark.parametrize("family_filter", [True, False])
+def test_enumerator_yields_each_assignment_once(family_filter):
+    # each free character joins a numeric class C_k with d_k below its
+    # b-invariant, or the trivial class with the family filter off
+    for m in range(3, 13):
+        for springer in all_springer_sets(m):
+            s = springer.normalized()[0]
+            d = d_sequence(s)
+            hosts = [
+                [Chi(dk) for dk in d[1:] if dk < b_invariant(m, chi)]
+                + ([] if family_filter else [Chi(0)])
+                for chi in s.non_springer()
+            ]
+            data = list(enumerate_candidate_data(s, family_filter=family_filter))
+            label = (m, s.describe(), family_filter)
+            assert len(data) == len(set(data)) == math.prod(map(len, hosts)), label
+            for datum in data:
+                for chi, hs in zip(s.non_springer(), hosts):
+                    cls = datum.classes[datum.class_of(chi)]
+                    assert sum(h in cls for h in hs) == 1, label
 
 
 def test_conditions_pass_on_both_g2_candidates():
