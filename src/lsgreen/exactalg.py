@@ -21,13 +21,14 @@ Four layers, all exact (no floating point anywhere):
 * :class:`PolyMatrix` -- matrices of rational functions with *labelled* rows
   and columns.  Each entry of a product is one :func:`rf_dot`.
 
-Both block solvers take a square A and a right-hand side B as lists of
-rows and return the rows of X with X * A = B; one function,
-:func:`_bareiss`, builds the transposed augmented matrix of that system and
-eliminates it without fractions.  :func:`matrix_solve`, over Q(q), clears
-the denominators first and reads each unknown off one :func:`rf_dot`;
-:func:`poly_solve`, over Z[q] alone, finishes by exact division, with no
-fraction at all, and :func:`poly_dot` sums its products of polynomials.
+:func:`matrix_solve` takes a square A and a right-hand side B as lists of
+rows and returns the rows of X with X * A = B over Q(q): it clears the
+denominators first, and :func:`_bareiss` builds the transposed augmented
+matrix of the system and eliminates it without fractions; each unknown is
+read off one :func:`rf_dot`.  :func:`_bareiss` takes Python integers too:
+the search's node table (:mod:`lsgreen.greensolver`) solves its blocks with
+it at q = 2^k, and reads X in Z[q] back with :func:`_kron_unpack`.
+:func:`poly_dot` sums products of polynomials.
 
 The polynomial variable is called ``q`` in printed output.
 
@@ -69,7 +70,6 @@ __all__ = [
     "euler_phi",
     "cyclotomic_polynomial",
     "matrix_solve",
-    "poly_solve",
 ]
 
 
@@ -1156,7 +1156,7 @@ def matrix_solve(a: Sequence[Sequence[RatFunc]], b: Sequence[Sequence[RatFunc]],
     k entries; the result is the rows of X, one per row of B.  Strategy:
     clear all denominators with a single scalar multiple s (X*(A*s) = B*s
     has the same solution; each entry n/d becomes n * (s/d), with no gcd),
-    eliminate (:func:`_bareiss`, as :func:`poly_solve` does), and
+    eliminate (:func:`_bareiss`), and
     back-substitute: the sum rhs_i - sum_l u_il x_l of each unknown is one
     :func:`rf_dot`, divided by the pivot u_ii.  A singular A raises
     SingularBlock, naming ``labels[i]`` (A's row labels) when given.  X*A
@@ -1194,7 +1194,7 @@ def matrix_solve(a: Sequence[Sequence[RatFunc]], b: Sequence[Sequence[RatFunc]],
 
 
 # ---------------------------------------------------------------------------
-# solving over Z[q]
+# sums of products over Z[q]
 # ---------------------------------------------------------------------------
 
 def poly_dot(pairs: Iterable[tuple[IntPoly, IntPoly]]) -> IntPoly:
@@ -1210,70 +1210,3 @@ def poly_dot(pairs: Iterable[tuple[IntPoly, IntPoly]]) -> IntPoly:
                     e = ea + eb
                     acc[e] = acc.get(e, 0) + va * vb
     return IntPoly._new({e: v for e, v in acc.items() if v})
-
-
-def _exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly | None:
-    """num / den when it lies in Z[q], else None."""
-    try:
-        return num // den
-    except NotDivisible:
-        return None
-
-
-def poly_solve(a: Sequence[Sequence[IntPoly]], b: Sequence[Sequence[IntPoly]]
-               ) -> tuple[IntPoly, list[list[IntPoly]], bool]:
-    """Solve X * A = B over Z[q] for a square A, X wanted in N[q].
-
-    Bareiss elimination (:func:`_bareiss`, shared with
-    :func:`matrix_solve`) runs on the transposed augmented system over
-    Z[q]; a singular A raises SingularBlock.  Back-substitution divides
-    each unknown's sum by its pivot exactly.  Returns ``(delta, rows,
-    cut)`` with delta the last pivot (the determinant of the row-permuted
-    A):
-
-    * ``cut`` False: every entry of X has nonnegative integer coefficients,
-      and ``rows`` is X;
-    * ``cut`` True: some division left a remainder or a fractional
-      coefficient, or an entry has a negative coefficient.  The
-      back-substitution stops at the first such entry, and ``rows`` is
-      delta * X, the fraction-free numerators (in Z[q] by Cramer's rule),
-      built only now.
-
-    >>> one, q = IntPoly(1), IntPoly({1: 1})
-    >>> delta, rows, cut = poly_solve([[q, one], [one, q]], [[q * q + one, q + q]])
-    >>> cut, [str(x) for x in rows[0]]
-    (False, ['q', '1'])
-    >>> poly_solve([[q + q]], [[q]])[1:]
-    ([[IntPoly({1: 1})]], True)
-    """
-    k = len(a)
-    mat = _bareiss(a, b)
-    delta = mat[k - 1][k - 1]
-    rows = _back_substitute(mat, k)
-    if rows is None:
-        return delta, _back_substitute(mat, k, delta), True
-    return delta, rows, False
-
-
-def _back_substitute(mat: list[list[IntPoly]], k: int, scale: IntPoly | None = None
-                     ) -> list[list[IntPoly]] | None:
-    """The unknowns of an eliminated system, one right-hand side column at
-    a time.  With no scale: X, or None at the first entry whose division
-    leaves a remainder or whose quotient is not in N[q].  With scale
-    delta, the last pivot: delta * X, every division exact in Z[q]."""
-    rows = []
-    for r2 in range(len(mat[0]) - k):
-        x = [_ZERO] * k
-        for i in range(k - 1, -1, -1):
-            row = mat[i]
-            rhs = row[k + r2] if scale is None else scale * row[k + r2]
-            num = rhs - poly_dot((row[l], x[l]) for l in range(i + 1, k))
-            if scale is not None:
-                x[i] = num // row[i]
-                continue
-            xi = _exact_quotient(num, row[i])
-            if xi is None or any(v < 0 for v in xi.c.values()):
-                return None
-            x[i] = xi
-        rows.append(x)
-    return rows

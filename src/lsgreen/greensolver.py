@@ -28,15 +28,15 @@ There are two routes.
 * :func:`solve`, over Q(q), for any datum: one loop over its classes that
   keeps P, Lambda and M as dense lists.  Omega must be symmetric, so M is
   too, and only its upper triangle is updated.  It passes the rows of
-  M_CC and of q^(a_C) M_{chi,C} to :func:`matrix_solve`, whose elimination
-  is :func:`poly_solve`'s.  It reduces each residual entry once (one
-  :func:`rf_dot` that takes the old entry in with the products),
-  multiplies and divides by powers of q through valuations, and
-  :func:`verify_system` multiplies the whole system back before it is
-  returned.  That check clears the denominators of each row of P and of
-  Lambda, which puts every entry of P Lambda P^t - omega in Z[q], and
-  evaluates them all once at q = 2^K, with K above a bound on their
-  coefficients: an exact certificate with no fraction reduced.
+  M_CC and of q^(a_C) M_{chi,C} to :func:`matrix_solve`, whose
+  elimination (:func:`_bareiss`) the node table shares.  It reduces each
+  residual entry once (one :func:`rf_dot` that takes the old entry in
+  with the products), multiplies and divides by powers of q through
+  valuations, and :func:`verify_system` multiplies the whole system back
+  before it is returned.  That check clears the denominators of each row
+  of P and of Lambda, which puts every entry of P Lambda P^t - omega in
+  Z[q], and evaluates them all once at q = 2^K, with K above a bound on
+  their coefficients: an exact certificate with no fraction reduced.
 * :class:`NodeTable`, over Z[q], is the search's.  After a set S of
   characters is peeled, M is the Schur complement omega / omega_SS, which
   depends on S alone (Crabtree and Haynsworth, Proc. AMS 22, 1969), so a
@@ -45,18 +45,20 @@ There are two routes.
   X, Lambda_C and its non-polynomial Y pairs -- one table per m for the
   process (:func:`node_table`).  The search extends only kept nodes, whose
   P and Lambda are polynomials with P nonnegative, so every residual is in
-  Z[q].  A node's P rows are first solved at q = 2 in integers
-  (:func:`_cut_at_two`): when M_CC(2) is nonsingular and X(2) is not in N,
-  the node is cut there, a cut the Z[q] solve would make too, since X in
-  N[q] puts X(2) in N; the integer multiply-back delta X(2) . M_CC(2) =
-  delta 2^(a_C) M_{above,C}(2) certifies it.  Every other node's P rows
-  solve by :func:`poly_solve` (Bareiss, then exact division; the first
-  remainder or negative coefficient cuts the node).
-  Each of those nodes is certified once before it is stored
-  (:func:`_certify_node`) by two identities in Z[q]: the block equation
-  delta X . M_CC = delta q^(a_C) M_{above,C}, and for a kept node the
-  Schur update M_{S+C} = M_S - X Lambda_C X^t with q^(2 a_C) Lambda_C =
-  M_CC, each by one evaluation at 2^K with 2^(K-1) above an l1 bound.
+  Z[q].  A node's P rows are solved in integers, at two points
+  (:func:`_solve_block`).  The first is q = 2, or the next power of 2 at
+  which M_CC is nonsingular: an X(2) outside N cuts the node, since X in
+  N[q] puts X(2) in N.  The second is q = 2^K, K past a bound read off
+  X(2): X in N[q] is the base-2^K digits of X(2^K), so the node is cut
+  unless those digits are in N and within that bound.  At each point the
+  integer multiply-back delta X . M_CC = delta q^(a_C) M_{above,C} is
+  checked before anything is decided; at 2^K it proves the block
+  equation in Z[q] for the digits.
+  Each kept node is certified once before it is stored
+  (:func:`_certify_node`) by three identities in Z[q]: the block equation
+  X . M_CC = q^(a_C) M_{above,C}, q^(2 a_C) Lambda_C = M_CC, and the Schur
+  update M_{S+C} = M_S - X Lambda_C X^t, each by one evaluation at 2^K
+  with 2^(K-1) above an l1 bound.
   These are the blocks of a block LDL^t step, so from M_{} = omega,
   induction over the nodes gives P Lambda P^t = omega for every full
   datum, and no cut prunes unchecked.  No gcd is taken.
@@ -71,13 +73,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 from . import fakedegree
 from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
 from .errors import SingularBlock
 from .exactalg import (
-    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, matrix_solve, poly_dot, poly_lcm,
-    poly_solve, rf_dot,
+    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack, matrix_solve, poly_dot,
+    poly_lcm, rf_dot,
 )
 
 __all__ = [
@@ -119,24 +122,22 @@ class LSDatum:
             raise ValueError("one a-value per class required")
         if not self.classes:
             raise ValueError("empty datum")
-        classes = []
-        for c in self.classes:
-            if not isinstance(c, (set, frozenset)):  # a set holds no repeat
+        classes = tuple(map(frozenset, self.classes))
+        for c, cls in zip(self.classes, classes):
+            if len(cls) != len(c):
                 c = list(c)
-                for i, l in enumerate(c):
-                    if l in c[:i]:
-                        raise ValueError(f"label {str(l)!r} repeated within one class")
-            classes.append(frozenset(c))
-        object.__setattr__(self, "classes", tuple(classes))
+                label = next(l for i, l in enumerate(c) if l in c[:i])
+                raise ValueError(f"label {str(label)!r} repeated within one class")
+        object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "a", tuple(self.a))
         seen: set[CharLabel] = set()
-        for cls in self.classes:
+        for cls in classes:
             if not cls:
                 raise ValueError("empty class")
             if cls & seen:
                 raise ValueError(f"labels repeated across classes: {sorted(map(str, cls & seen))}")
             seen |= cls
-        expected = set(all_labels(self.m))
+        expected = _label_set(self.m)
         if seen != expected:
             raise ValueError(
                 f"classes must partition all {len(expected)} labels for m={self.m}; "
@@ -173,6 +174,11 @@ class LSDatum:
             names = ",".join(format_label(l) for l in sorted(cls, key=label_sort_key))
             parts.append(f"{{{names}}}(a={av})")
         return " > ".join(parts)
+
+
+@lru_cache(maxsize=None)
+def _label_set(m: int) -> frozenset[CharLabel]:
+    return frozenset(all_labels(m))
 
 
 def datum_to_jsonable(datum: LSDatum) -> dict:
@@ -395,13 +401,11 @@ class NodeTable:
     M_CC / q^(2 a_C) that is not polynomial), else a :class:`Node`.  The
     search extends only kept nodes, so every residual is integral.
 
-    The block equation is solved at q = 2 first, in integers
-    (:func:`_cut_at_two`).  Where M_CC(2) is nonsingular, X(2) is the value
-    of the unique solution X at 2, and X(2) outside N rules X out of N[q]:
-    the node is "pruned" on the integer multiply-back of delta X(2), with
-    no polynomial solved.  Otherwise :func:`poly_solve` solves the block
-    over Z[q] (Bareiss, exact division).  Each node it solves is certified
-    by :func:`_certify_node` before anything is stored, against the stored
+    The block equation is solved in integers, at two points 2^k, by
+    :func:`_solve_block`: singular, a cut, or X read off the digits of
+    X(2^K).  Every decision rests on an integer multiply-back, and no
+    polynomial is solved.  Each kept node is certified by
+    :func:`_certify_node` before anything is stored, against the stored
     M_{S+C} when another path has built it.
     With P_CC = q^(a_C) its identities are the blocks of
 
@@ -438,29 +442,23 @@ class NodeTable:
         midx = [self.pos[l] for l in sorted(cls, key=label_sort_key)]
         cl = [loc[p] for p in midx]
         above = [u for u in range(len(unsolved)) if u not in cl]
-        delta, rows, cut = IntPoly.one(), [], False
+        rows = []
         if above:
-            if _cut_at_two(M, cl, above, a_c):
-                return "pruned"
-            mcc = [[M[s][c] for c in cl] for s in cl]
-            rhs = [[M[i][c].shift(a_c) for c in cl] for i in above]
             try:
-                pivot, rows, cut = poly_solve(mcc, rhs)
+                rows = _solve_block([[M[s][c] for c in cl] for s in cl],
+                                    [[M[i][c].shift(a_c) for c in cl] for i in above])
             except SingularBlock:
                 return "singular"
-            if cut:
-                delta = pivot
-        if not cut:
-            cut = not all(_q_divides(M[s][c], 2 * a_c) for s in cl for c in cl)
-        if cut:
-            _certify_node(M, cl, above, a_c, delta, rows)
+            if rows is None:
+                return "pruned"
+        if not all(_q_divides(M[s][c], 2 * a_c) for s in cl for c in cl):
             return "pruned"
         lam = [[IntPoly({e - 2 * a_c: v for e, v in M[s][c].c.items()}) for c in cl]
                for s in cl]
         up = tuple(unsolved[i] for i in above)
         have = self.residuals.get(peeled | cls)
         nxt = have[1] if have is not None else _schur_update(M, cl, above, rows, lam)
-        _certify_node(M, cl, above, a_c, delta, rows, lam, nxt)
+        _certify_node(M, cl, above, a_c, rows, lam, nxt)
         if have is None:
             self.residuals[peeled | cls] = (up, nxt)
         labels = self.labels
@@ -518,56 +516,101 @@ def _schur_update(M, cl, above, rows, lam):
     return tuple(map(tuple, new))
 
 
-def _cut_at_two(M, cl, above, a_c) -> bool:
-    """Whether the node's block equation cuts it at q = 2, in integers.
+def _solve_block(a, b):
+    """X with X A = B over Z[q], for a square A, when X is in N[q]: the
+    rows of X, or None when X is not in N[q].  A singular A raises
+    SingularBlock.  Every decision is made in integers, by
+    :func:`_solve_at` at two points 2^k.
 
-    Solves X(2) M_CC(2) = 2^(a_C) M_{above,C}(2) by :func:`_bareiss` and
-    back-substitutes delta X(2) by exact integer division, delta the last
-    pivot.  False when M_CC(2) is singular or X(2) has entries in N only.
-    Else X, the unique solution over Q(q), is not in N[q] (X in N[q]
-    would put X(2) in N), so the block solve over Z[q] would cut the node
-    too.  Before a True, the integer multiply-back delta X(2) . M_CC(2) =
-    delta 2^(a_C) M_{above,C}(2) certifies delta X(2); a difference
-    raises AssertionError."""
-    mcc = [[_value_at(M[s][c], 1) for c in cl] for s in cl]
-    rhs = [[_value_at(M[i][c], 1) << a_c for c in cl] for i in above]
-    try:
-        mat = _bareiss(mcc, rhs)
-    except SingularBlock:
-        return False
-    k = len(cl)
-    delta = mat[k - 1][k - 1]
+    The first is t = 2^k for the first k = 1, 2, ... at which A(t) is
+    nonsingular.  det A has degree at most D, the sum over A's rows of the
+    row's largest degree, so if D + 1 points find none, det A = 0.  X in
+    N[q] puts X(t) in N, and since t > 1 it bounds every row's l1 sum by R,
+    the largest row sum of X(t).  The second is xi = 2^K, K a multiple of 8
+    with 2^(K-1) > R max |A| + max |B| (|.| the l1 norm) and A(xi)
+    nonsingular.  X in N[q] is then the balanced base-xi digits of X(xi)
+    (:func:`_kron_unpack`), so X is cut unless X(xi) is in N, with digits
+    in N and row sums at most R.  Conversely, for such digits X', every
+    coefficient of X' A - B is below 2^(K-1) and its value at xi is 0, so
+    X' A = B in Z[q], and X' is X.
+
+    >>> one, q = IntPoly(1), IntPoly({1: 1})
+    >>> [str(x) for x in _solve_block([[q, one], [one, q]], [[q * q + one, q + q]])[0]]
+    ['q', '1']
+    >>> _solve_block([[q + q]], [[q]]) is None
+    True
+    """
+    d = sum(max((x.degree() for x in row if x), default=0) for row in a)
+    _, xt = _solve_at(a, b, range(1, d + 2))
+    if xt is None:
+        return None
+    r = max(map(sum, xt))
+    # the least multiple K of 8 with 2^(K-1) > R max |A| + max |B|, or the
+    # next one at which A(2^K) is nonsingular
+    k, xs = _solve_at(a, b, count(8 * ((r * _top(a) + _top(b)).bit_length() // 8 + 1), 8))
+    if xs is None:
+        return None
+    kb = k // 8
     rows = []
-    for col in range(k, k + len(above)):
-        x = [0] * k
-        for i in range(k - 1, -1, -1):
+    for x in xs:
+        row = [_kron_unpack(v, kb, v.bit_length() // (8 * kb) + 2, 0) for v in x]
+        if any(v < 0 for c in row for v in c.values()) or sum(sum(c.values()) for c in row) > r:
+            return None
+        rows.append([IntPoly._new(c) for c in row])
+    return rows
+
+
+def _solve_at(a, b, ks):
+    """X A = B, for A and B lists of IntPoly rows, at q = 2^k for the
+    first k of ``ks`` at which A(2^k) is nonsingular: (k, the rows of
+    X(2^k) as integers) when X(2^k) is in N, else (k, None).
+    SingularBlock when A(2^k) is singular at every k.
+
+    Solves X(2^k) A(2^k) = B(2^k) by :func:`_bareiss` and back-substitutes
+    delta X(2^k) by exact integer division, delta the last pivot.  Before
+    either answer, the integer multiply-back delta X(2^k) A(2^k) =
+    delta B(2^k) certifies delta X(2^k); a difference raises
+    AssertionError."""
+    for k in ks:
+        av = [[_value_at(x, k) for x in row] for row in a]
+        bv = [[_value_at(x, k) for x in row] for row in b]
+        try:
+            mat = _bareiss(av, bv)
+            break
+        except SingularBlock:
+            pass
+    else:
+        raise SingularBlock(f"singular at q = 2^k for k in {ks}")
+    n = len(av)
+    delta = mat[n - 1][n - 1]
+    rows = []
+    for col in range(n, n + len(bv)):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
             row = mat[i]
-            x[i] = (delta * row[col] - sum(row[l] * x[l] for l in range(i + 1, k))) // row[i]
+            x[i] = (delta * row[col] - sum(row[l] * x[l] for l in range(i + 1, n))) // row[i]
         rows.append(x)
-    if all(v % delta == 0 and v // delta >= 0 for x in rows for v in x):
-        return False
-    if any(sum(v * mcc[s][t] for s, v in enumerate(x)) != delta * y
-           for x, yrow in zip(rows, rhs) for t, y in enumerate(yrow)):
+    if any(sum(v * av[s][t] for s, v in enumerate(x)) != delta * y
+           for x, yrow in zip(rows, bv) for t, y in enumerate(yrow)):
         raise AssertionError("multiplication-back failed: the node's block equation "
-                             "does not hold at q = 2")
-    return True
+                             f"does not hold at q = 2^{k}")
+    if any(v % delta or v // delta < 0 for x in rows for v in x):
+        return k, None
+    return k, [[v // delta for v in x] for x in rows]
 
 
-def _certify_node(M, cl, above, a_c, delta, rows, lam=None, nxt=None) -> None:
-    """Multiply a node back: M is M_S, ``cl`` and ``above`` index C's
-    members and the rows above C in it, ``rows`` = delta X.  Checks the
-    block equation
+def _certify_node(M, cl, above, a_c, rows, lam, nxt) -> None:
+    """Multiply a kept node back: M is M_S, ``cl`` and ``above`` index C's
+    members and the rows above C in it, ``rows`` is X and ``nxt`` is
+    M_{S+C}.  Checks
 
-        rows . M_CC = delta q^(a_C) M_{above,C},
-
-    and for a kept node (delta = 1, ``lam`` and ``nxt`` = M_{S+C} given)
-
-        q^(2 a_C) Lambda_C = M_CC,   nxt = M_S[above] - X Lambda_C X^t.
+        X . M_CC = q^(a_C) M_{above,C},   q^(2 a_C) Lambda_C = M_CC,
+        nxt = M_S[above] - X Lambda_C X^t.
 
     Each is f = 0 for some f in Z[q] whose coefficients are below B, with
-    |.| the l1 norm and R the largest sum of |rows[i, s]| over a row:
+    |.| the l1 norm and R the largest sum of |X[i, s]| over a row:
 
-        B = max(R max |M_CC| + |delta| max |M_{above,C}|,
+        B = max(R max |M_CC| + max |M_{above,C}|,
                 max |Lambda_C| + max |M_CC|,
                 max |M_S[above]| + max |nxt| + max |Lambda_C| R^2).
 
@@ -575,39 +618,36 @@ def _certify_node(M, cl, above, a_c, delta, rows, lam=None, nxt=None) -> None:
     digits are unique, as in :func:`verify_system`), so every entry is
     evaluated once (:func:`_value_at`) and each identity is compared in
     integers.  A difference raises AssertionError."""
-    def top(mat):
-        return max((_l1(x) for row in mat for x in row), default=0)
-
     mcc = [[M[s][c] for c in cl] for s in cl]
     mac = [[M[i][c] for c in cl] for i in above]
+    maa = [[M[i][j] for j in above] for i in above]
     r = max((sum(map(_l1, row)) for row in rows), default=0)
-    bound = r * top(mcc) + _l1(delta) * top(mac)
-    if lam is not None:
-        maa = [[M[i][j] for j in above] for i in above]
-        lmax = top(lam)
-        bound = max(bound, lmax + top(mcc), top(maa) + top(nxt) + lmax * r * r)
+    lmax = _top(lam)
+    bound = max(r * _top(mcc) + _top(mac), lmax + _top(mcc),
+                _top(maa) + _top(nxt) + lmax * r * r)
     k = bound.bit_length() + 1  # 2^(k-1) > bound
 
     def at(mat):
         return [[_value_at(x, k) for x in row] for row in mat]
 
-    mccv, rv = at(mcc), at(rows)
-    dq = _value_at(delta, k) << (k * a_c)
-    ok = all(sum(x * mccv[s][t] for s, x in enumerate(xr)) == dq * mv
+    mccv, rv, lv = at(mcc), at(rows), at(lam)
+    ok = all(sum(x * mccv[s][t] for s, x in enumerate(xr)) == mv << (k * a_c)
              for xr, mrow in zip(rv, at(mac)) for t, mv in enumerate(mrow))
-    if ok and lam is not None:
-        lv = at(lam)
-        ok = all(x << (2 * a_c * k) == y for lr, mr in zip(lv, mccv) for x, y in zip(lr, mr))
-        # nxt + X Lambda_C X^t = M_S[above], with X_i Lambda_C once per row
-        half = [[sum(x * lv[s][t] for s, x in enumerate(xr)) for t in range(len(cl))]
-                for xr in rv]
-        ok = ok and all(
-            nv + sum(h * y for h, y in zip(hi, xj)) == mv
-            for hi, nrow, mrow in zip(half, at(nxt), at(maa))
-            for xj, nv, mv in zip(rv, nrow, mrow))
+    ok = ok and all(x << (2 * a_c * k) == y for lr, mr in zip(lv, mccv) for x, y in zip(lr, mr))
+    # nxt + X Lambda_C X^t = M_S[above], with X_i Lambda_C once per row
+    half = [[sum(x * lv[s][t] for s, x in enumerate(xr)) for t in range(len(cl))] for xr in rv]
+    ok = ok and all(
+        nv + sum(h * y for h, y in zip(hi, xj)) == mv
+        for hi, nrow, mrow in zip(half, at(nxt), at(maa))
+        for xj, nv, mv in zip(rv, nrow, mrow))
     if not ok:
         raise AssertionError("multiplication-back failed: the node's block equation "
                              "or Schur update does not hold")
+
+
+def _top(mat) -> int:
+    """The largest l1 norm of an entry of a matrix of IntPolys."""
+    return max((_l1(x) for row in mat for x in row), default=0)
 
 
 def _l1(p: IntPoly) -> int:

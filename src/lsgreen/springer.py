@@ -779,7 +779,7 @@ class SearchOutcome:
     both are 0 for m <= 30: omega(2) is positive definite there (its
     leading principal minors are positive), so every block M_CC(2) of a
     Schur complement of it is too, and no block is singular at q = 2 or
-    over Z[q]."""
+    over Z[q]: the node table's first point is q = 2 for every block."""
 
     m: int
     springer: SpringerSet          # normalised form actually searched
@@ -818,10 +818,10 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     its Lambda block and the P entries above it, so the walk stops at a
     node that fails condition (4) -- P entries not in N[q], or a Lambda
     block q^(2 a_C) does not divide -- and the candidate counts as
-    ``pruned``.  Most cuts are found by solving the block at q = 2 in
-    integers, where a P entry outside N rules out one in N[q]; the rest
-    by the block solve over Z[q].  A walk that stops at a singular block
-    counts in ``rejected_singular``.  A full datum's system is read off
+    ``pruned``.  The block is solved in integers, at q = 2, where a P
+    entry outside N rules out one in N[q], and then at a large 2^K, whose
+    base-2^K digits are X when X is in N[q].  A walk that stops at a
+    singular block counts in ``rejected_singular``.  A full datum's system is read off
     its nodes, whose certificates give P Lambda P^t = omega, and goes to
     the five conditions; its P and Lambda equal
     :func:`greensolver.solve`'s.  ``bounds`` defaults to

@@ -17,7 +17,7 @@ from lsgreen import exactalg
 from lsgreen.errors import DivisionByZero, NotDivisible, SingularBlock, ZeroDenominator
 from lsgreen.exactalg import (
     CycloNum, IntPoly, PolyMatrix, RatFunc, cyclotomic_polynomial, euler_phi, matrix_solve,
-    poly_dot, poly_gcd, poly_solve, rf_dot,
+    poly_gcd, rf_dot,
 )
 
 EVAL_POINTS = (2, 3, -1, Fraction(1, 2))
@@ -378,50 +378,10 @@ def test_matrix_solve_roundtrip_triangular(xrows):
     assert matrix_solve(a.data, dense.mul(x, a).data) == [list(row) for row in x.data]
 
 
-nonnegative_polys = st.dictionaries(
-    st.integers(min_value=0, max_value=4),
-    st.integers(min_value=1, max_value=5),
-    max_size=3,
-).map(IntPoly)
-
-
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
-       st.booleans(), st.data())
-def test_poly_solve_agrees_with_matrix_solve(k, nrhs, exact, data):
-    # on random polynomial blocks, the Z[q] solve and the rational one are
-    # singular together; without a cut they give the same polynomials, and
-    # at a cut delta X / delta is matrix_solve's X, which is then not in N[q]
-    a = [[data.draw(small_polys) for _ in range(k)] for _ in range(k)]
-    if exact:  # B = X A for a drawn X in N[q]
-        x = [[data.draw(nonnegative_polys) for _ in range(k)] for _ in range(nrhs)]
-        b = [[poly_dot(zip(row, col)) for col in zip(*a)] for row in x]
-    else:
-        b = [[data.draw(small_polys) for _ in range(k)] for _ in range(nrhs)]
-    try:
-        want = matrix_solve([[RatFunc(v) for v in row] for row in a],
-                            [[RatFunc(v) for v in row] for row in b])
-    except SingularBlock:
-        with pytest.raises(SingularBlock):
-            poly_solve(a, b)
-        return
-    delta, rows, cut = poly_solve(a, b)
-    if cut:
-        assert not exact
-        got = [[RatFunc(v, delta) for v in row] for row in rows]
-        assert got == want
-        assert any(not v.is_polynomial() or min(v.num.c.values(), default=0) < 0
-                   for row in want for v in row)
-    else:
-        assert [[RatFunc(v) for v in row] for row in rows] == want
-        assert all(min(v.c.values(), default=0) >= 0 for row in rows for v in row)
-        if exact:
-            assert rows == x
-
-
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3), st.data())
 def test_bareiss_on_integers_is_bareiss_on_constant_polynomials(k, nrhs, data):
-    # the elimination over Z (the search's q = 2 solve) and over Z[q] (the
-    # block solves) pivot the same way: singular together, and else every
+    # the elimination over Z (the node table's block solve) and over Z[q]
+    # (matrix_solve's) pivot the same way: singular together, and else every
     # entry, pivots included, is the same number
     ints = st.integers(min_value=-4, max_value=4)
     a = [[data.draw(ints) for _ in range(k)] for _ in range(k)]
@@ -480,7 +440,7 @@ def test_kronecker_quotient_of_a_multiple_is_the_factor(a, b):
     got = exactalg._kron_quotient(p.c, b.c)
     assert got is None or got == a.c
     assert p // b == a
-    assert exactalg._exact_quotient(p, b) == a
+    assert b.divides(p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -496,7 +456,7 @@ def test_kronecker_quotient_refuses_a_remainder(a, b, r):
         pass
     with pytest.raises(NotDivisible):
         p // b
-    assert exactalg._exact_quotient(p, b) is None
+    assert not b.divides(p)
 
 
 def test_kronecker_quotient_of_a_fractional_multiple_is_not_accepted():
@@ -508,7 +468,7 @@ def test_kronecker_quotient_of_a_fractional_multiple_is_not_accepted():
     assert exactalg._kron_quotient(num.c, den.c) is None
     with pytest.raises(NotDivisible):
         num // den
-    assert exactalg._exact_quotient(num, den) is None
+    assert not den.divides(num)
 
 
 def test_kronecker_quotient_takes_the_fast_path_on_typical_operands():
@@ -554,8 +514,6 @@ def test_division_by_the_zero_polynomial_raises_division_by_zero():
     for p in (IntPoly({1: 1, 0: 2}), large, IntPoly.q(3, -2), IntPoly.zero()):
         with pytest.raises(DivisionByZero):
             p // IntPoly.zero()
-        with pytest.raises(DivisionByZero):
-            exactalg._exact_quotient(p, IntPoly.zero())
         assert not IntPoly.zero().divides(p)
 
 

@@ -11,12 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import dense
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, label_sort_key
 from lsgreen.errors import SingularBlock
-from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_solve, rf_dot
+from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, rf_dot
 from lsgreen.fakedegree import fake_degree, omega
 from lsgreen import greensolver, springer as springer_module
 from lsgreen.greensolver import (
@@ -24,6 +24,7 @@ from lsgreen.greensolver import (
     verify_system,
 )
 from lsgreen.springer import SpringerSet, all_springer_sets, enumerate_candidate_data, search
+from test_exactalg import small_polys
 
 
 def P(system, a, b):
@@ -216,44 +217,64 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch, fresh_node_tables):
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         solve(omega(3, method="closed"), datum)
 
-    # nor does the search's Z[q] block solve: a wrong block that is still in
-    # N[q] is not cut, so the class's multiply-back must catch it rather
-    # than let search count the candidate as singular or solved
-    real_zq = greensolver.poly_solve
+    # nor does the node table's block solve: a wrong X that is still in
+    # N[q] is kept, so the node's certificate must catch it rather than let
+    # search count the candidate as singular or solved
+    real_zq = greensolver._solve_block
     calls = []
 
     def off_by_one_zq(a, b):
-        calls.append(1)
-        delta, rows, cut = real_zq(a, b)
-        if not cut:
+        rows = real_zq(a, b)
+        if rows is not None:
+            calls.append(1)
             rows[0][0] = rows[0][0] + IntPoly.one()
-        return delta, rows, cut
+        return rows
 
-    monkeypatch.setattr(greensolver, "poly_solve", off_by_one_zq)
-    with pytest.raises(AssertionError, match="multiplication-back failed"):
-        search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
-    assert calls  # a node the q = 2 solve cuts never reaches poly_solve
-
-
-def test_cut_prefix_is_multiplied_back(monkeypatch, fresh_node_tables):
-    # a wrong, non-polynomial P entry makes search cut the prefix; the
-    # columns of the cut class must be multiplied back first (scaled into
-    # Z[q]), so the wrong block raises instead of dropping candidates
-    real = greensolver.poly_solve
-    calls = []
-
-    def off_by_a_fraction(a, b):
-        calls.append(1)
-        delta, rows, cut = real(a, b)
-        if not cut:
-            rows = [[delta * x for x in row] for row in rows]
-        rows[0][0] = rows[0][0] + IntPoly.one()  # X[0][0] + 1/delta
-        return delta, rows, True
-
-    monkeypatch.setattr(greensolver, "poly_solve", off_by_a_fraction)
+    monkeypatch.setattr(greensolver, "_solve_block", off_by_one_zq)
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
     assert calls
+
+
+def _spy_points(monkeypatch, change=None, at_xi=False):
+    """Patch the node table's integer elimination to record the k of each
+    point 2^k it runs at, in the returned list.  With ``change``, it also
+    changes the last right-hand side entry of its last row by
+    ``change(delta)``, delta the last pivot, at the block solve's first
+    point or at xi (k >= 8: the first point of the closed omega's blocks
+    is q = 2)."""
+    real_value, real = greensolver._value_at, greensolver._bareiss
+    last, points = [None], []
+
+    def value_at(p, k):
+        last[0] = k
+        return real_value(p, k)
+
+    def bareiss(a, b):
+        points.append(last[0])
+        mat = real(a, b)
+        if change is not None and (last[0] >= 8) == at_xi:
+            n = len(a)
+            mat[n - 1][n] += change(mat[n - 1][n - 1])
+        return mat
+
+    monkeypatch.setattr(greensolver, "_value_at", value_at)
+    monkeypatch.setattr(greensolver, "_bareiss", bareiss)
+    return points
+
+
+def test_cut_prefix_is_multiplied_back(monkeypatch, fresh_node_tables):
+    # a wrong elimination at either point of the block solve, here delta X
+    # off by one in an entry, which makes X a fraction (a cut) or a wrong
+    # X; delta X must be multiplied back in integers before the node is
+    # decided, so the wrong block raises instead of dropping candidates
+    for at_xi in (False, True):
+        greensolver.node_table.cache_clear()
+        with monkeypatch.context() as mp:
+            points = _spy_points(mp, lambda delta: 1, at_xi)
+            with pytest.raises(AssertionError, match="multiplication-back failed"):
+                search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
+        assert (points[-1] >= 8) == at_xi
 
 
 def _load_workloads(monkeypatch):
@@ -267,23 +288,23 @@ def _load_workloads(monkeypatch):
 
 
 def test_a_failed_certificate_leaves_the_node_table_as_it_was(monkeypatch, fresh_node_tables):
-    # the third block solve that is not cut comes back wrong: the search
-    # raises after some nodes are stored; the same search unpatched, on the
-    # same table, must still match the benchmark's golden for the set
+    # the third block solve that is not cut comes back with a wrong X: the
+    # search raises after some nodes are stored; the same search unpatched,
+    # on the same table, must still match the benchmark's golden for the set
     springer = SpringerSet.from_strings(6, "0,1,2,r',eps")
-    real = greensolver.poly_solve
+    real = greensolver._solve_block
     calls = []
 
     def wrong_third_block(a, b):
-        delta, rows, cut = real(a, b)
-        if not cut:
+        rows = real(a, b)
+        if rows is not None:
             calls.append(1)
             if len(calls) == 3:
                 rows[0][0] = rows[0][0] + IntPoly.one()
-        return delta, rows, cut
+        return rows
 
     with monkeypatch.context() as mp:
-        mp.setattr(greensolver, "poly_solve", wrong_third_block)
+        mp.setattr(greensolver, "_solve_block", wrong_third_block)
         with pytest.raises(AssertionError, match="multiplication-back failed"):
             search(springer)
     table = greensolver.node_table(6)
@@ -545,59 +566,46 @@ def _walk(table, datum, k):
 
 
 def _node_pieces(table, datum, level, peeled, node):
-    """What the node's certificate reads, as lists: M_S, C's and the rows
-    above C's indices in it, delta X, and for a kept node Lambda_C and the
-    stored M_{S+C} (None at a cut, where delta X is solved again)."""
+    """What a kept node's certificate reads, as lists: M_S, C's and the
+    rows above C's indices in it, X, Lambda_C and the stored M_{S+C}."""
     unsolved, M = table.residuals[peeled]
-    midx = [table.pos[l] for l in sorted(datum.classes[level], key=label_sort_key)]
-    cl = [unsolved.index(p) for p in midx]
+    cl = [unsolved.index(p) for p in node.midx]
     above = [u for u in range(len(unsolved)) if u not in cl]
-    a_c = datum.a[level]
-    if isinstance(node, Node):
-        return (M, cl, above, IntPoly.one(), [list(r) for r in node.rows],
-                [list(r) for r in node.lam],
-                [list(r) for r in table.residuals[peeled | datum.classes[level]][1]])
-    delta, rows = IntPoly.one(), []
-    if above:
-        delta, rows, cut = poly_solve([[M[s][c] for c in cl] for s in cl],
-                                      [[M[i][c].shift(a_c) for c in cl] for i in above])
-        delta = delta if cut else IntPoly.one()
-    return M, cl, above, delta, rows, None, None
+    return (M, cl, above, [list(r) for r in node.rows], [list(r) for r in node.lam],
+            [list(r) for r in table.residuals[peeled | datum.classes[level]][1]])
 
 
 @given(st.one_of(random_data(), search_candidates(), st.sampled_from(MULTI_CLASS_DATA)),
        st.data())
 def test_multiply_back_agrees_with_the_dense_product(datum, data):
     # walk the datum's nodes up to the last class or some class before it,
-    # or to the first cut; change one entry of that node's delta X, its
-    # Lambda_C or the stored M_{S+C}, or leave it, and compare the node's
-    # certificate with the dense product over Q(q): P Lambda P^t plus the
-    # residual in every column for a kept node, in C's columns at a cut
+    # stopping at the first node not kept; change one entry of that kept
+    # node's X, its Lambda_C or the stored M_{S+C}, or leave it, and compare
+    # the node's certificate with the dense product over Q(q), P Lambda P^t
+    # plus the residual, in every column
     om = omega(datum.m, method="closed")
     k = data.draw(st.one_of(st.just(len(datum.classes)),
                             st.integers(min_value=1, max_value=len(datum.classes))))
     table = NodeTable(om, datum.m)
     level, peeled, nodes, node = _walk(table, datum, k)
-    if node == "singular":
+    if not isinstance(node, Node):
         return
     a_c = datum.a[level]
-    M, cl, above, delta, rows, lam, nxt = _node_pieces(table, datum, level, peeled, node)
-    kinds = {"delta X": rows, "Lambda_C": lam or [], "M_{S+C}": nxt or []}
+    M, cl, above, rows, lam, nxt = _node_pieces(table, datum, level, peeled, node)
+    kinds = {"X": rows, "Lambda_C": lam, "M_{S+C}": nxt}
     kinds = {kind: mat for kind, mat in kinds.items() if mat and mat[0]}
-    if not kinds:  # a top class cut on Lambda alone
-        return
     mat = kinds[data.draw(st.sampled_from(sorted(kinds)))]
     i = data.draw(st.integers(0, len(mat) - 1))
     j = data.draw(st.integers(0, len(mat[i]) - 1))
     mat[i][j] += data.draw(st.sampled_from(INTEGRAL_CHANGES))
     try:
-        greensolver._certify_node(M, cl, above, a_c, delta, rows, lam, nxt)
+        greensolver._certify_node(M, cl, above, a_c, rows, lam, nxt)
         checked = True
     except AssertionError:
         checked = False
 
-    # the prefix's nodes over Q(q), then this node: P rows delta X / delta,
-    # q^a on C's diagonal, Lambda_C, or M_CC / q^(2a) at a cut
+    # the prefix's nodes over Q(q), then this node: P rows X, q^a on C's
+    # diagonal, and Lambda_C
     labels, n = table.labels, len(table.labels)
     unsolved = table.residuals[peeled][0]
     P = [[RatFunc(0)] * n for _ in range(n)]
@@ -614,20 +622,15 @@ def test_multiply_back_agrees_with_the_dense_product(datum, data):
     for u, c in enumerate(midx):
         P[c][c] = RatFunc(IntPoly.q(a_c))
         for v, d in enumerate(midx):
-            L[c][d] = (RatFunc(lam[u][v]) if lam is not None
-                       else RatFunc(M[cl[u]][cl[v]], IntPoly.q(2 * a_c)))
+            L[c][d] = RatFunc(lam[u][v])
     for i, row in zip(above, rows):
         for c, x in zip(midx, row):
-            P[unsolved[i]][c] = RatFunc(x, delta)
+            P[unsolved[i]][c] = RatFunc(x)
     R = [[RatFunc(0)] * n for _ in range(n)]
-    if nxt is None:
-        cols = midx
-    else:
-        cols = range(n)
-        for i, nrow in zip(above, nxt):
-            for j, x in zip(above, nrow):
-                R[unsolved[i]][unsolved[j]] = RatFunc(x)
-    assert checked == _dense_ok(P, L, om, labels, cols, R)
+    for i, nrow in zip(above, nxt):
+        for j, x in zip(above, nrow):
+            R[unsolved[i]][unsolved[j]] = RatFunc(x)
+    assert checked == _dense_ok(P, L, om, labels, range(n), R)
 
 
 @pytest.mark.parametrize("datum", MULTI_CLASS_DATA, ids=("m5", "b2", "m8"))
@@ -650,9 +653,9 @@ def test_node_certificate_catches_a_change_at_the_bound(datum, monkeypatch):
     for level, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
         node = table.node(peeled, cls, a_c)
         assert isinstance(node, Node)
-        M, cl, above, delta, rows, lam, nxt = _node_pieces(table, datum, level, peeled, node)
+        M, cl, above, rows, lam, nxt = _node_pieces(table, datum, level, peeled, node)
         points.clear()
-        greensolver._certify_node(M, cl, above, a_c, delta, rows, lam, nxt)
+        greensolver._certify_node(M, cl, above, a_c, rows, lam, nxt)
         top = max(points)
         changes = [IntPoly({e: sign << (top - 1)}) for sign in (1, -1) for e in (0, 1, 5)]
         ks = sorted({top - 1, top, top + 1, *range(8, top + 17, 8)})
@@ -663,7 +666,7 @@ def test_node_certificate_catches_a_change_at_the_bound(datum, monkeypatch):
                     bad = [list(r) for r in nxt]
                     bad[ii][jj] += change
                     with pytest.raises(AssertionError, match="multiplication-back failed"):
-                        greensolver._certify_node(M, cl, above, a_c, delta, rows, lam, bad)
+                        greensolver._certify_node(M, cl, above, a_c, rows, lam, bad)
         peeled |= cls
 
 
@@ -685,13 +688,13 @@ def test_a_singular_node_is_cached_and_counts_its_candidates(monkeypatch):
     def refuse(a, b):
         raise AssertionError("a cached node was solved again")
 
-    # the node is singular at q = 2 too, so building it again would reach
-    # poly_solve: it does on a second table, not on the first
+    # building the node again would reach the block solve: it does on a
+    # second table, not on the first
     again = NodeTable(zeroed, 5)
     again.node(frozenset(), bottom, 5)
     springer = SpringerSet.from_strings(5, "0,1,eps")
     with monkeypatch.context() as mp:
-        mp.setattr(greensolver, "poly_solve", refuse)
+        mp.setattr(greensolver, "_solve_block", refuse)
         with pytest.raises(AssertionError, match="a cached node was solved again"):
             again.node(bottom, later, 1)
         assert table.node(bottom, later, 1) == "singular"
@@ -708,88 +711,178 @@ def test_a_singular_node_is_cached_and_counts_its_candidates(monkeypatch):
         assert (out.rejected_singular, out.tried) == (singular, 1 if family_filter else 2)
 
 
-def _outcome(node):
-    """A node's outcome as a value: the string, or a kept node's fields."""
-    if isinstance(node, str):
-        return node
-    return tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+def _verdict(M, cl, above, a_c):
+    """matrix_solve's verdict on a node over the residual M, with C's
+    members and the rows above C at ``cl`` and ``above``: "singular",
+    "pruned" when X is not in N[q] or q^(2 a_C) does not divide M_CC, else
+    the rows of X."""
+    rows = []
+    if above:
+        try:
+            x = matrix_solve([[RatFunc(M[s][c]) for c in cl] for s in cl],
+                             [[RatFunc(M[i][c].shift(a_c)) for c in cl] for i in above])
+        except SingularBlock:
+            return "singular"
+        if not all(v.is_polynomial() and min(v.num.c.values(), default=0) >= 0
+                   for row in x for v in row):
+            return "pruned"
+        rows = [[v.as_poly() for v in row] for row in x]
+    if not all(IntPoly.q(2 * a_c).divides(M[s][c]) for s in cl for c in cl):
+        return "pruned"
+    return rows
 
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_the_q2_cut_changes_no_node_and_no_residual(m, monkeypatch):
-    # every search of m, both family filters, on a fresh table with the
-    # q = 2 solve and on one where it declines every node: the same nodes
-    # with the same outcomes, and the same residuals
-    real = greensolver._cut_at_two
-    cuts = []
-
-    def counted(*args):
-        cut = real(*args)
-        cuts.append(cut)
-        return cut
-
-    tables = []
-    for two in (counted, lambda M, cl, above, a_c: False):
-        table = NodeTable(omega(m, method="closed"), m)
-        with monkeypatch.context() as mp:
-            mp.setattr(greensolver, "_cut_at_two", two)
-            mp.setattr(springer_module, "node_table", lambda m: table)
-            for family_filter in (True, False):
-                for springer in all_springer_sets(m):
-                    search(springer, family_filter=family_filter)
-        tables.append(table)
-    fast, slow = tables
-    assert ({key: _outcome(node) for key, node in fast.nodes.items()}
-            == {key: _outcome(node) for key, node in slow.nodes.items()})
-    assert fast.residuals == slow.residuals
-    assert any(cuts) or "pruned" not in fast.nodes.values()
+    # every search of m, both family filters, on a fresh table: each node's
+    # outcome is matrix_solve's verdict on its block over Q(q), a kept
+    # node's X is matrix_solve's X, and each stored residual M_S is the
+    # Schur complement omega_UU - omega_US omega_SS^-1 omega_SU, U the
+    # labels not in S, by matrix_solve
+    om = omega(m, method="closed")
+    table = NodeTable(om, m)
+    monkeypatch.setattr(springer_module, "node_table", lambda m: table)
+    for family_filter in (True, False):
+        for springer in all_springer_sets(m):
+            search(springer, family_filter=family_filter)
+    for (peeled, cls, a_c), node in table.nodes.items():
+        unsolved, M = table.residuals[peeled]
+        cl = [unsolved.index(table.pos[l]) for l in sorted(cls, key=label_sort_key)]
+        above = [u for u in range(len(unsolved)) if u not in cl]
+        got = node if isinstance(node, str) else [list(row) for row in node.rows]
+        assert got == _verdict(M, cl, above, a_c)
+    w = [[om.get(r, c) for c in table.labels] for r in table.labels]
+    for peeled, (unsolved, M) in table.residuals.items():
+        if not peeled:
+            continue
+        s = [table.pos[l] for l in peeled]
+        x = matrix_solve([[w[i][j] for j in s] for i in s], [[w[i][j] for j in s] for i in unsolved])
+        for xi, i, mrow in zip(x, unsolved, M):
+            for j, v in zip(unsolved, mrow):
+                assert RatFunc(v) == w[i][j] - rf_dot(zip(xi, (w[t][j] for t in s)))
 
 
 def test_a_wrong_q2_solution_raises_and_leaves_the_node_table_as_it_was(monkeypatch):
-    # the q = 2 elimination comes back with X(2)[0][0] = -10^9: a cut that
-    # the integer multiply-back must refuse before anything is stored
-    table = NodeTable(omega(6, method="closed"), 6)
-    bottom = frozenset({Eps})
-    assert isinstance(table.node(frozenset(), bottom, 6), Node)
-    nodes, residuals = dict(table.nodes), dict(table.residuals)
-    real = greensolver._bareiss
-    calls = []
-
-    def far_off(a, b):
-        calls.append(1)
-        mat = real(a, b)
-        k = len(a)
-        mat[k - 1][k] = -10 ** 9 * mat[k - 1][k - 1]
-        return mat
-
-    monkeypatch.setattr(greensolver, "_bareiss", far_off)
-    with pytest.raises(AssertionError, match="multiplication-back failed"):
-        table.node(bottom, frozenset({ChiRPrime}), 3)
-    assert calls
-    assert table.nodes == nodes and table.residuals == residuals
+    # the elimination at either point of the block solve comes back with
+    # delta X off by -10^9 delta in one entry, a negative entry of X and so
+    # a cut, or a wrong X: the integer multiply-back must refuse it before
+    # anything is stored.  Solved right, the node (the second of the
+    # dominant datum) is kept
+    bottom, node = frozenset({Eps}), (frozenset({Eps}), frozenset({ChiRPrime}), 3)
+    for at_xi in (False, True):
+        table = NodeTable(omega(6, method="closed"), 6)
+        assert isinstance(table.node(frozenset(), bottom, 6), Node)
+        nodes, residuals = dict(table.nodes), dict(table.residuals)
+        with monkeypatch.context() as mp:
+            points = _spy_points(mp, lambda delta: -10 ** 9 * delta, at_xi)
+            with pytest.raises(AssertionError, match="multiplication-back failed"):
+                table.node(*node)
+        assert (points[-1] >= 8) == at_xi
+        assert table.nodes == nodes and table.residuals == residuals
+    assert isinstance(table.node(*node), Node)
 
 
-def test_a_block_singular_at_q2_is_cut_over_z_q(monkeypatch):
-    # a symmetric omega of m = 3 whose bottom block M_CC = q - 2 vanishes
-    # at q = 2, with 1 beside it: the q = 2 solve declines, and the block
-    # solve over Z[q] cuts X = 1 / (q - 2)
+def _bottom_node(monkeypatch, column):
+    """The bottom node ({}, {eps}, 0) of a node table of m = 3 over a
+    symmetric omega whose eps column (chi_0, chi_1, eps) is ``column``,
+    with 1 on the rest of the diagonal and 0 elsewhere, so that X = (chi_0
+    and chi_1 entries) / (eps entry); with the k of every point the block
+    solve tried, and matrix_solve's verdict on the node."""
     def entry(r, c):
-        if r == c == Eps:
-            return RatFunc(IntPoly({1: 1, 0: -2}))
-        return RatFunc(1) if Eps in (r, c) or r == c else RatFunc(0)
+        if Eps in (r, c):
+            return RatFunc(column[labels.index(c if r == Eps else r)])
+        return RatFunc(1) if r == c else RatFunc(0)
 
     labels = all_labels(3)
     table = NodeTable(PolyMatrix.from_function(labels, labels, entry), 3)
-    seen = {"_cut_at_two": [], "poly_solve": []}
-    for name, got in seen.items():
-        def spy(*args, real=getattr(greensolver, name), got=got):
-            got.append(real(*args))
-            return got[-1]
-        monkeypatch.setattr(greensolver, name, spy)
-    assert table.node(frozenset(), frozenset({Eps}), 0) == "pruned"
-    assert seen["_cut_at_two"] == [False]
-    (delta, rows, cut), = seen["poly_solve"]
-    assert cut and delta == IntPoly({1: 1, 0: -2}) and rows == [[IntPoly.one()]] * 2
+    points = _spy_points(monkeypatch)
+    node = table.node(frozenset(), frozenset({Eps}), 0)
+    M = table.residuals[frozenset()][1]
+    return node, points, _verdict(M, [2], [0, 1], 0)
+
+
+def test_a_block_singular_at_q2_is_cut_over_z_q(monkeypatch):
+    # M_CC = q - 2 with 1 beside it: singular at q = 2, so the block solve
+    # moves on to q = 4, where X(4) = 1/2 cuts the node; over Q(q),
+    # X = 1 / (q - 2)
+    node, points, verdict = _bottom_node(monkeypatch, (1, 1, IntPoly({1: 1, 0: -2})))
+    assert node == verdict == "pruned"
+    assert points == [1, 2]
+
+
+@pytest.mark.parametrize("column, outcome, points", [
+    # X = (2/q, 1): X(2) = (1, 1) is in N, X(xi) = 2/xi is no integer
+    ((2, IntPoly.q(1), IntPoly.q(1)), "pruned", [1, 8]),
+    # X = (q^2 - q, 1): X(2) = (2, 1) is in N, X(xi) = xi^2 - xi has the
+    # digit -1
+    ((IntPoly({2: 1, 1: -1}), 1, 1), "pruned", [1, 8]),
+    # eps's row and column zeroed: M_CC = 0, of degree D = 0, is singular
+    # at the one point tried
+    ((0, 0, 0), "singular", [1]),
+], ids=("X=2-over-q", "X=q^2-q", "zeroed-row"))
+def test_a_bottom_node_is_matrix_solves_verdict(column, outcome, points, monkeypatch):
+    got, tried, verdict = _bottom_node(monkeypatch, column)
+    assert got == verdict == outcome
+    assert tried == points
+
+
+nonnegative_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    max_size=3,
+).map(IntPoly)
+
+
+@st.composite
+def block_equations(draw):
+    """X A = B for a square A of k <= 3 small polynomials and B of up to 3
+    rows: (A, B, X) with B = X A for a drawn X in N[q], or (A, B, None)
+    with B drawn freely."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    nrhs = draw(st.integers(min_value=1, max_value=3))
+    a = [[draw(small_polys) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        x = [[draw(nonnegative_polys) for _ in range(k)] for _ in range(nrhs)]
+        return a, [[poly_dot(zip(row, col)) for col in zip(*a)] for row in x], x
+    return a, [[draw(small_polys) for _ in range(k)] for _ in range(nrhs)], None
+
+
+_ONE, _Q = IntPoly.one(), IntPoly.q(1)
+
+
+@given(block_equations())
+# A = -I: delta = -1, so delta X(xi) is negative where X(xi) is not
+@example(([[-_ONE, IntPoly.zero()], [IntPoly.zero(), -_ONE]], [[-_Q - _ONE, IntPoly(-2)]],
+          [[_Q + _ONE, IntPoly(2)]]))
+# A = (q - 2)(q - 4): singular at q = 2 and q = 4, solved at q = 8
+@example(([[IntPoly({2: 1, 1: -6, 0: 8})]], [[IntPoly({3: 1, 2: -6, 1: 8})]], [[_Q]]))
+# A = q - 256, B = 0: R = 0 puts xi at 2^8, a root of A, so K goes on to 16
+@example(([[IntPoly({1: 1, 0: -256})]], [[IntPoly.zero()]], [[IntPoly.zero()]]))
+# X = (q - 2)^2 / 4: R = X(2) = 0, and X(2^8) = 63 * 2^8 + 1 has digits in
+# N, so only the row-sum bound cuts it
+@example(([[IntPoly({1: -4, 0: -4})]], [[IntPoly({3: -1, 2: 3, 0: -4})]], None))
+def test_block_solve_agrees_with_matrix_solve(equation):
+    # on random polynomial blocks, the node table's block solve and the
+    # rational one are singular together; a kept X is matrix_solve's and
+    # lies in N[q], and at a cut matrix_solve's X is not in N[q]
+    a, b, x = equation
+    try:
+        want = matrix_solve([[RatFunc(v) for v in row] for row in a],
+                            [[RatFunc(v) for v in row] for row in b])
+    except SingularBlock:
+        with pytest.raises(SingularBlock):
+            greensolver._solve_block(a, b)
+        return
+    rows = greensolver._solve_block(a, b)
+    if rows is None:
+        assert x is None
+        assert any(not v.is_polynomial() or min(v.num.c.values(), default=0) < 0
+                   for row in want for v in row)
+    else:
+        assert [[RatFunc(v) for v in row] for row in rows] == want
+        assert all(min(v.c.values(), default=0) >= 0 for row in rows for v in row)
+        if x is not None:
+            assert rows == x
 
 
 @pytest.mark.parametrize("q", (2, 3))
