@@ -1076,6 +1076,17 @@ class PolyMatrix:
         self._ri = {r: i for i, r in enumerate(self.rows)}
         self._ci = {c: i for i, c in enumerate(self.cols)}
 
+    @classmethod
+    def _new(cls, labels: tuple, data: Sequence[Sequence[RatFunc]]) -> "PolyMatrix":
+        """A square matrix over ``labels``, a tuple of distinct labels, whose
+        entries are RatFuncs by construction: they are taken as they are,
+        and no shape or entry is checked."""
+        self = object.__new__(cls)
+        self.rows = self.cols = labels
+        self.data = tuple(map(tuple, data))
+        self._ri = self._ci = {r: i for i, r in enumerate(labels)}
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -345,11 +345,11 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
                 P[i][j] = v
 
         # residual update M -= P_{.,C} Lambda_C P_{.,C}^t on and above the
-        # diagonal.  The half products -P_{i,C} Lambda_C are negated once
-        # per row; each new entry is one rf_dot of them against P_{j,C}
+        # diagonal.  The half products are X Lambda_C = q^(-a_C) M_{above,C},
+        # since X M_CC = q^(a_C) M_{above,C} and Lambda_C = q^(-2 a_C) M_CC;
+        # each new entry is one rf_dot of their negations against P_{j,C}
         # and of the old entry against 1, so it is reduced once.
-        lam_cols = [[L[i][j] for i in midx] for j in midx]
-        neg_half = [[-rf_dot(zip(xrow, col)) for col in lam_cols] for xrow in X]
+        neg_half = [[-_div_by_q_power(M[i][j], a_c) for j in midx] for i in unsolved]
         for ii, i in enumerate(unsolved):
             for jj in range(ii, len(unsolved)):
                 prods = [(h, p) for h, p in zip(neg_half[ii], X[jj]) if h.num.c and p.num.c]
@@ -364,8 +364,11 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
     return system
 
 
-def _rf(p: IntPoly) -> RatFunc:
-    return RatFunc(p, IntPoly.one(), _normalized=True) if p.c else RF_ZERO
+def _rf_rows(rows) -> tuple[tuple[RatFunc, ...], ...]:
+    """Rows of IntPolys as rows of RatFuncs, zero as RF_ZERO."""
+    one = IntPoly.one()
+    return tuple(tuple(RatFunc(p, one, _normalized=True) if p.c else RF_ZERO for p in row)
+                 for row in rows)
 
 
 def _q_divides(p: IntPoly, k: int) -> bool:
@@ -379,13 +382,21 @@ class Node:
     positions ``midx`` (members in label order), the unsolved positions
     ``above`` C, X (``rows``, one per position above), Lambda_C (``lam``)
     and the (row, column) labels of the Y entries over C found
-    non-polynomial (none when S is empty: the bottom class)."""
+    non-polynomial (none when S is empty: the bottom class).
+
+    For the search's verdict and system it also keeps ``lows``, the
+    lowest power of q in each nonzero row of X as (position, power), and
+    X and Lambda_C again as RatFuncs (``rows_rf``, ``lam_rf``), built once
+    when the node is, so a system copies references to them."""
 
     midx: tuple[int, ...]
     above: tuple[int, ...]
     rows: tuple[tuple[IntPoly, ...], ...]
     lam: tuple[tuple[IntPoly, ...], ...]
     nonpoly: tuple[tuple[CharLabel, CharLabel], ...]
+    lows: tuple[tuple[int, int], ...]
+    rows_rf: tuple[tuple[RatFunc, ...], ...]
+    lam_rf: tuple[tuple[RatFunc, ...], ...]
 
 
 class NodeTable:
@@ -415,7 +426,11 @@ class NodeTable:
     C one, because omega is checked symmetric here and the identities keep
     every M_S symmetric.  A failed certificate raises AssertionError and
     leaves the table as it was.  :func:`node_table` keeps one table per m
-    for the whole process, so every search of that m shares its nodes."""
+    for the whole process, so every search of that m shares its nodes.
+
+    A kept node also holds what the search judges a full datum by: the
+    lowest power of q in each row of X (condition (5)), and X and
+    Lambda_C as RatFuncs, so :meth:`system` copies references."""
 
     def __init__(self, omega: PolyMatrix, m: int):
         labels, om = _symmetric_omega(omega, m)
@@ -465,30 +480,32 @@ class NodeTable:
         nonpoly = [(labels[unsolved[u]], labels[p]) for u in range(len(unsolved))
                    for c, p in zip(cl, midx) if not _gamma_divides(M[u][c], self.m)
                    ] if peeled else []
+        lows = tuple((p, min(e for x in row if x.c for e in x.c))
+                     for p, row in zip(up, rows) if any(x.c for x in row))
         return Node(tuple(midx), up, tuple(map(tuple, rows)), tuple(map(tuple, lam)),
-                    tuple(nonpoly))
+                    tuple(nonpoly), lows, _rf_rows(rows), _rf_rows(lam))
 
     def system(self, datum: LSDatum, nodes) -> GreenSystem:
         """The system of a full datum from its kept nodes, bottom-up.  The
-        nodes were certified when they were built, so nothing is checked
-        here."""
+        nodes were certified when they were built, and their entries are
+        RatFuncs already, so nothing is checked or converted here: P and
+        Lambda hold references to the nodes' entries."""
         n = len(self.labels)
         P = [[RF_ZERO] * n for _ in range(n)]
         L = [[RF_ZERO] * n for _ in range(n)]
         nonpoly = []
         for ci, (node, a_c) in enumerate(zip(nodes, datum.a)):
             qa = RatFunc(IntPoly.q(a_c))
-            for i, lrow in zip(node.midx, node.lam):
+            for i, lrow in zip(node.midx, node.lam_rf):
                 P[i][i] = qa
                 for j, x in zip(node.midx, lrow):
-                    L[i][j] = _rf(x)
-            for i, xrow in zip(node.above, node.rows):
+                    L[i][j] = x
+            for i, xrow in zip(node.above, node.rows_rf):
                 for j, x in zip(node.midx, xrow):
-                    P[i][j] = _rf(x)
+                    P[i][j] = x
             nonpoly += [(ci, r, c) for r, c in node.nonpoly]
-        labels = self.labels
-        return GreenSystem(datum, PolyMatrix(labels, labels, P),
-                           PolyMatrix(labels, labels, L), tuple(nonpoly))
+        return GreenSystem(datum, PolyMatrix._new(self.labels, P),
+                           PolyMatrix._new(self.labels, L), tuple(nonpoly))
 
 
 @lru_cache(maxsize=None)

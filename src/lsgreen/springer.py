@@ -375,11 +375,11 @@ def support_f_sequence(datum: LSDatum, springer: SpringerSet) -> tuple[int, ...]
     for p, cls in enumerate(datum.classes):
         for lab in cls:
             pos[lab] = p
+    indexed = [(i, pos[_index_char(m, i)]) for i in range(1, top + 1)]
     out = []
     for k in range(1, len(d)):
         anchor = pos[Chi(d[k])]
-        out.append(max(i for i in range(1, top + 1)
-                       if pos[_index_char(m, i)] <= anchor))
+        out.append(max(i for i, p in indexed if p <= anchor))
     return tuple(out)
 
 
@@ -571,24 +571,37 @@ class ConditionReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+def _class_minimizer(m: int, members) -> CharLabel | None:
+    """The unique character of minimal b-invariant in a class, or None
+    where the minimum is tied; it depends on m and the class alone."""
+    bs = {l: b_invariant(m, l) for l in members}
+    bmin = min(bs.values())
+    att = [l for l, b in bs.items() if b == bmin]
+    return att[0] if len(att) == 1 else None
+
+
 def _class_minimizers(datum: LSDatum) -> tuple[CharLabel | None, ...]:
-    out: list[CharLabel | None] = []
-    for members in datum.classes:
-        bs = {l: b_invariant(datum.m, l) for l in members}
-        bmin = min(bs.values())
-        att = [l for l, b in bs.items() if b == bmin]
-        out.append(att[0] if len(att) == 1 else None)
-    return tuple(out)
+    return tuple(_class_minimizer(datum.m, members) for members in datum.classes)
 
 
 def check_conditions(system: GreenSystem, springer: SpringerSet) -> ConditionReport:
     """Run the five acceptance conditions against a solved system.
 
     The Springer set is compared as given (callers normalise first when
-    they mean to)."""
+    they mean to).  Conditions (1)-(3) read only the datum and the
+    Springer set; (4) and (5) read every entry of P and Lambda.  The
+    search reaches the same report without a system (:func:`search`)."""
     datum = system.datum
-    m = datum.m
     minimizers = _class_minimizers(datum)
+    return ConditionReport(_datum_checks(datum, springer, minimizers) + _system_checks(system),
+                           minimizers)
+
+
+def _datum_checks(datum: LSDatum, springer: SpringerSet,
+                  minimizers) -> tuple[ConditionCheck, ...]:
+    """Conditions (1)-(3), from the datum, its class minimizers and the
+    Springer set."""
+    m = datum.m
 
     # (1) unique minimal b-invariant at the class a-value, realising S
     det1: list[str] = []
@@ -638,6 +651,18 @@ def check_conditions(system: GreenSystem, springer: SpringerSet) -> ConditionRep
                         f"{format_label(s)}"
                     )
     c3 = ConditionCheck("family-support", not det3, tuple(det3))
+    return c1, c2, c3
+
+
+def _indivisible(row: CharLabel, col: CharLabel, v: RatFunc, a_row: int) -> str:
+    """The detail condition (5) gives for one entry of P."""
+    return f"P[{format_label(row)},{format_label(col)}] = {v} not divisible by q^{a_row}"
+
+
+def _system_checks(system: GreenSystem) -> tuple[ConditionCheck, ConditionCheck]:
+    """Conditions (4) and (5), entry by entry over P and Lambda."""
+    datum = system.datum
+    a_of = {l: a_c for members, a_c in zip(datum.classes, datum.a) for l in members}
 
     # (4) Lambda integral, P with nonnegative integer coefficients, and
     # (5) row chi of P divisible by q^(a of chi's class)
@@ -651,7 +676,7 @@ def check_conditions(system: GreenSystem, springer: SpringerSet) -> ConditionRep
                     f"Lambda[{format_label(row)},{format_label(col)}] not polynomial"
                 )
     for row, entries in zip(P.rows, P.data):
-        a_row = datum.a[class_of[row]]
+        a_row = a_of[row]
         for col, v in zip(P.cols, entries):
             poly = v.is_polynomial()
             if not poly:
@@ -664,14 +689,39 @@ def check_conditions(system: GreenSystem, springer: SpringerSet) -> ConditionRep
                     "has a negative coefficient"
                 )
             if a_row and not v.num.is_zero() and (not poly or v.num.order() < a_row):
-                det5.append(
-                    f"P[{format_label(row)},{format_label(col)}] = {v} "
-                    f"not divisible by q^{a_row}"
-                )
+                det5.append(_indivisible(row, col, v, a_row))
     c4 = ConditionCheck("integrality", not det4, tuple(det4[:6]))
     c5 = ConditionCheck("row-divisibility", not det5, tuple(det5[:6]))
+    return c4, c5
 
-    return ConditionReport((c1, c2, c3, c4, c5), minimizers)
+
+def _node_report(datum: LSDatum, nodes, springer: SpringerSet, minimizers,
+                 table) -> ConditionReport:
+    """The report :func:`check_conditions` gives a full datum's system,
+    read off the datum's kept nodes of ``table`` with no system built.
+
+    (1)-(3) read the datum, as there.  (4) holds: every node is kept, so
+    its X is in N[q] and its Lambda_C polynomial, P_CC = q^(a_C), and
+    every other entry is 0.  (5) fails exactly when some row of some
+    node's X has its lowest power of q (``Node.lows``) below the a-value
+    of the row's class; only then are the entries read, in
+    check_conditions' order and words."""
+    a_at = [0] * len(table.labels)
+    for members, a_c in zip(datum.classes, datum.a):
+        for l in members:
+            a_at[table.pos[l]] = a_c
+    det5: list[str] = []
+    if any(low < a_at[p] for node in nodes for p, low in node.lows):
+        labels = table.labels
+        det5 = [_indivisible(labels[p], labels[j], v, a_at[p]) for p, j, v in sorted(
+            ((p, j, v) for node in nodes for p, row in zip(node.above, node.rows_rf)
+             for j, v in zip(node.midx, row) if v.num.c and v.num.order() < a_at[p]),
+            key=lambda e: e[:2])]
+    return ConditionReport(
+        _datum_checks(datum, springer, minimizers)
+        + (ConditionCheck("integrality", True),
+           ConditionCheck("row-divisibility", not det5, tuple(det5[:6]))),
+        minimizers)
 
 
 # ---------------------------------------------------------------------------
@@ -799,9 +849,8 @@ class SearchOutcome:
 
 def search(springer: SpringerSet, *, family_filter: bool = True,
            bounds: SearchConfig | None = None) -> SearchOutcome:
-    """Solve every candidate of the Springer set, keep those passing all
-    five conditions and matching the two-run partition read off their
-    supports.
+    """Walk every candidate of the Springer set, keep those passing all
+    five conditions and of the two-run shape of an admissible f-sequence.
 
     Condition-passing candidates outside that shape do exist for some
     Springer sets (78 up to m = 16, first at m = 10; the f-sequence read
@@ -821,14 +870,25 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
     ``pruned``.  The block is solved in integers, at q = 2, where a P
     entry outside N rules out one in N[q], and then at a large 2^K, whose
     base-2^K digits are X when X is in N[q].  A walk that stops at a
-    singular block counts in ``rejected_singular``.  A full datum's system is read off
-    its nodes, whose certificates give P Lambda P^t = omega, and goes to
-    the five conditions; its P and Lambda equal
-    :func:`greensolver.solve`'s.  ``bounds`` defaults to
+    singular block counts in ``rejected_singular``.
+
+    A full datum is judged off its nodes and its classes, with no system
+    built: the report is :func:`check_conditions`' on its system.
+    (1)-(3) read the datum, each class's minimizer found once per search;
+    (4) holds by the node certificates; (5) compares each row's lowest
+    power of q, kept on the node, with its class's a-value.  Only an
+    accepted datum gets a system, read off its nodes
+    (:meth:`greensolver.NodeTable.system`), whose certificates give P
+    Lambda P^t = omega; its P and Lambda equal :func:`greensolver.solve`'s.
+    It is a hit when it is one of the predicted partitions of the
+    admissible f-sequences, built once per search, which is what
+    :func:`matches_predicted_partition` decides.  ``bounds`` defaults to
     ``SearchConfig()``."""
     s, swapped = springer.normalized()
     data = enumerate_candidate_data(s, family_filter=family_filter, bounds=bounds)
     table = node_table(s.m)
+    predicted = {predicted_partition(s, f) for f in enumerate_f_sequences(s)}
+    minimizers: dict = {}
     hits: list[SearchHit] = []
     stray: list[SearchHit] = []
     counts = {"solved": 0, "pruned": 0, "singular": 0}
@@ -843,11 +903,14 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
             peeled |= cls
         else:
             counts["solved"] += 1
-            system = table.system(datum, nodes)
-            report = check_conditions(system, s)
+            for cls in datum.classes:
+                if cls not in minimizers:
+                    minimizers[cls] = _class_minimizer(s.m, cls)
+            report = _node_report(datum, nodes, s, tuple(map(minimizers.get, datum.classes)),
+                                  table)
             if report.accepted:
-                hit = SearchHit(datum, system, report)
-                (hits if matches_predicted_partition(datum, s) else stray).append(hit)
+                hit = SearchHit(datum, table.system(datum, nodes), report)
+                (hits if datum in predicted else stray).append(hit)
     hits.sort(key=lambda h: support_vector(h.datum))
     stray.sort(key=lambda h: support_vector(h.datum))
     return SearchOutcome(m=s.m, springer=s, swapped=swapped,

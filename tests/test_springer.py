@@ -259,6 +259,45 @@ def test_search_outcome_does_not_depend_on_the_candidate_order(monkeypatch, fami
     greensolver.node_table.cache_clear()
 
 
+def test_node_route_judges_as_the_dense_route():
+    # every full datum of m <= 14, both filters: the report the search
+    # reads off the nodes, with no system, is check_conditions' report on
+    # the system, accepted or not; the predicted partitions the search
+    # builds once hold exactly the data matches_predicted_partition accepts
+    failed: dict[str, int] = {}
+    accepted = stray = 0
+    for m in range(3, 15):
+        table = greensolver.node_table(m)
+        for springer in all_springer_sets(m):
+            s = springer.normalized()[0]
+            predicted = {predicted_partition(s, f) for f in enumerate_f_sequences(s)}
+            for family_filter in (True, False):
+                for datum in enumerate_candidate_data(s, family_filter=family_filter):
+                    peeled, nodes = frozenset(), []
+                    for cls, a_c in zip(datum.classes, datum.a):
+                        node = table.node(peeled, cls, a_c)
+                        if not isinstance(node, greensolver.Node):
+                            break
+                        nodes.append(node)
+                        peeled |= cls
+                    else:
+                        dense = check_conditions(table.system(datum, nodes), s)
+                        got = springer_module._node_report(
+                            datum, nodes, s, springer_module._class_minimizers(datum), table)
+                        label = (m, s.describe(), datum.describe())
+                        assert got == dense, label
+                        member = datum in predicted
+                        assert member == matches_predicted_partition(datum, s), label
+                        for check in dense.checks:
+                            if not check.passed:
+                                failed[check.name] = failed.get(check.name, 0) + 1
+                        accepted += dense.accepted
+                        stray += dense.accepted and not member
+    # the data include rejections by (3) and by (5), and nonconforming hits
+    assert accepted and stray, (accepted, stray)
+    assert {"family-support", "row-divisibility"} <= set(failed), failed
+
+
 @pytest.mark.parametrize("family_filter", [True, False])
 def test_enumerator_yields_each_assignment_once(family_filter):
     # each free character joins a numeric class C_k with d_k below its
