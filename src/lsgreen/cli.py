@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .checks import VERIFY_CHECKS
 from .dihedral import CharLabel, format_label, irreps
-from .errors import BadSubgroup, InvalidM, LsgreenError, SearchBoundExceeded
+from .errors import BadInput, BadSubgroup, InvalidM, LsgreenError, SearchBoundExceeded
 from .exactalg import IntPoly, PolyMatrix, RatFunc
 # the verify checks live in checks; perfbench/selftest.py reads
 # cli.check_symmetry
@@ -655,11 +655,9 @@ def main(argv=None) -> int:
     except SearchBoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InvalidM, BadSubgroup, ValueError, KeyError, FileNotFoundError,
+    except (InvalidM, BadSubgroup, BadInput, ValueError, FileNotFoundError,
             json.JSONDecodeError) as exc:
-        # str() of a KeyError is the repr of its message; print the message
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LsgreenError, AssertionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -312,9 +312,11 @@ def specials(m: int) -> tuple[CharLabel, ...]:
     return (Chi(0), Chi(1), Eps)
 
 
+@lru_cache(maxsize=None, typed=True)
 def families(m: int) -> tuple[frozenset[CharLabel], ...]:
     """Partition of the irreducible labels into families: the trivial and
     determinant characters are alone, everything else forms one family.
+    Built once per m (the families are frozen).
 
     >>> [sorted(map(str, f)) for f in families(5)]
     [['0'], ['1', '2'], ['eps']]

@@ -20,6 +20,7 @@ __all__ = [
     "NotUnique",
     "SearchBoundExceeded",
     "InvalidFSequence",
+    "BadInput",
 ]
 
 
@@ -74,3 +75,8 @@ class SearchBoundExceeded(LsgreenError):
 class InvalidFSequence(LsgreenError):
     """A proposed multiplicity-free sequence violates its admissibility
     constraints."""
+
+
+class BadInput(LsgreenError):
+    """Input from outside the program names something that does not exist,
+    such as an atlas fixture; the command line reports it as bad input."""

@@ -57,8 +57,14 @@ There are two routes.
   Each kept node is certified once before it is stored
   (:func:`_certify_node`) by three identities in Z[q]: the block equation
   X . M_CC = q^(a_C) M_{above,C}, q^(2 a_C) Lambda_C = M_CC, and the Schur
-  update M_{S+C} = M_S - X Lambda_C X^t, each by one evaluation at 2^K
-  with 2^(K-1) above an l1 bound.
+  update M_{S+C} = M_S - X Lambda_C X^t, each compared in integers at one
+  point 2^K with 2^(K-1) above an l1 bound: the solve's own 2^K whenever
+  it is past the bound, as it is for every node of m <= 16.
+  Each residual keeps its l1 norms and its value at every point asked for
+  (:class:`_Residual`), so each entry of M_S is evaluated once per point,
+  and the block solves and certificates of every node over S slice their
+  integer blocks from those values; only X and Lambda_C are evaluated
+  per node.
   These are the blocks of a block LDL^t step, so from M_{} = omega,
   induction over the nodes gives P Lambda P^t = omega for every full
   datum, and no cut prunes unchecked.  No gcd is taken.
@@ -152,6 +158,18 @@ class LSDatum:
                 raise ValueError(
                     f"a-values must be weakly decreasing bottom-up, got {self.a}"
                 )
+
+    @classmethod
+    def _new(cls, m: int, classes: tuple[frozenset[CharLabel], ...],
+             a: tuple[int, ...]) -> "LSDatum":
+        """A datum whose frozenset classes partition the labels of m and
+        whose tuple of a-values is weakly decreasing, by construction: it
+        is taken as it is, and nothing is checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "a", a)
+        return self
 
     # -- lookups -----------------------------------------------------------
 
@@ -399,34 +417,80 @@ class Node:
     lam_rf: tuple[tuple[RatFunc, ...], ...]
 
 
+class _Residual:
+    """A residual M_S of a :class:`NodeTable` with the numbers its nodes
+    read: ``unsolved``, the positions still unsolved; ``M``, the entries
+    over them, each mirror entry the same object as its entry; ``norms``,
+    their l1 norms, taken when the record is made (the certificate of the
+    node that makes it reads them at once); and ``vals``, M(2^k) for each
+    k asked for so far (:meth:`at`).  Each is computed over the upper
+    triangle, its mirror entry shared, once per record and point, and read
+    by the block solve and the certificate of every node over S."""
+
+    __slots__ = ("unsolved", "M", "norms", "vals")
+
+    def __init__(self, unsolved, M):
+        self.unsolved, self.M = unsolved, M
+        self.norms = _upper(M, _l1)
+        self.vals: dict[int, list[list[int]]] = {}
+
+    def at(self, k: int) -> list[list[int]]:
+        """M(2^k), evaluated on first use."""
+        got = self.vals.get(k)
+        if got is None:
+            got = self.vals[k] = _upper(self.M, lambda p: _value_at(p, k))
+        return got
+
+    def top(self, rows, cols) -> int:
+        """The largest l1 norm of an entry of M over ``rows`` x ``cols``."""
+        norms = self.norms
+        return max((norms[i][j] for i in rows for j in cols), default=0)
+
+
+def _upper(M, f):
+    """f of each entry of a symmetric matrix, over the upper triangle, each
+    mirror entry the same value."""
+    n = len(M)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(M):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = f(row[j])
+    return out
+
+
 class NodeTable:
     """The search's class-by-class solve over Z[q], one node per (S, C,
     a_C): S the set of labels already peeled, C the next class, a_C its
     a-value.
 
-    ``residuals[S] = (unsolved, M)`` holds the residual M_S over the
-    positions still unsolved, one per peeled set (it is omega / omega_SS,
-    whichever classes S was peeled in).  :meth:`node` returns the block
-    solve X . M_CC = q^(a_C) M_{above,C} of a node: "singular" when M_CC is
-    singular, "pruned" at a cut (an X that is not in N[q], or a Lambda_C =
-    M_CC / q^(2 a_C) that is not polynomial), else a :class:`Node`.  The
-    search extends only kept nodes, so every residual is integral.
+    ``residuals[S]`` holds the residual M_S over the positions still
+    unsolved, one per peeled set (it is omega / omega_SS, whichever classes
+    S was peeled in), as a :class:`_Residual` that also keeps M_S's l1
+    norms and its values at every point 2^k asked for, each entry
+    evaluated once per point and read by every node over S.  :meth:`node`
+    returns the block solve X . M_CC = q^(a_C) M_{above,C} of a node:
+    "singular" when M_CC is singular, "pruned" at a cut (an X that is not
+    in N[q], or a Lambda_C = M_CC / q^(2 a_C) that is not polynomial), else
+    a :class:`Node`.  The search extends only kept nodes, so every residual
+    is integral.
 
     The block equation is solved in integers, at two points 2^k, by
     :func:`_solve_block`: singular, a cut, or X read off the digits of
     X(2^K).  Every decision rests on an integer multiply-back, and no
-    polynomial is solved.  Each kept node is certified by
-    :func:`_certify_node` before anything is stored, against the stored
-    M_{S+C} when another path has built it.
+    polynomial is solved or evaluated for it: A(2^k) and B(2^k) are
+    sliced from M_S(2^k).  Each kept node is certified by
+    :func:`_certify_node` before anything is stored, at the solve's point
+    2^K, against the stored M_{S+C} when another path has built it.
     With P_CC = q^(a_C) its identities are the blocks of
 
         M_S = [P_CC; X] Lambda_C [P_CC; X]^t + (0 (+) M_{S+C})
 
     over C and above; the C x above block is the transpose of the above x
     C one, because omega is checked symmetric here and the identities keep
-    every M_S symmetric.  A failed certificate raises AssertionError and
-    leaves the table as it was.  :func:`node_table` keeps one table per m
-    for the whole process, so every search of that m shares its nodes.
+    every M_S symmetric.  A failed multiply-back raises AssertionError and
+    leaves the table as it was, the residuals' values included.
+    :func:`node_table` keeps one table per m for the whole process, so
+    every search of that m shares its nodes.
 
     A kept node also holds what the search judges a full datum by: the
     lowest power of q in each row of X (condition (5)), and X and
@@ -438,7 +502,8 @@ class NodeTable:
         om = [[x.as_poly() for x in row] for row in om]
         self.m, self.labels = m, labels
         self.pos = {l: i for i, l in enumerate(labels)}
-        self.residuals = {frozenset(): (tuple(range(len(labels))), tuple(map(tuple, om)))}
+        self.residuals = {frozenset(): _Residual(tuple(range(len(labels))),
+                                                 tuple(map(tuple, om)))}
         self.nodes: dict = {}
 
     def node(self, peeled: frozenset[CharLabel], cls: frozenset[CharLabel], a_c: int):
@@ -448,34 +513,43 @@ class NodeTable:
         key = (peeled, cls, a_c)
         got = self.nodes.get(key)
         if got is None:
-            got = self.nodes[key] = self._build(peeled, cls, a_c)
+            records = [r for r in (self.residuals[peeled], self.residuals.get(peeled | cls))
+                       if r is not None]
+            # a node that fails its multiply-back leaves no values behind
+            vals = [dict(r.vals) for r in records]
+            try:
+                got = self.nodes[key] = self._build(peeled, cls, a_c)
+            except AssertionError:
+                for r, v in zip(records, vals):
+                    r.vals = v
+                raise
         return got
 
     def _build(self, peeled, cls, a_c):
-        unsolved, M = self.residuals[peeled]
+        res = self.residuals[peeled]
+        unsolved, M = res.unsolved, res.M
         loc = {p: u for u, p in enumerate(unsolved)}
         midx = [self.pos[l] for l in sorted(cls, key=label_sort_key)]
         cl = [loc[p] for p in midx]
         above = [u for u in range(len(unsolved)) if u not in cl]
-        rows = []
+        k, rows = None, []
         if above:
             try:
-                rows = _solve_block([[M[s][c] for c in cl] for s in cl],
-                                    [[M[i][c].shift(a_c) for c in cl] for i in above])
+                k, rows = _solve_block(res, cl, above, a_c)
             except SingularBlock:
                 return "singular"
             if rows is None:
                 return "pruned"
         if not all(_q_divides(M[s][c], 2 * a_c) for s in cl for c in cl):
             return "pruned"
-        lam = [[IntPoly({e - 2 * a_c: v for e, v in M[s][c].c.items()}) for c in cl]
+        lam = [[IntPoly._new({e - 2 * a_c: v for e, v in M[s][c].c.items()}) for c in cl]
                for s in cl]
         up = tuple(unsolved[i] for i in above)
-        have = self.residuals.get(peeled | cls)
-        nxt = have[1] if have is not None else _schur_update(M, cl, above, rows, lam)
-        _certify_node(M, cl, above, a_c, rows, lam, nxt)
-        if have is None:
-            self.residuals[peeled | cls] = (up, nxt)
+        nxt = self.residuals.get(peeled | cls)
+        if nxt is None:
+            nxt = _Residual(up, _schur_update(M, cl, above, rows, lam))
+        _certify_node(res, cl, above, a_c, rows, lam, nxt, k)
+        self.residuals[peeled | cls] = nxt
         labels = self.labels
         nonpoly = [(labels[unsolved[u]], labels[p]) for u in range(len(unsolved))
                    for c, p in zip(cl, midx) if not _gamma_divides(M[u][c], self.m)
@@ -533,55 +607,66 @@ def _schur_update(M, cl, above, rows, lam):
     return tuple(map(tuple, new))
 
 
-def _solve_block(a, b):
-    """X with X A = B over Z[q], for a square A, when X is in N[q]: the
-    rows of X, or None when X is not in N[q].  A singular A raises
-    SingularBlock.  Every decision is made in integers, by
-    :func:`_solve_at` at two points 2^k.
+def _solve_block(res, cl, above, a_c):
+    """X with X A = B over Z[q], A = M_CC and B = q^(a_C) M_{above,C} of a
+    residual record ``res`` (:class:`_Residual`) with C's members at
+    ``cl`` and the rows above C at ``above``, when X is in N[q]: (K, the
+    rows of X), K the second point below, or (k, None) when X is not in
+    N[q], k the point that showed it.  A singular A raises SingularBlock.
+    Every decision is made in integers, by :func:`_solve_at` at two points
+    2^k, on A(2^k) and B(2^k) sliced from ``res.at(k)``, so every node over
+    S shares one evaluation of each entry at each point.
 
     The first is t = 2^k for the first k = 1, 2, ... at which A(t) is
     nonsingular.  det A has degree at most D, the sum over A's rows of the
     row's largest degree, so if D + 1 points find none, det A = 0.  X in
     N[q] puts X(t) in N, and since t > 1 it bounds every row's l1 sum by R,
     the largest row sum of X(t).  The second is xi = 2^K, K a multiple of 8
-    with 2^(K-1) > R max |A| + max |B| (|.| the l1 norm) and A(xi)
-    nonsingular.  X in N[q] is then the balanced base-xi digits of X(xi)
-    (:func:`_kron_unpack`), so X is cut unless X(xi) is in N, with digits
-    in N and row sums at most R.  Conversely, for such digits X', every
-    coefficient of X' A - B is below 2^(K-1) and its value at xi is 0, so
-    X' A = B in Z[q], and X' is X.
+    with 2^(K-1) > R max |A| + max |B| (|.| the l1 norm, read off
+    ``res.norms``) and A(xi) nonsingular.  X in N[q] is then the balanced
+    base-xi digits of X(xi) (:func:`_kron_unpack`), so X is cut unless
+    X(xi) is in N, with digits in N and row sums at most R.  Conversely,
+    for such digits X', every coefficient of X' A - B is below 2^(K-1) and
+    its value at xi is 0, so X' A = B in Z[q], and X' is X.
 
-    >>> one, q = IntPoly(1), IntPoly({1: 1})
-    >>> [str(x) for x in _solve_block([[q, one], [one, q]], [[q * q + one, q + q]])[0]]
-    ['q', '1']
-    >>> _solve_block([[q + q]], [[q]]) is None
-    True
+    >>> one, q, z = IntPoly(1), IntPoly({1: 1}), IntPoly.zero()
+    >>> res = _Residual((0, 1, 2), ((q, one, q * q + one), (one, q, q + q),
+    ...                             (q * q + one, q + q, z)))
+    >>> k, x = _solve_block(res, [0, 1], [2], 0)
+    >>> k, [str(v) for v in x[0]]
+    (8, ['q', '1'])
+    >>> _solve_block(_Residual((0, 1), ((q + q, q), (q, z))), [0], [1], 0)
+    (1, None)
     """
-    d = sum(max((x.degree() for x in row if x), default=0) for row in a)
-    _, xt = _solve_at(a, b, range(1, d + 2))
+    M = res.M
+    d = sum(max((M[s][c].degree() for c in cl if M[s][c]), default=0) for s in cl)
+    k, xt = _solve_at(res, cl, above, a_c, range(1, d + 2))
     if xt is None:
-        return None
+        return k, None
     r = max(map(sum, xt))
     # the least multiple K of 8 with 2^(K-1) > R max |A| + max |B|, or the
     # next one at which A(2^K) is nonsingular
-    k, xs = _solve_at(a, b, count(8 * ((r * _top(a) + _top(b)).bit_length() // 8 + 1), 8))
+    bound = r * res.top(cl, cl) + res.top(above, cl)
+    k, xs = _solve_at(res, cl, above, a_c, count(8 * (bound.bit_length() // 8 + 1), 8))
     if xs is None:
-        return None
+        return k, None
     kb = k // 8
     rows = []
     for x in xs:
         row = [_kron_unpack(v, kb, v.bit_length() // (8 * kb) + 2, 0) for v in x]
         if any(v < 0 for c in row for v in c.values()) or sum(sum(c.values()) for c in row) > r:
-            return None
+            return k, None
         rows.append([IntPoly._new(c) for c in row])
-    return rows
+    return k, rows
 
 
-def _solve_at(a, b, ks):
-    """X A = B, for A and B lists of IntPoly rows, at q = 2^k for the
-    first k of ``ks`` at which A(2^k) is nonsingular: (k, the rows of
-    X(2^k) as integers) when X(2^k) is in N, else (k, None).
-    SingularBlock when A(2^k) is singular at every k.
+def _solve_at(res, cl, above, a_c, ks):
+    """X A = B, A = M_CC and B = q^(a_C) M_{above,C} as in
+    :func:`_solve_block`, at q = 2^k for the first k of ``ks`` at which
+    A(2^k) is nonsingular: (k, the rows of X(2^k) as integers) when X(2^k)
+    is in N, else (k, None).  SingularBlock when A(2^k) is singular at every
+    k.  A(2^k) and B(2^k) = M_{above,C}(2^k) 2^(a_C k) are sliced from
+    ``res.at(k)``.
 
     Solves X(2^k) A(2^k) = B(2^k) by :func:`_bareiss` and back-substitutes
     delta X(2^k) by exact integer division, delta the last pivot.  Before
@@ -589,8 +674,9 @@ def _solve_at(a, b, ks):
     delta B(2^k) certifies delta X(2^k); a difference raises
     AssertionError."""
     for k in ks:
-        av = [[_value_at(x, k) for x in row] for row in a]
-        bv = [[_value_at(x, k) for x in row] for row in b]
+        v = res.at(k)
+        av = [[v[s][c] for c in cl] for s in cl]
+        bv = [[v[i][c] << (a_c * k) for c in cl] for i in above]
         try:
             mat = _bareiss(av, bv)
             break
@@ -616,55 +702,55 @@ def _solve_at(a, b, ks):
     return k, [[v // delta for v in x] for x in rows]
 
 
-def _certify_node(M, cl, above, a_c, rows, lam, nxt) -> None:
-    """Multiply a kept node back: M is M_S, ``cl`` and ``above`` index C's
-    members and the rows above C in it, ``rows`` is X and ``nxt`` is
-    M_{S+C}.  Checks
+def _certify_node(res, cl, above, a_c, rows, lam, nxt, k) -> None:
+    """Multiply a kept node back: ``res`` and ``nxt`` are the records
+    (:class:`_Residual`) of M_S and M_{S+C}, ``cl`` and ``above`` index
+    C's members and the rows above C in M_S, ``rows`` is X and ``k`` the
+    block solve's point 2^K (None when no row is above C).  Checks
 
         X . M_CC = q^(a_C) M_{above,C},   q^(2 a_C) Lambda_C = M_CC,
-        nxt = M_S[above] - X Lambda_C X^t.
+        M_{S+C} = M_S[above] - X Lambda_C X^t.
 
     Each is f = 0 for some f in Z[q] whose coefficients are below B, with
     |.| the l1 norm and R the largest sum of |X[i, s]| over a row:
 
         B = max(R max |M_CC| + max |M_{above,C}|,
                 max |Lambda_C| + max |M_CC|,
-                max |M_S[above]| + max |nxt| + max |Lambda_C| R^2).
+                max |M_S[above]| + max |M_{S+C}| + max |Lambda_C| R^2).
 
     At xi = 2^K with 2^(K-1) > B, f(xi) = 0 forces f = 0 (balanced base-xi
-    digits are unique, as in :func:`verify_system`), so every entry is
-    evaluated once (:func:`_value_at`) and each identity is compared in
-    integers.  A difference raises AssertionError."""
-    mcc = [[M[s][c] for c in cl] for s in cl]
-    mac = [[M[i][c] for c in cl] for i in above]
-    maa = [[M[i][j] for j in above] for i in above]
+    digits are unique, as in :func:`verify_system`), so each identity is
+    compared in integers at xi.  That is the solve's point whenever
+    2^(K-1) > B, and otherwise the least multiple of 8 that is; the
+    residuals' norms and values are read off their records, evaluated once
+    per point for every node over S, and only X and Lambda_C are evaluated
+    here (:func:`_value_at`).  Lambda_C's norm is its own, not M_CC's: the
+    two are equal only when the second identity holds.  A difference
+    raises AssertionError."""
     r = max((sum(map(_l1, row)) for row in rows), default=0)
-    lmax = _top(lam)
-    bound = max(r * _top(mcc) + _top(mac), lmax + _top(mcc),
-                _top(maa) + _top(nxt) + lmax * r * r)
-    k = bound.bit_length() + 1  # 2^(k-1) > bound
-
-    def at(mat):
-        return [[_value_at(x, k) for x in row] for row in mat]
-
-    mccv, rv, lv = at(mcc), at(rows), at(lam)
-    ok = all(sum(x * mccv[s][t] for s, x in enumerate(xr)) == mv << (k * a_c)
-             for xr, mrow in zip(rv, at(mac)) for t, mv in enumerate(mrow))
-    ok = ok and all(x << (2 * a_c * k) == y for lr, mr in zip(lv, mccv) for x, y in zip(lr, mr))
-    # nxt + X Lambda_C X^t = M_S[above], with X_i Lambda_C once per row
-    half = [[sum(x * lv[s][t] for s, x in enumerate(xr)) for t in range(len(cl))] for xr in rv]
+    lmax = max(_l1(x) for row in lam for x in row)
+    mcc = res.top(cl, cl)
+    every = range(len(above))
+    bound = max(r * mcc + res.top(above, cl), lmax + mcc,
+                res.top(above, above) + nxt.top(every, every) + lmax * r * r)
+    if k is None or bound >> (k - 1):
+        k = 8 * (bound.bit_length() // 8 + 1)  # 2^(k-1) > bound
+    v, nv = res.at(k), nxt.at(k)
+    xv = [[_value_at(x, k) for x in row] for row in rows]
+    lv = [[_value_at(x, k) for x in row] for row in lam]
+    ok = all(sum(x * v[s][t] for s, x in zip(cl, xr)) == v[i][t] << (k * a_c)
+             for i, xr in zip(above, xv) for t in cl)
+    ok = ok and all(x << (2 * a_c * k) == v[s][t]
+                    for s, lr in zip(cl, lv) for t, x in zip(cl, lr))
+    # M_{S+C} + X Lambda_C X^t = M_S[above], with X_i Lambda_C once per row
+    half = [[sum(x * lv[s][t] for s, x in enumerate(xr)) for t in range(len(cl))] for xr in xv]
     ok = ok and all(
-        nv + sum(h * y for h, y in zip(hi, xj)) == mv
-        for hi, nrow, mrow in zip(half, at(nxt), at(maa))
-        for xj, nv, mv in zip(rv, nrow, mrow))
+        nrow[jj] + sum(h * y for h, y in zip(hi, xj)) == v[i][j]
+        for i, hi, nrow in zip(above, half, nv)
+        for jj, (j, xj) in enumerate(zip(above, xv)))
     if not ok:
         raise AssertionError("multiplication-back failed: the node's block equation "
                              "or Schur update does not hold")
-
-
-def _top(mat) -> int:
-    """The largest l1 norm of an entry of a matrix of IntPolys."""
-    return max((_l1(x) for row in mat for x in row), default=0)
 
 
 def _l1(p: IntPoly) -> int:

@@ -42,7 +42,7 @@ from .dihedral import (
     parse_label,
     specials,
 )
-from .errors import BadSubgroup, InvalidM, NotUnique
+from .errors import BadInput, BadSubgroup, InvalidM, NotUnique
 from .exactalg import CycloNum, _factorize
 from .fakedegree import omega
 from .greensolver import closure_order, solve
@@ -401,7 +401,7 @@ def get_fixture(name: str, data_dir: Path | None = None) -> AtlasFixture:
     for fx in load_fixtures(data_dir):
         if fx.name == name:
             return fx
-    raise KeyError(f"no atlas fixture named {name!r}")
+    raise BadInput(f"no atlas fixture named {name!r}")
 
 
 def _format_classes(classes) -> str:

@@ -757,7 +757,9 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
     b-invariant b may join C_k when d_k < b, and with family_filter off
     the trivial class too (with it on, that class could only ever fail the
     family-support condition).  The data are the product of these choices,
-    one pick of a class per free character.
+    one pick of a class per free character.  Each datum is a partition
+    with weakly decreasing a-values by construction, so it is built
+    unchecked (``LSDatum._new``).
 
     When both extra linear characters are Springer their singleton classes
     tie (both have a = m/2); the skeleton puts ChiRPrime below ChiR.  The
@@ -801,8 +803,8 @@ def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = Tru
     )
     a = tuple(a_c for _, a_c, _ in skeleton)
     return (
-        LSDatum(m, tuple(core | {chi for chi, k in zip(free, pick) if k == slot}
-                         for core, _, slot in skeleton), a)
+        LSDatum._new(m, tuple(core | {chi for chi, k in zip(free, pick) if k == slot}
+                              for core, _, slot in skeleton), a)
         for pick in itertools.product(*choices)
     )
 

@@ -291,9 +291,22 @@ def test_bad_springer_label(capsys):
 
 
 def test_atlas_unknown_fixture(capsys):
-    rc, _, err = run(capsys, "atlas", "E8")
-    assert rc == 2
-    assert err == "error: no atlas fixture named 'E8'\n"
+    for name in ("E8", "nosuch"):
+        rc, _, err = run(capsys, "atlas", name)
+        assert rc == 2
+        assert err == f"error: no atlas fixture named {name!r}\n"
+
+
+def test_a_key_error_inside_a_command_is_not_bad_input(capsys, monkeypatch):
+    # a KeyError is a fault of the program, not of its input: it is not
+    # reported as "error: ..." with exit 2
+    def lookup_fails(args):
+        raise KeyError("no such entry")
+
+    monkeypatch.setitem(cli._COMMANDS, "irr", lookup_fails)
+    with pytest.raises(KeyError, match="no such entry"):
+        cli.main(["irr", "5"])
+    assert "error:" not in capsys.readouterr().err
 
 
 _GOOD_DATUM = {"m": 3, "classes": [["eps"], ["1"], ["0"]], "a": [3, 1, 0]}

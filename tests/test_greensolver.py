@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -223,12 +224,12 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch, fresh_node_tables):
     real_zq = greensolver._solve_block
     calls = []
 
-    def off_by_one_zq(a, b):
-        rows = real_zq(a, b)
+    def off_by_one_zq(*args):
+        k, rows = real_zq(*args)
         if rows is not None:
             calls.append(1)
             rows[0][0] = rows[0][0] + IntPoly.one()
-        return rows
+        return k, rows
 
     monkeypatch.setattr(greensolver, "_solve_block", off_by_one_zq)
     with pytest.raises(AssertionError, match="multiplication-back failed"):
@@ -243,12 +244,12 @@ def _spy_points(monkeypatch, change=None, at_xi=False):
     ``change(delta)``, delta the last pivot, at the block solve's first
     point or at xi (k >= 8: the first point of the closed omega's blocks
     is q = 2)."""
-    real_value, real = greensolver._value_at, greensolver._bareiss
+    real_at, real = greensolver._Residual.at, greensolver._bareiss
     last, points = [None], []
 
-    def value_at(p, k):
+    def at(record, k):
         last[0] = k
-        return real_value(p, k)
+        return real_at(record, k)
 
     def bareiss(a, b):
         points.append(last[0])
@@ -258,7 +259,7 @@ def _spy_points(monkeypatch, change=None, at_xi=False):
             mat[n - 1][n] += change(mat[n - 1][n - 1])
         return mat
 
-    monkeypatch.setattr(greensolver, "_value_at", value_at)
+    monkeypatch.setattr(greensolver._Residual, "at", at)
     monkeypatch.setattr(greensolver, "_bareiss", bareiss)
     return points
 
@@ -287,28 +288,43 @@ def _load_workloads(monkeypatch):
     return module
 
 
+def _table_state(table):
+    """What a node table holds: its nodes, its residual records and each
+    record's values at every point evaluated so far."""
+    return (dict(table.nodes), dict(table.residuals),
+            {peeled: dict(res.vals) for peeled, res in table.residuals.items()})
+
+
 def test_a_failed_certificate_leaves_the_node_table_as_it_was(monkeypatch, fresh_node_tables):
     # the third block solve that is not cut comes back with a wrong X: the
-    # search raises after some nodes are stored; the same search unpatched,
-    # on the same table, must still match the benchmark's golden for the set
+    # search raises after some nodes are stored, and the table, the values
+    # cached on its residuals included, is as it was before that node's
+    # build; the same search unpatched, on the same table, must still match
+    # the benchmark's golden for the set
     springer = SpringerSet.from_strings(6, "0,1,2,r',eps")
-    real = greensolver._solve_block
-    calls = []
+    real, real_build = greensolver._solve_block, NodeTable._build
+    calls, before = [], []
 
-    def wrong_third_block(a, b):
-        rows = real(a, b)
+    def wrong_third_block(*args):
+        k, rows = real(*args)
         if rows is not None:
             calls.append(1)
             if len(calls) == 3:
                 rows[0][0] = rows[0][0] + IntPoly.one()
-        return rows
+        return k, rows
+
+    def build(table, *args):
+        before[:] = [table, _table_state(table)]
+        return real_build(table, *args)
 
     with monkeypatch.context() as mp:
         mp.setattr(greensolver, "_solve_block", wrong_third_block)
+        mp.setattr(NodeTable, "_build", build)
         with pytest.raises(AssertionError, match="multiplication-back failed"):
             search(springer)
     table = greensolver.node_table(6)
     assert len(calls) == 3 and table.nodes
+    assert before[0] is table and _table_state(table) == before[1]
     sweep = _load_workloads(monkeypatch).SearchSweep()
     assert sweep.check(springer, search(springer))[1] == []
 
@@ -566,13 +582,22 @@ def _walk(table, datum, k):
 
 
 def _node_pieces(table, datum, level, peeled, node):
-    """What a kept node's certificate reads, as lists: M_S, C's and the
-    rows above C's indices in it, X, Lambda_C and the stored M_{S+C}."""
-    unsolved, M = table.residuals[peeled]
-    cl = [unsolved.index(p) for p in node.midx]
-    above = [u for u in range(len(unsolved)) if u not in cl]
-    return (M, cl, above, [list(r) for r in node.rows], [list(r) for r in node.lam],
-            [list(r) for r in table.residuals[peeled | datum.classes[level]][1]])
+    """What a kept node's certificate reads: the record of M_S, C's and the
+    rows above C's indices in it, X and Lambda_C as lists, the stored
+    M_{S+C} as lists and the block solve's point (None with no row above
+    C)."""
+    res = table.residuals[peeled]
+    cl = [res.unsolved.index(p) for p in node.midx]
+    above = [u for u in range(len(res.unsolved)) if u not in cl]
+    k = greensolver._solve_block(res, cl, above, datum.a[level])[0] if above else None
+    return (res, cl, above, [list(r) for r in node.rows], [list(r) for r in node.lam],
+            [list(r) for r in table.residuals[peeled | datum.classes[level]].M], k)
+
+
+def _record(M):
+    """The symmetric matrix M as a residual record, over positions 0, 1,
+    ...: the certificate reads only its values and norms."""
+    return greensolver._Residual(tuple(range(len(M))), tuple(map(tuple, M)))
 
 
 @given(st.one_of(random_data(), search_candidates(), st.sampled_from(MULTI_CLASS_DATA)),
@@ -580,9 +605,10 @@ def _node_pieces(table, datum, level, peeled, node):
 def test_multiply_back_agrees_with_the_dense_product(datum, data):
     # walk the datum's nodes up to the last class or some class before it,
     # stopping at the first node not kept; change one entry of that kept
-    # node's X, its Lambda_C or the stored M_{S+C}, or leave it, and compare
-    # the node's certificate with the dense product over Q(q), P Lambda P^t
-    # plus the residual, in every column
+    # node's X, its Lambda_C or the stored M_{S+C} (with its mirror: a
+    # residual is symmetric), or leave it, and compare the node's
+    # certificate, at its block solve's point, with the dense product over
+    # Q(q), P Lambda P^t plus the residual, in every column
     om = omega(datum.m, method="closed")
     k = data.draw(st.one_of(st.just(len(datum.classes)),
                             st.integers(min_value=1, max_value=len(datum.classes))))
@@ -591,15 +617,17 @@ def test_multiply_back_agrees_with_the_dense_product(datum, data):
     if not isinstance(node, Node):
         return
     a_c = datum.a[level]
-    M, cl, above, rows, lam, nxt = _node_pieces(table, datum, level, peeled, node)
+    res, cl, above, rows, lam, nxt, point = _node_pieces(table, datum, level, peeled, node)
     kinds = {"X": rows, "Lambda_C": lam, "M_{S+C}": nxt}
     kinds = {kind: mat for kind, mat in kinds.items() if mat and mat[0]}
     mat = kinds[data.draw(st.sampled_from(sorted(kinds)))]
     i = data.draw(st.integers(0, len(mat) - 1))
     j = data.draw(st.integers(0, len(mat[i]) - 1))
     mat[i][j] += data.draw(st.sampled_from(INTEGRAL_CHANGES))
+    if mat is nxt:
+        nxt[j][i] = nxt[i][j]
     try:
-        greensolver._certify_node(M, cl, above, a_c, rows, lam, nxt)
+        greensolver._certify_node(res, cl, above, a_c, rows, lam, _record(nxt), point)
         checked = True
     except AssertionError:
         checked = False
@@ -607,7 +635,7 @@ def test_multiply_back_agrees_with_the_dense_product(datum, data):
     # the prefix's nodes over Q(q), then this node: P rows X, q^a on C's
     # diagonal, and Lambda_C
     labels, n = table.labels, len(table.labels)
-    unsolved = table.residuals[peeled][0]
+    unsolved = res.unsolved
     P = [[RatFunc(0)] * n for _ in range(n)]
     L = [[RatFunc(0)] * n for _ in range(n)]
     for below, a_b in zip(nodes, datum.a):
@@ -635,11 +663,13 @@ def test_multiply_back_agrees_with_the_dense_product(datum, data):
 
 @pytest.mark.parametrize("datum", MULTI_CLASS_DATA, ids=("m5", "b2", "m8"))
 def test_node_certificate_catches_a_change_at_the_bound(datum, monkeypatch):
-    # for every kept node, one coefficient of one stored M_{S+C} entry
-    # changed by +-2^(K-1), K the evaluation point of the true node's
-    # certificate, is caught; so is the change 2^k - q, which vanishes at
-    # q = 2^k, for k = K - 1, K, K + 1 and every multiple of 8 up to 16
-    # past K: xi must grow with M_{S+C}
+    # for every kept node, one coefficient of one Lambda_C entry, or of one
+    # entry of the stored M_{S+C} and its mirror, changed by +-2^(K-1), K
+    # the evaluation point of the true node's certificate, is caught; so is
+    # the change 2^k - q, which vanishes at q = 2^k, for k = K - 1, K, K + 1
+    # and every multiple of 8 up to 16 past K: xi must grow with Lambda_C
+    # and M_{S+C}.  A corrupted stored M_{S+C} is caught by the table too,
+    # when it builds the node again
     table = NodeTable(omega(datum.m, method="closed"), datum.m)
     points = []
     real = greensolver._value_at
@@ -648,25 +678,46 @@ def test_node_certificate_catches_a_change_at_the_bound(datum, monkeypatch):
         points.append(k)
         return real(p, k)
 
-    monkeypatch.setattr(greensolver, "_value_at", recording)
     peeled = frozenset()
     for level, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
         node = table.node(peeled, cls, a_c)
         assert isinstance(node, Node)
-        M, cl, above, rows, lam, nxt = _node_pieces(table, datum, level, peeled, node)
-        points.clear()
-        greensolver._certify_node(M, cl, above, a_c, rows, lam, nxt)
-        top = max(points)
+        res, cl, above, rows, lam, nxt, point = _node_pieces(table, datum, level, peeled, node)
+        with monkeypatch.context() as mp:
+            mp.setattr(greensolver, "_value_at", recording)
+            points.clear()
+            greensolver._certify_node(res, cl, above, a_c, rows, lam, _record(nxt), point)
+        top = max(points)  # X and Lambda_C are evaluated at K
+        assert point in (None, top)
         changes = [IntPoly({e: sign << (top - 1)}) for sign in (1, -1) for e in (0, 1, 5)]
         ks = sorted({top - 1, top, top + 1, *range(8, top + 17, 8)})
         changes += [IntPoly({0: 1 << k, 1: -1}) for k in ks]
-        for ii in range(len(above)):
-            for jj in range(len(above)):
-                for change in changes:
-                    bad = [list(r) for r in nxt]
+        for change in changes:
+            for ii in range(len(cl)):
+                for jj in range(len(cl)):
+                    bad = [list(r) for r in lam]
                     bad[ii][jj] += change
                     with pytest.raises(AssertionError, match="multiplication-back failed"):
-                        greensolver._certify_node(M, cl, above, a_c, rows, lam, bad)
+                        greensolver._certify_node(res, cl, above, a_c, rows, bad,
+                                                  _record(nxt), point)
+            for ii in range(len(above)):
+                for jj in range(ii, len(above)):
+                    bad = [list(r) for r in nxt]
+                    bad[ii][jj] = bad[jj][ii] = bad[ii][jj] + change
+                    with pytest.raises(AssertionError, match="multiplication-back failed"):
+                        greensolver._certify_node(res, cl, above, a_c, rows, lam,
+                                                  _record(bad), point)
+        if above:
+            stored = table.residuals[peeled | cls]
+            bad = [list(r) for r in nxt]
+            bad[0][-1] = bad[-1][0] = bad[0][-1] + changes[-1]
+            table.residuals[peeled | cls] = greensolver._Residual(stored.unsolved,
+                                                                  tuple(map(tuple, bad)))
+            del table.nodes[peeled, cls, a_c]
+            with pytest.raises(AssertionError, match="multiplication-back failed"):
+                table.node(peeled, cls, a_c)
+            table.residuals[peeled | cls] = stored
+            assert table.node(peeled, cls, a_c) is not node  # built again, and kept
         peeled |= cls
 
 
@@ -685,7 +736,7 @@ def test_a_singular_node_is_cached_and_counts_its_candidates(monkeypatch):
     assert table.node(bottom, later, 1) == "singular"
     assert table.nodes[bottom, later, 1] == "singular"
 
-    def refuse(a, b):
+    def refuse(*args):
         raise AssertionError("a cached node was solved again")
 
     # building the node again would reach the block solve: it does on a
@@ -746,15 +797,16 @@ def test_the_q2_cut_changes_no_node_and_no_residual(m, monkeypatch):
         for springer in all_springer_sets(m):
             search(springer, family_filter=family_filter)
     for (peeled, cls, a_c), node in table.nodes.items():
-        unsolved, M = table.residuals[peeled]
+        unsolved, M = table.residuals[peeled].unsolved, table.residuals[peeled].M
         cl = [unsolved.index(table.pos[l]) for l in sorted(cls, key=label_sort_key)]
         above = [u for u in range(len(unsolved)) if u not in cl]
         got = node if isinstance(node, str) else [list(row) for row in node.rows]
         assert got == _verdict(M, cl, above, a_c)
     w = [[om.get(r, c) for c in table.labels] for r in table.labels]
-    for peeled, (unsolved, M) in table.residuals.items():
+    for peeled, res in table.residuals.items():
         if not peeled:
             continue
+        unsolved, M = res.unsolved, res.M
         s = [table.pos[l] for l in peeled]
         x = matrix_solve([[w[i][j] for j in s] for i in s], [[w[i][j] for j in s] for i in unsolved])
         for xi, i, mrow in zip(x, unsolved, M):
@@ -762,23 +814,108 @@ def test_the_q2_cut_changes_no_node_and_no_residual(m, monkeypatch):
                 assert RatFunc(v) == w[i][j] - rf_dot(zip(xi, (w[t][j] for t in s)))
 
 
+def _evaluations(m, monkeypatch):
+    """Every search of m, both family filters, on a fresh node table, with
+    each residual evaluation logged: the table; the number of _value_at
+    calls made inside each computing ``_Residual.at(k)``, by (record, k);
+    the _value_at calls made elsewhere, by where; and, for each
+    certificate, its block solve's point (None with no row above C) and
+    the points at which it read or evaluated anything."""
+    table = NodeTable(omega(m, method="closed"), m)
+    monkeypatch.setattr(springer_module, "node_table", lambda m: table)
+    real_at, real_value = greensolver._Residual.at, greensolver._value_at
+    real_solve, real_certify = greensolver._solve_block, greensolver._certify_node
+    where, evaluated, elsewhere, solved, certified = [None], Counter(), Counter(), [], []
+
+    def at(record, k):
+        if where[0] == "certificate":
+            certified[-1][1].add(k)
+        outer, where[0] = where[0], (record, k)
+        try:
+            return real_at(record, k)
+        finally:
+            where[0] = outer
+
+    def value_at(p, k):
+        if isinstance(where[0], tuple) and where[0][1] == k:
+            evaluated[where[0]] += 1
+        else:
+            elsewhere[where[0]] += 1
+            if where[0] == "certificate":
+                certified[-1][1].add(k)
+        return real_value(p, k)
+
+    def solve_block(*args):
+        got = real_solve(*args)
+        solved.append(got[0])
+        return got
+
+    def certify(res, cl, above, *args):
+        certified.append((solved[-1] if above else None, set()))
+        where[0] = "certificate"
+        try:
+            return real_certify(res, cl, above, *args)
+        finally:
+            where[0] = None
+
+    monkeypatch.setattr(greensolver._Residual, "at", at)
+    monkeypatch.setattr(greensolver, "_value_at", value_at)
+    monkeypatch.setattr(greensolver, "_solve_block", solve_block)
+    monkeypatch.setattr(greensolver, "_certify_node", certify)
+    for family_filter in (True, False):
+        for springer in all_springer_sets(m):
+            search(springer, family_filter=family_filter)
+    return table, evaluated, elsewhere, certified
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_each_residual_entry_is_evaluated_once_per_point(m, monkeypatch):
+    # a residual entry is evaluated only when its record is first asked for
+    # a point, once per entry on and above the diagonal, and never again at
+    # that point; outside the records, only the certificates evaluate (X
+    # and Lambda_C)
+    table, evaluated, elsewhere, _ = _evaluations(m, monkeypatch)
+    records = list(table.residuals.values())
+    assert evaluated and elsewhere.keys() == {"certificate"}
+    for (record, k), calls in evaluated.items():
+        n = len(record.unsolved)
+        assert any(record is r for r in records) and k in record.vals
+        assert calls == n * (n + 1) // 2
+    assert sum(len(r.vals) for r in records if r.unsolved) == len(evaluated)
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_every_certificate_runs_at_its_block_solves_point(m, monkeypatch):
+    # a node with rows above C is certified at the point 2^K its block
+    # solve read X off, every residual value and every evaluation of X and
+    # Lambda_C included; a node with none, at one multiple of 8
+    _, _, _, certified = _evaluations(m, monkeypatch)
+    assert any(k is not None for k, _ in certified)
+    for k, points in certified:
+        if k is None:
+            assert len(points) == 1 and min(points) % 8 == 0
+        else:
+            assert points == {k}
+
+
 def test_a_wrong_q2_solution_raises_and_leaves_the_node_table_as_it_was(monkeypatch):
     # the elimination at either point of the block solve comes back with
     # delta X off by -10^9 delta in one entry, a negative entry of X and so
     # a cut, or a wrong X: the integer multiply-back must refuse it before
-    # anything is stored.  Solved right, the node (the second of the
-    # dominant datum) is kept
+    # anything is stored, values at the points it evaluated M_S at
+    # included.  Solved right, the node (the second of the dominant datum)
+    # is kept
     bottom, node = frozenset({Eps}), (frozenset({Eps}), frozenset({ChiRPrime}), 3)
     for at_xi in (False, True):
         table = NodeTable(omega(6, method="closed"), 6)
         assert isinstance(table.node(frozenset(), bottom, 6), Node)
-        nodes, residuals = dict(table.nodes), dict(table.residuals)
+        state = _table_state(table)
         with monkeypatch.context() as mp:
             points = _spy_points(mp, lambda delta: -10 ** 9 * delta, at_xi)
             with pytest.raises(AssertionError, match="multiplication-back failed"):
                 table.node(*node)
         assert (points[-1] >= 8) == at_xi
-        assert table.nodes == nodes and table.residuals == residuals
+        assert _table_state(table) == state
     assert isinstance(table.node(*node), Node)
 
 
@@ -797,7 +934,7 @@ def _bottom_node(monkeypatch, column):
     table = NodeTable(PolyMatrix.from_function(labels, labels, entry), 3)
     points = _spy_points(monkeypatch)
     node = table.node(frozenset(), frozenset({Eps}), 0)
-    M = table.residuals[frozenset()][1]
+    M = table.residuals[frozenset()].M
     return node, points, _verdict(M, [2], [0, 1], 0)
 
 
@@ -835,12 +972,15 @@ nonnegative_polys = st.dictionaries(
 
 @st.composite
 def block_equations(draw):
-    """X A = B for a square A of k <= 3 small polynomials and B of up to 3
-    rows: (A, B, X) with B = X A for a drawn X in N[q], or (A, B, None)
-    with B drawn freely."""
+    """X A = B for a symmetric A of k <= 3 small polynomials, as every M_CC
+    is, and B of up to 3 rows: (A, B, X) with B = X A for a drawn X in
+    N[q], or (A, B, None) with B drawn freely."""
     k = draw(st.integers(min_value=1, max_value=3))
     nrhs = draw(st.integers(min_value=1, max_value=3))
-    a = [[draw(small_polys) for _ in range(k)] for _ in range(k)]
+    a = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            a[i][j] = a[j][i] = draw(small_polys)
     if draw(st.booleans()):
         x = [[draw(nonnegative_polys) for _ in range(k)] for _ in range(nrhs)]
         return a, [[poly_dot(zip(row, col)) for col in zip(*a)] for row in x], x
@@ -850,30 +990,42 @@ def block_equations(draw):
 _ONE, _Q = IntPoly.one(), IntPoly.q(1)
 
 
-@given(block_equations())
+def _block_record(a, b):
+    """The residual record of the symmetric matrix with A over C's
+    positions 0, ..., k - 1, B below it and its transpose beside it, and 0
+    over the rows above C: the block solve reads A and B off it."""
+    k, zero = len(a), IntPoly.zero()
+    M = [list(row) + [brow[s] for brow in b] for s, row in enumerate(a)]
+    M += [list(brow) + [zero] * len(b) for brow in b]
+    return _record(M), list(range(k)), list(range(k, k + len(b)))
+
+
+@given(block_equations(), st.integers(min_value=0, max_value=2))
 # A = -I: delta = -1, so delta X(xi) is negative where X(xi) is not
 @example(([[-_ONE, IntPoly.zero()], [IntPoly.zero(), -_ONE]], [[-_Q - _ONE, IntPoly(-2)]],
-          [[_Q + _ONE, IntPoly(2)]]))
+          [[_Q + _ONE, IntPoly(2)]]), 0)
 # A = (q - 2)(q - 4): singular at q = 2 and q = 4, solved at q = 8
-@example(([[IntPoly({2: 1, 1: -6, 0: 8})]], [[IntPoly({3: 1, 2: -6, 1: 8})]], [[_Q]]))
+@example(([[IntPoly({2: 1, 1: -6, 0: 8})]], [[IntPoly({3: 1, 2: -6, 1: 8})]], [[_Q]]), 0)
 # A = q - 256, B = 0: R = 0 puts xi at 2^8, a root of A, so K goes on to 16
-@example(([[IntPoly({1: 1, 0: -256})]], [[IntPoly.zero()]], [[IntPoly.zero()]]))
+@example(([[IntPoly({1: 1, 0: -256})]], [[IntPoly.zero()]], [[IntPoly.zero()]]), 0)
 # X = (q - 2)^2 / 4: R = X(2) = 0, and X(2^8) = 63 * 2^8 + 1 has digits in
 # N, so only the row-sum bound cuts it
-@example(([[IntPoly({1: -4, 0: -4})]], [[IntPoly({3: -1, 2: 3, 0: -4})]], None))
-def test_block_solve_agrees_with_matrix_solve(equation):
-    # on random polynomial blocks, the node table's block solve and the
-    # rational one are singular together; a kept X is matrix_solve's and
-    # lies in N[q], and at a cut matrix_solve's X is not in N[q]
+@example(([[IntPoly({1: -4, 0: -4})]], [[IntPoly({3: -1, 2: 3, 0: -4})]], None), 0)
+def test_block_solve_agrees_with_matrix_solve(equation, a_c):
+    # on random polynomial blocks, the node table's block solve of X A =
+    # q^(a_C) B and the rational one are singular together; a kept X is
+    # matrix_solve's and lies in N[q], and at a cut matrix_solve's X is not
+    # in N[q]
     a, b, x = equation
+    res, cl, above = _block_record(a, b)
     try:
         want = matrix_solve([[RatFunc(v) for v in row] for row in a],
-                            [[RatFunc(v) for v in row] for row in b])
+                            [[RatFunc(v.shift(a_c)) for v in row] for row in b])
     except SingularBlock:
         with pytest.raises(SingularBlock):
-            greensolver._solve_block(a, b)
+            greensolver._solve_block(res, cl, above, a_c)
         return
-    rows = greensolver._solve_block(a, b)
+    _, rows = greensolver._solve_block(res, cl, above, a_c)
     if rows is None:
         assert x is None
         assert any(not v.is_polynomial() or min(v.num.c.values(), default=0) < 0
@@ -882,7 +1034,7 @@ def test_block_solve_agrees_with_matrix_solve(equation):
         assert [[RatFunc(v) for v in row] for row in rows] == want
         assert all(min(v.c.values(), default=0) >= 0 for row in rows for v in row)
         if x is not None:
-            assert rows == x
+            assert rows == [[v.shift(a_c) for v in row] for row in x]
 
 
 @pytest.mark.parametrize("q", (2, 3))

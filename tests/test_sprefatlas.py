@@ -4,7 +4,7 @@ and the fixture atlas of small worked cases.
 import pytest
 
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, b_invariant
-from lsgreen.errors import BadSubgroup
+from lsgreen.errors import BadInput, BadSubgroup
 from lsgreen.sprefatlas import (
     ReflSubgroup, atlas_check, d_sequence_formula_check,
     d_sequence_formula_report, get_fixture, j_induction, load_fixtures,
@@ -137,5 +137,5 @@ def test_get_fixture_by_name():
 
 
 def test_get_fixture_unknown():
-    with pytest.raises((KeyError, FileNotFoundError)):
+    with pytest.raises(BadInput, match="no atlas fixture named 'E8'"):
         get_fixture("E8")

@@ -320,6 +320,32 @@ def test_enumerator_yields_each_assignment_once(family_filter):
                     assert sum(h in cls for h in hs) == 1, label
 
 
+@pytest.mark.parametrize("family_filter", [True, False])
+def test_enumerated_data_are_the_validated_data(family_filter):
+    # the enumerator builds its data unchecked; each is the datum the
+    # validating constructor builds from its fields, of the same types
+    for m in range(3, 13):
+        for springer in all_springer_sets(m):
+            for datum in enumerate_candidate_data(springer, family_filter=family_filter):
+                checked = LSDatum(datum.m, datum.classes, datum.a)
+                assert datum == checked and hash(datum) == hash(checked)
+                assert type(datum.classes) is type(datum.a) is tuple
+                assert all(type(cls) is frozenset for cls in datum.classes)
+
+
+def test_the_m16_search_counts(monkeypatch):
+    # every Springer set of m = 16, family filter on, on a fresh node table
+    table = greensolver.NodeTable(omega(16, method="closed"), 16)
+    monkeypatch.setattr(springer_module, "node_table", lambda m: table)
+    outs = [search(springer) for springer in all_springer_sets(16)]
+    assert (sum(o.tried for o in outs), sum(o.pruned for o in outs),
+            sum(o.rejected_singular for o in outs), sum(len(o.hits) for o in outs),
+            sum(len(o.nonconforming) for o in outs)) == (17007, 16352, 0, 520, 56)
+    outcomes = list(table.nodes.values())
+    assert (len(outcomes), outcomes.count("pruned"),
+            sum(isinstance(node, greensolver.Node) for node in outcomes)) == (899, 723, 176)
+
+
 def test_conditions_pass_on_both_g2_candidates():
     om = omega(6, method="closed")
     for datum in enumerate_candidate_data(G2):
