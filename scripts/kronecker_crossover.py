@@ -12,9 +12,16 @@ by :mod:`struct`, as the library does, against the slot-by-slot
 the Molien sum for one class function, m (2m - 1) reduced products in
 Z[zeta_m] against one packed dot product.
 Operands are seeded random polynomials with signed 16-bit coefficients,
-spread over three exponent slots per term, the shape of the Bareiss
-entries of random rational data at m = 16..24.  The thresholds
-``_KRON_*`` of ``lsgreen.exactalg`` are read off these tables.
+spread over three exponent slots per term, the shape of the Z[q] Bareiss
+entries of random rational data at m = 16..24 when ``greensolver.solve``
+eliminated every block over Q(q).  It now does so only for an omega other
+than the closed one (its residual loop); on the closed omega it solves
+blocks of N~ in integers, and its polynomial work is the gcds that
+reduce X and M_CC: on the solve-rational pool of the benchmark their
+shorter operands have 3 terms in the median and 13 at most, and their
+coefficients stay below 2^4, so most of them stay on the dict loops.
+The thresholds ``_KRON_*`` of ``lsgreen.exactalg`` are read off these
+tables.
 """
 
 from __future__ import annotations

@@ -25,18 +25,34 @@ polynomial that q^m - 1 divides (:func:`_gamma_divides`).
 
 There are two routes.
 
-* :func:`solve`, over Q(q), for any datum: one loop over its classes that
-  keeps P, Lambda and M as dense lists.  Omega must be symmetric, so M is
-  too, and only its upper triangle is updated.  It passes the rows of
-  M_CC and of q^(a_C) M_{chi,C} to :func:`matrix_solve`, whose
-  elimination (:func:`_bareiss`) the node table shares.  It reduces each
-  residual entry once (one :func:`rf_dot` that takes the old entry in
-  with the products), multiplies and divides by powers of q through
-  valuations, and :func:`verify_system` multiplies the whole system back
-  before it is returned.  That check clears the denominators of each row
-  of P and of Lambda, which puts every entry of P Lambda P^t - omega in
-  Z[q], and evaluates them all once at q = 2^K, with K above a bound on
-  their coefficients: an exact certificate with no fraction reduced.
+* :func:`solve`, for any datum, multiplies the whole system back
+  (:func:`verify_system`) before it is returned.  That check clears the
+  denominators of each row of P and of Lambda, which puts every entry of
+  P Lambda P^t - omega in Z[q], and evaluates them all once at q = 2^K,
+  with K above a bound on their coefficients: an exact certificate with no
+  fraction reduced.  Its omega selects how the blocks are found.
+  - The closed pairing matrix of I2(m) has a known inverse: omega N~ = c I
+    with N~ = q^2 I - q A_V + Pi_eps, the McKay matrices of tensoring with
+    the reflection character and with eps, and c = q^m (q^2 - 1)(q^m - 1),
+    the Koszul identity for the invariant degrees 2 and m
+    (:func:`_koszul_matrix`), checked once per m (:func:`_closed_inverse`).
+    The inverse of the Schur complement M_S is the block N~_UU / c of the
+    inverse, U the labels still unsolved, so X = -q^(a_C) N~_aa^-1 N~_aC
+    and M_{U,C} = c (N~_UU^-1)[:, C], a the labels above C: each is one
+    fraction-free integer solve at one point 2^K on a block of N~, whose
+    entries have degree at most 2 and coefficients +-1, read back off the
+    digits (:func:`_solve_closed`, :func:`_koszul_solve`).  No residual is
+    kept and nothing is eliminated over Q(q); each entry of X and Lambda
+    is reduced once.
+  - Any other omega, a singular or perturbed one included, goes through
+    the residual loop over Q(q) (:func:`_solve_residual`): one loop over
+    the classes that keeps P, Lambda and M as dense lists.  Omega must be
+    symmetric, so M is too, and only its upper triangle is updated.  It
+    passes the rows of M_CC and of q^(a_C) M_{chi,C} to
+    :func:`matrix_solve`, whose elimination (:func:`_bareiss`) the node
+    table shares.  It reduces each residual entry once (one :func:`rf_dot`
+    that takes the old entry in with the products), and multiplies and
+    divides by powers of q through valuations.
 * :class:`NodeTable`, over Z[q], is the search's.  After a set S of
   characters is peeled, M is the Schur complement omega / omega_SS, which
   depends on S alone (Crabtree and Haynsworth, Proc. AMS 22, 1969), so a
@@ -82,7 +98,9 @@ from functools import lru_cache
 from itertools import count
 
 from . import fakedegree
-from .dihedral import CharLabel, all_labels, format_label, label_sort_key, parse_label
+from .dihedral import (
+    CharLabel, Chi, ChiR, ChiRPrime, Eps, all_labels, format_label, label_sort_key, parse_label,
+)
 from .errors import SingularBlock
 from .exactalg import (
     RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack, matrix_solve, poly_dot,
@@ -320,16 +338,42 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
     """Solve P Lambda P^t = omega for the given datum, one class at a time
     bottom-up, then multiply the system back.
 
+    The input selects the route.  When omega equals the closed pairing
+    matrix of I2(m), whose inverse N~ / c is known and certified
+    (:func:`_closed_inverse`), every block is read off N~ by small
+    integer solves (:func:`_solve_closed`); any other omega, a singular
+    or perturbed one included, goes through the residual loop over Q(q)
+    (:func:`_solve_residual`).  Raises ValueError unless omega is
+    symmetric, and SingularBlock when some diagonal block M_CC is not
+    invertible (the datum then admits no system).  The returned system
+    has been multiplied back against omega by :func:`verify_system`; on
+    either route that is the check of the whole system."""
+    labels, om = _symmetric_omega(omega, datum.m)
+    closed_om, nt, c = _closed_inverse(datum.m)
+    if om == closed_om:
+        P, L, nonpoly = _solve_closed(labels, om, nt, c, datum)
+    else:
+        P, L, nonpoly = _solve_residual(labels, om, datum)
+    system = GreenSystem(datum, PolyMatrix(labels, labels, P), PolyMatrix(labels, labels, L),
+                         tuple(nonpoly))
+    if not verify_system(system, omega):
+        raise AssertionError("multiplication-back failed: P Lambda P^t != omega")
+    return system
+
+
+def _solve_residual(labels, M, datum):
+    """P, Lambda and the non-polynomial Y triples of the datum over the
+    symmetric omega ``M`` (rows of RatFuncs over ``labels``, each mirror
+    entry the same object), by the residual loop over Q(q).
+
     P, Lambda and the residual M are dense over the canonical label
     positions; rows of M already solved are stale.  M stays symmetric, so
     each residual entry and its mirror are one object, updated once.
-    Raises ValueError unless omega is symmetric, and SingularBlock when
-    some diagonal block M_CC is not invertible (the datum then admits no
-    system).  The returned system has been multiplied back against omega;
-    this is the one check, :func:`matrix_solve` makes none of its own."""
-    labels, M = _symmetric_omega(omega, datum.m)
+    :func:`matrix_solve` makes no check of its own: :func:`solve`
+    multiplies the system back."""
     pos = {l: i for i, l in enumerate(labels)}
     n = len(labels)
+    M = [list(row) for row in M]
     P = [[RF_ZERO] * n for _ in range(n)]
     L = [[RF_ZERO] * n for _ in range(n)]
     unsolved = list(range(n))
@@ -374,12 +418,169 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
                 if prods:
                     j = unsolved[jj]
                     M[i][j] = M[j][i] = rf_dot(prods + [(M[i][j], RF_ONE)])
+    return P, L, nonpoly
 
-    system = GreenSystem(datum, PolyMatrix(labels, labels, P), PolyMatrix(labels, labels, L),
-                         tuple(nonpoly))
-    if not verify_system(system, omega):
-        raise AssertionError("multiplication-back failed: P Lambda P^t != omega")
-    return system
+
+def _koszul_matrix(m: int) -> list[list[IntPoly]]:
+    """N~ = q^2 I - q A_V + Pi_eps over the labels of m, with A_V the
+    McKay matrix of tensoring with the reflection character V = Chi(1)
+    and Pi_eps that of tensoring with eps, both from the Clebsch-Gordan
+    rules: chi_j V = chi_(j-1) + chi_(j+1), where chi_0 stands for 1 + eps,
+    chi_(m/2) for r + r' (m even) and chi_((m+1)/2) for chi_((m-1)/2)
+    (m odd); eps swaps 1 with eps and r with r' and fixes every chi_j,
+    j >= 1.  Omega N~ = c I with c = q^m (q^2 - 1)(q^m - 1) is the Koszul
+    identity sum_i (-q)^i [Lambda^i V] [S(V)] = 1 for the invariant degrees
+    2 and m; :func:`_closed_inverse` checks it."""
+    labels = all_labels(m)
+    pos = {l: i for i, l in enumerate(labels)}
+
+    def chi(j):
+        if j == 0:
+            return (Chi(0), Eps)
+        if 2 * j == m:
+            return (ChiR, ChiRPrime)
+        return (Chi(min(j, m - j)),)
+
+    n = len(labels)
+    mckay = [[0] * n for _ in range(n)]
+    for j in range(1, (m + 1) // 2):
+        for label in chi(j - 1) + chi(j + 1):
+            mckay[pos[Chi(j)]][pos[label]] += 1
+            if label.kind != "chi" or label.index == 0:
+                mckay[pos[label]][pos[Chi(j)]] += 1
+    swap = {Chi(0): Eps, Eps: Chi(0), ChiR: ChiRPrime, ChiRPrime: ChiR}
+    return [[IntPoly({2: int(i == j), 1: -mckay[i][j], 0: int(swap.get(l, l) == labels[j])})
+             for j in range(n)] for i, l in enumerate(labels)]
+
+
+@lru_cache(maxsize=None)
+def _closed_inverse(m: int):
+    """(omega, N~, c) for the closed pairing matrix omega of m: omega as
+    rows of RatFuncs in :func:`_symmetric_omega`'s form, and N~ as a
+    :class:`_Residual` record, for its l1 norms and its values at each
+    point 2^k, with omega N~ = c I checked exactly, once per m
+    (:func:`_koszul_matrix`).  That identity makes N~ = c omega^-1
+    symmetric, as the record needs.  A failed check raises AssertionError,
+    and an m below 3, which has no closed omega, InvalidM."""
+    labels, om = _symmetric_omega(fakedegree.omega(m, method="closed"), m)
+    ntilde = _koszul_matrix(m)
+    c = IntPoly.q(m) * IntPoly({2: 1, 0: -1}) * IntPoly({m: 1, 0: -1})
+    if not _is_scaled_inverse(om, ntilde, c):
+        raise AssertionError(f"omega N~ != c I for m={m}")
+    return om, _Residual(tuple(range(len(labels))), tuple(map(tuple, ntilde))), c
+
+
+def _is_scaled_inverse(om, ntilde, c: IntPoly) -> bool:
+    """Whether omega N~ = c I, entry by entry in Z[q]."""
+    if not all(x.is_polynomial() for row in om for x in row):
+        return False
+    cols = list(zip(*ntilde))
+    zero = IntPoly.zero()
+    return all(poly_dot(zip((x.num for x in row), col)) == (c if i == j else zero)
+               for i, row in enumerate(om) for j, col in enumerate(cols))
+
+
+def _solve_closed(labels, om, nt, c, datum):
+    """P, Lambda and the non-polynomial Y triples of the datum over the
+    closed omega ``om``, read off its scaled inverse N~ = c omega^-1 (the
+    record ``nt``), with no residual kept.
+
+    After a set S of labels is peeled the residual is the Schur complement
+    M_S = omega / omega_SS, and the inverse of a Schur complement is a
+    block of the inverse: M_S^-1 = N~_UU / c, U the labels still unsolved.
+    So, for the class C with the labels ``above`` it, a = U - C:
+
+        X = q^(a_C) M_aC M_CC^-1 = -q^(a_C) N~_aa^-1 N~_aC,
+        M_{U,C} = c (N~_UU^-1)[:, C],   Lambda_C = q^(-2 a_C) M_CC,
+
+    with M_CC = omega_CC at the bottom class.  Each inverse is one
+    :func:`_koszul_solve`, and each entry of X and M_CC one reduction.  An
+    entry z / delta of (N~_UU^-1)[:, C] gives the Y entry
+    M / (q^m - 1) = q^m (q^2 - 1) z / delta, polynomial exactly when delta
+    divides q^m (q^2 - 1) z in Z[q], so the rows above C are tested by
+    one exact division and never reduced.  By Jacobi's complementary
+    minors, det N~_aa = c^|a| det M_CC / det M_S, and M_S is invertible, so
+    N~_aa is singular exactly when M_CC is: the SingularBlock is raised at
+    the class the residual loop raises it at."""
+    pos = {l: i for i, l in enumerate(labels)}
+    n, m = len(labels), datum.m
+    cy = IntPoly.q(m) * IntPoly({2: 1, 0: -1})  # c / (q^m - 1)
+    P = [[RF_ZERO] * n for _ in range(n)]
+    L = [[RF_ZERO] * n for _ in range(n)]
+    unsolved = list(range(n))
+    nonpoly = []
+    for ci, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
+        members = sorted(cls, key=label_sort_key)
+        midx = [pos[l] for l in members]
+        above = [i for i in unsolved if labels[i] not in cls]
+        if ci:
+            delta, z = _koszul_solve(nt, unsolved, midx, unit=True)
+            # z[j][u] = delta (N~_UU^-1)[j, u], symmetric over C x C
+            zc = {(i, j): v for j, zrow in zip(midx, z) for i, v in zip(unsolved, zrow)}
+            nonpoly += [(ci, labels[i], labels[j]) for i in unsolved for j in midx
+                        if not delta.divides(cy * zc[i, j])]
+            mcc = {}
+            for jj, j in enumerate(midx):
+                for i in midx[jj:]:
+                    mcc[i, j] = mcc[j, i] = RatFunc(c * zc[i, j], delta)
+        else:
+            mcc = {(i, j): om[i][j] for i in midx for j in midx}
+
+        qa = RatFunc(IntPoly.q(a_c))
+        for i in midx:
+            for j in midx:
+                L[i][j] = _div_by_q_power(mcc[i, j], 2 * a_c)
+            P[i][i] = qa
+
+        if above:
+            try:
+                delta, z = _koszul_solve(nt, above, midx, unit=False)
+            except SingularBlock:
+                raise SingularBlock("singular block M_CC of the class "
+                                    f"{{{','.join(map(format_label, members))}}}") from None
+            for j, zrow in zip(midx, z):
+                for i, v in zip(above, zrow):
+                    if v.c:
+                        P[i][j] = RatFunc(-v.shift(a_c), delta)
+        unsolved = above
+    return P, L, nonpoly
+
+
+def _koszul_solve(nt, idx, rhs, unit):
+    """delta and the rows of delta Z for Z A = B over Z[q], delta = +-det A,
+    with A = N~ over ``idx`` x ``idx`` (``nt`` the record of N~) and B the
+    rows ``rhs`` of N~ over ``idx``, or with ``unit`` those of the identity,
+    by one integer solve (:func:`_int_solve`) at q = xi = 2^K.
+
+    By Cramer's rule delta and every entry of delta Z is, up to one sign, a
+    maximal minor of [A^t | B^t], whose rows are the columns of A and B.
+    By multilinearity in those rows, a minor's l1 norm is at most the
+    product of the rows' l1 sums, and its degree at most the sum of the
+    rows' largest degrees, 2 |idx| at most, since every entry of N~ has
+    degree 2 or less.  So with K a multiple of 8 and 2^(K-1) above that
+    product, each is the balanced base-xi digits of its value at xi
+    (:func:`_kron_unpack`) in 2 |idx| + 1 slots, and delta(xi) = 0 only when
+    det A = 0.  A singular A raises SingularBlock; the integer multiply-back
+    delta Z(xi) A(xi) = delta(xi) B(xi) runs before anything is read off,
+    and digits that do not fit the slots raise AssertionError."""
+    norms = nt.norms
+    bound = 1
+    for t in idx:
+        bound *= sum(norms[s][t] for s in idx) + (
+            t in rhs if unit else sum(norms[j][t] for j in rhs))
+    k = 8 * (bound.bit_length() // 8 + 1)  # 2^(k-1) > bound
+    v = nt.at(k)
+    bv = ([[int(t == j) for t in idx] for j in rhs] if unit
+          else [[v[j][t] for t in idx] for j in rhs])
+    delta, rows = _int_solve([[v[s][t] for t in idx] for s in idx], bv, k)
+    slots = 2 * len(idx) + 1
+    digits = [_kron_unpack(x, k // 8, slots, 0) for x in [delta, *(x for r in rows for x in r)]]
+    if None in digits:
+        raise AssertionError("multiplication-back failed: a minor does not fit "
+                             f"{slots} digits at q = 2^{k}")
+    polys = iter(map(IntPoly._new, digits))
+    delta = next(polys)
+    return delta, [[next(polys) for _ in r] for r in rows]
 
 
 def _rf_rows(rows) -> tuple[tuple[RatFunc, ...], ...]:
@@ -425,7 +626,9 @@ class _Residual:
     node that makes it reads them at once); and ``vals``, M(2^k) for each
     k asked for so far (:meth:`at`).  Each is computed over the upper
     triangle, its mirror entry shared, once per record and point, and read
-    by the block solve and the certificate of every node over S."""
+    by the block solve and the certificate of every node over S.  The
+    closed omega's symmetric N~ is kept in one too, read by every block
+    solve of :func:`solve` on that omega (:func:`_closed_inverse`)."""
 
     __slots__ = ("unsolved", "M", "norms", "vals")
 
@@ -666,24 +869,32 @@ def _solve_at(res, cl, above, a_c, ks):
     A(2^k) is nonsingular: (k, the rows of X(2^k) as integers) when X(2^k)
     is in N, else (k, None).  SingularBlock when A(2^k) is singular at every
     k.  A(2^k) and B(2^k) = M_{above,C}(2^k) 2^(a_C k) are sliced from
-    ``res.at(k)``.
-
-    Solves X(2^k) A(2^k) = B(2^k) by :func:`_bareiss` and back-substitutes
-    delta X(2^k) by exact integer division, delta the last pivot.  Before
-    either answer, the integer multiply-back delta X(2^k) A(2^k) =
-    delta B(2^k) certifies delta X(2^k); a difference raises
-    AssertionError."""
+    ``res.at(k)`` and solved by :func:`_int_solve`, whose multiply-back
+    certifies delta X(2^k) before either answer."""
     for k in ks:
         v = res.at(k)
-        av = [[v[s][c] for c in cl] for s in cl]
-        bv = [[v[i][c] << (a_c * k) for c in cl] for i in above]
         try:
-            mat = _bareiss(av, bv)
+            delta, rows = _int_solve([[v[s][c] for c in cl] for s in cl],
+                                     [[v[i][c] << (a_c * k) for c in cl] for i in above], k)
             break
         except SingularBlock:
             pass
     else:
         raise SingularBlock(f"singular at q = 2^k for k in {ks}")
+    if any(v % delta or v // delta < 0 for x in rows for v in x):
+        return k, None
+    return k, [[v // delta for v in x] for x in rows]
+
+
+def _int_solve(av, bv, k):
+    """delta and the rows of delta X for X A = B in integers, A the square
+    ``av`` and B the rows ``bv``, both the values at q = 2^k of matrices
+    over Z[q]: :func:`_bareiss`, whose last pivot delta is +-det A, then
+    back-substitution of delta X by exact integer division.  The integer
+    multiply-back delta X A = delta B certifies delta X before it is
+    returned; a difference raises AssertionError.  A singular A raises
+    SingularBlock."""
+    mat = _bareiss(av, bv)
     n = len(av)
     delta = mat[n - 1][n - 1]
     rows = []
@@ -695,11 +906,9 @@ def _solve_at(res, cl, above, a_c, ks):
         rows.append(x)
     if any(sum(v * av[s][t] for s, v in enumerate(x)) != delta * y
            for x, yrow in zip(rows, bv) for t, y in enumerate(yrow)):
-        raise AssertionError("multiplication-back failed: the node's block equation "
+        raise AssertionError("multiplication-back failed: the block equation "
                              f"does not hold at q = 2^{k}")
-    if any(v % delta or v // delta < 0 for x in rows for v in x):
-        return k, None
-    return k, [[v // delta for v in x] for x in rows]
+    return delta, rows
 
 
 def _certify_node(res, cl, above, a_c, rows, lam, nxt, k) -> None:

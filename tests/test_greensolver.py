@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import dense
-from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, label_sort_key
+from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, char_table, label_sort_key
 from lsgreen.errors import SingularBlock
-from lsgreen.exactalg import IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, rf_dot
+from lsgreen.exactalg import (
+    CycloNum, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, rf_dot,
+)
 from lsgreen.fakedegree import fake_degree, omega
 from lsgreen import greensolver, springer as springer_module
 from lsgreen.greensolver import (
@@ -204,8 +206,26 @@ def fresh_node_tables():
 
 
 def test_multiply_back_catches_a_wrong_block(monkeypatch, fresh_node_tables):
-    # matrix_solve makes no check of its own; solve's multiply-back must
-    # catch a wrong block solution
+    # the shared integer solve multiplies delta X back against its own A
+    # and B only, and matrix_solve makes no check at all; solve's
+    # multiply-back must catch a wrong block solution on either route: the
+    # closed omega's, here with delta X off by delta in one entry past that
+    # check, and the residual loop's, on an omega with one entry changed
+    datum = LSDatum(3, ({Eps}, {Chi(1)}, {Chi(0)}), (3, 1, 0))
+    real_int, calls = greensolver._int_solve, []
+
+    def off_by_delta(av, bv, k):
+        delta, rows = real_int(av, bv, k)
+        calls.append(k)
+        rows[0][0] += delta
+        return delta, rows
+
+    with monkeypatch.context() as mp:
+        mp.setattr(greensolver, "_int_solve", off_by_delta)
+        with pytest.raises(AssertionError, match="multiplication-back failed: P Lambda"):
+            solve(omega(3, method="closed"), datum)
+    assert calls
+
     real = greensolver.matrix_solve
 
     def off_by_one(a, b, labels=None):
@@ -213,10 +233,15 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch, fresh_node_tables):
         x[0][0] = x[0][0] + RatFunc(1)
         return x
 
-    monkeypatch.setattr(greensolver, "matrix_solve", off_by_one)
-    datum = LSDatum(3, ({Eps}, {Chi(1)}, {Chi(0)}), (3, 1, 0))
-    with pytest.raises(AssertionError, match="multiplication-back failed"):
-        solve(omega(3, method="closed"), datum)
+    om = omega(3, method="closed")
+    W = [list(row) for row in om.data]
+    W[0][0] += RatFunc(1)
+    changed = PolyMatrix(om.rows, om.cols, W)
+    solve(changed, datum)
+    with monkeypatch.context() as mp:
+        mp.setattr(greensolver, "matrix_solve", off_by_one)
+        with pytest.raises(AssertionError, match="multiplication-back failed: P Lambda"):
+            solve(changed, datum)
 
     # nor does the node table's block solve: a wrong X that is still in
     # N[q] is kept, so the node's certificate must catch it rather than let
@@ -416,6 +441,163 @@ def test_solve_names_the_member_of_a_singular_later_block():
     datum = LSDatum(5, ({Eps}, {Chi(1), Chi(2)}, {Chi(0)}), (5, 1, 0))
     with pytest.raises(SingularBlock, match=r"no pivot in column 1 \(labels 2\)"):
         solve(zeroed, datum)
+
+
+# ---------------------------------------------------------------------------
+# the closed omega's scaled inverse N~, and solve's route through it
+# ---------------------------------------------------------------------------
+
+def _koszul_c(m):
+    """c = q^m (q^2 - 1)(q^m - 1)."""
+    return IntPoly.q(m) * IntPoly({2: 1, 0: -1}) * IntPoly({m: 1, 0: -1})
+
+
+def test_the_closed_omega_times_ntilde_is_c_up_to_m_30():
+    for m in range(3, 31):
+        om, nt, c = greensolver._closed_inverse(m)
+        ntilde = greensolver._koszul_matrix(m)
+        assert c == _koszul_c(m) and [list(row) for row in nt.M] == ntilde
+        assert greensolver._is_scaled_inverse(om, ntilde, c)
+
+
+def test_the_sum_omega_times_ntilde_is_c_up_to_m_12():
+    for m in range(3, 13):
+        _, om = greensolver._symmetric_omega(omega(m, method="sum"), m)
+        assert greensolver._is_scaled_inverse(om, greensolver._koszul_matrix(m), _koszul_c(m))
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_ntilde_holds_the_tensor_multiplicities_of_the_character_table(m):
+    # N~ = q^2 I - q A_V + Pi_eps: its coefficients of q^2, q and 1 are the
+    # identity, -<chi Chi(1), psi> and <chi eps, psi>, each an inner
+    # product of characters of char_table(m)
+    table = char_table(m)
+    v, eps = (next(ch for ch in table if ch.label == l) for l in (Chi(1), Eps))
+
+    def multiplicity(chi, other, psi):
+        total = CycloNum.rational(m, 0)
+        for x, y, z in zip(chi.values, other.values, psi.values):
+            total = total + x * y * z.conj()
+        assert total.is_rational() and total.rational_part() % (2 * m) == 0
+        return total.rational_part() // (2 * m)
+
+    ntilde = greensolver._koszul_matrix(m)
+    for chi, row in zip(table, ntilde):
+        for psi, x in zip(table, row):
+            assert set(x.c) <= {0, 1, 2}
+            assert x.coeff(2) == (chi.label == psi.label)
+            assert -x.coeff(1) == multiplicity(chi, v, psi)
+            assert x.coeff(0) == multiplicity(chi, eps, psi)
+
+
+@pytest.mark.parametrize("m", (3, 4, 5, 6))
+def test_a_changed_ntilde_entry_fails_the_certificate(m):
+    om, _, c = greensolver._closed_inverse(m)
+    ntilde = greensolver._koszul_matrix(m)
+    for i, j in [(i, j) for i in range(len(om)) for j in range(len(om))]:
+        for change in (IntPoly.one(), IntPoly({1: -1}), IntPoly({2: 1})):
+            bad = [list(row) for row in ntilde]
+            bad[i][j] = bad[i][j] + change
+            assert not greensolver._is_scaled_inverse(om, bad, c)
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_the_closed_route_equals_the_node_table_and_the_residual_loop(m, monkeypatch):
+    # every accepted datum of m, both filters: solve on the closed omega,
+    # which reads each block off N~ and never runs the residual loop, the
+    # search's system from its node table, and the residual loop itself
+    # agree entry by entry and in nonpolynomial_y
+    om = omega(m, method="closed")
+    labels, W = greensolver._symmetric_omega(om, m)
+    loop = greensolver._solve_residual
+
+    def refuse(*args):
+        raise AssertionError("the closed omega took the residual loop")
+
+    monkeypatch.setattr(greensolver, "_solve_residual", refuse)
+    seen = 0
+    for family_filter in (True, False):
+        for springer in all_springer_sets(m):
+            out = search(springer, family_filter=family_filter)
+            for hit in out.hits + out.nonconforming:
+                system = solve(om, hit.datum)
+                P, L, nonpoly = loop(labels, W, hit.datum)
+                for got, table, want in ((system.P, hit.system.P, P),
+                                         (system.Lambda, hit.system.Lambda, L)):
+                    rows = [[(x.num, x.den) for x in row] for row in got.data]
+                    assert rows == [[(x.num, x.den) for x in row] for row in table.data]
+                    assert rows == [[(x.num, x.den) for x in row] for row in want]
+                assert system.nonpolynomial_y == hit.system.nonpolynomial_y == tuple(nonpoly)
+                seen += 1
+    assert seen
+
+
+def test_a_corrupted_delta_x_of_the_closed_route_raises(monkeypatch):
+    # delta X changed at 2^K: through the elimination, the shared integer
+    # solve's multiply-back raises before anything is read off; past it, by
+    # a number too long for the slots, the digit read-off raises
+    datum = LSDatum(6, ({Eps}, {ChiRPrime}, {Chi(2)}, {Chi(1), ChiR}, {Chi(0)}),
+                    (6, 3, 2, 1, 0))
+    om = omega(6, method="closed")
+    real, real_int = greensolver._bareiss, greensolver._int_solve
+
+    def bareiss(a, b):
+        mat = real(a, b)
+        mat[len(a) - 1][len(a)] += 1
+        return mat
+
+    def too_long(av, bv, k):
+        delta, rows = real_int(av, bv, k)
+        rows[0][0] += 1 << (k * (2 * len(av) + 1))
+        return delta, rows
+
+    with monkeypatch.context() as mp:
+        mp.setattr(greensolver, "_bareiss", bareiss)
+        with pytest.raises(AssertionError, match=r"the block equation does not hold at q = 2\^"):
+            solve(om, datum)
+    with monkeypatch.context() as mp:
+        mp.setattr(greensolver, "_int_solve", too_long)
+        with pytest.raises(AssertionError, match="a minor does not fit"):
+            solve(om, datum)
+    solve(om, datum)
+
+
+# an integer symmetric W with W N = c I, c = det W = -1, in place of the
+# closed omega of m = 3 (labels 0, 1, eps)
+SYNTHETIC_W = ((1, 1, 1), (1, 1, 0), (1, 0, 1))
+SYNTHETIC_N = ((1, -1, -1), (-1, 0, 1), (-1, 1, 0))
+
+
+@pytest.mark.parametrize("classes, singular", [
+    (({Chi(0), Chi(1)}, {Eps}), "0,1"),    # W_CC singular at the bottom
+    (({Eps}, {Chi(0)}, {Chi(1)}), "0"),    # M_CC = 0 once eps is peeled
+    (({Eps}, {Chi(1)}, {Chi(0)}), None),
+    (({Eps}, {Chi(0), Chi(1)}), None),
+], ids=("bottom", "later", "singletons", "pair"))
+def test_the_closed_route_is_singular_where_the_residual_loop_is(classes, singular, monkeypatch):
+    # by Jacobi's complementary minors N_aa is singular exactly when M_CC
+    # is: on W, both routes raise SingularBlock at the same class, the one
+    # named, and agree on P and Lambda where neither does
+    labels = all_labels(3)
+    W = PolyMatrix(labels, labels, [[RatFunc(x) for x in row] for row in SYNTHETIC_W])
+    _, rows = greensolver._symmetric_omega(W, 3)
+    ntilde = tuple(tuple(map(IntPoly, row)) for row in SYNTHETIC_N)
+    assert greensolver._is_scaled_inverse(rows, ntilde, IntPoly(-1))
+    record = greensolver._Residual((0, 1, 2), ntilde)
+    monkeypatch.setattr(greensolver, "_closed_inverse", lambda m: (rows, record, IntPoly(-1)))
+    loop = greensolver._solve_residual
+    monkeypatch.setattr(greensolver, "_solve_residual", None)
+    datum = LSDatum(3, tuple(map(frozenset, classes)), tuple(range(len(classes) - 1, -1, -1)))
+    if singular:
+        with pytest.raises(SingularBlock):
+            loop(labels, rows, datum)
+        with pytest.raises(SingularBlock, match=f"of the class {{{singular}}}"):
+            solve(W, datum)
+        return
+    P, L, _ = loop(labels, rows, datum)
+    system = solve(W, datum)
+    assert [list(row) for row in system.P.data] == P
+    assert [list(row) for row in system.Lambda.data] == L
 
 
 RATIONAL_CHANGES = (RatFunc(0), RatFunc(1), RatFunc(1, IntPoly({1: 1, 0: 2})))
