@@ -1,27 +1,14 @@
-"""Time the dict loops of the exact kernel against Kronecker substitution.
+"""Time the Kronecker packing of the exact kernel against plainer forms.
 
     PYTHONPATH=src python3 scripts/kronecker_crossover.py
 
-Prints one Markdown table per operation, in microseconds per call (the
-best of three timed batches, each at least 20 ms): products n x n, the
-same 32 x 32 product at falling density, exact quotients by a divisor
-of n terms and of n-term quotients, and gcds of two products with an
-n-term common factor; packing and unpacking at slots of at most 8 bytes
-by :mod:`struct`, as the library does, against the slot-by-slot
-``int.to_bytes`` form it keeps for wider slots; last, the rotation part of
-the Molien sum for one class function, m (2m - 1) reduced products in
-Z[zeta_m] against one packed dot product.
-Operands are seeded random polynomials with signed 16-bit coefficients,
-spread over three exponent slots per term, the shape of the Z[q] Bareiss
-entries of random rational data at m = 16..24 when ``greensolver.solve``
-eliminated every block over Q(q).  It now does so only for an omega other
-than the closed one (its residual loop); on the closed omega it solves
-blocks of N~ in integers, and its polynomial work is the gcds that
-reduce X and M_CC: on the solve-rational pool of the benchmark their
-shorter operands have 3 terms in the median and 13 at most, and their
-coefficients stay below 2^4, so most of them stay on the dict loops.
-The thresholds ``_KRON_*`` of ``lsgreen.exactalg`` are read off these
-tables.
+Prints one Markdown table per comparison, in microseconds per call (the
+best of three timed batches, each at least 20 ms): packing and unpacking
+at slots of at most 8 bytes by :mod:`struct`, as the library does, against
+the slot-by-slot ``int.to_bytes`` form it keeps for wider slots, on seeded
+random polynomials spread over three exponent slots per term; then the
+rotation part of the Molien sum for one class function, m (2m - 1)
+reduced products in Z[zeta_m] against one packed dot product.
 """
 
 from __future__ import annotations
@@ -35,11 +22,10 @@ from lsgreen import fakedegree as fd
 from lsgreen.dihedral import irreps
 
 SPAN = 3      # exponent slots per term of the operands
-BITS = 16     # coefficient size of the operands
 
 
-def poly(rng: random.Random, n: int, span: int = SPAN, bits: int = BITS) -> dict[int, int]:
-    exps = rng.sample(range(span * n), n)
+def poly(rng: random.Random, n: int, bits: int) -> dict[int, int]:
+    exps = rng.sample(range(SPAN * n), n)
     return {e: rng.choice((-1, 1)) * rng.randrange(1, 1 << bits) for e in exps}
 
 
@@ -91,45 +77,6 @@ def row(label: str, old: float, new: float) -> str:
 
 def main() -> None:
     rng = random.Random(2009)
-    head = "| {} | dict loop (µs) | Kronecker (µs) | speed-up |\n|---|---:|---:|---:|"
-
-    print("Products n x n, three slots per term\n")
-    print(head.format("n"))
-    for n in (2, 4, 8, 12, 16, 24, 32, 64, 128):
-        a, b = poly(rng, n), poly(rng, n)
-        print(row(str(n), usec(ea._school_mul, a, b), usec(ea._kron_mul, a, b)))
-
-    print("\nProducts 32 x 32 by slots per term (the density guard)\n")
-    print(head.format("slots per term"))
-    for span in (1, 2, 4, 8, 16, 32):
-        a, b = poly(rng, 32, span), poly(rng, 32, span)
-        print(row(str(span), usec(ea._school_mul, a, b), usec(ea._kron_mul, a, b)))
-
-    print("\nExact quotients a*b / b, b of n terms, a of 64 terms\n")
-    print(head.format("divisor terms n"))
-    for n in (2, 4, 8, 12, 16, 24, 32, 64):
-        a, b = poly(rng, 64), poly(rng, n)
-        p = ea.IntPoly._new(ea._school_mul(*sorted((a, b), key=len)))
-        print(row(str(n), usec(p.divmod, ea.IntPoly._new(b)), usec(ea._kron_quotient, p.c, b)))
-
-    print("\nExact quotients a*b / b, b of 8 terms, a of n terms\n")
-    print(head.format("quotient terms n (slots)"))
-    for n in (2, 4, 8, 12, 16, 24, 32, 64, 128):
-        a, b = poly(rng, n), poly(rng, 8)
-        p = ea.IntPoly._new(ea._school_mul(*sorted((a, b), key=len)))
-        label = f"{n} ({max(p.c) - max(b) + 1})"
-        print(row(label, usec(p.divmod, ea.IntPoly._new(b)), usec(ea._kron_quotient, p.c, b)))
-
-    print("\nGcds of g*u and g*v, g, u and v of n terms; the shorter operand's terms\n")
-    print(head.format("n (terms)"))
-    for n in (2, 3, 4, 6, 8, 12, 16, 32, 64):
-        g, u, v = poly(rng, n, bits=4), poly(rng, n, bits=4), poly(rng, n, bits=4)
-        x = ea._primitive(ea.IntPoly._new(ea._kron_mul(g, u)))
-        y = ea._primitive(ea.IntPoly._new(ea._kron_mul(g, v)))
-        label = f"{n} ({min(len(x.c), len(y.c))})"
-        print(row(label, usec(ea._prs_gcd, x, y), usec(ea._heuristic_gcd, x.c, y.c)))
-
-
     head = "| {} | slot by slot (µs) | struct (µs) | speed-up |\n|---|---:|---:|---:|"
     for what in ("Packing", "Unpacking"):
         print(f"\n{what} n terms into slots of kb bytes\n")

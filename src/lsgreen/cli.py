@@ -302,10 +302,11 @@ SOLVE_M_BOUND = 30  # m bound of solve and maximal
 # The m bounds of irr, omega and spref, each where the command takes a few
 # seconds (wall time, 2-core VM, Python 3.11): irr 60 takes 2.1 s (80:
 # 6.5 s); omega's closed table at 300 takes 1.6 s (400: 4.3 s); spref 1000
-# takes 1.2 s (2000: 4.6 s, 3000: 7.8 s).  omega's Molien sum (--method sum
-# or both) at 30 takes 0.4-0.5 s, 0.7 s at 29 (the slowest m up to 30) and
-# 1.2 s at 40; its bound stays 30, the largest m at which the test-suite
-# checks it against the closed table.  --max-m replaces every one of them.
+# takes 0.9 s (2000: 2.7-3.1 s, 3000: 4.0-4.2 s).  omega's Molien sum
+# (--method sum or both) at 30 takes 0.4-0.5 s, 0.7 s at 29 (the slowest m
+# up to 30) and 1.2 s at 40; its bound stays 30, the largest m at which the
+# test-suite checks it against the closed table.  --max-m replaces every
+# one of them.
 IRR_M_BOUND = 60
 OMEGA_SUM_M_BOUND = 30
 OMEGA_CLOSED_M_BOUND = 300

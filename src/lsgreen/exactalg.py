@@ -3,10 +3,8 @@
 Four layers, all exact (no floating point anywhere):
 
 * :class:`IntPoly` -- sparse univariate polynomials over the integers, the
-  coefficient domain for everything q-graded.  Large dense products, exact
-  quotients and gcds go through Kronecker substitution: one big-integer
-  operation at q = 2^K.  An exact quotient by a monomial c q^e is a shift
-  and a division of each coefficient by c.
+  coefficient domain for everything q-graded.  An exact quotient by a
+  monomial c q^e is a shift and a division of each coefficient by c.
 * :class:`RatFunc` -- reduced fractions of integer polynomials, normalised so
   the denominator has positive leading coefficient.  A sum of products is
   one :func:`rf_dot`: the numerators are added in Z[q] over their unreduced
@@ -19,7 +17,7 @@ Four layers, all exact (no floating point anywhere):
   basis of Z[x]/(Phi_m).  Character sums stay in this ring; the Molien sum
   of :mod:`fakedegree` makes one exact division, by |W| = 2m, at the end.
 * :class:`PolyMatrix` -- matrices of rational functions with *labelled* rows
-  and columns.  Each entry of a product is one :func:`rf_dot`.
+  and columns.
 
 :func:`matrix_solve` takes a square A and a right-hand side B as lists of
 rows and returns the rows of X with X * A = B over Q(q): it clears the
@@ -200,9 +198,16 @@ class IntPoly:
             return _ZERO
         if len(a) > len(b):
             a, b = b, a
-        if len(a) >= _KRON_MUL_MIN and _dense(a) and _dense(b):
-            return IntPoly._new(_kron_mul(a, b))
-        return IntPoly._new(_school_mul(a, b))
+        c: dict[int, int] = {}
+        for ea, va in a.items():
+            for eb, vb in b.items():
+                e = ea + eb
+                w = c.get(e, 0) + va * vb
+                if w:
+                    c[e] = w
+                elif e in c:
+                    del c[e]
+        return IntPoly._new(c)
 
     __rmul__ = __mul__
 
@@ -264,10 +269,8 @@ class IntPoly:
 
         A monomial divisor c q^e shifts every exponent down by e and
         divides every coefficient by c; an exponent below e or a
-        coefficient c does not divide is a remainder.  Above the crossover
-        the quotient is read off one integer division
-        (:func:`_kron_quotient`); when that is inconclusive, long division
-        (:meth:`divmod`) decides."""
+        coefficient c does not divide is a remainder.  Any other divisor
+        goes through long division (:meth:`divmod`)."""
         a, b = self.c, other.c
         if len(b) == 1:
             (eb, cb), = b.items()
@@ -282,11 +285,6 @@ class IntPoly:
                     raise NotDivisible(f"coefficient {v} not divisible by {cb}")
                 quot[e - eb] = f
             return IntPoly._new(quot)
-        if (a and b and len(b) * (max(a) - max(b) + 1) >= _KRON_DIV_WORK
-                and _dense(a) and _dense(b)):
-            c = _kron_quotient(a, b)
-            if c is not None:
-                return IntPoly._new(c)
         q, r = self.divmod(other)
         if not r.is_zero():
             raise NotDivisible(f"({self}) is not divisible by ({other})")
@@ -349,50 +347,16 @@ _ZERO = IntPoly()
 _ONE = IntPoly(1)
 
 
-def _school_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The schoolbook product of two coefficient dicts, ``a`` the shorter."""
-    c: dict[int, int] = {}
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            e = ea + eb
-            w = c.get(e, 0) + va * vb
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-    return c
-
-
 # ---------------------------------------------------------------------------
 # Kronecker substitution
 # ---------------------------------------------------------------------------
 #
 # A polynomial q^lo * sum_i c_i q^i whose coefficients all satisfy
 # |c_i| < 2^(K-1) is its value at xi = 2^K, read back as balanced base-2^K
-# digits.  A product, an exact quotient or a gcd of large dense polynomials
-# is then one CPython big-integer operation between a pack and an unpack
-# (Harvey, J. Symbolic Comput. 2009; the gcd is GCDHEU, Char, Geddes and
-# Gonnet, J. Symbolic Comput. 1989).  K is a multiple of 8, so packing and
-# unpacking are byte copies.  The thresholds below are the crossovers
-# measured by scripts/kronecker_crossover.py (the table is in the README,
-# "The exact kernel"); under them the dict loops are faster.
-
-_KRON_MUL_MIN = 16     # terms of the shorter factor
-_KRON_DIV_WORK = 1024  # terms of the divisor times deg a - deg b + 1
-_KRON_GCD_MIN = 8      # terms of the shorter primitive operand
-_KRON_SPAN = 8         # a packed operand spans fewer slots than this per term
-_KRON_TRIES = 3        # GCDHEU evaluation points before the PRS loop
-
-
-def _dense(c: dict[int, int]) -> bool:
-    """Whether c is dense enough to pack: sparse high-degree polynomials
-    (q^5000 + 1) stay on the dict loops, whose cost is per term."""
-    return max(c) - min(c) < _KRON_SPAN * len(c)
-
-
-def _norm(c: dict[int, int]) -> int:
-    return max(map(abs, c.values()))
-
+# digits.  K is a multiple of 8, so packing and unpacking are byte copies.
+# The packing serves where it is the algorithm itself: the solver reads its
+# integer solves at q = 2^K off the digits (lsgreen.greensolver), and the
+# Molien sum packs its rotation part (lsgreen.fakedegree).
 
 # byte maps for the top byte of a slot: add 2^7 modulo 2^8, and the byte
 # that sign-extends it
@@ -457,45 +421,9 @@ def _kron_unpack(x: int, kb: int, n: int, lo: int) -> dict[int, int] | None:
     return dict(compress(zip(range(lo, lo + n), digits), digits))
 
 
-def _kron_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two nonzero coefficient dicts, by one integer
-    product.  K is rigorous: every coefficient of a*b is at most
-    min(len a, len b) * |a| * |b| in absolute value, below 2^(K-1)."""
-    lo_a, lo_b = min(a), min(b)
-    na, nb = max(a) - lo_a + 1, max(b) - lo_b + 1
-    bound = min(len(a), len(b)) * _norm(a) * _norm(b)
-    kb = (bound.bit_length() + 8) // 8
-    x = _kron_pack(a, lo_a, kb, na) * _kron_pack(b, lo_b, kb, nb)
-    return _kron_unpack(x, kb, na + nb - 1, lo_a + lo_b)
-
-
-def _kron_quotient(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
-    """a / b for nonzero coefficient dicts, by one integer division: the
-    quotient Q, or None when the evaluation proves nothing.  Raises
-    NotDivisible when b(xi) does not divide a(xi), or when a's order or
-    degree is too low, since a = b*Q in Z[q] would give a(xi) = b(xi) Q(xi).
-
-    The slot width is a guess, |a| times the length of b or Q, so Q is
-    accepted only if min(len b, len Q) * |b| * |Q| < 2^(K-1): then b*Q and
-    a both have coefficients below 2^(K-1) and the same value at xi, so
-    they are equal.  There is one attempt and no retry with a larger K:
-    for ((q+2)c) / (2c) the integer division is exact at every even xi."""
-    lo_a, lo_b = min(a), min(b)
-    na, nb = max(a) - lo_a + 1, max(b) - lo_b + 1
-    if lo_a < lo_b or na < nb:
-        raise NotDivisible("the dividend's order or degree is too low")
-    nq = na - nb + 1
-    norm_b = _norm(b)
-    bits = max(_norm(a), norm_b).bit_length() + min(len(b), nq).bit_length() + 2
-    kb = (bits + 7) // 8
-    xq, r = divmod(_kron_pack(a, lo_a, kb, na), _kron_pack(b, lo_b, kb, nb))
-    if r:
-        raise NotDivisible("nonzero remainder at q = 2^K")
-    c = _kron_unpack(xq, kb, nq, lo_a - lo_b)
-    if not c or min(len(b), len(c)) * norm_b * _norm(c) >> (8 * kb - 1):
-        return None
-    return c
-
+# ---------------------------------------------------------------------------
+# gcds
+# ---------------------------------------------------------------------------
 
 def _primitive(p: IntPoly) -> IntPoly:
     ct = p.content()
@@ -539,63 +467,17 @@ def _prs_gcd(x: IntPoly, y: IntPoly) -> IntPoly:
     return x
 
 
-def _heuristic_gcd(x: dict[int, int], y: dict[int, int]) -> IntPoly | None:
-    """gcd of two primitive coefficient dicts, with positive leading
-    coefficient, by GCDHEU; None after _KRON_TRIES evaluation points
-    without a proof.
-
-    The power of q they share is split off first.  At xi = 2^K >=
-    2 min(|x|, |y|) + 2, the primitive part G of the balanced base-xi
-    digits of igcd(x(xi), y(xi)) is the gcd as soon as G divides both
-    (Char, Geddes and Gonnet 1989, Theorem 1); the divisions are checked
-    exactly.  K is also large enough to pack both."""
-    lo_x, lo_y = min(x), min(y)
-    shift = min(lo_x, lo_y)
-    x = {e - lo_x: v for e, v in x.items()}
-    y = {e - lo_y: v for e, v in y.items()}
-    nx, ny = max(x) + 1, max(y) + 1
-    norm_x, norm_y = _norm(x), _norm(y)
-    bits = max((2 * min(norm_x, norm_y) + 2).bit_length(), max(norm_x, norm_y).bit_length() + 1)
-    for _ in range(_KRON_TRIES):
-        kb = (bits + 7) // 8
-        g = int_gcd(_kron_pack(x, 0, kb, nx), _kron_pack(y, 0, kb, ny))
-        c = _kron_unpack(g, kb, g.bit_length() // (8 * kb) + 2, 0)
-        ct = 0
-        for v in c.values():
-            ct = int_gcd(ct, v)
-        if c[max(c)] < 0:
-            ct = -ct
-        c = {e: v // ct for e, v in c.items()}
-        try:
-            if c == {0: 1} or (_kron_quotient(x, c) is not None
-                               and _kron_quotient(y, c) is not None):
-                return IntPoly._new({e + shift: v for e, v in c.items()})
-        except NotDivisible:
-            pass
-        bits = 16 * kb
-    return None
-
-
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Gcd in Z[q], normalised primitive with positive leading coefficient.
-
-    Contents are pulled out up front.  Above the crossover the primitive
-    parts go to GCDHEU (:func:`_heuristic_gcd`); below it, or when that
-    proves nothing, to primitive-PRS Euclid (:func:`_prs_gcd`).
+    """Gcd in Z[q], with positive leading coefficient: the gcd of the
+    contents times the gcd of the primitive parts, which primitive-PRS
+    Euclid (:func:`_prs_gcd`) finds.
     """
     if a.is_zero():
         g = b
     elif b.is_zero():
         g = a
     else:
-        ca, cb = a.content(), b.content()
-        x, y = _primitive(a), _primitive(b)
-        g = None
-        if min(len(x.c), len(y.c)) >= _KRON_GCD_MIN and _dense(x.c) and _dense(y.c):
-            g = _heuristic_gcd(x.c, y.c)
-        if g is None:
-            g = _prs_gcd(x, y)
-        g = g * int_gcd(ca, cb)
+        g = _prs_gcd(_primitive(a), _primitive(b)) * int_gcd(a.content(), b.content())
     if g.leading_coeff() < 0:
         g = -g
     return g

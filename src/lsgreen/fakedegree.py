@@ -171,9 +171,9 @@ def _rotation_sum(m: int, rot: Sequence[CycloNum]) -> list[CycloNum]:
     q-coefficients, by one dot product of packed integers.
 
     A coefficient of the sum before reduction mod Phi_m adds at most
-    m * phi products of a coordinate of f and one of a cofactor, so slots
-    of 8 kb bits with 2^(8 kb - 1) above that bound hold it exactly, as in
-    :func:`exactalg._kron_mul`."""
+    m * phi products of a coordinate of f and one of a cofactor, so it is
+    at most m * phi * |f| * |cofactor| in absolute value (max norms), and
+    slots of 8 kb bits with 2^(8 kb - 1) above that bound hold it exactly."""
     phi = euler_phi(m)
     width = 2 * phi - 1
     norm_f = max(abs(x) for v in rot for x in v.co)

@@ -5,7 +5,6 @@ Oracle for ring arithmetic: evaluation at several integer points compared
 against plain Fraction arithmetic.  Oracle for cyclotomic products: the
 IntPoly product of the coordinate polynomials reduced mod Phi_m.
 """
-import math
 import random
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from lsgreen import exactalg
 from lsgreen.errors import DivisionByZero, NotDivisible, SingularBlock, ZeroDenominator
 from lsgreen.exactalg import (
     CycloNum, IntPoly, PolyMatrix, RatFunc, cyclotomic_polynomial, euler_phi, matrix_solve,
-    poly_gcd, rf_dot,
+    poly_dot, poly_gcd, rf_dot,
 )
 
 EVAL_POINTS = (2, 3, -1, Fraction(1, 2))
@@ -399,17 +398,17 @@ def test_bareiss_on_integers_is_bareiss_on_constant_polynomials(k, nrhs, data):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker substitution: large products, exact quotients and gcds
+# large products, exact quotients and gcds
 # ---------------------------------------------------------------------------
 
 @st.composite
 def large_polys(draw, min_terms=16, max_terms=200, bit_sizes=(1, 4, 16, 40, 80),
                 orders=st.integers(min_value=0, max_value=30) | st.just(1000)):
-    """Polynomials above the Kronecker crossovers: 16-200 terms spread over
-    one to three exponent slots per term, signed coefficients of 1 to 80
-    bits, shifted by a power of q (by default up to q^30, or q^1000, an
-    order above the span).  The terms come from a drawn seed, which
-    keeps the draw fast at this size."""
+    """Large polynomials: 16-200 terms spread over one to three exponent
+    slots per term, signed coefficients of 1 to 80 bits, shifted by a
+    power of q (by default up to q^30, or q^1000, an order above the
+    span).  The terms come from a drawn seed, which keeps the draw fast at
+    this size."""
     n = draw(st.integers(min_value=min_terms, max_value=max_terms))
     bits = draw(st.sampled_from(bit_sizes))
     slots = draw(st.integers(min_value=1, max_value=3))
@@ -421,24 +420,14 @@ def large_polys(draw, min_terms=16, max_terms=200, bit_sizes=(1, 4, 16, 40, 80),
 
 
 def school_product(a, b):
-    x, y = sorted((a.c, b.c), key=len)
-    return IntPoly(exactalg._school_mul(x, y))
-
-
-@settings(max_examples=40, deadline=None)
-@given(large_polys(), large_polys())
-def test_kronecker_product_equals_the_schoolbook_product(a, b):
-    want = school_product(a, b)
-    assert IntPoly(exactalg._kron_mul(a.c, b.c)) == want
-    assert a * b == want and b * a == want
+    """a * b by :func:`poly_dot`'s own loop, not by ``IntPoly.__mul__``."""
+    return poly_dot([(a, b)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(large_polys(), large_polys(min_terms=8, max_terms=60))
-def test_kronecker_quotient_of_a_multiple_is_the_factor(a, b):
+def test_quotient_of_a_multiple_is_the_factor(a, b):
     p = school_product(a, b)
-    got = exactalg._kron_quotient(p.c, b.c)
-    assert got is None or got == a.c
     assert p // b == a
     assert b.divides(p)
 
@@ -446,36 +435,23 @@ def test_kronecker_quotient_of_a_multiple_is_the_factor(a, b):
 @settings(max_examples=40, deadline=None)
 @given(large_polys(), large_polys(min_terms=8, max_terms=60),
        st.integers(min_value=1, max_value=2**80))
-def test_kronecker_quotient_refuses_a_remainder(a, b, r):
+def test_quotient_refuses_a_remainder(a, b, r):
     # a constant remainder r, shifted to b's order so that only the
     # remainder stops the division
     p = school_product(a, b) + IntPoly.q(b.order(), r)
-    try:
-        assert exactalg._kron_quotient(p.c, b.c) is None
-    except NotDivisible:
-        pass
     with pytest.raises(NotDivisible):
         p // b
     assert not b.divides(p)
 
 
-def test_kronecker_quotient_of_a_fractional_multiple_is_not_accepted():
-    # ((q+2) c) / (2c) = q/2 + 1: the integer quotient is exact at every
-    # even xi, so only the coefficient bound refuses it, once
+def test_quotient_of_a_fractional_multiple_is_not_accepted():
+    # ((q+2) c) / (2c) = q/2 + 1 is not in Z[q]
     rng = random.Random(1)
     c = IntPoly({e: rng.randrange(-99, 100) or 1 for e in range(40)})
     num, den = IntPoly({1: 1, 0: 2}) * c, c * 2
-    assert exactalg._kron_quotient(num.c, den.c) is None
     with pytest.raises(NotDivisible):
         num // den
     assert not den.divides(num)
-
-
-def test_kronecker_quotient_takes_the_fast_path_on_typical_operands():
-    rng = random.Random(2)
-    a = IntPoly({e: rng.randrange(-2**16, 2**16) or 1 for e in range(0, 192, 3)})
-    b = IntPoly({e: rng.randrange(-2**16, 2**16) or 1 for e in range(5, 53, 3)})
-    assert exactalg._kron_quotient((a * b).c, b.c) == a.c
 
 
 @settings(max_examples=100)
@@ -507,9 +483,7 @@ def test_monomial_division_agrees_with_divmod(p, c, e, shape):
 
 
 def test_division_by_the_zero_polynomial_raises_division_by_zero():
-    # a dividend above the quotient crossover too: the crossover test
-    # must not look at the empty divisor first; a monomial and the zero
-    # dividend too
+    # a large dividend, a monomial and the zero dividend too
     large = IntPoly({e: e + 1 for e in range(200)})
     for p in (IntPoly({1: 1, 0: 2}), large, IntPoly.q(3, -2), IntPoly.zero()):
         with pytest.raises(DivisionByZero):
@@ -517,34 +491,9 @@ def test_division_by_the_zero_polynomial_raises_division_by_zero():
         assert not IntPoly.zero().divides(p)
 
 
-# the PRS oracle is slow on large operands and on far-apart orders, so
-# these stay near the crossover
-gcd_factors = large_polys(min_terms=4, max_terms=24, bit_sizes=(1, 4, 16),
-                          orders=st.integers(min_value=0, max_value=30))
-
-
-@settings(max_examples=25, deadline=None)
-@given(gcd_factors, gcd_factors, gcd_factors, st.integers(min_value=1, max_value=6))
-def test_heuristic_gcd_equals_the_prs_gcd(u, v, g, c):
-    a, b = school_product(g, u) * c, school_product(g, v)
-    x, y = exactalg._primitive(a), exactalg._primitive(b)
-    want = exactalg._prs_gcd(x, y)
-    if want.leading_coeff() < 0:
-        want = -want
-    got = exactalg._heuristic_gcd(x.c, y.c)
-    assert got is None or got == want
-    assert poly_gcd(a, b) == want * math.gcd(a.content(), b.content())
-
-
-def test_sparse_high_degree_polynomials_stay_on_the_dict_loops(monkeypatch):
+def test_sparse_high_degree_polynomials_stay_on_the_dict_loops():
     sparse = IntPoly({5000: 1, 0: 1})
     spread = IntPoly({500 * i: i + 1 for i in range(20)})
-    assert not exactalg._dense(spread.c) and not exactalg._dense((sparse * spread).c)
-
-    def refuse(*args):
-        raise AssertionError("packed a sparse polynomial")
-    for name in ("_kron_mul", "_kron_quotient", "_heuristic_gcd"):
-        monkeypatch.setattr(exactalg, name, refuse)
     p = spread * spread
     assert p == school_product(spread, spread)
     assert (p * sparse) // spread == spread * sparse

@@ -1,5 +1,5 @@
 """sympy's Poly over ZZ as an independent oracle for the large-operand
-kernel: products, exact quotients and gcds above the Kronecker crossovers.
+kernel: products, exact quotients and gcds of large dense operands.
 
 Test-only and optional: the module is skipped where sympy is not
 installed, and lsgreen never imports it.
