@@ -303,8 +303,8 @@ SOLVE_M_BOUND = 30  # m bound of solve and maximal
 # seconds (wall time, 2-core VM, Python 3.11): irr 60 takes 2.1 s (80:
 # 6.5 s); omega's closed table at 300 takes 1.6 s (400: 4.3 s); spref 1000
 # takes 0.9 s (2000: 2.7-3.1 s, 3000: 4.0-4.2 s).  omega's Molien sum
-# (--method sum or both) at 30 takes 0.4-0.5 s, 0.7 s at 29 (the slowest m
-# up to 30) and 1.2 s at 40; its bound stays 30, the largest m at which the
+# (--method sum or both) at 30 takes 0.3 s, 0.5 s at 29 (the slowest m up
+# to 30) and 0.7 s at 40; its bound stays 30, the largest m at which the
 # test-suite checks it against the closed table.  --max-m replaces every
 # one of them.
 IRR_M_BOUND = 60

@@ -7,13 +7,19 @@ coinvariant algebra,
 
 with P the Poincare polynomial of the invariant ring and the sum over all
 2m group elements, det taken in the two-dimensional reflection
-representation.  :func:`fake_degree_sum` evaluates this in Z[zeta_m][q]:
-character values are cyclotomic integers and both divisors are monic, so
-every step has integer coordinates, and the only division that can leave
-Z[zeta_m] is one exact division by |W| = 2m at the end.  The result is
-certified to be an integer polynomial.  The m rotation terms are one dot
-product of Kronecker-packed integers (:func:`_rotation_sum`), reduced mod
-Phi_m once per power of q.
+representation.  As (q-1)^2 P = (q^2-1)(q^m-1) and det(q - s) = q^2 - 1
+for a reflection s,
+
+    R(f) = ( sum_k f(rho^k) C_k - (q^m-1) sum_s f(s) ) / 2m,
+    C_k = (q^2-1)(q^m-1) / det(q - rho^k) = C_(m-k),
+
+each C_k a polynomial of degree m with integer coordinates, certified
+once per m (:func:`_rotation_cofactors`).  :func:`fake_degree_sum`
+evaluates this in Z[zeta_m][q] for any function f on the group elements;
+its only division is the one by 2m, certified to leave an integer
+polynomial.  The rotation terms are one dot product of floor(m/2) + 1
+Kronecker-packed integers (:func:`_rotation_sum`), reduced mod Phi_m once
+per power of q.
 
 The omega matrix omega(chi, chi') = q^m * R(chi . chi' . eps) is computed by
 two genuinely independent routes -- the character sum above and a closed
@@ -23,6 +29,7 @@ each other.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -103,20 +110,19 @@ def _cpoly_divexact(m: int, num: list[CycloNum], den: list[CycloNum]) -> list[Cy
 
 @lru_cache(maxsize=None)
 def _rotation_cofactors(m: int) -> tuple[tuple[CycloNum, ...], ...]:
-    """For each rotation rho^k, the polynomial (q^m-1)^2 / det(q - rho^k),
-    where det(q - rho^k) = (q - zeta^k)(q - zeta^-k) = q^2 - (zeta^k +
-    zeta^-k) q + 1.  Includes k = 0, whose divisor is (q-1)^2."""
+    """For k = 0 .. floor(m/2), the m + 1 q-coefficients of the cofactor
+    C_k = (q^2-1)(q^m-1) / det(q - rho^k), det(q - rho^k) = q^2 - (zeta^k
+    + zeta^-k) q + 1, by one exact division each, which certifies that C_k
+    is a polynomial with integer coordinates (:func:`_cpoly_divexact`)."""
     one = CycloNum.rational(m, 1)
-    # (q^m - 1)^2 = q^2m - 2 q^m + 1
-    sq = [_czero(m)] * (2 * m + 1)
-    sq[2 * m] = one
-    sq[m] = CycloNum.rational(m, -2)
-    sq[0] = one
+    # (q^2 - 1)(q^m - 1) = q^(m+2) - q^m - q^2 + 1, with m >= 3
+    num = [_czero(m)] * (m + 3)
+    num[m + 2] = num[0] = one
+    num[m] = num[2] = -one
     out = []
-    for k in range(m):
+    for k in range(m // 2 + 1):
         tr = CycloNum.root_power(m, k) + CycloNum.root_power(m, -k)
-        den = [one, -tr, one]  # q^2 - tr*q + 1
-        out.append(tuple(_cpoly_divexact(m, sq, den)))
+        out.append(tuple(_cpoly_divexact(m, num, [one, -tr, one])))
     return tuple(out)
 
 
@@ -156,7 +162,7 @@ def _packed_cofactors(m: int, kb: int) -> tuple[int, tuple[int, ...]]:
     got = _PACKED_COFACTORS.get(m)
     if got is None or got[0] < kb:
         width = 2 * euler_phi(m) - 1
-        n = (2 * m - 1) * width
+        n = (m + 1) * width
         packs = tuple(
             _kron_pack({e * width + i: x for e, c in enumerate(tk) for i, x in enumerate(c.co)},
                        0, kb, n)
@@ -167,23 +173,26 @@ def _packed_cofactors(m: int, kb: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _rotation_sum(m: int, rot: Sequence[CycloNum]) -> list[CycloNum]:
-    """N = sum_k f(rho^k) (q^m-1)^2 / det(q - rho^k), as its 2m-1
-    q-coefficients, by one dot product of packed integers.
-
-    A coefficient of the sum before reduction mod Phi_m adds at most
-    m * phi products of a coordinate of f and one of a cofactor, so it is
-    at most m * phi * |f| * |cofactor| in absolute value (max norms), and
+    """sum_k f(rho^k) C_k over the m rotations, as its m + 1
+    q-coefficients: as C_(m-k) = C_k, one dot product of packed integers
+    f'_k C_k over k = 0 .. floor(m/2), where f'_k = f(rho^k) + f(rho^(m-k))
+    but f'_k = f(rho^k) at k = 0 and m/2.  A coefficient of it before
+    reduction mod Phi_m adds at most (floor(m/2) + 1) phi products of a
+    coordinate of f' and one of a cofactor, so it is at most
+    (floor(m/2) + 1) * phi * |f'| * |C| in absolute value (max norms), and
     slots of 8 kb bits with 2^(8 kb - 1) above that bound hold it exactly."""
     phi = euler_phi(m)
     width = 2 * phi - 1
-    norm_f = max(abs(x) for v in rot for x in v.co)
+    paired = [rot[k].co if k in (0, m - k) else tuple(map(operator.add, rot[k].co, rot[-k].co))
+              for k in range(m // 2 + 1)]
+    norm_f = max(abs(x) for co in paired for x in co)
     if not norm_f:
-        return [_czero(m)] * (2 * m - 1)
-    bound = m * phi * norm_f * _cofactor_norm(m)
+        return [_czero(m)] * (m + 1)
+    bound = len(paired) * phi * norm_f * _cofactor_norm(m)
     kb, packs = _packed_cofactors(m, (bound.bit_length() + 8) // 8)
-    total = sum(_kron_pack(dict(enumerate(v.co)), 0, kb, phi) * pk
-                for v, pk in zip(rot, packs) if any(v.co))
-    n = (2 * m - 1) * width
+    total = sum(_kron_pack(dict(enumerate(co)), 0, kb, phi) * pk
+                for co, pk in zip(paired, packs) if any(co))
+    n = (m + 1) * width
     flat = [0] * n
     digits = _kron_unpack(total, kb, n, 0)
     deque(map(flat.__setitem__, digits, digits.values()), 0)
@@ -191,8 +200,9 @@ def _rotation_sum(m: int, rot: Sequence[CycloNum]) -> list[CycloNum]:
 
 
 def fake_degree_sum(m: int, f) -> IntPoly:
-    """Graded multiplicity R(f) of a class function f, by direct evaluation
-    of the Molien-type sum over all group elements.
+    """Graded multiplicity R(f) of a function f on the group elements, by
+    direct evaluation of the Molien-type sum over all of them (the module
+    docstring has the formula).
 
     ``f`` may be an IrrChar, a CharLabel, or a sequence of 2m cyclotomic
     values in the order of :func:`dihedral.elements`.  The result is
@@ -202,30 +212,15 @@ def fake_degree_sum(m: int, f) -> IntPoly:
     """
     dihedral._check_m(m)
     vals = _values_of(m, f)
+    num = _rotation_sum(m, vals[:m])
 
-    # rotation part: N = sum_k f(rho^k) * (q^m-1)^2 / det(q - rho^k)
-    nrot = _rotation_sum(m, vals[:m])
-
-    # reflection part: every reflection contributes det = -1 over q^2 - 1
-    srefl = _czero(m)
-    for k in range(m):
-        srefl = srefl + vals[m + k]
-
-    # R = [ (q^2-1) N - (q^m-1)^2 S ] / (2m (q^m-1))
-    u = [_czero(m)] * 2 + nrot  # q^2 N, of degree 2m
-    for e, c in enumerate(nrot):
-        u[e] = u[e] - c
-    if not srefl.is_zero():
-        # subtract (q^m - 1)^2 * S = (q^2m - 2 q^m + 1) * S
-        u[0] = u[0] - srefl
-        u[m] = u[m] + 2 * srefl
-        u[2 * m] = u[2 * m] - srefl
-    one = CycloNum.rational(m, 1)
-    qm1 = [-one] + [_czero(m)] * (m - 1) + [one]  # q^m - 1
-    quot = _cpoly_divexact(m, u, qm1)
+    # reflection part: every reflection contributes -f(s) (q^m - 1)
+    srefl = sum(vals[m:], _czero(m))
+    num[0] = num[0] + srefl
+    num[m] = num[m] - srefl
 
     coeffs: dict[int, int] = {}
-    for e, c in enumerate(quot):
+    for e, c in enumerate(num):
         if c.is_zero():
             continue
         r = Fraction(c.rational_part(), 2 * m)  # NotRational propagates
@@ -351,8 +346,9 @@ def _omega_entry_closed(m: int, a: CharLabel, b: CharLabel) -> IntPoly:
     raise AssertionError(f"unhandled label pair {a!r}, {b!r}")
 
 
+@lru_cache(maxsize=None)
 def omega_closed(m: int) -> PolyMatrix:
-    """The omega matrix from its closed entry table (no character sums)."""
+    """The omega matrix from its closed entry table, built once per m."""
     dihedral._check_m(m, minimum=3)
     labels = all_labels(m)
     return PolyMatrix.from_function(

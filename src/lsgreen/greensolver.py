@@ -455,14 +455,14 @@ def _koszul_matrix(m: int) -> list[list[IntPoly]]:
 
 @lru_cache(maxsize=None)
 def _closed_inverse(m: int):
-    """(omega, N~, c) for the closed pairing matrix omega of m: omega as
-    rows of RatFuncs in :func:`_symmetric_omega`'s form, and N~ as a
-    :class:`_Residual` record, for its l1 norms and its values at each
-    point 2^k, with omega N~ = c I checked exactly, once per m
-    (:func:`_koszul_matrix`).  That identity makes N~ = c omega^-1
-    symmetric, as the record needs.  A failed check raises AssertionError,
-    and an m below 3, which has no closed omega, InvalidM."""
-    labels, om = _symmetric_omega(fakedegree.omega(m, method="closed"), m)
+    """(omega, N~, c) for the closed pairing matrix omega of m, from
+    :func:`fakedegree.omega_closed`: omega as rows of RatFuncs in
+    :func:`_symmetric_omega`'s form, and N~ as a :class:`_Residual` record,
+    for its l1 norms and its values at each point 2^k, with omega N~ = c I
+    checked exactly, once per m (:func:`_koszul_matrix`).  That identity
+    makes N~ = c omega^-1 symmetric, as the record needs.  A failed check
+    raises AssertionError, and an m below 3 (no closed omega) InvalidM."""
+    labels, om = _symmetric_omega(fakedegree.omega_closed(m), m)
     ntilde = _koszul_matrix(m)
     c = IntPoly.q(m) * IntPoly({2: 1, 0: -1}) * IntPoly({m: 1, 0: -1})
     if not _is_scaled_inverse(om, ntilde, c):

@@ -5,6 +5,7 @@ compared with the character-sum implementation, and the Molien sum taken
 element by element in Z[zeta_m][q], against which the packed rotation sum
 is checked.
 """
+import functools
 from fractions import Fraction
 
 import pytest
@@ -87,11 +88,26 @@ def at_identity(m, value):
     return (value,) + (zero,) * (2 * m - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def reference_cofactors(m):
+    """For each of the m rotations rho^k, the 2m - 1 q-coefficients of
+    (q^m - 1)^2 / det(q - rho^k), det(q - rho^k) = q^2 - (zeta^k +
+    zeta^-k) q + 1."""
+    one = CycloNum.rational(m, 1)
+    sq = [_czero(m)] * (2 * m + 1)  # (q^m - 1)^2
+    sq[2 * m] = sq[0] = one
+    sq[m] = CycloNum.rational(m, -2)
+    return tuple(
+        _cpoly_divexact(m, sq, [one, -(CycloNum.root_power(m, k) + CycloNum.root_power(m, -k)), one])
+        for k in range(m))
+
+
 def reference_fake_degree_sum(m, vals):
-    """R(f) with the rotation sum taken element by element: m (2m - 1)
-    reduced products in Z[zeta_m].  The steps after the rotation sum copy
-    fake_degree_sum's."""
-    cof = _rotation_cofactors(m)
+    """R(f) = [(q^2 - 1) N - (q^m - 1)^2 S] / (2m (q^m - 1)), with N =
+    sum_k f(rho^k) (q^m - 1)^2 / det(q - rho^k) taken element by element,
+    m (2m - 1) reduced products in Z[zeta_m], S the sum of f over the
+    reflections, and the division by q^m - 1 a long division."""
+    cof = reference_cofactors(m)
     nrot = [_czero(m)] * (2 * m - 1)
     for k in range(m):
         fv = vals[k]
@@ -163,6 +179,45 @@ def class_functions(draw):
 def test_packed_rotation_sum_equals_the_elementwise_sum(case):
     m, vals = case
     assert outcome(fake_degree_sum, m, vals) == outcome(reference_fake_degree_sum, m, vals)
+
+
+def cpoly_mul(m, a, b):
+    out = [_czero(m)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_each_cofactor_times_its_divisor_is_the_numerator(m):
+    # C_k det(q - rho^k) = (q^2 - 1)(q^m - 1) = q^(m+2) - q^m - q^2 + 1
+    one = CycloNum.rational(m, 1)
+    want = [_czero(m)] * (m + 3)
+    want[m + 2] = want[0] = one
+    want[m] = want[2] = -one
+    cof = _rotation_cofactors(m)
+    assert len(cof) == m // 2 + 1
+    for k, ck in enumerate(cof):
+        assert len(ck) == m + 1 and not ck[m].is_zero(), k
+        det = [one, -(CycloNum.root_power(m, k) + CycloNum.root_power(m, -k)), one]
+        assert cpoly_mul(m, ck, det) == want, k
+
+
+@pytest.mark.parametrize("m", (3, 4, 7, 10, 12))
+def test_a_function_that_is_not_a_class_function_equals_the_elementwise_sum(m):
+    # f(rho^k) != f(rho^-k): the packed sum pairs rho^k with rho^(m-k), so
+    # it must not need f to be a class function.  f(rho^k) = 2mk has the
+    # same f(rho^k) + f(rho^-k) = 2m^2 for every k != 0, so R(f) is an
+    # integer polynomial; f(rho^k) = 2m zeta^k is not.
+    scaled = tuple(CycloNum.rational(m, 2 * m * k) for k in range(m)) \
+        + tuple(CycloNum.rational(m, 2 * m * (k * k + 1)) for k in range(m))
+    irrational = tuple(CycloNum.root_power(m, k) * (2 * m) for k in range(m)) + scaled[m:]
+    assert scaled[1] != scaled[m - 1] and irrational[1] != irrational[m - 1]
+    got = fake_degree_sum(m, scaled)
+    assert got == reference_fake_degree_sum(m, scaled) != IntPoly.zero()
+    assert outcome(fake_degree_sum, m, irrational) == outcome(reference_fake_degree_sum, m,
+                                                               irrational)
 
 
 @pytest.mark.parametrize("m", (3, 8, 12))

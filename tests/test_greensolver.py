@@ -21,7 +21,7 @@ from lsgreen.exactalg import (
     CycloNum, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, rf_dot,
 )
 from lsgreen.fakedegree import fake_degree, omega
-from lsgreen import greensolver, springer as springer_module
+from lsgreen import fakedegree, greensolver, springer as springer_module
 from lsgreen.greensolver import (
     LSDatum, Node, NodeTable, closure_order, datum_from_jsonable, datum_to_jsonable, solve,
     verify_system,
@@ -598,6 +598,20 @@ def test_the_closed_route_is_singular_where_the_residual_loop_is(classes, singul
     system = solve(W, datum)
     assert [list(row) for row in system.P.data] == P
     assert [list(row) for row in system.Lambda.data] == L
+
+
+def test_a_singular_omega_is_singular_on_a_cold_closed_inverse(monkeypatch):
+    # the closed inverse is certified against the closed table itself, so
+    # an omega() that returns something else, here the zero matrix, takes
+    # the residual loop and meets a singular block, cached inverse or not
+    m = 5
+    labels = all_labels(m)
+    zero = PolyMatrix(labels, labels, [[RatFunc(0)] * len(labels) for _ in labels])
+    monkeypatch.setattr(fakedegree, "omega", functools.lru_cache(lambda m, method: zero))
+    greensolver._closed_inverse.cache_clear()
+    datum = LSDatum(m, (frozenset({Eps}), frozenset(labels) - {Eps}), (1, 0))
+    with pytest.raises(SingularBlock):
+        solve(fakedegree.omega(m, method="closed"), datum)
 
 
 RATIONAL_CHANGES = (RatFunc(0), RatFunc(1), RatFunc(1, IntPoly({1: 1, 0: 2})))
