@@ -7,8 +7,9 @@ best of three timed batches, each at least 20 ms): packing and unpacking
 at slots of at most 8 bytes by :mod:`struct`, as the library does, against
 the slot-by-slot ``int.to_bytes`` form it keeps for wider slots, on seeded
 random polynomials spread over three exponent slots per term; then the
-rotation part of the Molien sum for one class function, m (2m - 1)
-reduced products in Z[zeta_m] against one packed dot product.
+rotation part of the Molien sum for one class function, m (m + 1)
+reduced products in Z[zeta_m] against one packed dot product of
+floor(m/2) + 1 terms.
 """
 
 from __future__ import annotations
@@ -48,11 +49,13 @@ def unpack_by_slot(x: int, kb: int, n: int, lo: int) -> dict[int, int]:
 
 
 def rotation_sum_by_element(m: int, rot) -> list[ea.CycloNum]:
-    """``fakedegree._rotation_sum`` as m (2m - 1) products in Z[zeta_m]."""
-    nrot = [fd._czero(m)] * (2 * m - 1)
-    for fv, tk in zip(rot, fd._rotation_cofactors(m)):
+    """``fakedegree._rotation_sum`` as m (m + 1) products in Z[zeta_m]:
+    f(rho^k) times each coefficient of C_k = C_(m-k), unpaired."""
+    cof = fd._rotation_cofactors(m)
+    nrot = [fd._czero(m)] * (m + 1)
+    for k, fv in enumerate(rot):
         if not fv.is_zero():
-            for e, c in enumerate(tk):
+            for e, c in enumerate(cof[min(k, m - k)]):
                 if not c.is_zero():
                     nrot[e] = nrot[e] + fv * c
     return nrot
