@@ -317,13 +317,13 @@ _FORMATS = ("json", "tsv", "latex")
 def _boolean(value: str) -> bool:
     word = value.lower()
     if word not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected 1/0, true/false or yes/no, got {value!r}")
+        raise BadInput(f"expected 1/0, true/false or yes/no, got {value!r}")
     return word in ("1", "true", "yes")
 
 
 def _output_format(value: str) -> str:
     if value not in _FORMATS:
-        raise ValueError(f"unknown output_format {value!r}")
+        raise BadInput(f"unknown output_format {value!r}")
     return value
 
 
@@ -342,11 +342,23 @@ _CONFIG_KEYS = {
 
 def _read_text(path: str | Path) -> str:
     """The file's text; a file that cannot be read (missing, a directory,
-    not permitted) is bad input, a ValueError."""
+    not permitted, not UTF-8) is bad input."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+        raise BadInput(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"cannot read {str(path)!r}: {exc}") from None
+
+
+def _parsed(parse, *args):
+    """parse(*args), a ValueError it raises on text from outside the
+    program reported as bad input.  Only the parsers of that text go
+    through here, so a ValueError anywhere else stays a fault."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise BadInput(str(exc)) from exc
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -359,12 +371,12 @@ def parse_config_file(path: str | Path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line (expected key = value): {raw!r}")
+            raise BadInput(f"bad config line (expected key = value): {raw!r}")
         key, _, value = (s.strip() for s in line.partition("="))
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
+            raise BadInput(f"unknown config key {key!r}")
         dest, parse = _CONFIG_KEYS[key]
-        values[dest] = parse(value)
+        values[dest] = _parsed(parse, value)
     # a negative bound is bad input even where a flag overrides it
     SearchConfig(**{k: values[k] for k in ("max_candidates", "max_m") if k in values})
     return values
@@ -387,14 +399,14 @@ def _check_m_bound(args, m: int, what: str, default: int) -> None:
 
 def _need_m(args) -> int:
     if args.m is None:
-        raise ValueError("no m given (positional argument or config file)")
+        raise BadInput("no m given (positional argument or config file)")
     return args.m
 
 
 def _springer_arg(args) -> SpringerSet:
     if args.springer is None:
-        raise ValueError("no Springer set given (--springer or config file)")
-    return SpringerSet.from_strings(args.m, args.springer)
+        raise BadInput("no Springer set given (--springer or config file)")
+    return _parsed(SpringerSet.from_strings, args.m, args.springer)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +451,8 @@ def _load_datum_file(path: str, m: int) -> LSDatum:
     if isinstance(obj, dict) and isinstance(obj.get("datum"), dict):
         obj = obj["datum"]
     if isinstance(obj, dict) and type(obj.get("m")) is int and obj["m"] != m:
-        raise ValueError(f"datum file is for m={obj['m']}, command line says m={m}")
-    return datum_from_jsonable(obj)
+        raise BadInput(f"datum file is for m={obj['m']}, command line says m={m}")
+    return _parsed(datum_from_jsonable, obj)
 
 
 def _cmd_solve(args):
@@ -656,8 +668,7 @@ def main(argv=None) -> int:
     except SearchBoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InvalidM, BadSubgroup, BadInput, ValueError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (InvalidM, BadSubgroup, BadInput, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LsgreenError, AssertionError) as exc:

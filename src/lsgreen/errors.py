@@ -78,5 +78,8 @@ class InvalidFSequence(LsgreenError):
 
 
 class BadInput(LsgreenError):
-    """Input from outside the program names something that does not exist,
-    such as an atlas fixture; the command line reports it as bad input."""
+    """Input from outside the program -- a command-line value, a config
+    file, a datum file -- is malformed, or names something that does not
+    exist, such as an atlas fixture; the command line reports it as bad
+    input (exit 2).  A ValueError is not bad input: the command line lets
+    it through as a fault of the program."""

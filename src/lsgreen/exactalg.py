@@ -425,6 +425,12 @@ def _kron_unpack(x: int, kb: int, n: int, lo: int) -> dict[int, int] | None:
 # gcds
 # ---------------------------------------------------------------------------
 
+def _strip_q(p: IntPoly) -> IntPoly:
+    """p / q^(ord p), for a nonzero p: the part of p prime to q."""
+    e = min(p.c)
+    return IntPoly._new({k - e: v for k, v in p.c.items()}) if e else p
+
+
 def _primitive(p: IntPoly) -> IntPoly:
     ct = p.content()
     if ct in (0, 1):
@@ -468,16 +474,23 @@ def _prs_gcd(x: IntPoly, y: IntPoly) -> IntPoly:
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Gcd in Z[q], with positive leading coefficient: the gcd of the
-    contents times the gcd of the primitive parts, which primitive-PRS
-    Euclid (:func:`_prs_gcd`) finds.
+    """Gcd in Z[q], with positive leading coefficient.  The content and
+    the q-valuation are split off first: q is a prime of Z[q], so with
+    a = q^i a_1 and b = q^j b_1, a_1 and b_1 prime to q,
+
+        gcd(a, b) = gcd(cont a, cont b) q^min(i, j) gcd(a_1, b_1),
+
+    and primitive-PRS Euclid (:func:`_prs_gcd`) finds the gcd of the
+    primitive parts of a_1 and b_1, whose degrees are lower by i and j.
     """
     if a.is_zero():
         g = b
     elif b.is_zero():
         g = a
     else:
-        g = _prs_gcd(_primitive(a), _primitive(b)) * int_gcd(a.content(), b.content())
+        g = _prs_gcd(_primitive(_strip_q(a)), _primitive(_strip_q(b)))
+        s, ct = min(min(a.c), min(b.c)), int_gcd(a.content(), b.content())
+        g = IntPoly._new({e + s: v * ct for e, v in g.c.items()})
     if g.leading_coeff() < 0:
         g = -g
     return g

@@ -38,12 +38,13 @@ There are two routes.
     (:func:`_koszul_matrix`), checked once per m (:func:`_closed_inverse`).
     The inverse of the Schur complement M_S is the block N~_UU / c of the
     inverse, U the labels still unsolved, so X = -q^(a_C) N~_aa^-1 N~_aC
-    and M_{U,C} = c (N~_UU^-1)[:, C], a the labels above C: each is one
-    fraction-free integer solve at one point 2^K on a block of N~, whose
-    entries have degree at most 2 and coefficients +-1, read back off the
-    digits (:func:`_solve_closed`, :func:`_koszul_solve`).  No residual is
-    kept and nothing is eliminated over Q(q); each entry of X and Lambda
-    is reduced once.
+    and M_{U,C} = c (N~_UU^-1)[:, C], a the labels above C.  The next
+    class's U is this class's a, so one fraction-free integer solve at one
+    point 2^K on N~_aa, whose entries have degree at most 2 and
+    coefficients +-1, gives this class's X and the next class's M_{U,C},
+    read back off the digits (:func:`_solve_closed`,
+    :func:`_koszul_solve`).  No residual is kept and nothing is eliminated
+    over Q(q); each entry of X and Lambda is reduced once.
   - Any other omega, a singular or perturbed one included, goes through
     the residual loop over Q(q) (:func:`_solve_residual`): one loop over
     the classes that keeps P, Lambda and M as dense lists.  Omega must be
@@ -103,8 +104,8 @@ from .dihedral import (
 )
 from .errors import SingularBlock
 from .exactalg import (
-    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack, matrix_solve, poly_dot,
-    poly_lcm, rf_dot,
+    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack, _strip_q, matrix_solve,
+    poly_dot, poly_lcm, rf_dot,
 )
 
 __all__ = [
@@ -493,32 +494,35 @@ def _solve_closed(labels, om, nt, c, datum):
         X = q^(a_C) M_aC M_CC^-1 = -q^(a_C) N~_aa^-1 N~_aC,
         M_{U,C} = c (N~_UU^-1)[:, C],   Lambda_C = q^(-2 a_C) M_CC,
 
-    with M_CC = omega_CC at the bottom class.  Each inverse is one
-    :func:`_koszul_solve`, and each entry of X and M_CC one reduction.  An
-    entry z / delta of (N~_UU^-1)[:, C] gives the Y entry
+    with M_CC = omega_CC at the bottom class.  The next class C' has
+    U' = a, so its M_{U',C'} needs the inverse of the same block N~_aa:
+    one :func:`_koszul_solve` per class boundary eliminates N~_aa once for
+    both, with the rows N~_Ca and the unit rows of C' as its right-hand
+    side, and each entry of X and M_CC is one reduction.  An entry
+    z / delta of (N~_UU^-1)[:, C] gives the Y entry
     M / (q^m - 1) = q^m (q^2 - 1) z / delta, polynomial exactly when delta
-    divides q^m (q^2 - 1) z in Z[q], so the rows above C are tested by
-    one exact division and never reduced.  By Jacobi's complementary
-    minors, det N~_aa = c^|a| det M_CC / det M_S, and M_S is invertible, so
-    N~_aa is singular exactly when M_CC is: the SingularBlock is raised at
-    the class the residual loop raises it at."""
+    divides q^m (q^2 - 1) z in Z[q] (:func:`_y_divides`), so the rows above
+    C are tested and never reduced.  By Jacobi's complementary minors,
+    det N~_aa = c^|a| det M_CC / det M_S, and M_S is invertible, so N~_aa
+    is singular exactly when M_CC is: the SingularBlock is raised at the
+    class the residual loop raises it at, C, before C' is reached."""
     pos = {l: i for i, l in enumerate(labels)}
     n, m = len(labels), datum.m
-    cy = IntPoly.q(m) * IntPoly({2: 1, 0: -1})  # c / (q^m - 1)
     P = [[RF_ZERO] * n for _ in range(n)]
     L = [[RF_ZERO] * n for _ in range(n)]
     unsolved = list(range(n))
     nonpoly = []
-    for ci, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
-        members = sorted(cls, key=label_sort_key)
+    members = sorted(datum.classes[0], key=label_sort_key)
+    for ci, a_c in enumerate(datum.a):
         midx = [pos[l] for l in members]
-        above = [i for i in unsolved if labels[i] not in cls]
+        above = [i for i in unsolved if i not in midx]
         if ci:
-            delta, z = _koszul_solve(nt, unsolved, midx, unit=True)
-            # z[j][u] = delta (N~_UU^-1)[j, u], symmetric over C x C
-            zc = {(i, j): v for j, zrow in zip(midx, z) for i, v in zip(unsolved, zrow)}
+            # z[j][u] = delta (N~_UU^-1)[j, u], symmetric over C x C, from
+            # the last boundary's solve
+            zc = {(i, j): v for j, zrow in zip(midx, units) for i, v in zip(unsolved, zrow)}
+            y_divides = _y_divides(delta, m)
             nonpoly += [(ci, labels[i], labels[j]) for i in unsolved for j in midx
-                        if not delta.divides(cy * zc[i, j])]
+                        if not y_divides(zc[i, j])]
             mcc = {}
             for jj, j in enumerate(midx):
                 for i in midx[jj:]:
@@ -533,8 +537,9 @@ def _solve_closed(labels, om, nt, c, datum):
             P[i][i] = qa
 
         if above:
+            nxt = sorted(datum.classes[ci + 1], key=label_sort_key)
             try:
-                delta, z = _koszul_solve(nt, above, midx, unit=False)
+                delta, z = _koszul_solve(nt, above, midx, [pos[l] for l in nxt])
             except SingularBlock:
                 raise SingularBlock("singular block M_CC of the class "
                                     f"{{{','.join(map(format_label, members))}}}") from None
@@ -542,36 +547,61 @@ def _solve_closed(labels, om, nt, c, datum):
                 for i, v in zip(above, zrow):
                     if v.c:
                         P[i][j] = RatFunc(-v.shift(a_c), delta)
+            units = z[len(midx):]
+            members = nxt
         unsolved = above
     return P, L, nonpoly
 
 
-def _koszul_solve(nt, idx, rhs, unit):
+def _y_divides(delta: IntPoly, m: int):
+    """The test z -> whether delta divides q^m (q^2 - 1) z in Z[q], by
+    valuations.  With delta = q^d delta_1 and z = q^e z_1, delta_1 and z_1
+    prime to q, and q a prime of the UFD Z[q] that divides neither
+    delta_1 nor (q^2 - 1) z_1, it holds exactly when d <= m + e and
+    delta_1 divides (q^2 - 1) z_1: a division of degree 2 + deg z_1 in
+    place of one of degree m + 2 + deg z."""
+    d = delta.order()
+    delta_1 = _strip_q(delta)
+    q2m1 = IntPoly({2: 1, 0: -1})
+
+    def divides(z: IntPoly) -> bool:
+        if not z.c:
+            return True
+        return d <= m + z.order() and delta_1.divides(q2m1 * _strip_q(z))
+    return divides
+
+
+def _koszul_solve(nt, idx, rhs, units):
     """delta and the rows of delta Z for Z A = B over Z[q], delta = +-det A,
     with A = N~ over ``idx`` x ``idx`` (``nt`` the record of N~) and B the
-    rows ``rhs`` of N~ over ``idx``, or with ``unit`` those of the identity,
-    by one integer solve (:func:`_int_solve`) at q = xi = 2^K.
+    rows ``rhs`` of N~ over ``idx`` followed by the rows ``units`` of the
+    identity over ``idx`` (each of ``units`` in ``idx``), by one integer
+    solve (:func:`_int_solve`) at q = xi = 2^K: one elimination and one
+    multiply-back for both kinds of row.
 
     By Cramer's rule delta and every entry of delta Z is, up to one sign, a
     maximal minor of [A^t | B^t], whose rows are the columns of A and B.
     By multilinearity in those rows, a minor's l1 norm is at most the
-    product of the rows' l1 sums, and its degree at most the sum of the
-    rows' largest degrees, 2 |idx| at most, since every entry of N~ has
-    degree 2 or less.  So with K a multiple of 8 and 2^(K-1) above that
-    product, each is the balanced base-xi digits of its value at xi
-    (:func:`_kron_unpack`) in 2 |idx| + 1 slots, and delta(xi) = 0 only when
-    det A = 0.  A singular A raises SingularBlock; the integer multiply-back
+    product over the columns t of A of the rows' l1 sums,
+    sum_s |N~_st| + sum_j |N~_jt| + [t in units], s over ``idx`` and j
+    over ``rhs``, and its degree at most the sum of the rows' largest
+    degrees, 2 |idx| at most, since every entry of N~ has degree 2 or
+    less.  So with K a multiple of 8 and 2^(K-1) above that product, each
+    is the balanced base-xi digits of its value at xi (:func:`_kron_unpack`)
+    in 2 |idx| + 1 slots, and delta(xi) = 0 only when det A = 0.  A
+    singular A raises SingularBlock; the integer multiply-back
     delta Z(xi) A(xi) = delta(xi) B(xi) runs before anything is read off,
-    and digits that do not fit the slots raise AssertionError."""
+    and digits of any row that do not fit the slots raise AssertionError."""
     norms = nt.norms
+    unit = set(units)
     bound = 1
     for t in idx:
-        bound *= sum(norms[s][t] for s in idx) + (
-            t in rhs if unit else sum(norms[j][t] for j in rhs))
+        bound *= (sum(norms[s][t] for s in idx) + sum(norms[j][t] for j in rhs)
+                  + (t in unit))
     k = 8 * (bound.bit_length() // 8 + 1)  # 2^(k-1) > bound
     v = nt.at(k)
-    bv = ([[int(t == j) for t in idx] for j in rhs] if unit
-          else [[v[j][t] for t in idx] for j in rhs])
+    bv = ([[v[j][t] for t in idx] for j in rhs]
+          + [[int(t == j) for t in idx] for j in units])
     delta, rows = _int_solve([[v[s][t] for t in idx] for s in idx], bv, k)
     slots = 2 * len(idx) + 1
     digits = [_kron_unpack(x, k // 8, slots, 0) for x in [delta, *(x for r in rows for x in r)]]
@@ -993,7 +1023,14 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
     xi (:func:`_value_at`), u_r = P~(xi)[r] L~(xi) is formed once per row,
     and every entry is one comparison of integers,
     u_r . P~(xi)[c] v(xi) = d_r(xi) d_c(xi) l(xi) w(xi).  There is no
-    gcd past the lcms, no random point and no tolerance."""
+    gcd past the lcms, no random point and no tolerance.
+
+    When Lambda is symmetric, checked entry by entry, so is P Lambda P^t:
+    its (r, c) entry sum_{s,t} P[r, s] Lambda[s, t] P[c, t] is the (c, r)
+    entry with s and t swapped.  So for c < r the entry (r, c) holds
+    whenever (c, r) does and omega[r, c] = omega[c, r], and it is compared
+    only when Lambda is asymmetric or omega differs there; (c, r) is
+    compared in either case, and any entry that fails returns False."""
     P, L = system.P, system.Lambda
     if not P.rows == P.cols == L.rows == L.cols:
         raise ValueError("P and Lambda must share one label order")
@@ -1037,6 +1074,8 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
     lv = [[(t, _value_at(x, k) * _value_at(f, k)) for t, x, f in row] for row in lrows]
     dv = [_value_at(d, k) for d in ds]
     ellv = _value_at(ell, k)
+    ld = L.data
+    sym = all(ld[i][j] == ld[j][i] for i in range(n) for j in range(i))
     for r in range(n):
         u = [0] * n
         for s, x in enumerate(pv[r]):
@@ -1046,6 +1085,8 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
         ur = [(t, x) for t, x in enumerate(u) if x]
         scale = dv[r] * ellv
         for c, w in enumerate(om[r]):
+            if sym and c < r and w == om[c][r]:
+                continue
             pc = pv[c]
             lhs = sum(x * pc[t] for t, x in ur)
             if w.den != one:

@@ -45,7 +45,7 @@ from .dihedral import (
     parse_label,
     specials,
 )
-from .errors import InvalidFSequence, InvalidM, SearchBoundExceeded
+from .errors import BadInput, InvalidFSequence, InvalidM, SearchBoundExceeded
 from .exactalg import IntPoly, PolyMatrix, RatFunc
 # search walks the node table and never calls solve; the benchmark's
 # self-test reads springer.solve
@@ -733,7 +733,8 @@ class SearchConfig:
     """Work bounds of the search: the number of candidates enumerated and
     the largest m searched.  The command line sets them from
     --max-candidates / --max-m or the config file; the bound on m of a
-    single solve is the command line's own."""
+    single solve is the command line's own.  A negative bound is bad
+    input (BadInput)."""
 
     max_candidates: int = 10 ** 6
     max_m: int = 16
@@ -741,7 +742,7 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("max_candidates", "max_m"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+                raise BadInput(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 def enumerate_candidate_data(springer: SpringerSet, *, family_filter: bool = True,

@@ -309,6 +309,18 @@ def test_a_key_error_inside_a_command_is_not_bad_input(capsys, monkeypatch):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_a_value_error_inside_a_command_is_not_bad_input(capsys, monkeypatch):
+    # nor is a ValueError raised past the parsers of the command line, the
+    # config file and the datum file
+    def compute_fails(args):
+        raise ValueError("bad value inside")
+
+    monkeypatch.setitem(cli._COMMANDS, "irr", compute_fails)
+    with pytest.raises(ValueError, match="bad value inside"):
+        cli.main(["irr", "5"])
+    assert "error:" not in capsys.readouterr().err
+
+
 _GOOD_DATUM = {"m": 3, "classes": [["eps"], ["1"], ["0"]], "a": [3, 1, 0]}
 
 

@@ -131,6 +131,29 @@ def test_gcd_frozen_examples():
         IntPoly({1: 2, 0: 2})
 
 
+def test_gcd_frozen_examples_with_a_power_of_q():
+    q = IntPoly.q
+    # a monomial operand: its part prime to q is a constant
+    assert poly_gcd(q(5, 3), q(7, 6) + q(2, 12)) == q(2, 3)
+    assert poly_gcd(q(4), q(2) - q(1)) == q(1)
+    assert poly_gcd(q(3, -2), q(3, 4)) == q(3, 2)
+    assert poly_gcd(q(0, 5), q(9) + q(3)) == IntPoly.one()
+    # content and q-power together: 6 q^3 (q + 1)(q - 2) and 4 q^5 (q + 1)^2
+    f = IntPoly({1: 1, 0: 1})
+    assert poly_gcd(q(3, 6) * f * IntPoly({1: 1, 0: -2}), q(5, 4) * f * f) == q(3, 2) * f
+
+
+# polynomials q does not divide: q is a prime of Z[q], so for these
+# gcd(q^i f, q^j g) = q^min(i, j) gcd(f, g)
+prime_to_q = small_polys.filter(lambda p: p.coeff(0) != 0)
+
+
+@given(prime_to_q, prime_to_q, st.integers(min_value=0, max_value=20),
+       st.integers(min_value=0, max_value=20))
+def test_gcd_splits_off_the_q_valuation(f, g, i, j):
+    assert poly_gcd(IntPoly.q(i) * f, IntPoly.q(j) * g) == IntPoly.q(min(i, j)) * poly_gcd(f, g)
+
+
 @given(small_polys, small_polys)
 def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)

@@ -388,6 +388,15 @@ def test_gamma_divides_is_divisibility_by_q_m_minus_1(f, g, c, m):
     assert greensolver._gamma_divides(x, m) == IntPoly({m: 1, 0: -1}).divides(x)
 
 
+@given(products, st.integers(min_value=0, max_value=16), st.sampled_from((1, -1, 2)),
+       products, st.integers(min_value=0, max_value=8), st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=1, max_value=12))
+def test_y_divides_is_divisibility_of_q_m_times_q2_minus_1_times_z(f, i, c, g, j, d, m):
+    delta, z = IntPoly.q(i) * f * c, IntPoly.q(j) * g * d
+    cy = IntPoly.q(m) * IntPoly({2: 1, 0: -1})
+    assert greensolver._y_divides(delta, m)(z) == delta.divides(cy * z)
+
+
 @given(products, products, st.integers(min_value=-3, max_value=3),
        st.integers(min_value=0, max_value=8))
 def test_div_by_q_power_is_the_quotient_in_lowest_terms(num, den, c, k):
@@ -530,6 +539,35 @@ def test_the_closed_route_equals_the_node_table_and_the_residual_loop(m, monkeyp
                 assert system.nonpolynomial_y == hit.system.nonpolynomial_y == tuple(nonpoly)
                 seen += 1
     assert seen
+
+
+@given(random_data())
+def test_the_closed_route_equals_the_residual_loop_on_random_data(datum):
+    # random data have rational P and non-polynomial Y entries, which no
+    # accepted datum has: solve on the closed omega, kept off the residual
+    # loop, and the residual loop itself agree entry by entry in P and
+    # Lambda and in nonpolynomial_y, or are singular together, the closed
+    # route naming a class
+    om = omega(datum.m, method="closed")
+    labels, W = greensolver._symmetric_omega(om, datum.m)
+    loop = greensolver._solve_residual
+
+    def refuse(*args):
+        raise AssertionError("the closed omega took the residual loop")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greensolver, "_solve_residual", refuse)
+        try:
+            want = loop(labels, W, datum)
+        except SingularBlock:
+            with pytest.raises(SingularBlock, match=r"of the class \{"):
+                solve(om, datum)
+            return
+        system = solve(om, datum)
+    for got, rows in ((system.P, want[0]), (system.Lambda, want[1])):
+        assert ([[(x.num, x.den) for x in row] for row in got.data]
+                == [[(x.num, x.den) for x in row] for row in rows])
+    assert system.nonpolynomial_y == tuple(want[2])
 
 
 def test_a_corrupted_delta_x_of_the_closed_route_raises(monkeypatch):
@@ -1345,13 +1383,78 @@ def _rational_chain_system():
     return solve(omega(3, method="closed"), LSDatum(3, ({Chi(0)}, {Eps}, {Chi(1)}), (2, 1, 0)))
 
 
+def _named_system(which, sys3, sys_b2):
+    return {"m3": sys3, "b2": sys_b2, "m3-rational": _rational_chain_system()}[which]
+
+
+def _below_diagonal(n):
+    return [(r, c) for r in range(n) for c in range(r)]
+
+
+@pytest.mark.parametrize("change", RATIONAL_CHANGES, ids=("zero", "one", "rational"))
+@pytest.mark.parametrize("which", ("m3", "b2", "m3-rational"))
+def test_verify_system_compares_an_omega_entry_that_differs_from_its_mirror(which, change,
+                                                                           sys3, sys_b2):
+    # Lambda is symmetric, so P Lambda P^t is too, and an entry below the
+    # diagonal is skipped only where omega equals its mirror entry: one
+    # such entry of omega changed is compared, and fails unless the change
+    # is zero
+    system = _named_system(which, sys3, sys_b2)
+    om = omega(system.datum.m, method="closed")
+    labels = om.rows
+    lam = system.Lambda.data
+    assert all(lam[i][j] == lam[j][i] for i in range(len(labels)) for j in range(i))
+    for r, c in _below_diagonal(len(labels)):
+        W = [list(row) for row in om.data]
+        W[r][c] = W[r][c] + change
+        assert verify_system(system, PolyMatrix(labels, labels, W)) == (change == RatFunc(0))
+
+
+def _asymmetric(system):
+    """The system with Lambda[0, 2] changed and Lambda[2, 0] not, and its
+    dense product P Lambda P^t, which is then asymmetric too."""
+    labels = system.P.rows
+    L = [list(row) for row in system.Lambda.data]
+    L[0][2] = L[0][2] + RatFunc(1, IntPoly({1: 1, 0: 2}))
+    changed = dataclasses.replace(system, Lambda=PolyMatrix(labels, labels, L))
+    product = dense.mul(dense.mul(changed.P, changed.Lambda), dense.transpose(changed.P))
+    assert any(product.data[r][c] != product.data[c][r] for r, c in _below_diagonal(len(labels)))
+    return changed, product
+
+
+@pytest.mark.parametrize("which", ("m3", "b2", "m3-rational"))
+def test_verify_system_compares_every_entry_of_an_asymmetric_lambda(which, sys3, sys_b2):
+    # with Lambda asymmetric nothing is skipped: its own product passes, and
+    # that product made symmetric from either triangle fails, although
+    # omega then equals its mirror entry everywhere
+    system = _named_system(which, sys3, sys_b2)
+    changed, product = _asymmetric(system)
+    labels = product.rows
+    n = len(labels)
+    assert verify_system(changed, product)
+    for upper in (True, False):
+        W = [[product.data[min(r, c)][max(r, c)] if upper else product.data[max(r, c)][min(r, c)]
+              for c in range(n)] for r in range(n)]
+        assert not verify_system(changed, PolyMatrix(labels, labels, W))
+
+
+@pytest.mark.parametrize("which", ("m3", "b2", "m3-rational"))
+def test_verify_system_rejects_an_asymmetric_omega_against_a_symmetric_product(which, sys3,
+                                                                               sys_b2):
+    # a symmetric Lambda's product is symmetric, so the asymmetric product
+    # of a changed Lambda is no omega for it
+    system = _named_system(which, sys3, sys_b2)
+    _, product = _asymmetric(system)
+    assert not verify_system(system, product)
+
+
 @pytest.mark.parametrize("which", ("m3", "b2", "m3-rational"))
 def test_verify_system_rejects_a_change_that_vanishes_at_a_power_of_two(which, sys3, sys_b2,
                                                                         monkeypatch):
     # omega[r, c] + 2^k - q is a different omega that agrees with the true
     # one at q = 2^k; every k past the evaluation point verify_system picks
     # for the true omega must still be rejected, so xi must grow with omega
-    system = {"m3": sys3, "b2": sys_b2, "m3-rational": _rational_chain_system()}[which]
+    system = _named_system(which, sys3, sys_b2)
     om = omega(system.datum.m, method="closed")
     points = []
     real = greensolver._value_at
