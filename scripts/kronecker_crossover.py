@@ -6,7 +6,9 @@ Prints one Markdown table per comparison, in microseconds per call (the
 best of three timed batches, each at least 20 ms): packing and unpacking
 at slots of at most 8 bytes by :mod:`struct`, as the library does, against
 the slot-by-slot ``int.to_bytes`` form it keeps for wider slots, on seeded
-random polynomials spread over three exponent slots per term; then the
+random polynomials spread over three exponent slots per term; then one
+batched decode of a class-boundary solve's values, as ``greensolver``
+reads delta and delta Z at q = 2^K, against one decode per value; then the
 rotation part of the Molien sum for one class function, m (m + 1)
 reduced products in Z[zeta_m] against one packed dot product of
 floor(m/2) + 1 terms.
@@ -96,6 +98,21 @@ def main() -> None:
                 else:
                     old, new = usec(unpack_by_slot, x, kb, slots, lo), usec(ea._kron_unpack, x, kb, slots, lo)
                 print(row(f"{n}, {kb}", old, new))
+
+    print("\nDecoding the values of one integer solve at 2^K\n")
+    print("| values, slots, K | one decode per value (µs) | one batched decode (µs) | speed-up |\n"
+          "|---|---:|---:|---:|")
+    for count, slots, kb in ((12, 9, 2), (35, 19, 3), (80, 31, 5)):
+        bits = 8 * kb - 4
+        polys = [{e: rng.randrange(-(1 << bits), 1 << bits) for e in range(slots)}
+                 for _ in range(count)]
+        xs = [ea._kron_pack(c, 0, kb, slots) for c in polys]
+        want = [{e: v for e, v in c.items() if v} for c in polys]
+        got = ea._kron_unpack_many(xs, kb, slots, 0)
+        assert got == want == [ea._kron_unpack(x, kb, slots, 0) for x in xs]
+        one = usec(lambda: [ea._kron_unpack(x, kb, slots, 0) for x in xs])
+        batched = usec(ea._kron_unpack_many, xs, kb, slots, 0)
+        print(row(f"{count}, {slots}, {8 * kb}", one, batched))
 
     print("\nThe rotation sum of chi_1 . chi_2 . eps, as one omega entry takes it\n")
     print("| m (phi) | element by element (µs) | packed (µs) | speed-up |\n|---|---:|---:|---:|")

@@ -149,10 +149,7 @@ class IntPoly:
 
     def content(self) -> int:
         """Gcd of the coefficients (nonnegative; 0 for the zero polynomial)."""
-        g = 0
-        for v in self.c.values():
-            g = int_gcd(g, v)
-        return g
+        return int_gcd(*self.c.values())
 
     def coeff(self, e: int) -> int:
         return self.c.get(e, 0)
@@ -395,20 +392,34 @@ def _kron_pack(c: dict[int, int], lo: int, kb: int, n: int) -> int:
 def _kron_unpack(x: int, kb: int, n: int, lo: int) -> dict[int, int] | None:
     """The coefficient dict {lo + i: d_i} of the n balanced base-2^(8 kb)
     digits d_i of x, each in [-2^(8 kb - 1), 2^(8 kb - 1)); None when x
-    needs more than n digits.
+    needs more than n digits.  The one-value case of
+    :func:`_kron_unpack_many`."""
+    got = _kron_unpack_many((x,), kb, n, lo)
+    return None if got is None else got[0]
+
+
+def _kron_unpack_many(xs: Sequence[int], kb: int, n: int, lo: int) -> list[dict[int, int]] | None:
+    """The coefficient dicts of :func:`_kron_unpack` for each x of xs, by
+    one decode; None when any x needs more than n digits.
 
     Adding the number whose every digit is 2^(8 kb - 1) makes every digit
-    nonnegative; :func:`_kron_pack`'s steps, reversed, read them back as
-    signed 64-bit words, sign-extended from their top byte."""
-    y = x + int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
-    if y < 0 or y.bit_length() > 8 * kb * n:
+    nonnegative.  Each sum is written into its own kb n bytes, which is its
+    range check: ``int.to_bytes`` raises OverflowError on a negative sum
+    and on one of 2^(8 kb n) or more, so no value carries into the next.
+    :func:`_kron_pack`'s steps, reversed, then read every slot of the
+    joined bytes back at once as signed 64-bit words, sign-extended from
+    their top byte."""
+    offset, width = int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little"), kb * n
+    try:
+        raw = b"".join([(x + offset).to_bytes(width, "little") for x in xs])
+    except OverflowError:
         return None
-    raw = y.to_bytes(kb * n, "little")
+    total = n * len(xs)
     if kb > 8:
         half = 1 << (8 * kb - 1)
-        digits = [int.from_bytes(raw[j:j + kb], "little") - half for j in range(0, kb * n, kb)]
+        digits = [int.from_bytes(raw[j:j + kb], "little") - half for j in range(0, kb * total, kb)]
     else:
-        words = bytearray(8 * n)
+        words = bytearray(8 * total)
         for j in range(kb - 1):
             words[j::8] = raw[j::kb]
         top = raw[kb - 1::kb].translate(_FLIP)
@@ -417,8 +428,9 @@ def _kron_unpack(x: int, kb: int, n: int, lo: int) -> dict[int, int] | None:
             sign = top.translate(_SIGN)
             for j in range(kb, 8):
                 words[j::8] = sign
-        digits = struct.unpack(f"<{n}q", words)
-    return dict(compress(zip(range(lo, lo + n), digits), digits))
+        digits = struct.unpack(f"<{total}q", words)
+    exps = range(lo, lo + n)
+    return [dict(compress(zip(exps, d), d)) for i in range(0, total, n) for d in (digits[i:i + n],)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +441,15 @@ def _strip_q(p: IntPoly) -> IntPoly:
     """p / q^(ord p), for a nonzero p: the part of p prime to q."""
     e = min(p.c)
     return IntPoly._new({k - e: v for k, v in p.c.items()}) if e else p
+
+
+def _split(p: IntPoly) -> tuple[int, int, IntPoly]:
+    """(ord p, cont p, p / (cont p q^(ord p))) for a nonzero p, with p
+    itself as the last when there is nothing to split off."""
+    e, ct = min(p.c), int_gcd(*p.c.values())
+    if not e and ct == 1:
+        return 0, 1, p
+    return e, ct, IntPoly._new({k - e: v // ct for k, v in p.c.items()})
 
 
 def _primitive(p: IntPoly) -> IntPoly:
@@ -482,15 +503,20 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
     and primitive-PRS Euclid (:func:`_prs_gcd`) finds the gcd of the
     primitive parts of a_1 and b_1, whose degrees are lower by i and j.
+    One :func:`_split` per operand takes its valuation, its content and
+    that primitive part, and the gcd is rebuilt only when the content or
+    the power of q it gets back is not 1.
     """
     if a.is_zero():
         g = b
     elif b.is_zero():
         g = a
     else:
-        g = _prs_gcd(_primitive(_strip_q(a)), _primitive(_strip_q(b)))
-        s, ct = min(min(a.c), min(b.c)), int_gcd(a.content(), b.content())
-        g = IntPoly._new({e + s: v * ct for e, v in g.c.items()})
+        (i, ca, a1), (j, cb, b1) = _split(a), _split(b)
+        g = _prs_gcd(a1, b1)
+        s, ct = min(i, j), int_gcd(ca, cb)
+        if s or ct != 1:
+            g = IntPoly._new({e + s: v * ct for e, v in g.c.items()})
     if g.leading_coeff() < 0:
         g = -g
     return g

@@ -42,9 +42,11 @@ There are two routes.
     class's U is this class's a, so one fraction-free integer solve at one
     point 2^K on N~_aa, whose entries have degree at most 2 and
     coefficients +-1, gives this class's X and the next class's M_{U,C},
-    read back off the digits (:func:`_solve_closed`,
+    read back off the digits by one decode (:func:`_solve_closed`,
     :func:`_koszul_solve`).  No residual is kept and nothing is eliminated
-    over Q(q); each entry of X and Lambda is reduced once.
+    over Q(q).  Each entry of X and M_CC is num / delta with both known
+    at 2^K, so one exact division reduces it where delta(2^K) divides
+    num(2^K), and a gcd anywhere else, or where that division fails.
   - Any other omega, a singular or perturbed one included, goes through
     the residual loop over Q(q) (:func:`_solve_residual`): one loop over
     the classes that keeps P, Lambda and M as dense lists.  Omega must be
@@ -102,10 +104,10 @@ from . import fakedegree
 from .dihedral import (
     CharLabel, Chi, ChiR, ChiRPrime, Eps, all_labels, format_label, label_sort_key, parse_label,
 )
-from .errors import SingularBlock
+from .errors import NotDivisible, SingularBlock
 from .exactalg import (
-    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack, _strip_q, matrix_solve,
-    poly_dot, poly_lcm, rf_dot,
+    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack_many, _strip_q,
+    matrix_solve, poly_dot, poly_lcm, rf_dot,
 )
 
 __all__ = [
@@ -344,13 +346,19 @@ def solve(omega: PolyMatrix, datum: LSDatum) -> GreenSystem:
     (:func:`_closed_inverse`), every block is read off N~ by small
     integer solves (:func:`_solve_closed`); any other omega, a singular
     or perturbed one included, goes through the residual loop over Q(q)
-    (:func:`_solve_residual`).  Raises ValueError unless omega is
-    symmetric, and SingularBlock when some diagonal block M_CC is not
+    (:func:`_solve_residual`).  Omega is read entry by entry, checked
+    for symmetry and compared with the closed matrix, unless it is the
+    very object :func:`_closed_inverse` certified, the cached
+    :func:`fakedegree.omega_closed` of m.  Raises ValueError unless omega
+    is symmetric, and SingularBlock when some diagonal block M_CC is not
     invertible (the datum then admits no system).  The returned system
     has been multiplied back against omega by :func:`verify_system`; on
     either route that is the check of the whole system."""
-    labels, om = _symmetric_omega(omega, datum.m)
-    closed_om, nt, c = _closed_inverse(datum.m)
+    closed, closed_om, nt, c = _closed_inverse(datum.m)
+    if omega is closed:
+        labels, om = all_labels(datum.m), closed_om
+    else:
+        labels, om = _symmetric_omega(omega, datum.m)
     if om == closed_om:
         P, L, nonpoly = _solve_closed(labels, om, nt, c, datum)
     else:
@@ -456,19 +464,20 @@ def _koszul_matrix(m: int) -> list[list[IntPoly]]:
 
 @lru_cache(maxsize=None)
 def _closed_inverse(m: int):
-    """(omega, N~, c) for the closed pairing matrix omega of m, from
-    :func:`fakedegree.omega_closed`: omega as rows of RatFuncs in
-    :func:`_symmetric_omega`'s form, and N~ as a :class:`_Residual` record,
+    """(omega, its rows, N~, c) for the closed pairing matrix omega of m,
+    the cached :func:`fakedegree.omega_closed`: the rows are RatFuncs in
+    :func:`_symmetric_omega`'s form, and N~ is a :class:`_Residual` record,
     for its l1 norms and its values at each point 2^k, with omega N~ = c I
     checked exactly, once per m (:func:`_koszul_matrix`).  That identity
     makes N~ = c omega^-1 symmetric, as the record needs.  A failed check
     raises AssertionError, and an m below 3 (no closed omega) InvalidM."""
-    labels, om = _symmetric_omega(fakedegree.omega_closed(m), m)
+    omega = fakedegree.omega_closed(m)
+    labels, om = _symmetric_omega(omega, m)
     ntilde = _koszul_matrix(m)
     c = IntPoly.q(m) * IntPoly({2: 1, 0: -1}) * IntPoly({m: 1, 0: -1})
     if not _is_scaled_inverse(om, ntilde, c):
         raise AssertionError(f"omega N~ != c I for m={m}")
-    return om, _Residual(tuple(range(len(labels))), tuple(map(tuple, ntilde))), c
+    return omega, om, _Residual(tuple(range(len(labels))), tuple(map(tuple, ntilde))), c
 
 
 def _is_scaled_inverse(om, ntilde, c: IntPoly) -> bool:
@@ -498,14 +507,22 @@ def _solve_closed(labels, om, nt, c, datum):
     U' = a, so its M_{U',C'} needs the inverse of the same block N~_aa:
     one :func:`_koszul_solve` per class boundary eliminates N~_aa once for
     both, with the rows N~_Ca and the unit rows of C' as its right-hand
-    side, and each entry of X and M_CC is one reduction.  An entry
+    side, at one point xi = 2^K.  Each entry of X and of M_CC is then
+    num / delta, -q^(a_C) z / delta or c z / delta, and the solve gives
+    num(xi) and delta(xi) as integers (:func:`_over_delta`): delta divides
+    num in Z[q] only if delta(xi) divides num(xi), so an entry that fails
+    that test is reduced by a gcd and any other is one exact division
+    num // delta, or a gcd where that division fails.  Lambda_C is
+    symmetric, and each mirror entry is the same object.  An entry
     z / delta of (N~_UU^-1)[:, C] gives the Y entry
     M / (q^m - 1) = q^m (q^2 - 1) z / delta, polynomial exactly when delta
-    divides q^m (q^2 - 1) z in Z[q] (:func:`_y_divides`), so the rows above
-    C are tested and never reduced.  By Jacobi's complementary minors,
-    det N~_aa = c^|a| det M_CC / det M_S, and M_S is invertible, so N~_aa
-    is singular exactly when M_CC is: the SingularBlock is raised at the
-    class the residual loop raises it at, C, before C' is reached."""
+    divides q^m (q^2 - 1) z in Z[q] (:func:`_y_divides`, which rejects
+    first in integers, at xi), so the rows above C are tested and never
+    reduced.
+    By Jacobi's complementary minors, det N~_aa = c^|a| det M_CC / det M_S,
+    and M_S is invertible, so N~_aa is singular exactly when M_CC is: the
+    SingularBlock is raised at the class the residual loop raises it at,
+    C, before C' is reached."""
     pos = {l: i for i, l in enumerate(labels)}
     n, m = len(labels), datum.m
     P = [[RF_ZERO] * n for _ in range(n)]
@@ -517,44 +534,65 @@ def _solve_closed(labels, om, nt, c, datum):
         midx = [pos[l] for l in members]
         above = [i for i in unsolved if i not in midx]
         if ci:
-            # z[j][u] = delta (N~_UU^-1)[j, u], symmetric over C x C, from
-            # the last boundary's solve
-            zc = {(i, j): v for j, zrow in zip(midx, units) for i, v in zip(unsolved, zrow)}
-            y_divides = _y_divides(delta, m)
+            # z[j][u] = delta (N~_UU^-1)[j, u], symmetric over C x C, with
+            # its value at xi = 2^k, from the last boundary's solve
+            zc = {(i, j): z for j, zrow in zip(midx, units) for i, z in zip(unsolved, zrow)}
+            y_divides = _y_divides(delta, m, k, dv)
             nonpoly += [(ci, labels[i], labels[j]) for i in unsolved for j in midx
-                        if not y_divides(zc[i, j])]
+                        if not y_divides(*zc[i, j])]
+            cv = _value_at(c, k)
             mcc = {}
             for jj, j in enumerate(midx):
                 for i in midx[jj:]:
-                    mcc[i, j] = mcc[j, i] = RatFunc(c * zc[i, j], delta)
+                    z, zv = zc[i, j]
+                    mcc[i, j] = mcc[j, i] = _over_delta(c * z, cv * zv, delta, dv)
         else:
             mcc = {(i, j): om[i][j] for i in midx for j in midx}
 
         qa = RatFunc(IntPoly.q(a_c))
-        for i in midx:
-            for j in midx:
-                L[i][j] = _div_by_q_power(mcc[i, j], 2 * a_c)
-            P[i][i] = qa
+        for jj, j in enumerate(midx):
+            for i in midx[jj:]:
+                L[i][j] = L[j][i] = _div_by_q_power(mcc[i, j], 2 * a_c)
+            P[j][j] = qa
 
         if above:
             nxt = sorted(datum.classes[ci + 1], key=label_sort_key)
             try:
-                delta, z = _koszul_solve(nt, above, midx, [pos[l] for l in nxt])
+                k, delta, dv, z = _koszul_solve(nt, above, midx, [pos[l] for l in nxt])
             except SingularBlock:
                 raise SingularBlock("singular block M_CC of the class "
                                     f"{{{','.join(map(format_label, members))}}}") from None
             for j, zrow in zip(midx, z):
-                for i, v in zip(above, zrow):
+                for i, (v, vv) in zip(above, zrow):
                     if v.c:
-                        P[i][j] = RatFunc(-v.shift(a_c), delta)
+                        P[i][j] = _over_delta(-v.shift(a_c), -vv << (a_c * k), delta, dv)
             units = z[len(midx):]
             members = nxt
         unsolved = above
     return P, L, nonpoly
 
 
-def _y_divides(delta: IntPoly, m: int):
-    """The test z -> whether delta divides q^m (q^2 - 1) z in Z[q], by
+def _over_delta(num: IntPoly, nv: int, delta: IntPoly, dv: int) -> RatFunc:
+    """num / delta in lowest terms, with nv and dv != 0 their values at
+    one integer point.  delta divides num in Z[q] only if dv divides nv,
+    so where it does not the fraction is reduced by a gcd; where it does,
+    one exact division num // delta is tried first, and a NotDivisible
+    falls through to the gcd."""
+    if not nv % dv:
+        try:
+            quot = num // delta
+        except NotDivisible:
+            pass
+        else:
+            return RatFunc(quot, IntPoly.one(), _normalized=True)
+    return RatFunc(num, delta)
+
+
+def _y_divides(delta: IntPoly, m: int, k: int, dv: int):
+    """The test (z, z(xi)) -> whether delta divides q^m (q^2 - 1) z in
+    Z[q], with xi = 2^k and dv = delta(xi) != 0.  A divisor in Z[q]
+    divides at every integer point, so z is rejected at once when dv does
+    not divide xi^m (xi^2 - 1) z(xi).  Any other z is decided by
     valuations.  With delta = q^d delta_1 and z = q^e z_1, delta_1 and z_1
     prime to q, and q a prime of the UFD Z[q] that divides neither
     delta_1 nor (q^2 - 1) z_1, it holds exactly when d <= m + e and
@@ -563,21 +601,24 @@ def _y_divides(delta: IntPoly, m: int):
     d = delta.order()
     delta_1 = _strip_q(delta)
     q2m1 = IntPoly({2: 1, 0: -1})
+    cy = ((1 << 2 * k) - 1) << (m * k)  # xi^m (xi^2 - 1)
 
-    def divides(z: IntPoly) -> bool:
+    def divides(z: IntPoly, zv: int) -> bool:
         if not z.c:
             return True
-        return d <= m + z.order() and delta_1.divides(q2m1 * _strip_q(z))
+        return (not cy * zv % dv and d <= m + z.order()
+                and delta_1.divides(q2m1 * _strip_q(z)))
     return divides
 
 
 def _koszul_solve(nt, idx, rhs, units):
-    """delta and the rows of delta Z for Z A = B over Z[q], delta = +-det A,
+    """(K, delta, delta(xi), rows) for Z A = B over Z[q], delta = +-det A,
     with A = N~ over ``idx`` x ``idx`` (``nt`` the record of N~) and B the
     rows ``rhs`` of N~ over ``idx`` followed by the rows ``units`` of the
     identity over ``idx`` (each of ``units`` in ``idx``), by one integer
     solve (:func:`_int_solve`) at q = xi = 2^K: one elimination and one
-    multiply-back for both kinds of row.
+    multiply-back for both kinds of row.  ``rows`` are the rows of
+    delta Z, each entry a pair of its polynomial and its value at xi.
 
     By Cramer's rule delta and every entry of delta Z is, up to one sign, a
     maximal minor of [A^t | B^t], whose rows are the columns of A and B.
@@ -587,11 +628,13 @@ def _koszul_solve(nt, idx, rhs, units):
     over ``rhs``, and its degree at most the sum of the rows' largest
     degrees, 2 |idx| at most, since every entry of N~ has degree 2 or
     less.  So with K a multiple of 8 and 2^(K-1) above that product, each
-    is the balanced base-xi digits of its value at xi (:func:`_kron_unpack`)
-    in 2 |idx| + 1 slots, and delta(xi) = 0 only when det A = 0.  A
-    singular A raises SingularBlock; the integer multiply-back
+    is the balanced base-xi digits of its value at xi in 2 |idx| + 1
+    slots, and delta(xi) = 0 only when det A = 0.  A singular A raises
+    SingularBlock; the integer multiply-back
     delta Z(xi) A(xi) = delta(xi) B(xi) runs before anything is read off,
-    and digits of any row that do not fit the slots raise AssertionError."""
+    and then one decode (:func:`_kron_unpack_many`) reads delta and every
+    entry, each checked against its own slots: a value that does not fit
+    raises AssertionError."""
     norms = nt.norms
     unit = set(units)
     bound = 1
@@ -604,13 +647,12 @@ def _koszul_solve(nt, idx, rhs, units):
           + [[int(t == j) for t in idx] for j in units])
     delta, rows = _int_solve([[v[s][t] for t in idx] for s in idx], bv, k)
     slots = 2 * len(idx) + 1
-    digits = [_kron_unpack(x, k // 8, slots, 0) for x in [delta, *(x for r in rows for x in r)]]
-    if None in digits:
+    digits = _kron_unpack_many([delta, *(x for r in rows for x in r)], k // 8, slots, 0)
+    if digits is None:
         raise AssertionError("multiplication-back failed: a minor does not fit "
                              f"{slots} digits at q = 2^{k}")
-    polys = iter(map(IntPoly._new, digits))
-    delta = next(polys)
-    return delta, [[next(polys) for _ in r] for r in rows]
+    polys = map(IntPoly._new, digits)
+    return k, next(polys), delta, [[(next(polys), x) for x in r] for r in rows]
 
 
 def _rf_rows(rows) -> tuple[tuple[RatFunc, ...], ...]:
@@ -857,7 +899,7 @@ def _solve_block(res, cl, above, a_c):
     the largest row sum of X(t).  The second is xi = 2^K, K a multiple of 8
     with 2^(K-1) > R max |A| + max |B| (|.| the l1 norm, read off
     ``res.norms``) and A(xi) nonsingular.  X in N[q] is then the balanced
-    base-xi digits of X(xi) (:func:`_kron_unpack`), so X is cut unless
+    base-xi digits of X(xi) (:func:`_kron_unpack_many`), so X is cut unless
     X(xi) is in N, with digits in N and row sums at most R.  Conversely,
     for such digits X', every coefficient of X' A - B is below 2^(K-1) and
     its value at xi is 0, so X' A = B in Z[q], and X' is X.
@@ -883,10 +925,13 @@ def _solve_block(res, cl, above, a_c):
     k, xs = _solve_at(res, cl, above, a_c, count(8 * (bound.bit_length() // 8 + 1), 8))
     if xs is None:
         return k, None
+    # one decode for the block, each value in the slots of the longest
     kb = k // 8
+    n = max(v.bit_length() for x in xs for v in x) // (8 * kb) + 2
+    digits = iter(_kron_unpack_many([v for x in xs for v in x], kb, n, 0))
     rows = []
     for x in xs:
-        row = [_kron_unpack(v, kb, v.bit_length() // (8 * kb) + 2, 0) for v in x]
+        row = [next(digits) for _ in x]
         if any(v < 0 for c in row for v in c.values()) or sum(sum(c.values()) for c in row) > r:
             return k, None
         rows.append([IntPoly._new(c) for c in row])

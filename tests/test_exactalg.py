@@ -521,3 +521,48 @@ def test_sparse_high_degree_polynomials_stay_on_the_dict_loops():
     assert p == school_product(spread, spread)
     assert (p * sparse) // spread == spread * sparse
     assert poly_gcd(p * sparse, spread * IntPoly({5000: 1, 0: -1})) == spread
+
+
+# ---------------------------------------------------------------------------
+# Kronecker decoding
+# ---------------------------------------------------------------------------
+
+@st.composite
+def packed_batches(draw):
+    """(kb, n, lo, digit lists, values): a batch of values, each the
+    balanced base-2^(8 kb) number of its n digits."""
+    kb = draw(st.integers(min_value=1, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=20))
+    lo = draw(st.integers(min_value=0, max_value=3))
+    half = 1 << (8 * kb - 1)
+    digit = st.one_of(st.integers(min_value=-half, max_value=half - 1),
+                      st.sampled_from((-half, half - 1, 0, 1, -1)))
+    batch = draw(st.lists(st.lists(digit, min_size=n, max_size=n), max_size=40))
+    values = [sum(d << (8 * kb * i) for i, d in enumerate(ds)) for ds in batch]
+    return kb, n, lo, batch, values
+
+
+@given(packed_batches())
+def test_the_batched_decode_is_the_one_value_decode_of_each(case):
+    kb, n, lo, batch, values = case
+    got = exactalg._kron_unpack_many(values, kb, n, lo)
+    assert got == [exactalg._kron_unpack(x, kb, n, lo) for x in values]
+    assert got == [{lo + i: d for i, d in enumerate(ds) if d} for ds in batch]
+
+
+@given(packed_batches().filter(lambda case: case[4]), st.sampled_from(("first", "middle", "last")),
+       st.booleans())
+def test_one_value_one_past_its_slots_fails_the_batched_decode(case, where, above):
+    # the largest value n digits hold is sum (2^(8 kb - 1) - 1) xi^i and the
+    # least -sum 2^(8 kb - 1) xi^i; one past either must not carry into or
+    # borrow from its neighbour's slots
+    kb, n, lo, _, values = case
+    half = 1 << (8 * kb - 1)
+    top = sum((half - 1) << (8 * kb * i) for i in range(n))
+    bottom = -sum(half << (8 * kb * i) for i in range(n))
+    assert exactalg._kron_unpack(top, kb, n, lo) is not None
+    assert exactalg._kron_unpack(bottom, kb, n, lo) is not None
+    pos = {"first": 0, "middle": len(values) // 2, "last": len(values) - 1}[where]
+    values[pos] = top + 1 if above else bottom - 1
+    assert exactalg._kron_unpack(values[pos], kb, n, lo) is None
+    assert exactalg._kron_unpack_many(values, kb, n, lo) is None

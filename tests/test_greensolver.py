@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import dense
 from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, char_table, label_sort_key
@@ -390,11 +390,54 @@ def test_gamma_divides_is_divisibility_by_q_m_minus_1(f, g, c, m):
 
 @given(products, st.integers(min_value=0, max_value=16), st.sampled_from((1, -1, 2)),
        products, st.integers(min_value=0, max_value=8), st.integers(min_value=-3, max_value=3),
-       st.integers(min_value=1, max_value=12))
-def test_y_divides_is_divisibility_of_q_m_times_q2_minus_1_times_z(f, i, c, g, j, d, m):
+       st.integers(min_value=1, max_value=12), st.sampled_from((8, 16, 24, 48)))
+def test_y_divides_is_divisibility_of_q_m_times_q2_minus_1_times_z(f, i, c, g, j, d, m, k):
     delta, z = IntPoly.q(i) * f * c, IntPoly.q(j) * g * d
     cy = IntPoly.q(m) * IntPoly({2: 1, 0: -1})
-    assert greensolver._y_divides(delta, m)(z) == delta.divides(cy * z)
+    dv = greensolver._value_at(delta, k)
+    assume(dv)
+    test = greensolver._y_divides(delta, m, k, dv)
+    assert test(z, greensolver._value_at(z, k)) == delta.divides(cy * z)
+
+
+@given(products.filter(lambda p: p.degree() > 0), st.sampled_from((1, -1, 2)), small_polys,
+       small_polys.filter(bool), st.sampled_from((8, 16, 24)))
+@example(IntPoly({2: 1, 0: 1}), 1, IntPoly.zero(), IntPoly.one(), 8)
+def test_an_entry_divisible_at_xi_but_not_in_z_q_falls_through_to_the_gcd(f, c, quot, s, k):
+    # num = delta Q + (2^k - q) s is divisible by delta at xi = 2^k, so the
+    # closed route tries num // delta; delta does not divide it in Z[q], so
+    # the NotDivisible falls through to the reduced fraction num / delta
+    delta, xi = f * c, 1 << k
+    num = delta * quot + IntPoly({1: -1, 0: xi}) * s
+    dv, nv = greensolver._value_at(delta, k), greensolver._value_at(num, k)
+    assume(dv and not delta.divides(num))
+    assert nv % dv == 0
+    got, want = greensolver._over_delta(num, nv, delta, dv), RatFunc(num, delta)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(products, products, st.integers(min_value=-3, max_value=3), small_polys,
+       st.integers(min_value=1, max_value=12), st.sampled_from((8, 16, 24, 48)))
+def test_over_delta_is_the_quotient_in_lowest_terms(f, g, c, quot, m, k):
+    delta, num = f * (c or 1), g * quot * c
+    dv = greensolver._value_at(delta, k)
+    assume(dv)
+    got = greensolver._over_delta(num, greensolver._value_at(num, k), delta, dv)
+    want = RatFunc(num, delta)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(products, st.integers(min_value=0, max_value=16), st.sampled_from((1, -1, 2)),
+       small_polys, st.integers(min_value=1, max_value=12), st.sampled_from((8, 16, 24, 48)))
+def test_the_integer_pretest_never_rejects_a_y_entry_that_divides(f, i, c, w, m, k):
+    # z = w delta / q^min(i, m), so delta divides q^m (q^2 - 1) z in Z[q]:
+    # the rejection at xi = 2^k, made before the valuations, must pass it
+    delta = IntPoly.q(i) * f * c
+    z = IntPoly.q(max(i - m, 0)) * f * c * w
+    dv = greensolver._value_at(delta, k)
+    assume(dv)
+    assert delta.divides(IntPoly.q(m) * IntPoly({2: 1, 0: -1}) * z)
+    assert greensolver._y_divides(delta, m, k, dv)(z, greensolver._value_at(z, k))
 
 
 @given(products, products, st.integers(min_value=-3, max_value=3),
@@ -463,7 +506,8 @@ def _koszul_c(m):
 
 def test_the_closed_omega_times_ntilde_is_c_up_to_m_30():
     for m in range(3, 31):
-        om, nt, c = greensolver._closed_inverse(m)
+        closed, om, nt, c = greensolver._closed_inverse(m)
+        assert closed is fakedegree.omega_closed(m)
         ntilde = greensolver._koszul_matrix(m)
         assert c == _koszul_c(m) and [list(row) for row in nt.M] == ntilde
         assert greensolver._is_scaled_inverse(om, ntilde, c)
@@ -501,7 +545,7 @@ def test_ntilde_holds_the_tensor_multiplicities_of_the_character_table(m):
 
 @pytest.mark.parametrize("m", (3, 4, 5, 6))
 def test_a_changed_ntilde_entry_fails_the_certificate(m):
-    om, _, c = greensolver._closed_inverse(m)
+    _, om, _, c = greensolver._closed_inverse(m)
     ntilde = greensolver._koszul_matrix(m)
     for i, j in [(i, j) for i in range(len(om)) for j in range(len(om))]:
         for change in (IntPoly.one(), IntPoly({1: -1}), IntPoly({2: 1})):
@@ -622,7 +666,7 @@ def test_the_closed_route_is_singular_where_the_residual_loop_is(classes, singul
     ntilde = tuple(tuple(map(IntPoly, row)) for row in SYNTHETIC_N)
     assert greensolver._is_scaled_inverse(rows, ntilde, IntPoly(-1))
     record = greensolver._Residual((0, 1, 2), ntilde)
-    monkeypatch.setattr(greensolver, "_closed_inverse", lambda m: (rows, record, IntPoly(-1)))
+    monkeypatch.setattr(greensolver, "_closed_inverse", lambda m: (None, rows, record, IntPoly(-1)))
     loop = greensolver._solve_residual
     monkeypatch.setattr(greensolver, "_solve_residual", None)
     datum = LSDatum(3, tuple(map(frozenset, classes)), tuple(range(len(classes) - 1, -1, -1)))
