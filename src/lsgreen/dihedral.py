@@ -116,6 +116,14 @@ def _check_m(m: int, minimum: int = 2):
 # character labels
 # ---------------------------------------------------------------------------
 
+def label_sort_key(label: CharLabel) -> tuple[int, int]:
+    """Canonical order: Chi(0), Chi(1), ... ascending, then ChiR, then
+    ChiRPrime, then Eps."""
+    if label.kind == "chi":
+        return (0, label.index)
+    return ({"chi_r": 1, "chi_r_prime": 2, "eps": 3}[label.kind], 0)
+
+
 @dataclass(frozen=True)
 class CharLabel:
     """Label of an irreducible character: ('chi', i), ('chi_r', None),
@@ -123,9 +131,10 @@ class CharLabel:
 
     kind: str
     index: int | None = None
-    # hash((kind, index)), the dataclass hash, computed once: labels are
-    # hashed in every set and dict of the search, and the value keeps
-    # their iteration order
+    # the hash of the int pair label_sort_key, computed once: labels are
+    # hashed in every set and dict of the search, and a hash of ints (not
+    # of None, whose hash is its address) is the same in every process, so
+    # those sets and dicts iterate in one order from run to run
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -133,7 +142,7 @@ class CharLabel:
             raise ValueError(f"unknown label kind {self.kind!r}")
         if (self.kind == "chi") != (self.index is not None):
             raise ValueError("index is required exactly for 'chi' labels")
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+        object.__setattr__(self, "_hash", hash(label_sort_key(self)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -154,14 +163,6 @@ def Chi(i: int) -> CharLabel:
 ChiR = CharLabel("chi_r")
 ChiRPrime = CharLabel("chi_r_prime")
 Eps = CharLabel("eps")
-
-
-def label_sort_key(label: CharLabel) -> tuple[int, int]:
-    """Canonical order: Chi(0), Chi(1), ... ascending, then ChiR, then
-    ChiRPrime, then Eps."""
-    if label.kind == "chi":
-        return (0, label.index)
-    return ({"chi_r": 1, "chi_r_prime": 2, "eps": 3}[label.kind], 0)
 
 
 def format_label(label: CharLabel) -> str:

@@ -19,12 +19,16 @@ evaluates this in Z[zeta_m][q] for any function f on the group elements;
 its only division is the one by 2m, certified to leave an integer
 polynomial.  The rotation terms are one dot product of floor(m/2) + 1
 Kronecker-packed integers (:func:`_rotation_sum`), reduced mod Phi_m once
-per power of q.
+per power of q; the reflection terms are one coordinate-wise sum of the m
+values.
 
 The omega matrix omega(chi, chi') = q^m * R(chi . chi' . eps) is computed by
 two genuinely independent routes -- the character sum above and a closed
 table -- which the test-suite and the ``both`` method keep honest against
-each other.
+each other.  The sum route forms chi . chi' . eps once per distinct triple
+of values, so an entry makes at most floor(m/2) + 3 CycloNum products,
+not 2m; the symmetry check twists each distinct value once and reads R of
+a tabulated character from :func:`fake_degree`'s cache.
 """
 
 from __future__ import annotations
@@ -215,7 +219,7 @@ def fake_degree_sum(m: int, f) -> IntPoly:
     num = _rotation_sum(m, vals[:m])
 
     # reflection part: every reflection contributes -f(s) (q^m - 1)
-    srefl = sum(vals[m:], _czero(m))
+    srefl = CycloNum._new(m, tuple(map(sum, zip(*(v.co for v in vals[m:])))))
     num[0] = num[0] + srefl
     num[m] = num[m] - srefl
 
@@ -245,18 +249,30 @@ def fake_degree(m: int, label: CharLabel) -> IntPoly:
 def check_symmetry(m: int, f) -> bool:
     """Verify the reversal identity R(conj(det . f))(q) = q^m R(f)(1/q).
 
-    Returns True when the identity holds for the given class function; the
-    left side is computed by a fresh Molien sum, the right by reversing the
-    exponent sequence of R(f) at the top degree m (= number of reflections).
+    ``f`` is any function on the group elements, as for
+    :func:`fake_degree_sum`; the identity holds for every class function.
+    The left side is a fresh Molien sum over the twisted values, each
+    distinct (value, is-reflection) pair conjugated and negated once.  The
+    right side reverses the exponent sequence of R(f) at the top degree m
+    (= number of reflections); R(f) is the cached :func:`fake_degree` when
+    f is a CharLabel or the character table's own IrrChar object, and a
+    fresh sum otherwise, so a hand-built IrrChar is summed from its values.
     """
     vals = _values_of(m, f)
-    rf = fake_degree_sum(m, vals)
+    if isinstance(f, CharLabel):
+        rf = fake_degree(m, f)
+    elif isinstance(f, IrrChar) and any(f is c for c in char_table(m)):
+        rf = fake_degree(m, f.label)
+    else:
+        rf = fake_degree_sum(m, vals)
+    memo: dict[tuple[tuple[int, ...], bool], CycloNum] = {}
     twisted = []
-    for i, g in enumerate(elements(m)):
-        v = vals[i].conj()
-        if g.is_reflection:
-            v = -v
-        twisted.append(v)
+    for v, g in zip(vals, elements(m)):
+        key = (v.co, g.is_reflection)
+        t = memo.get(key)
+        if t is None:
+            t = memo[key] = -v.conj() if g.is_reflection else v.conj()
+        twisted.append(t)
     lhs = fake_degree_sum(m, twisted)
     return lhs == rf.reverse(m)
 
@@ -278,9 +294,18 @@ def _signs(eps_vals) -> tuple[int, ...]:
 
 def _omega_entry_sum(m: int, chi: IrrChar, psi: IrrChar, signs: Sequence[int]) -> IntPoly:
     """q^m R(chi . psi . eps), with eps given by its signs (:func:`_signs`):
-    one CycloNum product per group element, negated where eps is -1."""
-    prod = tuple(a * b if e == 1 else -(a * b)
-                 for a, b, e in zip(chi.values, psi.values, signs))
+    one CycloNum product per distinct (chi(g), psi(g), sign) triple, keyed
+    on coordinates and negated where eps is -1, which the elements sharing
+    the triple then share.  On characters the triples are at most
+    floor(m/2) + 1 rotation classes and 1 or 2 reflection classes."""
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...], int], CycloNum] = {}
+    prod = []
+    for a, b, e in zip(chi.values, psi.values, signs):
+        key = (a.co, b.co, e)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = a * b if e == 1 else -(a * b)
+        prod.append(v)
     return fake_degree_sum(m, prod).shift(m)
 
 

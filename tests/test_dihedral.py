@@ -3,7 +3,11 @@
 Oracle: the full orthogonality relations of the character table, checked in
 exact cyclotomic arithmetic.
 """
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +15,8 @@ from hypothesis import given, strategies as st
 from lsgreen.dihedral import (
     CharLabel, Chi, ChiR, ChiRPrime, Eps, Ref, Rot,
     all_labels, b_invariant, char_table, char_value, elements, families,
-    format_label, inverse, irreps, mult, num_irreducibles, parse_label,
-    specials,
+    format_label, inverse, irreps, label_sort_key, mult, num_irreducibles,
+    parse_label, specials,
 )
 from lsgreen.errors import InvalidM
 from lsgreen.exactalg import CycloNum
@@ -164,10 +168,26 @@ def test_label_census(m):
 
 
 @given(st.integers(min_value=0, max_value=40))
-def test_char_label_hash_is_the_field_tuple_hash(i):
-    # the cached hash is the dataclass hash, so every set and dict of
-    # labels iterates in the same order as before it was cached
+def test_char_label_hash_is_the_sort_key_hash(i):
+    # the cached hash is that of the int pair of label_sort_key, which no
+    # process's string or None hashing moves
     for label in (Chi(i), ChiR, ChiRPrime, Eps):
-        assert hash(label) == hash((label.kind, label.index))
+        assert hash(label) == hash(label_sort_key(label))
     assert Chi(i) == CharLabel("chi", i) and hash(Chi(i)) == hash(CharLabel("chi", i))
     assert pickle.loads(pickle.dumps(Chi(i))) == Chi(i)
+
+
+def test_char_label_hash_and_set_order_are_the_same_in_every_process():
+    # hash(None) is None's address on Python 3.11, and str hashes follow
+    # PYTHONHASHSEED; neither may reach a label's hash
+    code = ("from lsgreen.dihedral import Eps, all_labels; "
+            "print(hash(Eps), list(frozenset(all_labels(12))))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        out.add(run.stdout)
+    assert len(out) == 1

@@ -13,7 +13,9 @@ from hypothesis import given, strategies as st
 
 import dense
 from lsgreen import fakedegree
-from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, b_invariant, char_table
+from lsgreen.dihedral import (
+    Chi, ChiR, ChiRPrime, Eps, IrrChar, all_labels, b_invariant, char_table, elements,
+)
 from lsgreen.errors import NotPolynomial, NotRational
 from lsgreen.exactalg import CycloNum, IntPoly, euler_phi
 from lsgreen.fakedegree import (
@@ -322,3 +324,69 @@ def test_omega_diagonal_corner_terms():
         assert omega(m).get(Chi(0), Chi(0)).as_poly() == IntPoly({2 * m: 1})
         assert omega(m).get(Eps, Eps).as_poly() == IntPoly({2 * m: 1})
         assert omega(m).get(Chi(0), Eps).as_poly() == IntPoly({m: 1})
+
+
+@pytest.mark.parametrize("m", (9, 15, 30))
+def test_an_omega_entry_makes_one_product_per_distinct_triple(m, monkeypatch):
+    # on characters the triples (chi(g), psi(g), eps(g)) take at most
+    # floor(m/2) + 1 values on the rotations and one per reflection class
+    _rotation_cofactors(m), char_table(m)  # their products are not the entries'
+    calls = []
+    mul = CycloNum.__mul__
+
+    def counted_mul(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    per_entry = []
+    entry = fakedegree._omega_entry_sum
+
+    def counted_entry(*args):
+        before = len(calls)
+        out = entry(*args)
+        per_entry.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted_mul)
+    monkeypatch.setattr(fakedegree, "_omega_entry_sum", counted_entry)
+    assert omega_sum(m) == omega_closed(m)
+    n = len(char_table(m))
+    assert len(per_entry) == n * (n + 1) // 2
+    assert max(per_entry) <= m // 2 + 1 + (2 if m % 2 == 0 else 1)
+
+
+def reference_check_symmetry(m, vals):
+    """The reversal identity with both sides fresh element-wise sums, each
+    value conjugated and negated on its own."""
+    twisted = tuple(-v.conj() if g.is_reflection else v.conj()
+                    for v, g in zip(vals, elements(m)))
+    return reference_fake_degree_sum(m, twisted) == reference_fake_degree_sum(m, vals).reverse(m)
+
+
+def not_class_functions(m):
+    """f(rho^k) = 2mk and f(rho^k) = 2m zeta^k, with f(s_k) = 2m (k^2 + 1):
+    the functions of the test above, whose sums are integer polynomials."""
+    scaled = tuple(CycloNum.rational(m, 2 * m * k) for k in range(m)) \
+        + tuple(CycloNum.rational(m, 2 * m * (k * k + 1)) for k in range(m))
+    rooted = tuple(CycloNum.root_power(m, k) * (2 * m) for k in range(m)) + scaled[m:]
+    return scaled, rooted
+
+
+@pytest.mark.parametrize("m", (3, 4, 7, 10, 12))
+def test_check_symmetry_on_a_function_that_is_not_a_class_function(m):
+    # the sum sees f only through f(rho^k) + f(rho^-k) and the sum over the
+    # reflections, so the identity holds here as for a class function
+    for vals in not_class_functions(m):
+        assert check_symmetry(m, vals) is reference_check_symmetry(m, vals) is True
+
+
+@pytest.mark.parametrize("m", (3, 4, 7, 10, 12))
+def test_check_symmetry_sums_a_hand_built_irrchar_from_its_values(m):
+    # Chi(1)'s label with other values: R(f) must come from those values;
+    # with the next character's, the cached R(Chi(1)) would give False
+    chi1, chi2 = char_table(m)[1], char_table(m)[2]
+    for vals in (chi2.values,) + not_class_functions(m):
+        fake = IrrChar(m, chi1.label, chi1.degree, chi1.b, vals)
+        assert check_symmetry(m, fake) is reference_check_symmetry(m, vals) is True
+    assert fake_degree(m, chi2.label).reverse(m) != fake_degree(m, chi1.label)
+    assert check_symmetry(m, chi1) and check_symmetry(m, chi1.label)
