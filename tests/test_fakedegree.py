@@ -206,16 +206,21 @@ def test_each_cofactor_times_its_divisor_is_the_numerator(m):
         assert cpoly_mul(m, ck, det) == want, k
 
 
-@pytest.mark.parametrize("m", (3, 4, 7, 10, 12))
-def test_a_function_that_is_not_a_class_function_equals_the_elementwise_sum(m):
-    # f(rho^k) != f(rho^-k): the packed sum pairs rho^k with rho^(m-k), so
-    # it must not need f to be a class function.  Both f(rho^k) = 2mk and
-    # f(rho^k) = 2m zeta^k give integer polynomials, the second because a
-    # Galois automorphism moves zeta^k and C_k to the same rotation.
+def not_class_functions(m):
+    """f(rho^k) = 2mk and f(rho^k) = 2m zeta^k, with f(s_k) = 2m (k^2 + 1).
+    Both give integer polynomials, the second because a Galois automorphism
+    moves zeta^k and C_k to the same rotation."""
     scaled = tuple(CycloNum.rational(m, 2 * m * k) for k in range(m)) \
         + tuple(CycloNum.rational(m, 2 * m * (k * k + 1)) for k in range(m))
     rooted = tuple(CycloNum.root_power(m, k) * (2 * m) for k in range(m)) + scaled[m:]
-    for vals in (scaled, rooted):
+    return scaled, rooted
+
+
+@pytest.mark.parametrize("m", (3, 4, 7, 10, 12))
+def test_a_function_that_is_not_a_class_function_equals_the_elementwise_sum(m):
+    # f(rho^k) != f(rho^-k): the packed sum pairs rho^k with rho^(m-k), so
+    # it must not need f to be a class function
+    for vals in not_class_functions(m):
         assert vals[1] != vals[m - 1]
         assert fake_degree_sum(m, vals) == reference_fake_degree_sum(m, vals) != IntPoly.zero()
 
@@ -330,7 +335,7 @@ def test_omega_diagonal_corner_terms():
 def test_an_omega_entry_makes_one_product_per_distinct_triple(m, monkeypatch):
     # on characters the triples (chi(g), psi(g), eps(g)) take at most
     # floor(m/2) + 1 values on the rotations and one per reflection class
-    _rotation_cofactors(m), char_table(m)  # their products are not the entries'
+    _rotation_cofactors(m)  # built before counting: its products are no entry's
     calls = []
     mul = CycloNum.__mul__
 
@@ -361,15 +366,6 @@ def reference_check_symmetry(m, vals):
     twisted = tuple(-v.conj() if g.is_reflection else v.conj()
                     for v, g in zip(vals, elements(m)))
     return reference_fake_degree_sum(m, twisted) == reference_fake_degree_sum(m, vals).reverse(m)
-
-
-def not_class_functions(m):
-    """f(rho^k) = 2mk and f(rho^k) = 2m zeta^k, with f(s_k) = 2m (k^2 + 1):
-    the functions of the test above, whose sums are integer polynomials."""
-    scaled = tuple(CycloNum.rational(m, 2 * m * k) for k in range(m)) \
-        + tuple(CycloNum.rational(m, 2 * m * (k * k + 1)) for k in range(m))
-    rooted = tuple(CycloNum.root_power(m, k) * (2 * m) for k in range(m)) + scaled[m:]
-    return scaled, rooted
 
 
 @pytest.mark.parametrize("m", (3, 4, 7, 10, 12))
