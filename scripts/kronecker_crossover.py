@@ -11,18 +11,29 @@ batched decode of a class-boundary solve's values, as ``greensolver``
 reads delta and delta Z at q = 2^K, against one decode per value; then the
 rotation part of the Molien sum for one class function, m (m + 1)
 reduced products in Z[zeta_m] against one packed dot product of
-floor(m/2) + 1 terms.
+floor(m/2) + 1 terms; then, on the (num, delta) pairs that one pass of
+the benchmark's solve-rational pool reduces on the closed route, the gcd
+read off xi = 2^K (``greensolver._over_delta``, which returns the reduced
+entries) against ``poly_gcd`` alone and against ``RatFunc(num, delta)``.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import time
+from collections import defaultdict
 from itertools import compress
+from pathlib import Path
 
 from lsgreen import exactalg as ea
 from lsgreen import fakedegree as fd
+from lsgreen import greensolver as gs
 from lsgreen.dihedral import irreps
+from lsgreen.errors import SingularBlock
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import SolveRational  # noqa: E402  (the benchmark's pool)
 
 SPAN = 3      # exponent slots per term of the operands
 
@@ -61,6 +72,27 @@ def rotation_sum_by_element(m: int, rot) -> list[ea.CycloNum]:
                 if not c.is_zero():
                     nrot[e] = nrot[e] + fv * c
     return nrot
+
+
+def closed_route_batches() -> dict[int, list]:
+    """The arguments of every ``_over_delta`` call of one pass of the
+    solve-rational pool, zero numerators left out, by m."""
+    batches, real = defaultdict(list), gs._over_delta
+
+    def record(nums, delta, dv, k):
+        batches[m].append(([x for x in nums if x[0].c], delta, dv, k))
+        return real(nums, delta, dv, k)
+    gs._over_delta = record
+    try:
+        for _, datum in SolveRational.ops(0):
+            m = datum.m
+            try:
+                gs.solve(fd.omega(m, method="closed"), datum)
+            except SingularBlock:
+                pass
+    finally:
+        gs._over_delta = real
+    return batches
 
 
 def usec(fn, *args) -> float:
@@ -122,6 +154,19 @@ def main() -> None:
         assert fd._rotation_sum(m, rot) == rotation_sum_by_element(m, rot)
         label = f"{m} ({ea.euler_phi(m)})"
         print(row(label, usec(rotation_sum_by_element, m, rot), usec(fd._rotation_sum, m, rot)))
+
+    print("\nReducing the entries num / delta of X and M_CC, per pair\n")
+    print("| m | pairs | poly_gcd (µs) | RatFunc(num, delta) (µs) | read off xi (µs) |\n"
+          "|---|---:|---:|---:|---:|")
+    for m, batches in sorted(closed_route_batches().items()):
+        pairs = [(num, delta) for nums, delta, _, _ in batches for num, _ in nums]
+        for nums, delta, dv, k in batches:
+            assert gs._over_delta(nums, delta, dv, k) == [ea.RatFunc(x, delta) for x, _ in nums]
+        per = len(pairs)
+        print(f"| {m} | {per:,} "
+              f"| {usec(lambda: [ea.poly_gcd(x, d) for x, d in pairs]) / per:.1f} "
+              f"| {usec(lambda: [ea.RatFunc(x, d) for x, d in pairs]) / per:.1f} "
+              f"| {usec(lambda: [gs._over_delta(*b) for b in batches]) / per:.1f} |")
 
 
 if __name__ == "__main__":

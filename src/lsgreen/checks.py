@@ -75,6 +75,14 @@ def pairing_matrix_cross_derivation(m, bounds):
 
 @_verify_check("fake-degree-symmetry")
 def fake_degree_symmetry(m, bounds):
+    """The reversal identity R(conj(det chi))(q) = q^m R(chi)(1/q) of
+    :func:`fakedegree.check_symmetry` for every irreducible chi of m.  It
+    certifies the Molien sum, not a datum or the character table: the sum
+    sees a function only through f(rho^k) + f(rho^-k) and its reflection
+    total, and for any class function f whose R(f) has integer
+    coefficients the twisted sum is conj(q^m R(f)(1/q)) = q^m R(f)(1/q).
+    So the check holds on every input the sum accepts, and fails only
+    when the sum itself is computed wrongly."""
     return [format_label(c.label) for c in irreps(m) if not check_symmetry(m, c)]
 
 

@@ -81,10 +81,16 @@ def ratfunc_to_jsonable(v: RatFunc) -> dict:
 
 
 def matrix_to_jsonable(mat: PolyMatrix) -> dict:
+    """Labels and entries; each distinct entry object is converted once
+    and its dict shared wherever the object recurs, as the solver's
+    zeros, diagonal q^a and mirror entries of Lambda do.  The dicts are
+    for rendering, and no caller mutates them."""
+    distinct = {id(x): x for row in mat.data for x in row}
+    as_dict = {i: ratfunc_to_jsonable(x) for i, x in distinct.items()}
     return {
         "rows": [format_label(l) for l in mat.rows],
         "cols": [format_label(l) for l in mat.cols],
-        "entries": [[ratfunc_to_jsonable(x) for x in row] for row in mat.data],
+        "entries": [[as_dict[id(x)] for x in row] for row in mat.data],
     }
 
 

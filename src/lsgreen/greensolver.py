@@ -45,8 +45,12 @@ There are two routes.
     read back off the digits by one decode (:func:`_solve_closed`,
     :func:`_koszul_solve`).  No residual is kept and nothing is eliminated
     over Q(q).  Each entry of X and M_CC is num / delta with both known
-    at 2^K, so one exact division reduces it where delta(2^K) divides
-    num(2^K), and a gcd anywhere else, or where that division fails.
+    at xi = 2^K, and its gcd is read off those integers (:func:`_over_delta`,
+    the lemma of GCDHEU): with h = igcd(num(xi), delta(xi)) and G the
+    primitive part of h's balanced base-xi digits, G is the gcd up to an
+    integer whenever it divides num and delta and xi >= 2 |delta|_inf + 2,
+    which 2^(K-1) > |delta|_1 gives.  So an entry is reduced by two exact
+    divisions and a content, and by a gcd only where G fails to divide.
   - Any other omega, a singular or perturbed one included, goes through
     the residual loop over Q(q) (:func:`_solve_residual`): one loop over
     the classes that keeps P, Lambda and M as dense lists.  Omega must be
@@ -99,6 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
+from math import gcd as int_gcd
 
 from . import fakedegree
 from .dihedral import (
@@ -106,8 +111,8 @@ from .dihedral import (
 )
 from .errors import NotDivisible, SingularBlock
 from .exactalg import (
-    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack_many, _strip_q,
-    matrix_solve, poly_dot, poly_lcm, rf_dot,
+    RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack_many, _primitive,
+    _strip_q, matrix_solve, poly_dot, poly_lcm, rf_dot,
 )
 
 __all__ = [
@@ -509,11 +514,17 @@ def _solve_closed(labels, om, nt, c, datum):
     both, with the rows N~_Ca and the unit rows of C' as its right-hand
     side, at one point xi = 2^K.  Each entry of X and of M_CC is then
     num / delta, -q^(a_C) z / delta or c z / delta, and the solve gives
-    num(xi) and delta(xi) as integers (:func:`_over_delta`): delta divides
-    num in Z[q] only if delta(xi) divides num(xi), so an entry that fails
-    that test is reduced by a gcd and any other is one exact division
-    num // delta, or a gcd where that division fails.  Lambda_C is
-    symmetric, and each mirror entry is the same object.  An entry
+    num(xi) and delta(xi) as integers.  Both kinds of entry at a boundary
+    are reduced in one batch (:func:`_over_delta`), each by the gcd read
+    off igcd(num(xi), delta(xi)): by the lemma of GCDHEU (Char, Geddes and
+    Gonnet, 1989) the primitive part G of that integer's balanced base-xi
+    digits is gcd(num, delta) up to an integer when it divides both and
+    xi >= 2 |delta|_inf + 2.  :func:`_koszul_solve` picks 2^(K-1) above
+    |delta|_1, so xi, even, is at least 2 |delta|_1 + 2; _over_delta checks
+    the bound itself and takes the gcd in Z[q] where it fails, or where G
+    does not divide.  h = |delta(xi)| is the case G = delta / cont(delta),
+    an exact division with nothing decoded.  Lambda_C is symmetric, and
+    each mirror entry is the same object, as is each zero.  An entry
     z / delta of (N~_UU^-1)[:, C] gives the Y entry
     M / (q^m - 1) = q^m (q^2 - 1) z / delta, polynomial exactly when delta
     divides q^m (q^2 - 1) z in Z[q] (:func:`_y_divides`, which rejects
@@ -530,62 +541,102 @@ def _solve_closed(labels, om, nt, c, datum):
     unsolved = list(range(n))
     nonpoly = []
     members = sorted(datum.classes[0], key=label_sort_key)
+    midx = [pos[l] for l in members]
+    mcc = {(i, j): om[i][j] for i in midx for j in midx}
     for ci, a_c in enumerate(datum.a):
-        midx = [pos[l] for l in members]
         above = [i for i in unsolved if i not in midx]
-        if ci:
-            # z[j][u] = delta (N~_UU^-1)[j, u], symmetric over C x C, with
-            # its value at xi = 2^k, from the last boundary's solve
-            zc = {(i, j): z for j, zrow in zip(midx, units) for i, z in zip(unsolved, zrow)}
-            y_divides = _y_divides(delta, m, k, dv)
-            nonpoly += [(ci, labels[i], labels[j]) for i in unsolved for j in midx
-                        if not y_divides(*zc[i, j])]
-            cv = _value_at(c, k)
-            mcc = {}
-            for jj, j in enumerate(midx):
-                for i in midx[jj:]:
-                    z, zv = zc[i, j]
-                    mcc[i, j] = mcc[j, i] = _over_delta(c * z, cv * zv, delta, dv)
-        else:
-            mcc = {(i, j): om[i][j] for i in midx for j in midx}
-
         qa = RatFunc(IntPoly.q(a_c))
         for jj, j in enumerate(midx):
             for i in midx[jj:]:
                 L[i][j] = L[j][i] = _div_by_q_power(mcc[i, j], 2 * a_c)
             P[j][j] = qa
-
-        if above:
-            nxt = sorted(datum.classes[ci + 1], key=label_sort_key)
-            try:
-                k, delta, dv, z = _koszul_solve(nt, above, midx, [pos[l] for l in nxt])
-            except SingularBlock:
-                raise SingularBlock("singular block M_CC of the class "
-                                    f"{{{','.join(map(format_label, members))}}}") from None
-            for j, zrow in zip(midx, z):
-                for i, (v, vv) in zip(above, zrow):
-                    if v.c:
-                        P[i][j] = _over_delta(-v.shift(a_c), -vv << (a_c * k), delta, dv)
-            units = z[len(midx):]
-            members = nxt
-        unsolved = above
+        if not above:
+            break
+        nxt = sorted(datum.classes[ci + 1], key=label_sort_key)
+        nidx = [pos[l] for l in nxt]
+        try:
+            k, delta, dv, z = _koszul_solve(nt, above, midx, nidx)
+        except SingularBlock:
+            raise SingularBlock("singular block M_CC of the class "
+                                f"{{{','.join(map(format_label, members))}}}") from None
+        # this class's X, and for the next class C' the pairs
+        # z[j][u] = delta (N~_aa^-1)[j, u], symmetric over C' x C', with
+        # their values at xi = 2^k
+        xs = [(i, j, -v.shift(a_c), -vv << (a_c * k))
+              for j, zrow in zip(midx, z) for i, (v, vv) in zip(above, zrow) if v.c]
+        zc = {(i, j): zz for j, zrow in zip(nidx, z[len(midx):]) for i, zz in zip(above, zrow)}
+        y_divides = _y_divides(delta, m, k, dv)
+        nonpoly += [(ci + 1, labels[i], labels[j]) for i in above for j in nidx
+                    if not y_divides(*zc[i, j])]
+        cv = _value_at(c, k)
+        tri = [(i, j) for jj, j in enumerate(nidx) for i in nidx[jj:]]
+        entries = _over_delta([(num, nv) for _, _, num, nv in xs]
+                              + [(c * zc[ij][0], cv * zc[ij][1]) for ij in tri], delta, dv, k)
+        for (i, j, _, _), x in zip(xs, entries):
+            P[i][j] = x
+        mcc = dict(zip(tri, entries[len(xs):]))
+        members, midx, unsolved = nxt, nidx, above
     return P, L, nonpoly
 
 
-def _over_delta(num: IntPoly, nv: int, delta: IntPoly, dv: int) -> RatFunc:
-    """num / delta in lowest terms, with nv and dv != 0 their values at
-    one integer point.  delta divides num in Z[q] only if dv divides nv,
-    so where it does not the fraction is reduced by a gcd; where it does,
-    one exact division num // delta is tried first, and a NotDivisible
-    falls through to the gcd."""
-    if not nv % dv:
-        try:
-            quot = num // delta
-        except NotDivisible:
-            pass
-        else:
-            return RatFunc(quot, IntPoly.one(), _normalized=True)
-    return RatFunc(num, delta)
+def _over_delta(nums, delta: IntPoly, dv: int, k: int) -> list[RatFunc]:
+    """num / delta in lowest terms for each pair (num, num(xi)) of
+    ``nums``, with xi = 2^k, k a multiple of 8, and dv = delta(xi) != 0.
+    The gcd is read off the integers, by the lemma of GCDHEU (Char,
+    Geddes and Gonnet, J. Symbolic Comput. 8, 1989).
+
+    Let h = igcd(num(xi), dv), H the polynomial of the balanced base-xi
+    digits of h and G its primitive part.  If xi >= 2 |delta|_inf + 2
+    and G divides both num and delta, G is their gcd up to an integer:
+    with g = G D the gcd, g(xi) divides h = cont(H) G(xi), so D(xi)
+    divides cont(H) <= xi / 2; but D divides delta, whose roots lie in
+    |z| < 1 + |delta|_inf <= xi / 2, so a nonconstant D has
+    |D(xi)| > xi / 2.  Then num / G and delta / G, divided by the gcd of
+    their contents (those of num and delta, G being primitive) and with
+    the sign that makes the denominator's leading coefficient positive,
+    are the entry in lowest terms.  h = |dv| gives G = delta / cont(delta)
+    and h < xi / 2 gives G = 1, with nothing decoded.  Every other h,
+    with dv's sign, lies between 0 and dv, so it fits the deg(delta) + 1
+    slots that dv fits: one :func:`_kron_unpack_many` decodes each
+    distinct h, and delta / G is taken once per distinct h.  An entry
+    whose G does not divide num or delta, or every entry when xi is below
+    the bound, is ``RatFunc(num, delta)``, reduced by a gcd."""
+    xi = 1 << k
+    if xi < 2 * max(map(abs, delta.c.values())) + 2:
+        return [RatFunc(num, delta) for num, _ in nums]
+    one, cd, ad, half = IntPoly.one(), delta.content(), abs(dv), xi >> 1
+    hs = [int_gcd(nv, dv) for _, nv in nums]
+    todo = list({h: None for h in hs if half <= h != ad})
+    cofactor = {ad: (_primitive(delta), IntPoly(cd))}  # h -> (G, delta / G)
+    if todo:
+        hpolys = _kron_unpack_many([h if dv > 0 else -h for h in todo],
+                                   k // 8, delta.degree() + 1, 0)
+        for h, digits in zip(todo, hpolys):
+            g = _primitive(IntPoly._new(digits))
+            cofactor[h] = g, _quotient(delta, g)
+    out = []
+    for (num, _), h in zip(nums, hs):
+        g, b = cofactor.get(h, (one, delta))
+        a = _quotient(num, g) if num.c and b is not None else None
+        if a is None:
+            out.append(RatFunc(num, delta) if num.c else RF_ZERO)
+            continue
+        ct = int_gcd(cd, *a.c.values()) if cd != 1 else 1
+        if ct != 1:
+            a = IntPoly._new({e: v // ct for e, v in a.c.items()})
+            b = IntPoly._new({e: v // ct for e, v in b.c.items()})
+        if b.leading_coeff() < 0:
+            a, b = -a, -b
+        out.append(RatFunc(a, b, _normalized=True))
+    return out
+
+
+def _quotient(x: IntPoly, g: IntPoly) -> IntPoly | None:
+    """x // g in Z[q], or None when g does not divide x."""
+    try:
+        return x // g
+    except NotDivisible:
+        return None
 
 
 def _y_divides(delta: IntPoly, m: int, k: int, dv: int):
@@ -1120,7 +1171,7 @@ def verify_system(system: GreenSystem, omega: PolyMatrix) -> bool:
     dv = [_value_at(d, k) for d in ds]
     ellv = _value_at(ell, k)
     ld = L.data
-    sym = all(ld[i][j] == ld[j][i] for i in range(n) for j in range(i))
+    sym = all(ld[i][j] is ld[j][i] or ld[i][j] == ld[j][i] for i in range(n) for j in range(i))
     for r in range(n):
         u = [0] * n
         for s, x in enumerate(pv[r]):

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsgreen import cli
-from lsgreen.greensolver import datum_from_jsonable, datum_to_jsonable
+from lsgreen.dihedral import all_labels, format_label
+from lsgreen.fakedegree import omega
+from lsgreen.greensolver import LSDatum, datum_from_jsonable, datum_to_jsonable, solve
 from lsgreen.springer import maximal
 from lsgreen.sprefatlas import s_pref
 
@@ -99,6 +101,25 @@ def test_solve_accepts_full_system_json(capsys, tmp_path):
     rc, out, _ = run(capsys, "solve", "4", "--datum", str(path))
     assert rc == 0
     assert datum_from_jsonable(json.loads(out)["datum"]) == datum
+
+
+def test_a_rendered_system_equals_one_rendered_entry_by_entry():
+    # a rational system on the closed route shares its zeros, its diagonal
+    # q^a and Lambda's mirror entries, and each shared entry is converted
+    # once; the text must equal a conversion of every entry on its own
+    a, b = all_labels(16)[:8], all_labels(16)[8:]
+    datum = LSDatum(16, (frozenset(a[:3]), frozenset(a[3:]), frozenset(b)), (9, 4, 0))
+    system = solve(omega(16, method="closed"), datum)
+
+    def separately(mat):
+        return {"rows": [format_label(l) for l in mat.rows],
+                "cols": [format_label(l) for l in mat.cols],
+                "entries": [[cli.ratfunc_to_jsonable(x) for x in row] for row in mat.data]}
+    got = cli.system_to_jsonable(system)
+    want = {**got, "P": separately(system.P), "Lambda": separately(system.Lambda)}
+    assert any(not x.is_polynomial() for row in system.P.data for x in row)
+    assert got["Lambda"]["entries"][0][1] is got["Lambda"]["entries"][1][0]
+    assert cli.render_json(got) == cli.render_json(want)
 
 
 def test_maximal_certificate(capsys):

@@ -7,6 +7,8 @@ entry was confirmed by multiplying the factorization back.
 import dataclasses
 import functools
 import importlib.util
+import math
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,7 +23,7 @@ from lsgreen.exactalg import (
     CycloNum, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, rf_dot,
 )
 from lsgreen.fakedegree import fake_degree, omega
-from lsgreen import fakedegree, greensolver, springer as springer_module
+from lsgreen import exactalg, fakedegree, greensolver, springer as springer_module
 from lsgreen.greensolver import (
     LSDatum, Node, NodeTable, closure_order, datum_from_jsonable, datum_to_jsonable, solve,
     verify_system,
@@ -404,27 +406,84 @@ def test_y_divides_is_divisibility_of_q_m_times_q2_minus_1_times_z(f, i, c, g, j
        small_polys.filter(bool), st.sampled_from((8, 16, 24)))
 @example(IntPoly({2: 1, 0: 1}), 1, IntPoly.zero(), IntPoly.one(), 8)
 def test_an_entry_divisible_at_xi_but_not_in_z_q_falls_through_to_the_gcd(f, c, quot, s, k):
-    # num = delta Q + (2^k - q) s is divisible by delta at xi = 2^k, so the
-    # closed route tries num // delta; delta does not divide it in Z[q], so
-    # the NotDivisible falls through to the reduced fraction num / delta
+    # num = delta Q + (2^k - q) s is divisible by delta at xi = 2^k, so
+    # h = |delta(xi)| and the closed route tries num // pp(delta); delta
+    # does not divide num in Z[q], so unless pp(delta) does, the
+    # NotDivisible falls through to the reduced fraction num / delta
     delta, xi = f * c, 1 << k
     num = delta * quot + IntPoly({1: -1, 0: xi}) * s
     dv, nv = greensolver._value_at(delta, k), greensolver._value_at(num, k)
     assume(dv and not delta.divides(num))
     assert nv % dv == 0
-    got, want = greensolver._over_delta(num, nv, delta, dv), RatFunc(num, delta)
+    (got,), want = greensolver._over_delta([(num, nv)], delta, dv, k), RatFunc(num, delta)
     assert (got.num, got.den) == (want.num, want.den)
 
 
 @given(products, products, st.integers(min_value=-3, max_value=3), small_polys,
        st.integers(min_value=1, max_value=12), st.sampled_from((8, 16, 24, 48)))
 def test_over_delta_is_the_quotient_in_lowest_terms(f, g, c, quot, m, k):
+    # one batch, as a class boundary passes it: the entry, its negative, a
+    # multiple of delta and zero, so a gcd value recurs and one is |dv|
     delta, num = f * (c or 1), g * quot * c
     dv = greensolver._value_at(delta, k)
     assume(dv)
-    got = greensolver._over_delta(num, greensolver._value_at(num, k), delta, dv)
+    nums = [num, -num, delta * quot, IntPoly.zero()]
+    got = greensolver._over_delta([(x, greensolver._value_at(x, k)) for x in nums], delta, dv, k)
+    for x, y in zip(nums, got, strict=True):
+        want = RatFunc(x, delta)
+        assert (y.num, y.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("k", (8, 16, 24))
+def test_a_common_factor_that_is_a_unit_at_xi_is_still_cancelled(k):
+    # f = q - 2^k - 1 is -1 at xi = 2^k, so igcd(num(xi), delta(xi)) = 1
+    # and the digits of the gcd see no common factor; delta's coefficients
+    # are past xi / 2 - 1, below GCDHEU's bound, so the gcd is taken in Z[q]
+    f = IntPoly({1: 1, 0: -(1 << k) - 1})
+    a, b = IntPoly({1: 1, 0: 1}), IntPoly({1: 1, 0: 3})
+    num, delta = f * a, f * b
+    nv, dv = greensolver._value_at(num, k), greensolver._value_at(delta, k)
+    assert math.gcd(nv, dv) == 1
+    (got,) = greensolver._over_delta([(num, nv)], delta, dv, k)
     want = RatFunc(num, delta)
-    assert (got.num, got.den) == (want.num, want.den)
+    assert (got.num, got.den) == (want.num, want.den) == (a, b)
+
+
+def test_the_closed_route_takes_no_gcd_and_stores_entries_in_lowest_terms(monkeypatch):
+    # a handful of closed-route data drawn as the benchmark's solve-rational
+    # pool draws them: each entry of X and M_CC is reduced with its gcd read
+    # off the boundary solve's integers, and equals RatFunc(num, delta)
+    real_gcd, real_over_delta = exactalg.poly_gcd, greensolver._over_delta
+    gcds, batches = [], []
+
+    def over_delta(nums, delta, dv, k):
+        out = real_over_delta(nums, delta, dv, k)
+        batches.append((nums, delta, out))
+        return out
+    monkeypatch.setattr(exactalg, "poly_gcd", lambda a, b: gcds.append((a, b)) or real_gcd(a, b))
+    monkeypatch.setattr(greensolver, "_over_delta", over_delta)
+    rng, solved = random.Random(29), 0
+    while solved < 5:
+        m = 16 + 2 * solved
+        labels = list(all_labels(m))
+        rng.shuffle(labels)
+        cuts = [0, *sorted(rng.sample(range(1, len(labels)), 4)), len(labels)]
+        classes = tuple(frozenset(labels[i:j]) for i, j in zip(cuts, cuts[1:]))
+        datum = LSDatum(m, classes, tuple(sorted((rng.randint(0, m) for _ in classes),
+                                                 reverse=True)))
+        _, om, nt, c = greensolver._closed_inverse(m)
+        try:
+            greensolver._solve_closed(all_labels(m), om, nt, c, datum)
+        except SingularBlock:
+            continue
+        solved += 1
+    monkeypatch.undo()
+    assert gcds == [] and len(batches) >= 20
+    assert sum(1 for _, delta, out in batches for x in out if x.den != 1) > 100
+    for nums, delta, out in batches:
+        for (num, _), x in zip(nums, out, strict=True):
+            want = RatFunc(num, delta)
+            assert (x.num, x.den) == (want.num, want.den)
 
 
 @given(products, st.integers(min_value=0, max_value=16), st.sampled_from((1, -1, 2)),
