@@ -8,7 +8,9 @@ were verified independently (multiplication back in a separate computer
 algebra system) before freezing.
 """
 import dataclasses
+import hashlib
 import importlib.util
+import json
 import math
 import random
 from pathlib import Path
@@ -344,6 +346,33 @@ def test_the_m16_search_counts(monkeypatch):
     outcomes = list(table.nodes.values())
     assert (len(outcomes), outcomes.count("pruned"),
             sum(isinstance(node, greensolver.Node) for node in outcomes)) == (899, 723, 176)
+
+
+def _outcome_line(out) -> str:
+    """One search outcome as a canonical line: its counts, and each hit and
+    nonconforming datum with its P, Lambda, non-polynomial Y pairs and
+    report, the hits and the strays each in sorted order."""
+    def hit(h):
+        return json.dumps([greensolver.datum_to_jsonable(h.datum),
+                           [[str(x) for x in row] for row in h.system.P.data],
+                           [[str(x) for x in row] for row in h.system.Lambda.data],
+                           repr(h.system.nonpolynomial_y), repr(h.report)])
+    return json.dumps([out.m, out.springer.describe(), out.swapped, out.family_filter,
+                       out.tried, out.pruned, out.rejected_singular,
+                       sorted(map(hit, out.hits)), sorted(map(hit, out.nonconforming))])
+
+
+# sha256 of the sorted outcome lines of every Springer set of m = 3..12,
+# both family filters, as the search at 55a3497 found them
+PINNED_OUTCOMES_3_12 = "879c23258d44aa5fc074538a540b9bfbaea3b59d034f985c7243c9cb879b6232"
+
+
+def test_every_search_outcome_of_m_3_to_12_equals_the_pinned_digest():
+    lines = sorted(_outcome_line(search(springer, family_filter=family_filter))
+                   for m in range(3, 13) for springer in all_springer_sets(m)
+                   for family_filter in (True, False))
+    assert len(lines) == 248
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_OUTCOMES_3_12
 
 
 def test_conditions_pass_on_both_g2_candidates():
