@@ -24,8 +24,9 @@ rows and returns the rows of X with X * A = B over Q(q): it clears the
 denominators first, and :func:`_bareiss` builds the transposed augmented
 matrix of the system and eliminates it without fractions; each unknown is
 read off one :func:`rf_dot`.  :func:`_bareiss` takes Python integers too:
-the search's node table (:mod:`lsgreen.greensolver`) solves its blocks with
-it at q = 2^k, and reads X in Z[q] back with :func:`_kron_unpack`.
+:mod:`lsgreen.greensolver` solves every block of the closed pairing matrix
+with it at q = 2^k, on its known inverse, and reads the solution in Z[q]
+back off the base-2^k digits with :func:`_kron_unpack_many`.
 :func:`poly_dot` sums products of polynomials.
 
 The polynomial variable is called ``q`` in printed output.

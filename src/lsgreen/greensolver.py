@@ -19,78 +19,65 @@ from which
     P-rows     : X . M_{C,C} = q^(a_C) M_{chi,C}   (chi unsolved, above C).
 
 The P equation is X . Y_{C,C} = q^(a_C) Y_{chi,C} for the paper's
-Y = M / (q^m - 1), times q^m - 1; both routes solve it on M.  An entry of
+Y = M / (q^m - 1), times q^m - 1; every route solves it on M.  An entry of
 Y above the bottom class is polynomial exactly when its entry of M is a
 polynomial that q^m - 1 divides (:func:`_gamma_divides`).
 
-There are two routes.
+The blocks of the closed pairing matrix are read off its known inverse,
+and only any other omega has a residual.
 
-* :func:`solve`, for any datum, multiplies the whole system back
-  (:func:`verify_system`) before it is returned.  That check clears the
-  denominators of each row of P and of Lambda, which puts every entry of
-  P Lambda P^t - omega in Z[q], and evaluates them all once at q = 2^K,
-  with K above a bound on their coefficients: an exact certificate with no
-  fraction reduced.  Its omega selects how the blocks are found.
-  - The closed pairing matrix of I2(m) has a known inverse: omega N~ = c I
-    with N~ = q^2 I - q A_V + Pi_eps, the McKay matrices of tensoring with
-    the reflection character and with eps, and c = q^m (q^2 - 1)(q^m - 1),
-    the Koszul identity for the invariant degrees 2 and m
-    (:func:`_koszul_matrix`), checked once per m (:func:`_closed_inverse`).
-    The inverse of the Schur complement M_S is the block N~_UU / c of the
-    inverse, U the labels still unsolved, so X = -q^(a_C) N~_aa^-1 N~_aC
-    and M_{U,C} = c (N~_UU^-1)[:, C], a the labels above C.  The next
-    class's U is this class's a, so one fraction-free integer solve at one
-    point 2^K on N~_aa, whose entries have degree at most 2 and
-    coefficients +-1, gives this class's X and the next class's M_{U,C},
-    read back off the digits by one decode (:func:`_solve_closed`,
-    :func:`_koszul_solve`).  No residual is kept and nothing is eliminated
-    over Q(q).  Each entry of X and M_CC is num / delta with both known
-    at xi = 2^K, and its gcd is read off those integers (:func:`_over_delta`,
-    the lemma of GCDHEU): with h = igcd(num(xi), delta(xi)) and G the
-    primitive part of h's balanced base-xi digits, G is the gcd up to an
-    integer whenever it divides num and delta and xi >= 2 |delta|_inf + 2,
-    which 2^(K-1) > |delta|_1 gives.  So an entry is reduced by two exact
-    divisions and a content, and by a gcd only where G fails to divide.
-  - Any other omega, a singular or perturbed one included, goes through
-    the residual loop over Q(q) (:func:`_solve_residual`): one loop over
-    the classes that keeps P, Lambda and M as dense lists.  Omega must be
-    symmetric, so M is too, and only its upper triangle is updated.  It
-    passes the rows of M_CC and of q^(a_C) M_{chi,C} to
-    :func:`matrix_solve`, whose elimination (:func:`_bareiss`) the node
-    table shares.  It reduces each residual entry once (one :func:`rf_dot`
-    that takes the old entry in with the products), and multiplies and
-    divides by powers of q through valuations.
-* :class:`NodeTable`, over Z[q], is the search's.  After a set S of
-  characters is peeled, M is the Schur complement omega / omega_SS, which
-  depends on S alone (Crabtree and Haynsworth, Proc. AMS 22, 1969), so a
-  block solve depends only on the node (S, C, a_C).  The table keeps one
-  residual per S and one outcome per node -- singular, cut, or kept with
-  X, Lambda_C and its non-polynomial Y pairs -- one table per m for the
-  process (:func:`node_table`).  The search extends only kept nodes, whose
-  P and Lambda are polynomials with P nonnegative, so every residual is in
-  Z[q].  A node's P rows are solved in integers, at two points
-  (:func:`_solve_block`).  The first is q = 2, or the next power of 2 at
-  which M_CC is nonsingular: an X(2) outside N cuts the node, since X in
-  N[q] puts X(2) in N.  The second is q = 2^K, K past a bound read off
-  X(2): X in N[q] is the base-2^K digits of X(2^K), so the node is cut
-  unless those digits are in N and within that bound.  At each point the
-  integer multiply-back delta X . M_CC = delta q^(a_C) M_{above,C} is
-  checked before anything is decided; at 2^K it proves the block
-  equation in Z[q] for the digits.
-  Each kept node is certified once before it is stored
-  (:func:`_certify_node`) by three identities in Z[q]: the block equation
-  X . M_CC = q^(a_C) M_{above,C}, q^(2 a_C) Lambda_C = M_CC, and the Schur
-  update M_{S+C} = M_S - X Lambda_C X^t, each compared in integers at one
-  point 2^K with 2^(K-1) above an l1 bound: the solve's own 2^K whenever
-  it is past the bound, as it is for every node of m <= 16.
-  Each residual keeps its l1 norms and its value at every point asked for
-  (:class:`_Residual`), so each entry of M_S is evaluated once per point,
-  and the block solves and certificates of every node over S slice their
-  integer blocks from those values; only X and Lambda_C are evaluated
-  per node.
-  These are the blocks of a block LDL^t step, so from M_{} = omega,
-  induction over the nodes gives P Lambda P^t = omega for every full
-  datum, and no cut prunes unchecked.  No gcd is taken.
+* The closed pairing matrix of I2(m) has a known inverse: omega N~ = c I
+  with N~ = q^2 I - q A_V + Pi_eps, the McKay matrices of tensoring with
+  the reflection character and with eps, and c = q^m (q^2 - 1)(q^m - 1),
+  the Koszul identity for the invariant degrees 2 and m
+  (:func:`_koszul_matrix`), checked once per m (:func:`_closed_inverse`).
+  After a set S of labels is peeled, M is the Schur complement
+  M_S = omega / omega_SS, whose inverse is the block N~_UU / c of the
+  inverse, U the labels still unsolved (Crabtree and Haynsworth, Proc. AMS
+  22, 1969).  So, a the labels above C,
+
+      X = -q^(a_C) N~_aa^-1 N~_aC,   M_{U,C} = c (N~_UU^-1)[:, C],
+
+  and every block is one fraction-free integer solve at one point 2^K on a
+  block of N~, whose entries have degree at most 2 and coefficients +-1,
+  multiplied back in integers and read back off the digits by one decode
+  (:func:`_koszul_solve`).  No residual is updated and nothing is
+  eliminated over Q(q).  Two callers share this route.
+  - :func:`solve` on the closed omega (:func:`_solve_closed`).  The next
+    class's U is this class's a, so one solve on N~_aa gives this class's
+    X and the next class's M_{U,C}.  Each entry of X and M_CC is
+    num / delta with both known at xi = 2^K, and its gcd is read off those
+    integers (:func:`_over_delta`, the lemma of GCDHEU): with
+    h = igcd(num(xi), delta(xi)) and G the primitive part of h's balanced
+    base-xi digits, G is the gcd up to an integer whenever it divides num
+    and delta and xi >= 2 |delta|_inf + 2, which 2^(K-1) > |delta|_1
+    gives.  So an entry is reduced by two exact divisions and a content,
+    and by a gcd only where G fails to divide.
+  - :class:`NodeTable`, over Z[q], the search's, one outcome per node
+    (S, C, a_C) and one table per m for the process (:func:`node_table`).
+    X is cut at q = 2 and otherwise read off one solve by exact division
+    (:func:`_node_x`); Lambda_C and the Y pairs are entries of M_S, omega
+    for the empty S and otherwise c z / delta, one solve per S
+    (:class:`_Complement`).  These are the blocks of a block LDL^t step,
+    so for every full datum P Lambda P^t = omega holds by omega N~ = c I,
+    the multiply-backs and digit slots of the solves, and the exact
+    divisions, and no cut prunes unchecked.  No gcd is taken.
+* Any other omega, a singular or perturbed one included, goes through the
+  residual loop over Q(q) (:func:`_solve_residual`): one loop over the
+  classes that keeps P, Lambda and M as dense lists.  Omega must be
+  symmetric, so M is too, and only its upper triangle is updated.  It
+  passes the rows of M_CC and of q^(a_C) M_{chi,C} to
+  :func:`matrix_solve`, whose elimination (:func:`_bareiss`) the integer
+  solves share.  It reduces each residual entry once (one :func:`rf_dot`
+  that takes the old entry in with the products), and multiplies and
+  divides by powers of q through valuations.
+
+:func:`solve`, for any datum and on either route, multiplies the whole
+system back (:func:`verify_system`) before it is returned.  That check
+clears the denominators of each row of P and of Lambda, which puts every
+entry of P Lambda P^t - omega in Z[q], and evaluates them all once at
+q = 2^K, with K above a bound on their coefficients: an exact certificate
+with no fraction reduced.
 
 Nothing here assumes the datum has the shape predicted by the
 classification of correspondences; wild candidates are either solved or
@@ -102,7 +89,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 from math import gcd as int_gcd
 
 from . import fakedegree
@@ -112,7 +98,7 @@ from .dihedral import (
 from .errors import NotDivisible, SingularBlock
 from .exactalg import (
     RF_ONE, RF_ZERO, IntPoly, PolyMatrix, RatFunc, _bareiss, _kron_unpack_many, _primitive,
-    _strip_q, matrix_solve, poly_dot, poly_lcm, rf_dot,
+    _strip_q, matrix_solve, poly_lcm, rf_dot,
 )
 
 __all__ = [
@@ -463,7 +449,8 @@ def _koszul_matrix(m: int) -> list[list[IntPoly]]:
             if label.kind != "chi" or label.index == 0:
                 mckay[pos[label]][pos[Chi(j)]] += 1
     swap = {Chi(0): Eps, Eps: Chi(0), ChiR: ChiRPrime, ChiRPrime: ChiR}
-    return [[IntPoly({2: int(i == j), 1: -mckay[i][j], 0: int(swap.get(l, l) == labels[j])})
+    return [[IntPoly._new({e: v for e, v in ((2, int(i == j)), (1, -mckay[i][j]),
+                                              (0, int(swap.get(l, l) == labels[j]))) if v})
              for j in range(n)] for i, l in enumerate(labels)]
 
 
@@ -471,28 +458,42 @@ def _koszul_matrix(m: int) -> list[list[IntPoly]]:
 def _closed_inverse(m: int):
     """(omega, its rows, N~, c) for the closed pairing matrix omega of m,
     the cached :func:`fakedegree.omega_closed`: the rows are RatFuncs in
-    :func:`_symmetric_omega`'s form, and N~ is a :class:`_Residual` record,
+    :func:`_symmetric_omega`'s form, and N~ is an :class:`_Ntilde` record,
     for its l1 norms and its values at each point 2^k, with omega N~ = c I
     checked exactly, once per m (:func:`_koszul_matrix`).  That identity
     makes N~ = c omega^-1 symmetric, as the record needs.  A failed check
     raises AssertionError, and an m below 3 (no closed omega) InvalidM."""
     omega = fakedegree.omega_closed(m)
-    labels, om = _symmetric_omega(omega, m)
+    _, om = _symmetric_omega(omega, m)
     ntilde = _koszul_matrix(m)
     c = IntPoly.q(m) * IntPoly({2: 1, 0: -1}) * IntPoly({m: 1, 0: -1})
     if not _is_scaled_inverse(om, ntilde, c):
         raise AssertionError(f"omega N~ != c I for m={m}")
-    return omega, om, _Residual(tuple(range(len(labels))), tuple(map(tuple, ntilde))), c
+    return omega, om, _Ntilde(tuple(map(tuple, ntilde))), c
 
 
 def _is_scaled_inverse(om, ntilde, c: IntPoly) -> bool:
-    """Whether omega N~ = c I, entry by entry in Z[q]."""
+    """Whether omega N~ = c I in Z[q], by one evaluation, as
+    :func:`verify_system` checks: each entry of omega N~ - c I has
+    coefficients of absolute value at most B, the largest
+    sum_j |omega_ij|_1 |N~_jk|_1 plus |c|_1, so at xi = 2^K with
+    2^(K-1) > B it is 0 exactly when its value at xi is (balanced base-xi
+    digits are unique)."""
     if not all(x.is_polynomial() for row in om for x in row):
         return False
-    cols = list(zip(*ntilde))
-    zero = IntPoly.zero()
-    return all(poly_dot(zip((x.num for x in row), col)) == (c if i == j else zero)
-               for i, row in enumerate(om) for j, col in enumerate(cols))
+    w = [[x.num for x in row] for row in om]
+    cols = [[(s, y) for s, y in enumerate(col) if y.c] for col in zip(*ntilde)]
+    bound = max(sum(row[s] * _l1(y) for s, y in col)
+                for row in ([_l1(x) for x in row] for row in w) for col in cols)
+    k = (bound + _l1(c)).bit_length() + 1  # 2^(k-1) > B
+    vcols = [[(s, _value_at(y, k)) for s, y in col] for col in cols]
+    cv = _value_at(c, k)
+    for i, row in enumerate(w):
+        wv = [_value_at(x, k) for x in row]
+        if any(sum(wv[s] * y for s, y in col) != (cv if i == j else 0)
+               for j, col in enumerate(vcols)):
+            return False
+    return True
 
 
 def _solve_closed(labels, om, nt, c, datum):
@@ -713,11 +714,6 @@ def _rf_rows(rows) -> tuple[tuple[RatFunc, ...], ...]:
                  for row in rows)
 
 
-def _q_divides(p: IntPoly, k: int) -> bool:
-    """Whether q^k divides p."""
-    return all(e >= k for e in p.c)
-
-
 @dataclass(frozen=True, eq=False)
 class Node:
     """A kept node (S, C, a_C) of a :class:`NodeTable`: C's member
@@ -741,36 +737,28 @@ class Node:
     lam_rf: tuple[tuple[RatFunc, ...], ...]
 
 
-class _Residual:
-    """A residual M_S of a :class:`NodeTable` with the numbers its nodes
-    read: ``unsolved``, the positions still unsolved; ``M``, the entries
-    over them, each mirror entry the same object as its entry; ``norms``,
-    their l1 norms, taken when the record is made (the certificate of the
-    node that makes it reads them at once); and ``vals``, M(2^k) for each
-    k asked for so far (:meth:`at`).  Each is computed over the upper
-    triangle, its mirror entry shared, once per record and point, and read
-    by the block solve and the certificate of every node over S.  The
-    closed omega's symmetric N~ is kept in one too, read by every block
-    solve of :func:`solve` on that omega (:func:`_closed_inverse`)."""
+class _Ntilde:
+    """The closed omega's scaled inverse N~ with the numbers its block
+    solves read: ``entries``, N~ as rows of IntPolys; ``norms``, their l1
+    norms; and ``vals``, N~(2^k) for each k asked for so far (:meth:`at`).
+    N~ = c omega^-1 is symmetric, so each is computed over the upper
+    triangle, its mirror entry shared, once per point, and read by every
+    block solve of m: :func:`solve`'s on the closed omega and the node
+    table's (:func:`_closed_inverse`)."""
 
-    __slots__ = ("unsolved", "M", "norms", "vals")
+    __slots__ = ("entries", "norms", "vals")
 
-    def __init__(self, unsolved, M):
-        self.unsolved, self.M = unsolved, M
-        self.norms = _upper(M, _l1)
+    def __init__(self, entries):
+        self.entries = entries
+        self.norms = _upper(entries, _l1)
         self.vals: dict[int, list[list[int]]] = {}
 
     def at(self, k: int) -> list[list[int]]:
-        """M(2^k), evaluated on first use."""
+        """N~(2^k), evaluated on first use."""
         got = self.vals.get(k)
         if got is None:
-            got = self.vals[k] = _upper(self.M, lambda p: _value_at(p, k))
+            got = self.vals[k] = _upper(self.entries, lambda p: _value_at(p, k))
         return got
-
-    def top(self, rows, cols) -> int:
-        """The largest l1 norm of an entry of M over ``rows`` x ``cols``."""
-        norms = self.norms
-        return max((norms[i][j] for i in rows for j in cols), default=0)
 
 
 def _upper(M, f):
@@ -784,112 +772,115 @@ def _upper(M, f):
     return out
 
 
+class _Complement:
+    """The Schur complement M_S = omega / omega_SS of a node table, over
+    the positions U of the labels not in S.  M_{} = omega, whose entries
+    are its ``entries``.  Any other is read off N~ (:meth:`read_off`):
+    M_S^-1 is the block N~_UU / c of omega^-1 = N~ / c (Crabtree and
+    Haynsworth, Proc. AMS 22, 1969), so M_S = c z / delta for one
+    :func:`_koszul_solve`, delta = +-det N~_UU and z = delta N~_UU^-1.
+    Calling it with (i, j) gives M_S[i, j], by exact division on first
+    use, its mirror entry the same object.  M_S is in Z[q] whenever S is
+    peeled by kept nodes, the only S a table asks for, so a division that
+    fails raises AssertionError."""
+
+    __slots__ = ("c", "delta", "z", "entries")
+
+    def __init__(self, entries, c=None, delta=None, z=None):
+        self.entries: dict[tuple[int, int], IntPoly] = entries
+        self.c, self.delta, self.z = c, delta, z
+
+    @classmethod
+    def read_off(cls, nt: _Ntilde, c: IntPoly, unsolved) -> "_Complement":
+        _, delta, _, z = _koszul_solve(nt, unsolved, [], unsolved)
+        return cls({}, c, delta,
+                   {(u, v): p for u, row in zip(unsolved, z) for v, (p, _) in zip(unsolved, row)})
+
+    def __call__(self, i: int, j: int) -> IntPoly:
+        key = (i, j) if i <= j else (j, i)
+        got = self.entries.get(key)
+        if got is None:
+            got = _quotient(self.c * self.z[key], self.delta)
+            if got is None:
+                raise AssertionError(f"the residual entry {key} is not in Z[q]")
+            self.entries[key] = got
+        return got
+
+
 class NodeTable:
-    """The search's class-by-class solve over Z[q], one node per (S, C,
-    a_C): S the set of labels already peeled, C the next class, a_C its
-    a-value.
+    """The search's class-by-class solve over Z[q] on the closed omega of
+    m, one node per (S, C, a_C): S the set of labels already peeled, C
+    the next class, a_C its a-value.  :meth:`node` returns "singular" when
+    the block M_CC of the Schur complement M_S is singular, "pruned" at a
+    cut (an X = q^(a_C) M_aC M_CC^-1 that is not in N[q], a the labels
+    above C, or a Lambda_C = M_CC / q^(2 a_C) that is not polynomial),
+    else a :class:`Node`.
 
-    ``residuals[S]`` holds the residual M_S over the positions still
-    unsolved, one per peeled set (it is omega / omega_SS, whichever classes
-    S was peeled in), as a :class:`_Residual` that also keeps M_S's l1
-    norms and its values at every point 2^k asked for, each entry
-    evaluated once per point and read by every node over S.  :meth:`node`
-    returns the block solve X . M_CC = q^(a_C) M_{above,C} of a node:
-    "singular" when M_CC is singular, "pruned" at a cut (an X that is not
-    in N[q], or a Lambda_C = M_CC / q^(2 a_C) that is not polynomial), else
-    a :class:`Node`.  The search extends only kept nodes, so every residual
-    is integral.
-
-    The block equation is solved in integers, at two points 2^k, by
-    :func:`_solve_block`: singular, a cut, or X read off the digits of
-    X(2^K).  Every decision rests on an integer multiply-back, and no
-    polynomial is solved or evaluated for it: A(2^k) and B(2^k) are
-    sliced from M_S(2^k).  Each kept node is certified by
-    :func:`_certify_node` before anything is stored, at the solve's point
-    2^K, against the stored M_{S+C} when another path has built it.
-    With P_CC = q^(a_C) its identities are the blocks of
-
-        M_S = [P_CC; X] Lambda_C [P_CC; X]^t + (0 (+) M_{S+C})
-
-    over C and above; the C x above block is the transpose of the above x
-    C one, because omega is checked symmetric here and the identities keep
-    every M_S symmetric.  A failed multiply-back raises AssertionError and
-    leaves the table as it was, the residuals' values included.
-    :func:`node_table` keeps one table per m for the whole process, so
-    every search of that m shares its nodes.
+    Every block is read off the closed omega's scaled inverse N~, with
+    X = -q^(a_C) N~_aa^-1 N~_aC (:func:`_node_x`) and M_S = c N~_UU^-1, U
+    the labels not in S (:class:`_Complement`), as the module docstring
+    says, and no residual is updated.  A failed check raises
+    AssertionError and stores no node; what the table stored before is
+    exact and stays.  :func:`node_table` keeps one table per m for the
+    whole process, so every search of that m shares its nodes.
 
     A kept node also holds what the search judges a full datum by: the
     lowest power of q in each row of X (condition (5)), and X and
     Lambda_C as RatFuncs, so :meth:`system` copies references."""
 
-    def __init__(self, omega: PolyMatrix, m: int):
-        labels, om = _symmetric_omega(omega, m)
-        # as_poly is the entry's numerator, so mirror entries stay shared
-        om = [[x.as_poly() for x in row] for row in om]
-        self.m, self.labels = m, labels
-        self.pos = {l: i for i, l in enumerate(labels)}
-        self.residuals = {frozenset(): _Residual(tuple(range(len(labels))),
-                                                 tuple(map(tuple, om)))}
+    def __init__(self, m: int):
+        _, om, self.nt, self.c = _closed_inverse(m)
+        self.m, self.labels = m, all_labels(m)
+        self.pos = {l: i for i, l in enumerate(self.labels)}
         self.nodes: dict = {}
+        bottom = _Complement({(i, j): x.num for i, row in enumerate(om) for j, x in enumerate(row)
+                              if i <= j})
+        self.complements: dict[frozenset[CharLabel], _Complement] = {frozenset(): bottom}
 
     def node(self, peeled: frozenset[CharLabel], cls: frozenset[CharLabel], a_c: int):
-        """The node (S, C, a_C), built and certified on first use: a
-        :class:`Node`, "pruned" or "singular".  S must be the peeled set
-        of a kept node (or empty)."""
+        """The node (S, C, a_C), built on first use: a :class:`Node`,
+        "pruned" or "singular".  S must be the peeled set of a kept node
+        (or empty)."""
         key = (peeled, cls, a_c)
         got = self.nodes.get(key)
         if got is None:
-            records = [r for r in (self.residuals[peeled], self.residuals.get(peeled | cls))
-                       if r is not None]
-            # a node that fails its multiply-back leaves no values behind
-            vals = [dict(r.vals) for r in records]
-            try:
-                got = self.nodes[key] = self._build(peeled, cls, a_c)
-            except AssertionError:
-                for r, v in zip(records, vals):
-                    r.vals = v
-                raise
+            got = self.nodes[key] = self._build(peeled, cls, a_c)
         return got
 
     def _build(self, peeled, cls, a_c):
-        res = self.residuals[peeled]
-        unsolved, M = res.unsolved, res.M
-        loc = {p: u for u, p in enumerate(unsolved)}
+        labels = self.labels
         midx = [self.pos[l] for l in sorted(cls, key=label_sort_key)]
-        cl = [loc[p] for p in midx]
-        above = [u for u in range(len(unsolved)) if u not in cl]
-        k, rows = None, []
+        unsolved = [i for i, l in enumerate(labels) if l not in peeled]
+        above = [i for i in unsolved if labels[i] not in cls]
+        rows = []
         if above:
             try:
-                k, rows = _solve_block(res, cl, above, a_c)
+                rows = _node_x(self.nt, midx, above, a_c)
             except SingularBlock:
                 return "singular"
             if rows is None:
                 return "pruned"
-        if not all(_q_divides(M[s][c], 2 * a_c) for s in cl for c in cl):
+        ms = self.complements.get(peeled)
+        if ms is None:
+            ms = self.complements[peeled] = _Complement.read_off(self.nt, self.c, unsolved)
+        mcc = [[ms(s, t) for t in midx] for s in midx]
+        if any(e < 2 * a_c for row in mcc for x in row for e in x.c):
             return "pruned"
-        lam = [[IntPoly._new({e - 2 * a_c: v for e, v in M[s][c].c.items()}) for c in cl]
-               for s in cl]
-        up = tuple(unsolved[i] for i in above)
-        nxt = self.residuals.get(peeled | cls)
-        if nxt is None:
-            nxt = _Residual(up, _schur_update(M, cl, above, rows, lam))
-        _certify_node(res, cl, above, a_c, rows, lam, nxt, k)
-        self.residuals[peeled | cls] = nxt
-        labels = self.labels
-        nonpoly = [(labels[unsolved[u]], labels[p]) for u in range(len(unsolved))
-                   for c, p in zip(cl, midx) if not _gamma_divides(M[u][c], self.m)
-                   ] if peeled else []
+        lam = [[IntPoly._new({e - 2 * a_c: v for e, v in x.c.items()}) for x in row]
+               for row in mcc]
+        nonpoly = [(labels[u], labels[p]) for u in unsolved for p in midx
+                   if not _gamma_divides(ms(u, p), self.m)] if peeled else []
         lows = tuple((p, min(e for x in row if x.c for e in x.c))
-                     for p, row in zip(up, rows) if any(x.c for x in row))
-        return Node(tuple(midx), up, tuple(map(tuple, rows)), tuple(map(tuple, lam)),
+                     for p, row in zip(above, rows) if any(x.c for x in row))
+        return Node(tuple(midx), tuple(above), tuple(map(tuple, rows)), tuple(map(tuple, lam)),
                     tuple(nonpoly), lows, _rf_rows(rows), _rf_rows(lam))
 
     def system(self, datum: LSDatum, nodes) -> GreenSystem:
         """The system of a full datum from its kept nodes, bottom-up.  The
-        nodes were certified when they were built, and their entries are
-        RatFuncs already, so nothing is checked or converted here: P and
-        Lambda hold references to the nodes' entries."""
+        nodes' blocks were multiplied back in integers when they were
+        built, and their entries are RatFuncs already, so nothing is checked
+        or converted here: P and Lambda hold references to the nodes'
+        entries."""
         n = len(self.labels)
         P = [[RF_ZERO] * n for _ in range(n)]
         L = [[RF_ZERO] * n for _ in range(n)]
@@ -914,102 +905,53 @@ def node_table(m: int) -> NodeTable:
     repeats are across searches: over the 124 Springer sets of m = 3..12,
     859 of the 1 247 peels repeat a node of the same m, while a table per
     search would see 129 repeats."""
-    return NodeTable(fakedegree.omega(m, method="closed"), m)
+    return NodeTable(m)
 
 
-def _schur_update(M, cl, above, rows, lam):
-    """M_{S+C} = M[above] - X Lambda_C X^t over the rows above C, for a
-    symmetric M: the half products X_i Lambda_C once per row, each entry
-    on and above the diagonal one :func:`poly_dot`, and its mirror entry
-    the same object."""
-    lam_cols = [[lam[s][t] for s in range(len(cl))] for t in range(len(cl))]
-    half = [[poly_dot(zip(x, col)) for col in lam_cols] for x in rows]
-    new = [[M[i][j] for j in above] for i in above]
-    for ii, hi in enumerate(half):
-        for jj in range(ii, len(above)):
-            acc = poly_dot(zip(hi, rows[jj]))
-            if acc.c:
-                new[ii][jj] = new[jj][ii] = new[ii][jj] - acc
-    return tuple(map(tuple, new))
+def _node_x(nt: _Ntilde, midx, above, a_c):
+    """The rows of X = -q^(a_C) N~_aa^-1 N~_aC over Z[q] when X is in
+    N[q], a the positions ``above`` C and C's members at ``midx``
+    (``nt`` the record of N~), else None.  A singular N~_aa raises
+    SingularBlock.
 
+    The first step is one :func:`_int_solve` at t = 2^k, for the first
+    k = 1, 2, ... at which N~_aa(t) is nonsingular: det N~_aa has degree
+    at most 2 |a|, so if 2 |a| + 1 points find none, it is 0.  X in N[q]
+    puts X(t) = -t^(a_C) (N~_Ca(t) N~_aa(t)^-1)^t in N, so a value outside
+    N cuts the node.  The second is one :func:`_koszul_solve`, with the
+    rows N~_Ca on the right, whose multiply-back and digit slots give
+    delta and z = delta N~_Ca N~_aa^-1 exactly in Z[q]; each entry of X is
+    -q^(a_C) z / delta, cut unless delta divides it with a quotient in
+    N[q].
 
-def _solve_block(res, cl, above, a_c):
-    """X with X A = B over Z[q], A = M_CC and B = q^(a_C) M_{above,C} of a
-    residual record ``res`` (:class:`_Residual`) with C's members at
-    ``cl`` and the rows above C at ``above``, when X is in N[q]: (K, the
-    rows of X), K the second point below, or (k, None) when X is not in
-    N[q], k the point that showed it.  A singular A raises SingularBlock.
-    Every decision is made in integers, by :func:`_solve_at` at two points
-    2^k, on A(2^k) and B(2^k) sliced from ``res.at(k)``, so every node over
-    S shares one evaluation of each entry at each point.
-
-    The first is t = 2^k for the first k = 1, 2, ... at which A(t) is
-    nonsingular.  det A has degree at most D, the sum over A's rows of the
-    row's largest degree, so if D + 1 points find none, det A = 0.  X in
-    N[q] puts X(t) in N, and since t > 1 it bounds every row's l1 sum by R,
-    the largest row sum of X(t).  The second is xi = 2^K, K a multiple of 8
-    with 2^(K-1) > R max |A| + max |B| (|.| the l1 norm, read off
-    ``res.norms``) and A(xi) nonsingular.  X in N[q] is then the balanced
-    base-xi digits of X(xi) (:func:`_kron_unpack_many`), so X is cut unless
-    X(xi) is in N, with digits in N and row sums at most R.  Conversely,
-    for such digits X', every coefficient of X' A - B is below 2^(K-1) and
-    its value at xi is 0, so X' A = B in Z[q], and X' is X.
-
-    >>> one, q, z = IntPoly(1), IntPoly({1: 1}), IntPoly.zero()
-    >>> res = _Residual((0, 1, 2), ((q, one, q * q + one), (one, q, q + q),
-    ...                             (q * q + one, q + q, z)))
-    >>> k, x = _solve_block(res, [0, 1], [2], 0)
-    >>> k, [str(v) for v in x[0]]
-    (8, ['q', '1'])
-    >>> _solve_block(_Residual((0, 1), ((q + q, q), (q, z))), [0], [1], 0)
-    (1, None)
+    >>> x = _node_x(_closed_inverse(3)[2], [2], [0, 1], 3)
+    >>> [[str(v) for v in row] for row in x]
+    [['1'], ['q^2 + q']]
     """
-    M = res.M
-    d = sum(max((M[s][c].degree() for c in cl if M[s][c]), default=0) for s in cl)
-    k, xt = _solve_at(res, cl, above, a_c, range(1, d + 2))
-    if xt is None:
-        return k, None
-    r = max(map(sum, xt))
-    # the least multiple K of 8 with 2^(K-1) > R max |A| + max |B|, or the
-    # next one at which A(2^K) is nonsingular
-    bound = r * res.top(cl, cl) + res.top(above, cl)
-    k, xs = _solve_at(res, cl, above, a_c, count(8 * (bound.bit_length() // 8 + 1), 8))
-    if xs is None:
-        return k, None
-    # one decode for the block, each value in the slots of the longest
-    kb = k // 8
-    n = max(v.bit_length() for x in xs for v in x) // (8 * kb) + 2
-    digits = iter(_kron_unpack_many([v for x in xs for v in x], kb, n, 0))
-    rows = []
-    for x in xs:
-        row = [next(digits) for _ in x]
-        if any(v < 0 for c in row for v in c.values()) or sum(sum(c.values()) for c in row) > r:
-            return k, None
-        rows.append([IntPoly._new(c) for c in row])
-    return k, rows
-
-
-def _solve_at(res, cl, above, a_c, ks):
-    """X A = B, A = M_CC and B = q^(a_C) M_{above,C} as in
-    :func:`_solve_block`, at q = 2^k for the first k of ``ks`` at which
-    A(2^k) is nonsingular: (k, the rows of X(2^k) as integers) when X(2^k)
-    is in N, else (k, None).  SingularBlock when A(2^k) is singular at every
-    k.  A(2^k) and B(2^k) = M_{above,C}(2^k) 2^(a_C k) are sliced from
-    ``res.at(k)`` and solved by :func:`_int_solve`, whose multiply-back
-    certifies delta X(2^k) before either answer."""
-    for k in ks:
-        v = res.at(k)
+    for k in range(1, 2 * len(above) + 2):
+        v = nt.at(k)
         try:
-            delta, rows = _int_solve([[v[s][c] for c in cl] for s in cl],
-                                     [[v[i][c] << (a_c * k) for c in cl] for i in above], k)
+            delta, zs = _int_solve([[v[s][t] for t in above] for s in above],
+                                   [[v[j][t] for t in above] for j in midx], k)
             break
         except SingularBlock:
             pass
     else:
-        raise SingularBlock(f"singular at q = 2^k for k in {ks}")
-    if any(v % delta or v // delta < 0 for x in rows for v in x):
-        return k, None
-    return k, [[v // delta for v in x] for x in rows]
+        raise SingularBlock(f"N~_aa is singular at q = 2^k for k = 1..{k}")
+    for zrow in zs:
+        for z in zrow:
+            t = -z << (a_c * k)
+            if t % delta or t // delta < 0:
+                return None
+    _, delta, _, z = _koszul_solve(nt, above, midx, [])
+    rows = [[None] * len(midx) for _ in above]
+    for jj, zrow in enumerate(z):
+        for ii, (v, _) in enumerate(zrow):
+            x = _quotient(-v.shift(a_c), delta)
+            if x is None or any(c < 0 for c in x.c.values()):
+                return None
+            rows[ii][jj] = x
+    return rows
 
 
 def _int_solve(av, bv, k):
@@ -1035,57 +977,6 @@ def _int_solve(av, bv, k):
         raise AssertionError("multiplication-back failed: the block equation "
                              f"does not hold at q = 2^{k}")
     return delta, rows
-
-
-def _certify_node(res, cl, above, a_c, rows, lam, nxt, k) -> None:
-    """Multiply a kept node back: ``res`` and ``nxt`` are the records
-    (:class:`_Residual`) of M_S and M_{S+C}, ``cl`` and ``above`` index
-    C's members and the rows above C in M_S, ``rows`` is X and ``k`` the
-    block solve's point 2^K (None when no row is above C).  Checks
-
-        X . M_CC = q^(a_C) M_{above,C},   q^(2 a_C) Lambda_C = M_CC,
-        M_{S+C} = M_S[above] - X Lambda_C X^t.
-
-    Each is f = 0 for some f in Z[q] whose coefficients are below B, with
-    |.| the l1 norm and R the largest sum of |X[i, s]| over a row:
-
-        B = max(R max |M_CC| + max |M_{above,C}|,
-                max |Lambda_C| + max |M_CC|,
-                max |M_S[above]| + max |M_{S+C}| + max |Lambda_C| R^2).
-
-    At xi = 2^K with 2^(K-1) > B, f(xi) = 0 forces f = 0 (balanced base-xi
-    digits are unique, as in :func:`verify_system`), so each identity is
-    compared in integers at xi.  That is the solve's point whenever
-    2^(K-1) > B, and otherwise the least multiple of 8 that is; the
-    residuals' norms and values are read off their records, evaluated once
-    per point for every node over S, and only X and Lambda_C are evaluated
-    here (:func:`_value_at`).  Lambda_C's norm is its own, not M_CC's: the
-    two are equal only when the second identity holds.  A difference
-    raises AssertionError."""
-    r = max((sum(map(_l1, row)) for row in rows), default=0)
-    lmax = max(_l1(x) for row in lam for x in row)
-    mcc = res.top(cl, cl)
-    every = range(len(above))
-    bound = max(r * mcc + res.top(above, cl), lmax + mcc,
-                res.top(above, above) + nxt.top(every, every) + lmax * r * r)
-    if k is None or bound >> (k - 1):
-        k = 8 * (bound.bit_length() // 8 + 1)  # 2^(k-1) > bound
-    v, nv = res.at(k), nxt.at(k)
-    xv = [[_value_at(x, k) for x in row] for row in rows]
-    lv = [[_value_at(x, k) for x in row] for row in lam]
-    ok = all(sum(x * v[s][t] for s, x in zip(cl, xr)) == v[i][t] << (k * a_c)
-             for i, xr in zip(above, xv) for t in cl)
-    ok = ok and all(x << (2 * a_c * k) == v[s][t]
-                    for s, lr in zip(cl, lv) for t, x in zip(cl, lr))
-    # M_{S+C} + X Lambda_C X^t = M_S[above], with X_i Lambda_C once per row
-    half = [[sum(x * lv[s][t] for s, x in enumerate(xr)) for t in range(len(cl))] for xr in xv]
-    ok = ok and all(
-        nrow[jj] + sum(h * y for h, y in zip(hi, xj)) == v[i][j]
-        for i, hi, nrow in zip(above, half, nv)
-        for jj, (j, xj) in enumerate(zip(above, xv)))
-    if not ok:
-        raise AssertionError("multiplication-back failed: the node's block equation "
-                             "or Schur update does not hold")
 
 
 def _l1(p: IntPoly) -> int:

@@ -832,7 +832,8 @@ class SearchOutcome:
     both are 0 for m <= 30: omega(2) is positive definite there (its
     leading principal minors are positive), so every block M_CC(2) of a
     Schur complement of it is too, and no block is singular at q = 2 or
-    over Z[q]: the node table's first point is q = 2 for every block."""
+    over Z[q]; nor, then, is the block N~_aa(2) of the closed omega's
+    scaled inverse that a node is cut on."""
 
     m: int
     springer: SpringerSet          # normalised form actually searched
@@ -863,26 +864,28 @@ def search(springer: SpringerSet, *, family_filter: bool = True,
 
     Each datum of :func:`enumerate_candidate_data` is walked from its
     bottom class up, one node of m's :func:`node_table` per class: the
-    node (S, C, a_C) of the labels S peeled below C.  A node is built and
-    certified once per process and shared by every walk and every search
-    of m (see :class:`greensolver.NodeTable`); its outcome depends on S, C
+    node (S, C, a_C) of the labels S peeled below C.  A node is built
+    once per process and shared by every walk and every search of m (see
+    :class:`greensolver.NodeTable`); its outcome depends on S, C
     and a_C alone, so the order of the data moves no count.  A class fixes
     its Lambda block and the P entries above it, so the walk stops at a
     node that fails condition (4) -- P entries not in N[q], or a Lambda
     block q^(2 a_C) does not divide -- and the candidate counts as
-    ``pruned``.  The block is solved in integers, at q = 2, where a P
-    entry outside N rules out one in N[q], and then at a large 2^K, whose
-    base-2^K digits are X when X is in N[q].  A walk that stops at a
-    singular block counts in ``rejected_singular``.
+    ``pruned``.  The blocks are read off the closed omega's known
+    inverse: X in integers at q = 2, where a P entry outside N rules out
+    one in N[q], and then exactly, off the base-2^K digits of one integer
+    solve at a large 2^K.  A walk that stops at a singular block counts in
+    ``rejected_singular``.
 
     A full datum is judged off its nodes and its classes, with no system
     built: the report is :func:`check_conditions`' on its system.
     (1)-(3) read the datum, each class's minimizer found once per search;
-    (4) holds by the node certificates; (5) compares each row's lowest
+    (4) holds by the nodes' outcomes; (5) compares each row's lowest
     power of q, kept on the node, with its class's a-value.  Only an
     accepted datum gets a system, read off its nodes
-    (:meth:`greensolver.NodeTable.system`), whose certificates give P
-    Lambda P^t = omega; its P and Lambda equal :func:`greensolver.solve`'s.
+    (:meth:`greensolver.NodeTable.system`), whose blocks, each multiplied
+    back in integers as it was solved, give P Lambda P^t = omega; its P and
+    Lambda equal :func:`greensolver.solve`'s.
     It is a hit when it is one of the predicted partitions of the
     admissible f-sequences, built once per search, which is what
     :func:`matches_predicted_partition` decides.  ``bounds`` defaults to

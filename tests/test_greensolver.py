@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import dense
-from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, char_table, label_sort_key
+from lsgreen.dihedral import Chi, ChiR, ChiRPrime, Eps, all_labels, char_table
 from lsgreen.errors import SingularBlock
 from lsgreen.exactalg import (
     CycloNum, IntPoly, PolyMatrix, RatFunc, matrix_solve, poly_dot, rf_dot,
@@ -245,33 +245,32 @@ def test_multiply_back_catches_a_wrong_block(monkeypatch, fresh_node_tables):
         with pytest.raises(AssertionError, match="multiplication-back failed: P Lambda"):
             solve(changed, datum)
 
-    # nor does the node table's block solve: a wrong X that is still in
-    # N[q] is kept, so the node's certificate must catch it rather than let
-    # search count the candidate as singular or solved
-    real_zq = greensolver._solve_block
-    calls = []
+    # the node table multiplies back no system: every block it reads rests
+    # on the integer multiply-back of its solve, so a wrong elimination,
+    # here delta X off by delta in one entry, must raise there rather than
+    # let search count the candidate as cut, singular or solved
+    real_bareiss, calls = greensolver._bareiss, []
 
-    def off_by_one_zq(*args):
-        k, rows = real_zq(*args)
-        if rows is not None:
-            calls.append(1)
-            rows[0][0] = rows[0][0] + IntPoly.one()
-        return k, rows
+    def off_by_delta_bareiss(a, b):
+        mat = real_bareiss(a, b)
+        n = len(a)
+        calls.append(n)
+        mat[n - 1][n] += mat[n - 1][n - 1]
+        return mat
 
-    monkeypatch.setattr(greensolver, "_solve_block", off_by_one_zq)
+    monkeypatch.setattr(greensolver, "_bareiss", off_by_delta_bareiss)
     with pytest.raises(AssertionError, match="multiplication-back failed"):
         search(SpringerSet.from_strings(6, "0,1,2,r',eps"))
     assert calls
 
 
 def _spy_points(monkeypatch, change=None, at_xi=False):
-    """Patch the node table's integer elimination to record the k of each
-    point 2^k it runs at, in the returned list.  With ``change``, it also
-    changes the last right-hand side entry of its last row by
-    ``change(delta)``, delta the last pivot, at the block solve's first
-    point or at xi (k >= 8: the first point of the closed omega's blocks
-    is q = 2)."""
-    real_at, real = greensolver._Residual.at, greensolver._bareiss
+    """Patch the integer elimination of the block solves on N~ to record
+    the k of each point 2^k it runs at, in the returned list.  With
+    ``change``, it also changes the last right-hand side entry of its last
+    row by ``change(delta)``, delta the last pivot, at the node's first
+    point or at xi (k >= 8: the first point of a node is q = 2)."""
+    real_at, real = greensolver._Ntilde.at, greensolver._bareiss
     last, points = [None], []
 
     def at(record, k):
@@ -286,16 +285,16 @@ def _spy_points(monkeypatch, change=None, at_xi=False):
             mat[n - 1][n] += change(mat[n - 1][n - 1])
         return mat
 
-    monkeypatch.setattr(greensolver._Residual, "at", at)
+    monkeypatch.setattr(greensolver._Ntilde, "at", at)
     monkeypatch.setattr(greensolver, "_bareiss", bareiss)
     return points
 
 
 def test_cut_prefix_is_multiplied_back(monkeypatch, fresh_node_tables):
-    # a wrong elimination at either point of the block solve, here delta X
-    # off by one in an entry, which makes X a fraction (a cut) or a wrong
-    # X; delta X must be multiplied back in integers before the node is
-    # decided, so the wrong block raises instead of dropping candidates
+    # a wrong elimination at either point of a node, here delta X off by
+    # one in an entry, which makes X a fraction (a cut) or a wrong X; delta
+    # X must be multiplied back in integers before the node is decided, so
+    # the wrong block raises instead of dropping candidates
     for at_xi in (False, True):
         greensolver.node_table.cache_clear()
         with monkeypatch.context() as mp:
@@ -316,42 +315,39 @@ def _load_workloads(monkeypatch):
 
 
 def _table_state(table):
-    """What a node table holds: its nodes, its residual records and each
-    record's values at every point evaluated so far."""
-    return (dict(table.nodes), dict(table.residuals),
-            {peeled: dict(res.vals) for peeled, res in table.residuals.items()})
+    """What a node table holds: its nodes, its complements and each
+    complement's entries read so far."""
+    return (dict(table.nodes), dict(table.complements),
+            {peeled: dict(ms.entries) for peeled, ms in table.complements.items()})
 
 
 def test_a_failed_certificate_leaves_the_node_table_as_it_was(monkeypatch, fresh_node_tables):
-    # the third block solve that is not cut comes back with a wrong X: the
-    # search raises after some nodes are stored, and the table, the values
-    # cached on its residuals included, is as it was before that node's
-    # build; the same search unpatched, on the same table, must still match
-    # the benchmark's golden for the set
+    # the third integer solve at a point 2^K comes back from its
+    # elimination with delta X off by one in an entry: its multiply-back
+    # raises after some nodes are stored, no node is stored for the one
+    # being built, and the table, its complements and their entries
+    # included, is as it was before that build; the same search unpatched,
+    # on the same table, must still match the benchmark's golden for the set
     springer = SpringerSet.from_strings(6, "0,1,2,r',eps")
-    real, real_build = greensolver._solve_block, NodeTable._build
-    calls, before = [], []
+    real_build, calls, before = NodeTable._build, [], []
 
-    def wrong_third_block(*args):
-        k, rows = real(*args)
-        if rows is not None:
-            calls.append(1)
-            if len(calls) == 3:
-                rows[0][0] = rows[0][0] + IntPoly.one()
-        return k, rows
+    def third(delta):
+        calls.append(delta)
+        return int(len(calls) == 3)
 
     def build(table, *args):
-        before[:] = [table, _table_state(table)]
+        before[:] = [table, args, _table_state(table)]
         return real_build(table, *args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(greensolver, "_solve_block", wrong_third_block)
+        _spy_points(mp, third, at_xi=True)
         mp.setattr(NodeTable, "_build", build)
         with pytest.raises(AssertionError, match="multiplication-back failed"):
             search(springer)
     table = greensolver.node_table(6)
     assert len(calls) == 3 and table.nodes
-    assert before[0] is table and _table_state(table) == before[1]
+    assert before[0] is table and before[1] not in table.nodes
+    assert _table_state(table) == before[2]
     sweep = _load_workloads(monkeypatch).SearchSweep()
     assert sweep.check(springer, search(springer))[1] == []
 
@@ -568,7 +564,7 @@ def test_the_closed_omega_times_ntilde_is_c_up_to_m_30():
         closed, om, nt, c = greensolver._closed_inverse(m)
         assert closed is fakedegree.omega_closed(m)
         ntilde = greensolver._koszul_matrix(m)
-        assert c == _koszul_c(m) and [list(row) for row in nt.M] == ntilde
+        assert c == _koszul_c(m) and [list(row) for row in nt.entries] == ntilde
         assert greensolver._is_scaled_inverse(om, ntilde, c)
 
 
@@ -604,10 +600,13 @@ def test_ntilde_holds_the_tensor_multiplicities_of_the_character_table(m):
 
 @pytest.mark.parametrize("m", (3, 4, 5, 6))
 def test_a_changed_ntilde_entry_fails_the_certificate(m):
+    # the check evaluates at one point 2^K past its coefficient bound, so
+    # a change that vanishes at some 2^t, here t = 12, still shows
     _, om, _, c = greensolver._closed_inverse(m)
     ntilde = greensolver._koszul_matrix(m)
     for i, j in [(i, j) for i in range(len(om)) for j in range(len(om))]:
-        for change in (IntPoly.one(), IntPoly({1: -1}), IntPoly({2: 1})):
+        for change in (IntPoly.one(), IntPoly({1: -1}), IntPoly({2: 1}),
+                       IntPoly({1: -1, 0: 1 << 12})):
             bad = [list(row) for row in ntilde]
             bad[i][j] = bad[i][j] + change
             assert not greensolver._is_scaled_inverse(om, bad, c)
@@ -724,7 +723,7 @@ def test_the_closed_route_is_singular_where_the_residual_loop_is(classes, singul
     _, rows = greensolver._symmetric_omega(W, 3)
     ntilde = tuple(tuple(map(IntPoly, row)) for row in SYNTHETIC_N)
     assert greensolver._is_scaled_inverse(rows, ntilde, IntPoly(-1))
-    record = greensolver._Residual((0, 1, 2), ntilde)
+    record = greensolver._Ntilde(ntilde)
     monkeypatch.setattr(greensolver, "_closed_inverse", lambda m: (None, rows, record, IntPoly(-1)))
     loop = greensolver._solve_residual
     monkeypatch.setattr(greensolver, "_solve_residual", None)
@@ -832,8 +831,8 @@ def test_peel_stores_what_the_reference_residual_update_stores(datum, data):
 
 @pytest.mark.parametrize("change", RATIONAL_CHANGES[1:], ids=("one", "rational"))
 def test_solve_rejects_an_asymmetric_omega(change):
-    # omega[chi1, r'] changed and omega[r', chi1] not: both solvers refuse
-    # it before any block is solved
+    # omega[chi1, r'] changed and omega[r', chi1] not: solve refuses it
+    # before any block is solved (the node table takes no omega)
     om = omega(4, method="closed")
     labels = om.rows
     W = [list(row) for row in om.data]
@@ -842,8 +841,6 @@ def test_solve_rejects_an_asymmetric_omega(change):
     datum = LSDatum(4, ({Eps}, {ChiRPrime}, {Chi(1), ChiR}, {Chi(0)}), (4, 2, 1, 0))
     with pytest.raises(ValueError, match="omega must be symmetric"):
         solve(bad, datum)
-    with pytest.raises(ValueError, match="omega must be symmetric"):
-        NodeTable(bad, 4)
 
 
 def _dense_ok(P, L, om, labels, cols, R=None):
@@ -866,11 +863,6 @@ def search_candidates(draw):
     family_filter = draw(st.booleans())
     return draw(st.sampled_from(list(
         enumerate_candidate_data(springer, family_filter=family_filter))))
-
-
-# the changes the dense-product tests make: over Z[q] the state holds no
-# fraction, so 1/(q + 2) becomes q + 2
-INTEGRAL_CHANGES = (IntPoly.zero(), IntPoly.one(), IntPoly({1: 1, 0: 2}))
 
 
 def _doctor(data, kinds, P, L, changes):
@@ -918,333 +910,248 @@ def _walk(table, datum, k):
         peeled |= cls
 
 
-def _node_pieces(table, datum, level, peeled, node):
-    """What a kept node's certificate reads: the record of M_S, C's and the
-    rows above C's indices in it, X and Lambda_C as lists, the stored
-    M_{S+C} as lists and the block solve's point (None with no row above
-    C)."""
-    res = table.residuals[peeled]
-    cl = [res.unsolved.index(p) for p in node.midx]
-    above = [u for u in range(len(res.unsolved)) if u not in cl]
-    k = greensolver._solve_block(res, cl, above, datum.a[level])[0] if above else None
-    return (res, cl, above, [list(r) for r in node.rows], [list(r) for r in node.lam],
-            [list(r) for r in table.residuals[peeled | datum.classes[level]].M], k)
-
-
-def _record(M):
-    """The symmetric matrix M as a residual record, over positions 0, 1,
-    ...: the certificate reads only its values and norms."""
-    return greensolver._Residual(tuple(range(len(M))), tuple(map(tuple, M)))
-
-
 @given(st.one_of(random_data(), search_candidates(), st.sampled_from(MULTI_CLASS_DATA)),
        st.data())
 def test_multiply_back_agrees_with_the_dense_product(datum, data):
-    # walk the datum's nodes up to the last class or some class before it,
-    # stopping at the first node not kept; change one entry of that kept
-    # node's X, its Lambda_C or the stored M_{S+C} (with its mirror: a
-    # residual is symmetric), or leave it, and compare the node's
-    # certificate, at its block solve's point, with the dense product over
-    # Q(q), P Lambda P^t plus the residual, in every column
+    # walk the datum's nodes on a fresh table up to the last class or some
+    # class before it, stopping at the first node not kept: the kept nodes'
+    # blocks (P rows X, q^(a_C) on C's diagonal and Lambda_C), plus the
+    # complement M_{S+C} past the last, read off N~ as the table reads
+    # every M_S, are a block LDL^t step, and the dense product over Q(q),
+    # P Lambda P^t plus the complement, is omega in every column
     om = omega(datum.m, method="closed")
     k = data.draw(st.one_of(st.just(len(datum.classes)),
                             st.integers(min_value=1, max_value=len(datum.classes))))
-    table = NodeTable(om, datum.m)
+    table = NodeTable(datum.m)
     level, peeled, nodes, node = _walk(table, datum, k)
     if not isinstance(node, Node):
         return
-    a_c = datum.a[level]
-    res, cl, above, rows, lam, nxt, point = _node_pieces(table, datum, level, peeled, node)
-    kinds = {"X": rows, "Lambda_C": lam, "M_{S+C}": nxt}
-    kinds = {kind: mat for kind, mat in kinds.items() if mat and mat[0]}
-    mat = kinds[data.draw(st.sampled_from(sorted(kinds)))]
-    i = data.draw(st.integers(0, len(mat) - 1))
-    j = data.draw(st.integers(0, len(mat[i]) - 1))
-    mat[i][j] += data.draw(st.sampled_from(INTEGRAL_CHANGES))
-    if mat is nxt:
-        nxt[j][i] = nxt[i][j]
-    try:
-        greensolver._certify_node(res, cl, above, a_c, rows, lam, _record(nxt), point)
-        checked = True
-    except AssertionError:
-        checked = False
-
-    # the prefix's nodes over Q(q), then this node: P rows X, q^a on C's
-    # diagonal, and Lambda_C
     labels, n = table.labels, len(table.labels)
-    unsolved = res.unsolved
     P = [[RatFunc(0)] * n for _ in range(n)]
     L = [[RatFunc(0)] * n for _ in range(n)]
-    for below, a_b in zip(nodes, datum.a):
-        for i, lrow in zip(below.midx, below.lam):
-            P[i][i] = RatFunc(IntPoly.q(a_b))
-            for j, x in zip(below.midx, lrow):
+    for kept, a_c in zip(nodes + [node], datum.a):
+        for i, lrow in zip(kept.midx, kept.lam):
+            P[i][i] = RatFunc(IntPoly.q(a_c))
+            for j, x in zip(kept.midx, lrow):
                 L[i][j] = RatFunc(x)
-        for i, xrow in zip(below.above, below.rows):
-            for j, x in zip(below.midx, xrow):
+        for i, xrow in zip(kept.above, kept.rows):
+            for j, x in zip(kept.midx, xrow):
                 P[i][j] = RatFunc(x)
-    midx = [unsolved[c] for c in cl]
-    for u, c in enumerate(midx):
-        P[c][c] = RatFunc(IntPoly.q(a_c))
-        for v, d in enumerate(midx):
-            L[c][d] = RatFunc(lam[u][v])
-    for i, row in zip(above, rows):
-        for c, x in zip(midx, row):
-            P[unsolved[i]][c] = RatFunc(x)
     R = [[RatFunc(0)] * n for _ in range(n)]
-    for i, nrow in zip(above, nxt):
-        for j, x in zip(above, nrow):
-            R[unsolved[i]][unsolved[j]] = RatFunc(x)
-    assert checked == _dense_ok(P, L, om, labels, range(n), R)
+    if node.above:
+        ms = greensolver._Complement.read_off(table.nt, table.c, node.above)
+        for i in node.above:
+            for j in node.above:
+                R[i][j] = RatFunc(ms(i, j))
+    assert _dense_ok(P, L, om, labels, range(n), R)
+
+
+def _koszul_solves(monkeypatch):
+    """Patch :func:`greensolver._koszul_solve` to log each of its calls, as
+    (the positions solved over, the rows on the right, the unit rows, its
+    result), in the returned list."""
+    real, calls = greensolver._koszul_solve, []
+
+    def logged(nt, idx, rhs, units):
+        got = real(nt, idx, rhs, units)
+        calls.append((list(idx), list(rhs), list(units), got))
+        return got
+
+    monkeypatch.setattr(greensolver, "_koszul_solve", logged)
+    return calls
 
 
 @pytest.mark.parametrize("datum", MULTI_CLASS_DATA, ids=("m5", "b2", "m8"))
 def test_node_certificate_catches_a_change_at_the_bound(datum, monkeypatch):
-    # for every kept node, one coefficient of one Lambda_C entry, or of one
-    # entry of the stored M_{S+C} and its mirror, changed by +-2^(K-1), K
-    # the evaluation point of the true node's certificate, is caught; so is
-    # the change 2^k - q, which vanishes at q = 2^k, for k = K - 1, K, K + 1
-    # and every multiple of 8 up to 16 past K: xi must grow with Lambda_C
-    # and M_{S+C}.  A corrupted stored M_{S+C} is caught by the table too,
-    # when it builds the node again
-    table = NodeTable(omega(datum.m, method="closed"), datum.m)
-    points = []
-    real = greensolver._value_at
-
-    def recording(p, k):
-        points.append(k)
-        return real(p, k)
-
+    # each node's blocks are read off the balanced base-xi digits of one
+    # integer solve at xi = 2^K, which certify them only if 2^(K-1) bounds
+    # every coefficient of delta and of delta Z: a polynomial changed by
+    # one that vanishes at xi, such as 2^K - q, has the same value and
+    # other digits.  For every solve of the datum's nodes on a fresh table,
+    # X's and every complement's, the digits are delta times
+    # matrix_solve's Z with Z A = B over Q(q), and every coefficient is
+    # below 2^(K-1)
+    table = NodeTable(datum.m)
+    calls = _koszul_solves(monkeypatch)
     peeled = frozenset()
-    for level, (cls, a_c) in enumerate(zip(datum.classes, datum.a)):
-        node = table.node(peeled, cls, a_c)
-        assert isinstance(node, Node)
-        res, cl, above, rows, lam, nxt, point = _node_pieces(table, datum, level, peeled, node)
-        with monkeypatch.context() as mp:
-            mp.setattr(greensolver, "_value_at", recording)
-            points.clear()
-            greensolver._certify_node(res, cl, above, a_c, rows, lam, _record(nxt), point)
-        top = max(points)  # X and Lambda_C are evaluated at K
-        assert point in (None, top)
-        changes = [IntPoly({e: sign << (top - 1)}) for sign in (1, -1) for e in (0, 1, 5)]
-        ks = sorted({top - 1, top, top + 1, *range(8, top + 17, 8)})
-        changes += [IntPoly({0: 1 << k, 1: -1}) for k in ks]
-        for change in changes:
-            for ii in range(len(cl)):
-                for jj in range(len(cl)):
-                    bad = [list(r) for r in lam]
-                    bad[ii][jj] += change
-                    with pytest.raises(AssertionError, match="multiplication-back failed"):
-                        greensolver._certify_node(res, cl, above, a_c, rows, bad,
-                                                  _record(nxt), point)
-            for ii in range(len(above)):
-                for jj in range(ii, len(above)):
-                    bad = [list(r) for r in nxt]
-                    bad[ii][jj] = bad[jj][ii] = bad[ii][jj] + change
-                    with pytest.raises(AssertionError, match="multiplication-back failed"):
-                        greensolver._certify_node(res, cl, above, a_c, rows, lam,
-                                                  _record(bad), point)
-        if above:
-            stored = table.residuals[peeled | cls]
-            bad = [list(r) for r in nxt]
-            bad[0][-1] = bad[-1][0] = bad[0][-1] + changes[-1]
-            table.residuals[peeled | cls] = greensolver._Residual(stored.unsolved,
-                                                                  tuple(map(tuple, bad)))
-            del table.nodes[peeled, cls, a_c]
-            with pytest.raises(AssertionError, match="multiplication-back failed"):
-                table.node(peeled, cls, a_c)
-            table.residuals[peeled | cls] = stored
-            assert table.node(peeled, cls, a_c) is not node  # built again, and kept
+    for cls, a_c in zip(datum.classes, datum.a):
+        assert isinstance(table.node(peeled, cls, a_c), Node)
         peeled |= cls
+    assert len(calls) >= len(datum.classes)
+    ntilde = table.nt.entries
+    for idx, rhs, units, (k, delta, dv, rows) in calls:
+        a = [[RatFunc(ntilde[s][t]) for t in idx] for s in idx]
+        b = ([[RatFunc(ntilde[j][t]) for t in idx] for j in rhs]
+             + [[RatFunc(int(t == j)) for t in idx] for j in units])
+        z = matrix_solve(a, b)
+        assert greensolver._value_at(delta, k) == dv
+        assert [[RatFunc(v) for v, _ in row] for row in rows] == [
+            [x * RatFunc(delta) for x in row] for row in z]
+        for p in [delta] + [v for row in rows for v, _ in row]:
+            assert all(abs(c) < 1 << (k - 1) for c in p.c.values())
 
 
 def test_a_singular_node_is_cached_and_counts_its_candidates(monkeypatch):
-    # the datum of test_solve_names_the_member_of_a_singular_later_block:
-    # with chi_2's row and column of omega zeroed, the node ({eps},
-    # {chi_1, chi_2}, 1) is singular; the table keeps it as such and the
-    # search counts every candidate under it in rejected_singular, as
-    # solving each candidate on its own does
-    om = omega(5, method="closed")
-    zeroed = PolyMatrix.from_function(
-        om.rows, om.cols, lambda r, c: RatFunc(0) if Chi(2) in (r, c) else om.get(r, c))
-    table = NodeTable(zeroed, 5)
+    # no block of the closed omega is singular (omega(2) is positive
+    # definite), so the node ({eps}, {chi_1, chi_2}, 1) of m = 5, the
+    # second of its only hit, is made singular by integer solves that raise
+    # SingularBlock, at every point q = 2^k or at xi: the table keeps it as
+    # such, never builds it again, and the search counts every candidate
+    # under it in rejected_singular
     bottom, later = frozenset({Eps}), frozenset({Chi(1), Chi(2)})
-    assert isinstance(table.node(frozenset(), bottom, 5), Node)
-    assert table.node(bottom, later, 1) == "singular"
-    assert table.nodes[bottom, later, 1] == "singular"
+    springer = SpringerSet.from_strings(5, "0,1,eps")
+
+    def singular(*args):
+        raise SingularBlock("made singular")
 
     def refuse(*args):
         raise AssertionError("a cached node was solved again")
 
-    # building the node again would reach the block solve: it does on a
-    # second table, not on the first
-    again = NodeTable(zeroed, 5)
-    again.node(frozenset(), bottom, 5)
-    springer = SpringerSet.from_strings(5, "0,1,eps")
+    for name in ("_int_solve", "_koszul_solve"):
+        table = NodeTable(5)
+        assert isinstance(table.node(frozenset(), bottom, 5), Node)
+        with monkeypatch.context() as mp:
+            mp.setattr(greensolver, name, singular)
+            assert table.node(bottom, later, 1) == "singular"
+        assert table.nodes[bottom, later, 1] == "singular"
+        with monkeypatch.context() as mp:
+            mp.setattr(greensolver, "_int_solve", refuse)
+            mp.setattr(greensolver, "_koszul_solve", refuse)
+            assert table.node(bottom, later, 1) == "singular"
+        with monkeypatch.context() as mp:
+            mp.setattr(springer_module, "node_table", lambda m: table)
+            for family_filter in (True, False):
+                out = search(springer, family_filter=family_filter)
+                assert (out.rejected_singular, out.tried) == (1, 1 if family_filter else 2)
+                assert not out.hits
+
+
+def _searched_table(m, monkeypatch):
+    """A fresh node table of m after every search of m, both family
+    filters."""
+    table = NodeTable(m)
     with monkeypatch.context() as mp:
-        mp.setattr(greensolver, "_solve_block", refuse)
-        with pytest.raises(AssertionError, match="a cached node was solved again"):
-            again.node(bottom, later, 1)
-        assert table.node(bottom, later, 1) == "singular"
-    monkeypatch.setattr(springer_module, "node_table", lambda m: table)
-    for family_filter in (True, False):
-        out = search(springer, family_filter=family_filter)
-        singular = 0
-        for datum in enumerate_candidate_data(springer, family_filter=family_filter):
-            try:
-                solve(zeroed, datum)
-            except SingularBlock:
-                singular += 1
-        assert singular == 1
-        assert (out.rejected_singular, out.tried) == (singular, 1 if family_filter else 2)
-
-
-def _verdict(M, cl, above, a_c):
-    """matrix_solve's verdict on a node over the residual M, with C's
-    members and the rows above C at ``cl`` and ``above``: "singular",
-    "pruned" when X is not in N[q] or q^(2 a_C) does not divide M_CC, else
-    the rows of X."""
-    rows = []
-    if above:
-        try:
-            x = matrix_solve([[RatFunc(M[s][c]) for c in cl] for s in cl],
-                             [[RatFunc(M[i][c].shift(a_c)) for c in cl] for i in above])
-        except SingularBlock:
-            return "singular"
-        if not all(v.is_polynomial() and min(v.num.c.values(), default=0) >= 0
-                   for row in x for v in row):
-            return "pruned"
-        rows = [[v.as_poly() for v in row] for row in x]
-    if not all(IntPoly.q(2 * a_c).divides(M[s][c]) for s in cl for c in cl):
-        return "pruned"
-    return rows
+        mp.setattr(springer_module, "node_table", lambda m: table)
+        for family_filter in (True, False):
+            for springer in all_springer_sets(m):
+                search(springer, family_filter=family_filter)
+    return table
 
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_the_q2_cut_changes_no_node_and_no_residual(m, monkeypatch):
     # every search of m, both family filters, on a fresh table: each node's
-    # outcome is matrix_solve's verdict on its block over Q(q), a kept
-    # node's X is matrix_solve's X, and each stored residual M_S is the
-    # Schur complement omega_UU - omega_US omega_SS^-1 omega_SU, U the
-    # labels not in S, by matrix_solve
+    # outcome is the residual route's over Q(q) (dense.node_verdict, on the
+    # Schur complement omega_UU - omega_US omega_SS^-1 omega_SU by
+    # matrix_solve), a kept node's X, Lambda_C and non-polynomial Y pairs
+    # are that route's, and each entry of M_S the table read is the Schur
+    # complement's
     om = omega(m, method="closed")
-    table = NodeTable(om, m)
-    monkeypatch.setattr(springer_module, "node_table", lambda m: table)
-    for family_filter in (True, False):
-        for springer in all_springer_sets(m):
-            search(springer, family_filter=family_filter)
+    table = _searched_table(m, monkeypatch)
+    labels, complements = table.labels, {}
     for (peeled, cls, a_c), node in table.nodes.items():
-        unsolved, M = table.residuals[peeled].unsolved, table.residuals[peeled].M
-        cl = [unsolved.index(table.pos[l]) for l in sorted(cls, key=label_sort_key)]
-        above = [u for u in range(len(unsolved)) if u not in cl]
-        got = node if isinstance(node, str) else [list(row) for row in node.rows]
-        assert got == _verdict(M, cl, above, a_c)
-    w = [[om.get(r, c) for c in table.labels] for r in table.labels]
-    for peeled, res in table.residuals.items():
-        if not peeled:
-            continue
-        unsolved, M = res.unsolved, res.M
-        s = [table.pos[l] for l in peeled]
-        x = matrix_solve([[w[i][j] for j in s] for i in s], [[w[i][j] for j in s] for i in unsolved])
-        for xi, i, mrow in zip(x, unsolved, M):
-            for j, v in zip(unsolved, mrow):
-                assert RatFunc(v) == w[i][j] - rf_dot(zip(xi, (w[t][j] for t in s)))
+        if peeled not in complements:
+            complements[peeled] = dense.complement(om, peeled)
+        want = dense.node_verdict(om, m, peeled, cls, a_c, complements[peeled])
+        got = node if isinstance(node, str) else (
+            [list(row) for row in node.rows], [list(row) for row in node.lam], list(node.nonpoly))
+        assert got == want, (peeled, cls, a_c)
+    assert any(isinstance(node, Node) for node in table.nodes.values())
+    for peeled, ms in table.complements.items():
+        for (i, j), x in ms.entries.items():
+            assert RatFunc(x) == complements[peeled][labels[i], labels[j]]
 
 
-def _evaluations(m, monkeypatch):
-    """Every search of m, both family filters, on a fresh node table, with
-    each residual evaluation logged: the table; the number of _value_at
-    calls made inside each computing ``_Residual.at(k)``, by (record, k);
-    the _value_at calls made elsewhere, by where; and, for each
-    certificate, its block solve's point (None with no row above C) and
-    the points at which it read or evaluated anything."""
-    table = NodeTable(omega(m, method="closed"), m)
-    monkeypatch.setattr(springer_module, "node_table", lambda m: table)
-    real_at, real_value = greensolver._Residual.at, greensolver._value_at
-    real_solve, real_certify = greensolver._solve_block, greensolver._certify_node
-    where, evaluated, elsewhere, solved, certified = [None], Counter(), Counter(), [], []
-
-    def at(record, k):
-        if where[0] == "certificate":
-            certified[-1][1].add(k)
-        outer, where[0] = where[0], (record, k)
-        try:
-            return real_at(record, k)
-        finally:
-            where[0] = outer
-
-    def value_at(p, k):
-        if isinstance(where[0], tuple) and where[0][1] == k:
-            evaluated[where[0]] += 1
-        else:
-            elsewhere[where[0]] += 1
-            if where[0] == "certificate":
-                certified[-1][1].add(k)
-        return real_value(p, k)
-
-    def solve_block(*args):
-        got = real_solve(*args)
-        solved.append(got[0])
-        return got
-
-    def certify(res, cl, above, *args):
-        certified.append((solved[-1] if above else None, set()))
-        where[0] = "certificate"
-        try:
-            return real_certify(res, cl, above, *args)
-        finally:
-            where[0] = None
-
-    monkeypatch.setattr(greensolver._Residual, "at", at)
-    monkeypatch.setattr(greensolver, "_value_at", value_at)
-    monkeypatch.setattr(greensolver, "_solve_block", solve_block)
-    monkeypatch.setattr(greensolver, "_certify_node", certify)
-    for family_filter in (True, False):
-        for springer in all_springer_sets(m):
-            search(springer, family_filter=family_filter)
-    return table, evaluated, elsewhere, certified
+@pytest.fixture
+def fresh_closed_inverse():
+    """Empty the per-m cache of N~ before and after the test, so that its
+    values at each point are evaluated in it."""
+    greensolver._closed_inverse.cache_clear()
+    yield
+    greensolver._closed_inverse.cache_clear()
 
 
 @pytest.mark.parametrize("m", range(3, 13))
-def test_each_residual_entry_is_evaluated_once_per_point(m, monkeypatch):
-    # a residual entry is evaluated only when its record is first asked for
-    # a point, once per entry on and above the diagonal, and never again at
-    # that point; outside the records, only the certificates evaluate (X
-    # and Lambda_C)
-    table, evaluated, elsewhere, _ = _evaluations(m, monkeypatch)
-    records = list(table.residuals.values())
-    assert evaluated and elsewhere.keys() == {"certificate"}
-    for (record, k), calls in evaluated.items():
-        n = len(record.unsolved)
-        assert any(record is r for r in records) and k in record.vals
-        assert calls == n * (n + 1) // 2
-    assert sum(len(r.vals) for r in records if r.unsolved) == len(evaluated)
+def test_each_residual_entry_is_evaluated_once_per_point(m, monkeypatch, fresh_closed_inverse):
+    # every search of m, both family filters, on a fresh table and a fresh
+    # N~: N~ is evaluated once per point asked for, once per entry on and
+    # above the diagonal, and nothing else is; each entry of M_S the table
+    # reads is omega's for the empty S, and otherwise one exact division,
+    # made once per S and entry on and above the diagonal, its mirror
+    # entry the same object
+    real_value, real_quotient = greensolver._value_at, greensolver._quotient
+    values, divisors = Counter(), []
+
+    def value_at(p, k):
+        values[k] += 1
+        return real_value(p, k)
+
+    def quotient(x, g):
+        divisors.append(g)
+        return real_quotient(x, g)
+
+    greensolver._closed_inverse(m)  # its check of omega N~ = c I evaluates too
+    monkeypatch.setattr(greensolver, "_value_at", value_at)
+    monkeypatch.setattr(greensolver, "_quotient", quotient)
+    table = _searched_table(m, monkeypatch)
+    n = len(table.labels)
+    assert values and values.keys() == table.nt.vals.keys()
+    assert all(calls == n * (n + 1) // 2 for calls in values.values())
+    assert len(table.complements) > 1
+    for peeled, ms in table.complements.items():
+        assert ms.entries and all(i <= j for i, j in ms.entries)
+        assert sum(g is ms.delta for g in divisors) == (len(ms.entries) if peeled else 0)
+        assert ms(*max(ms.entries)[::-1]) is ms.entries[max(ms.entries)]
 
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_every_certificate_runs_at_its_block_solves_point(m, monkeypatch):
-    # a node with rows above C is certified at the point 2^K its block
-    # solve read X off, every residual value and every evaluation of X and
-    # Lambda_C included; a node with none, at one multiple of 8
-    _, _, _, certified = _evaluations(m, monkeypatch)
-    assert any(k is not None for k, _ in certified)
-    for k, points in certified:
-        if k is None:
-            assert len(points) == 1 and min(points) % 8 == 0
-        else:
-            assert points == {k}
+    # every search of m, both family filters, on a fresh table: a node
+    # with rows above C runs its cut at q = 2, as N~_aa(2) is never
+    # singular, and, past it, one solve at a point 2^K, K a multiple of 8;
+    # a complement other than omega's runs one solve at a multiple of 8,
+    # once per S; each multiplies back at the point it eliminated at
+    real_build, real_int = NodeTable._build, greensolver._int_solve
+    points, made = {}, {}
+
+    def build(table, *key):
+        points[key], before = [], len(table.complements)
+        try:
+            return real_build(table, *key)
+        finally:
+            made[key] = len(table.complements) - before
+
+    def int_solve(av, bv, k):
+        next(reversed(points.values())).append(k)
+        return real_int(av, bv, k)
+
+    monkeypatch.setattr(NodeTable, "_build", build)
+    monkeypatch.setattr(greensolver, "_int_solve", int_solve)
+    table = _searched_table(m, monkeypatch)
+    for key, node in table.nodes.items():
+        peeled, cls, _ = key
+        ks = points[key]
+        above = len(peeled | cls) < len(table.labels)
+        if above:
+            assert ks[0] == 1, key
+            ks = ks[1:]
+        assert all(k % 8 == 0 for k in ks), key
+        own = len(ks) - made[key]  # the solve for X at xi, unless cut at q = 2
+        assert own in ((0, 1) if above else (0,)), key
+        assert own == 1 or not (above and isinstance(node, Node)), key
+    assert sum(made.values()) == len(table.complements) - 1  # all but omega's
+    assert any(isinstance(node, Node) for node in table.nodes.values())
 
 
 def test_a_wrong_q2_solution_raises_and_leaves_the_node_table_as_it_was(monkeypatch):
-    # the elimination at either point of the block solve comes back with
-    # delta X off by -10^9 delta in one entry, a negative entry of X and so
-    # a cut, or a wrong X: the integer multiply-back must refuse it before
-    # anything is stored, values at the points it evaluated M_S at
-    # included.  Solved right, the node (the second of the dominant datum)
-    # is kept
+    # the elimination at either point of a node comes back with delta X off
+    # by -10^9 delta in one entry, a negative entry of X and so a cut, or a
+    # wrong X: the integer multiply-back must refuse it before anything is
+    # stored.  Solved right, the node (the second of the dominant datum) is
+    # kept
     bottom, node = frozenset({Eps}), (frozenset({Eps}), frozenset({ChiRPrime}), 3)
     for at_xi in (False, True):
-        table = NodeTable(omega(6, method="closed"), 6)
+        table = NodeTable(6)
         assert isinstance(table.node(frozenset(), bottom, 6), Node)
         state = _table_state(table)
         with monkeypatch.context() as mp:
@@ -1256,122 +1163,122 @@ def test_a_wrong_q2_solution_raises_and_leaves_the_node_table_as_it_was(monkeypa
     assert isinstance(table.node(*node), Node)
 
 
-def _bottom_node(monkeypatch, column):
-    """The bottom node ({}, {eps}, 0) of a node table of m = 3 over a
-    symmetric omega whose eps column (chi_0, chi_1, eps) is ``column``,
-    with 1 on the rest of the diagonal and 0 elsewhere, so that X = (chi_0
-    and chi_1 entries) / (eps entry); with the k of every point the block
-    solve tried, and matrix_solve's verdict on the node."""
-    def entry(r, c):
-        if Eps in (r, c):
-            return RatFunc(column[labels.index(c if r == Eps else r)])
-        return RatFunc(1) if r == c else RatFunc(0)
+def _block_ntilde(aa, ac):
+    """The record of a symmetric N~ over C, positions 0, ..., k - 1, and a,
+    the positions after it: 0 over C x C, the rows ``ac`` over a x C and
+    their transpose beside them, and ``aa`` over a x a.  The node's X
+    reads only its blocks over a."""
+    k, zero = len(ac[0]), IntPoly.zero()
+    rows = [[zero] * k + [acrow[j] for acrow in ac] for j in range(k)]
+    rows += [list(acrow) + list(aarow) for acrow, aarow in zip(ac, aa)]
+    return greensolver._Ntilde(tuple(map(tuple, rows)))
 
-    labels = all_labels(3)
-    table = NodeTable(PolyMatrix.from_function(labels, labels, entry), 3)
+
+def _node_outcome(nt, k, a_c):
+    """:func:`greensolver._node_x`'s outcome on the record ``nt`` with C
+    its first k positions: "singular", "pruned" or the rows of X."""
+    try:
+        rows = greensolver._node_x(nt, list(range(k)), list(range(k, len(nt.entries))), a_c)
+    except SingularBlock:
+        return "singular"
+    return "pruned" if rows is None else rows
+
+
+def _verdict(aa, ac, a_c):
+    """matrix_solve's verdict on X = -q^(a_C) N~_aa^-1 N~_aC over Q(q):
+    "singular", "pruned" when X is not in N[q], else the rows of X."""
+    try:
+        z = matrix_solve([[RatFunc(v) for v in row] for row in aa],
+                         [[RatFunc(acrow[j]) for acrow in ac] for j in range(len(ac[0]))])
+    except SingularBlock:
+        return "singular"
+    x = [[-zrow[i] * RatFunc(IntPoly.q(a_c)) for zrow in z] for i in range(len(aa))]
+    if not all(v.is_polynomial() and min(v.num.c.values(), default=0) >= 0
+               for row in x for v in row):
+        return "pruned"
+    return [[v.as_poly() for v in row] for row in x]
+
+
+_ONE, _Q, _Z = IntPoly.one(), IntPoly.q(1), IntPoly.zero()
+
+
+def _bottom_node(monkeypatch, d0, e0):
+    """The node X = -N~_aa^-1 N~_aC = (e0 / d0, 1) over one C position
+    and two above it, with N~_aa = diag(d0, 1): its outcome, with the k of
+    every point its integer solves tried, and matrix_solve's verdict."""
+    aa, ac = [[d0, _Z], [_Z, _ONE]], [[-e0], [-_ONE]]
     points = _spy_points(monkeypatch)
-    node = table.node(frozenset(), frozenset({Eps}), 0)
-    M = table.residuals[frozenset()].M
-    return node, points, _verdict(M, [2], [0, 1], 0)
+    return _node_outcome(_block_ntilde(aa, ac), 1, 0), points, _verdict(aa, ac, 0)
 
 
 def test_a_block_singular_at_q2_is_cut_over_z_q(monkeypatch):
-    # M_CC = q - 2 with 1 beside it: singular at q = 2, so the block solve
-    # moves on to q = 4, where X(4) = 1/2 cuts the node; over Q(q),
-    # X = 1 / (q - 2)
-    node, points, verdict = _bottom_node(monkeypatch, (1, 1, IntPoly({1: 1, 0: -2})))
+    # N~_aa has q - 2 beside 1: singular at q = 2, so the node moves on to
+    # q = 4, where X(4) = 1/2 cuts it; over Q(q), X = 1 / (q - 2)
+    node, points, verdict = _bottom_node(monkeypatch, IntPoly({1: 1, 0: -2}), _ONE)
     assert node == verdict == "pruned"
     assert points == [1, 2]
 
 
-@pytest.mark.parametrize("column, outcome, points", [
-    # X = (2/q, 1): X(2) = (1, 1) is in N, X(xi) = 2/xi is no integer
-    ((2, IntPoly.q(1), IntPoly.q(1)), "pruned", [1, 8]),
-    # X = (q^2 - q, 1): X(2) = (2, 1) is in N, X(xi) = xi^2 - xi has the
-    # digit -1
-    ((IntPoly({2: 1, 1: -1}), 1, 1), "pruned", [1, 8]),
-    # eps's row and column zeroed: M_CC = 0, of degree D = 0, is singular
-    # at the one point tried
-    ((0, 0, 0), "singular", [1]),
+@pytest.mark.parametrize("d0, e0, outcome, points", [
+    # X = (2/q, 1): X(2) = (1, 1) is in N, and q does not divide 2 in Z[q]
+    (_Q, IntPoly(2), "pruned", [1, 8]),
+    # X = (q^2 - q, 1): X(2) = (2, 1) is in N, and X has the coefficient -1
+    (_ONE, IntPoly({2: 1, 1: -1}), "pruned", [1, 8]),
+    # N~_aa = diag(0, 1), of degree at most 4, is singular at every one of
+    # the 5 points tried
+    (_Z, _Z, "singular", [1, 2, 3, 4, 5]),
 ], ids=("X=2-over-q", "X=q^2-q", "zeroed-row"))
-def test_a_bottom_node_is_matrix_solves_verdict(column, outcome, points, monkeypatch):
-    got, tried, verdict = _bottom_node(monkeypatch, column)
+def test_a_bottom_node_is_matrix_solves_verdict(d0, e0, outcome, points, monkeypatch):
+    got, tried, verdict = _bottom_node(monkeypatch, d0, e0)
     assert got == verdict == outcome
     assert tried == points
 
 
-nonnegative_polys = st.dictionaries(
-    st.integers(min_value=0, max_value=4),
-    st.integers(min_value=1, max_value=5),
+quadratics = st.dictionaries(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=-3, max_value=3),
     max_size=3,
 ).map(IntPoly)
 
 
 @st.composite
 def block_equations(draw):
-    """X A = B for a symmetric A of k <= 3 small polynomials, as every M_CC
-    is, and B of up to 3 rows: (A, B, X) with B = X A for a drawn X in
-    N[q], or (A, B, None) with B drawn freely."""
-    k = draw(st.integers(min_value=1, max_value=3))
-    nrhs = draw(st.integers(min_value=1, max_value=3))
-    a = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            a[i][j] = a[j][i] = draw(small_polys)
+    """The blocks of a node's N~ with entries of degree at most 2, as every
+    entry of N~ has: a symmetric N~_aa of r <= 3 rows and N~_aC of k <= 2
+    columns, as (aa, ac, X), with N~_aC = -N~_aa X for a drawn X of
+    naturals, or X None and N~_aC drawn freely."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=2))
+    aa = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            aa[i][j] = aa[j][i] = draw(quadratics)
     if draw(st.booleans()):
-        x = [[draw(nonnegative_polys) for _ in range(k)] for _ in range(nrhs)]
-        return a, [[poly_dot(zip(row, col)) for col in zip(*a)] for row in x], x
-    return a, [[draw(small_polys) for _ in range(k)] for _ in range(nrhs)], None
-
-
-_ONE, _Q = IntPoly.one(), IntPoly.q(1)
-
-
-def _block_record(a, b):
-    """The residual record of the symmetric matrix with A over C's
-    positions 0, ..., k - 1, B below it and its transpose beside it, and 0
-    over the rows above C: the block solve reads A and B off it."""
-    k, zero = len(a), IntPoly.zero()
-    M = [list(row) + [brow[s] for brow in b] for s, row in enumerate(a)]
-    M += [list(brow) + [zero] * len(b) for brow in b]
-    return _record(M), list(range(k)), list(range(k, k + len(b)))
+        x = [[draw(st.integers(min_value=0, max_value=3)) for _ in range(k)] for _ in range(r)]
+        ac = [[-poly_dot((aa[i][s], IntPoly(x[s][j])) for s in range(r)) for j in range(k)]
+              for i in range(r)]
+        return aa, ac, x
+    return aa, [[draw(quadratics) for _ in range(k)] for _ in range(r)], None
 
 
 @given(block_equations(), st.integers(min_value=0, max_value=2))
-# A = -I: delta = -1, so delta X(xi) is negative where X(xi) is not
-@example(([[-_ONE, IntPoly.zero()], [IntPoly.zero(), -_ONE]], [[-_Q - _ONE, IntPoly(-2)]],
-          [[_Q + _ONE, IntPoly(2)]]), 0)
-# A = (q - 2)(q - 4): singular at q = 2 and q = 4, solved at q = 8
-@example(([[IntPoly({2: 1, 1: -6, 0: 8})]], [[IntPoly({3: 1, 2: -6, 1: 8})]], [[_Q]]), 0)
-# A = q - 256, B = 0: R = 0 puts xi at 2^8, a root of A, so K goes on to 16
-@example(([[IntPoly({1: 1, 0: -256})]], [[IntPoly.zero()]], [[IntPoly.zero()]]), 0)
-# X = (q - 2)^2 / 4: R = X(2) = 0, and X(2^8) = 63 * 2^8 + 1 has digits in
-# N, so only the row-sum bound cuts it
-@example(([[IntPoly({1: -4, 0: -4})]], [[IntPoly({3: -1, 2: 3, 0: -4})]], None), 0)
+# N~_aa = -I: delta = -1, so delta X(xi) is negative where X(xi) is not
+@example(([[-_ONE, _Z], [_Z, -_ONE]], [[_ONE], [IntPoly(2)]], [[1], [2]]), 0)
+# N~_aa = (q - 2)(q - 4): singular at q = 2 and q = 4, cut or kept at q = 8
+@example(([[IntPoly({2: 1, 1: -6, 0: 8})]], [[IntPoly({2: -1, 1: 6, 0: -8})]], [[1]]), 1)
+# X = 2 / q: X(2) = 1 is in N, and the exact division cuts it
+@example(([[_Q]], [[IntPoly(-2)]], None), 0)
+# X = q^2 - q: X(2) = 2 is in N, and the coefficient -1 cuts it
+@example(([[_ONE]], [[IntPoly({2: -1, 1: 1})]], None), 0)
 def test_block_solve_agrees_with_matrix_solve(equation, a_c):
-    # on random polynomial blocks, the node table's block solve of X A =
-    # q^(a_C) B and the rational one are singular together; a kept X is
-    # matrix_solve's and lies in N[q], and at a cut matrix_solve's X is not
-    # in N[q]
-    a, b, x = equation
-    res, cl, above = _block_record(a, b)
-    try:
-        want = matrix_solve([[RatFunc(v) for v in row] for row in a],
-                            [[RatFunc(v.shift(a_c)) for v in row] for row in b])
-    except SingularBlock:
-        with pytest.raises(SingularBlock):
-            greensolver._solve_block(res, cl, above, a_c)
-        return
-    _, rows = greensolver._solve_block(res, cl, above, a_c)
-    if rows is None:
-        assert x is None
-        assert any(not v.is_polynomial() or min(v.num.c.values(), default=0) < 0
-                   for row in want for v in row)
-    else:
-        assert [[RatFunc(v) for v in row] for row in rows] == want
-        assert all(min(v.c.values(), default=0) >= 0 for row in rows for v in row)
-        if x is not None:
-            assert rows == [[v.shift(a_c) for v in row] for row in x]
+    # on random blocks of N~, the node's X and the rational one are
+    # singular together; a kept X is matrix_solve's and lies in N[q], and a
+    # cut X is not in N[q]
+    aa, ac, x = equation
+    got = _node_outcome(_block_ntilde(aa, ac), len(ac[0]), a_c)
+    assert got == _verdict(aa, ac, a_c)
+    if x is not None and got != "singular":
+        assert got == [[IntPoly.q(a_c) * v for v in row] for row in x]
 
 
 @pytest.mark.parametrize("q", (2, 3))

@@ -337,7 +337,7 @@ def test_enumerated_data_are_the_validated_data(family_filter):
 
 def test_the_m16_search_counts(monkeypatch):
     # every Springer set of m = 16, family filter on, on a fresh node table
-    table = greensolver.NodeTable(omega(16, method="closed"), 16)
+    table = greensolver.NodeTable(16)
     monkeypatch.setattr(springer_module, "node_table", lambda m: table)
     outs = [search(springer) for springer in all_springer_sets(16)]
     assert (sum(o.tried for o in outs), sum(o.pruned for o in outs),
